@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all help build fmt vet staticcheck test race bench bench-engine bench-json bench-json-smoke bench-compare alloc check fuzz smoke serve-smoke serve-cluster-smoke sharded placement profile ci clean
+.PHONY: all help build fmt vet staticcheck test race bench bench-engine bench-json bench-json-smoke bench-compare alloc check fuzz smoke serve-smoke serve-cluster-smoke placement profile ci clean
 
 all: build vet test
 
@@ -19,10 +19,9 @@ help:
 	@echo "  smoke        end-to-end report-pipeline smoke run"
 	@echo "  serve-smoke  HTTP service smoke: submit/poll/cache/sweep/persistent-store over a loopback listener"
 	@echo "  serve-cluster-smoke  three-node membership smoke: exactly-once execution, replication, kill-owner handoff"
-	@echo "  sharded      partitioned-engine determinism gate: K-identity, golden event order, report matrix, -race storm"
 	@echo "  placement    fabric/placement gate: topology contract, annealed determinism, placement report matrix"
 	@echo "  profile      CPU/heap profiles of the Table III sweep"
-	@echo "  ci           build fmt vet staticcheck race bench bench-json-smoke alloc check sharded placement smoke serve-smoke serve-cluster-smoke"
+	@echo "  ci           build fmt vet staticcheck race bench bench-json-smoke alloc check placement smoke serve-smoke serve-cluster-smoke"
 
 build:
 	$(GO) build ./...
@@ -57,7 +56,6 @@ race:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig16Left$$|BenchmarkFig11c$$' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkScheduleRun' -benchtime 1s -benchmem ./internal/engine/
-	$(GO) test -run xxx -bench 'BenchmarkSharded$$' -benchtime 1x -benchmem ./internal/system/
 
 bench-engine:
 	$(GO) test -run xxx -bench . -benchtime 2s -benchmem ./internal/engine/
@@ -72,8 +70,6 @@ BENCH_OUT ?= BENCH_$(shell date +%Y%m%d).json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkTable3$$' -benchtime $(BENCHTIME) -benchmem . \
 		| tee $(BENCH_OUT:.json=.txt)
-	$(GO) test -run xxx -bench 'BenchmarkSharded$$' -benchtime $(BENCHTIME) -benchmem ./internal/system/ \
-		| tee -a $(BENCH_OUT:.json=.txt)
 	$(GO) run ./cmd/nocstar-bench -in $(BENCH_OUT:.json=.txt) -out $(BENCH_OUT)
 
 # Cheap ci gate for the recording pipeline: parse a fast real benchmark
@@ -136,25 +132,15 @@ serve-smoke:
 serve-cluster-smoke:
 	$(GO) run ./cmd/nocstar-serve -selftest-cluster
 
-# The partitioned-engine determinism gate: Result identity and per-region
-# golden event order across shard counts, the end-to-end report matrix
-# (-shards x -j byte identity through the nocstar-exp binary), and a short
-# multi-worker shootdown storm under the race detector.
-sharded:
-	$(GO) test -count 1 -run 'TestShardedSystemIdentity|TestShardedGoldenEventOrder|TestShardedFallback|TestShardedRegionAllocFree' ./internal/system/
-	$(GO) test -count 1 -run 'TestReportShardMatrix' ./cmd/nocstar-exp/
-	$(GO) test -race -count 1 -run 'TestShardedStormContention' ./internal/system/
-
 # The fabric/placement gate: the Topology interface contract (symmetry,
-# zero diagonal, the MinHops lookahead bound), annealed-placement
-# determinism (identical mapping and identical Result for a fixed seed),
-# K-identity of every topology and placement under the partitioned
-# engine, cache-key distinctness of the placement knobs, and the
+# zero diagonal), run-to-run determinism of every topology and of every
+# optimizing placement (identical mapping and identical Result for a
+# fixed seed), cache-key distinctness of the placement knobs, and the
 # end-to-end placement report matrix through the nocstar-exp binary.
 placement:
 	$(GO) test -count 1 -run 'TestTopologyContract|TestTopologyGoldenHops|TestGridForProperty' ./internal/noc/
 	$(GO) test -count 1 ./internal/place/
-	$(GO) test -count 1 -run 'TestBankNodesWithinCores|TestTopologyShardIdentity|TestPlacementShardIdentity|TestPlacementDeterminism|TestPlacementKeyDistinctness' ./internal/system/
+	$(GO) test -count 1 -run 'TestBankNodesWithinCores|TestTopologyDeterminism|TestPlacementDeterminism|TestPlacementKeyDistinctness' ./internal/system/
 	$(GO) test -count 1 -run 'TestReportPlacementMatrix' ./cmd/nocstar-exp/
 
 # CPU and heap profiles of the heavyweight Table III sweep, written to
@@ -167,7 +153,7 @@ profile:
 		-o profiles/nocstar.test .
 	@echo "inspect with: go tool pprof -top profiles/nocstar.test profiles/cpu.out"
 
-ci: build fmt vet staticcheck race bench bench-json-smoke alloc check sharded placement smoke serve-smoke serve-cluster-smoke
+ci: build fmt vet staticcheck race bench bench-json-smoke alloc check placement smoke serve-smoke serve-cluster-smoke
 
 clean:
 	$(GO) clean ./...

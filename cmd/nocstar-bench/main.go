@@ -18,6 +18,9 @@
 //	  "date": "2026-08-08",
 //	  "git_sha": "abc123...",          // "-dirty" suffixed when the tree is
 //	  "go_version": "go1.24.0",        // modified relative to HEAD
+//	  "nproc": 2,                      // host CPUs (runtime.NumCPU)
+//	  "gomaxprocs": 2,
+//	  "cpu_model": "AMD EPYC ...",     // first /proc/cpuinfo model name
 //	  "benchmarks": [
 //	    {"name": "BenchmarkTable3", "iterations": 3,
 //	     "sec_per_op": 3.958, "bytes_per_op": 904010832,
@@ -47,8 +50,9 @@ type Record struct {
 	Date       string      `json:"date"`
 	GitSHA     string      `json:"git_sha"`
 	GoVersion  string      `json:"go_version"`
+	NProc      int         `json:"nproc"`
 	GoMaxProcs int         `json:"gomaxprocs"`
-	Shards     int         `json:"shards,omitempty"`
+	CPUModel   string      `json:"cpu_model"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -69,7 +73,6 @@ func main() {
 		pkg       = flag.String("pkg", ".", "package to benchmark")
 		in        = flag.String("in", "", "parse this bench-output file instead of running go test (- for stdin)")
 		out       = flag.String("out", "", "output JSON path (default BENCH_<yyyymmdd>.json; - for stdout)")
-		shards    = flag.Int("shards", 0, "intra-run shard count recorded in the output metadata (the benchmark itself reads NOCSTAR_SHARDS)")
 	)
 	flag.Parse()
 
@@ -97,8 +100,9 @@ func main() {
 		Date:       time.Now().Format("2006-01-02"),
 		GitSHA:     gitSHA(),
 		GoVersion:  runtime.Version(),
+		NProc:      runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Shards:     *shards,
+		CPUModel:   cpuModel(),
 		Benchmarks: benches,
 	}
 	doc, err := json.MarshalIndent(rec, "", "  ")
@@ -189,6 +193,23 @@ func stripProcs(name string) string {
 		}
 	}
 	return name
+}
+
+// cpuModel reads the first "model name" line of /proc/cpuinfo, or
+// reports "unknown" where that file is absent.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // gitSHA reports HEAD's commit, "-dirty" suffixed when tracked files are

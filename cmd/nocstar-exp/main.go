@@ -41,7 +41,6 @@ func main() {
 		report     = flag.String("report", "", "write a schema-versioned JSON run report to this file")
 		trace      = flag.String("trace", "", "write a Chrome trace_event JSON of one representative run to this file (view in chrome://tracing or ui.perfetto.dev)")
 		parallel   = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS); output is byte-identical at any setting")
-		shards     = flag.Int("shards", 0, "worker goroutines inside each shardable run (Private/DistributedMesh orgs; 0 = legacy single-engine); results are byte-identical at any positive setting, and -j defaults to GOMAXPROCS/shards")
 		topology   = flag.String("topology", "", "fabric topology for mesh-routed organizations: "+strings.Join(noc.TopologyTokens(), ", "))
 		placement  = flag.String("placement", "", "slice-placement strategy for sliced organizations: "+strings.Join(place.Tokens(), ", "))
 		placeSeed  = flag.Int64("placement-seed", 0, "seed for the seeded placement strategies (0 = the simulation seed)")
@@ -70,7 +69,7 @@ func main() {
 	}
 
 	opts := experiments.Options{Instr: *instr, Seed: *seed, Combos: *combos,
-		Parallelism: *parallel, Shards: *shards, PlacementSeed: *placeSeed}
+		Parallelism: *parallel, PlacementSeed: *placeSeed}
 	if *topology != "" {
 		kind, ok := noc.ParseTopologyKind(*topology)
 		if !ok {

@@ -9,18 +9,11 @@ import (
 	"testing"
 )
 
-// TestReportShardMatrix is the end-to-end determinism gate for the
-// partitioned parallel engine: the same invocation at every combination
-// of intra-run shard count (-shards) and sweep parallelism (-j) must
-// write a byte-identical -report JSON. The default matrix covers the
-// corner cells; set NOCSTAR_FULL_MATRIX=1 for the full
-// shards{1,2,4} x j{1,4} sweep.
-//
-// The experiment is chosen to exercise both engines at once: fig12 runs
-// Private and DistributedMesh configs (partitioned engine) next to
-// monolithic and NOCSTAR configs (legacy engine fallback) and divides by
-// the memoized private baseline.
-func TestReportShardMatrix(t *testing.T) {
+// reportMatrix builds the nocstar-exp binary, runs it with args at
+// -j 1, 2 and 4, and fails unless every run writes a byte-identical,
+// non-empty -report JSON.
+func reportMatrix(t *testing.T, args ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the nocstar-exp binary")
 	}
@@ -30,25 +23,12 @@ func TestReportShardMatrix(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	type cell struct{ shards, j int }
-	cells := []cell{{1, 1}, {2, 4}, {4, 1}}
-	if os.Getenv("NOCSTAR_FULL_MATRIX") != "" {
-		cells = []cell{{1, 1}, {1, 4}, {2, 1}, {2, 4}, {4, 1}, {4, 4}}
-	}
-
 	var golden []byte
-	for _, c := range cells {
+	for _, j := range []int{1, 2, 4} {
 		report := filepath.Join(t.TempDir(), "report.json")
-		cmd := exec.Command(bin,
-			"-instr", "2000",
-			"-workloads", "gups",
-			"-shards", strconv.Itoa(c.shards),
-			"-j", strconv.Itoa(c.j),
-			"-quiet",
-			"-report", report,
-			"fig12")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("shards=%d j=%d: %v\n%s", c.shards, c.j, err, out)
+		argv := append([]string{"-j", strconv.Itoa(j), "-quiet", "-report", report}, args...)
+		if out, err := exec.Command(bin, argv...).CombinedOutput(); err != nil {
+			t.Fatalf("j=%d: %v\n%s", j, err, out)
 		}
 		got, err := os.ReadFile(report)
 		if err != nil {
@@ -59,8 +39,7 @@ func TestReportShardMatrix(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(golden, got) {
-			t.Fatalf("shards=%d j=%d report diverges from shards=%d j=%d (%d vs %d bytes)",
-				c.shards, c.j, cells[0].shards, cells[0].j, len(got), len(golden))
+			t.Fatalf("j=%d report diverges from j=1 (%d vs %d bytes)", j, len(got), len(golden))
 		}
 	}
 	if len(golden) == 0 {
@@ -68,54 +47,19 @@ func TestReportShardMatrix(t *testing.T) {
 	}
 }
 
+// TestReportJobsMatrix is the end-to-end determinism gate: the same
+// invocation at every sweep parallelism (-j) must write a byte-identical
+// -report JSON. fig12 runs every organization side by side and divides
+// by the memoized private baseline, so scheduling order, dedup and
+// memoization are all exercised.
+func TestReportJobsMatrix(t *testing.T) {
+	reportMatrix(t, "-instr", "2000", "-workloads", "gups", "fig12")
+}
+
 // TestReportPlacementMatrix extends the byte-identity gate to the fabric
 // layer: the placement experiment — every topology crossed with every
 // placement strategy on the distributed organization — must write the
-// identical -report JSON at every (-shards, -j) corner. One cell per
-// fabric runs end-to-end here, covering the acceptance matrix for the
-// pluggable topologies under the partitioned engine.
+// identical -report JSON at every -j.
 func TestReportPlacementMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the nocstar-exp binary")
-	}
-	bin := filepath.Join(t.TempDir(), "nocstar-exp")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	type cell struct{ shards, j int }
-	cells := []cell{{1, 1}, {2, 4}, {4, 1}}
-
-	var golden []byte
-	for _, c := range cells {
-		report := filepath.Join(t.TempDir(), "report.json")
-		cmd := exec.Command(bin,
-			"-instr", "1500",
-			"-cores", "16",
-			"-workloads", "gups",
-			"-shards", strconv.Itoa(c.shards),
-			"-j", strconv.Itoa(c.j),
-			"-quiet",
-			"-report", report,
-			"placement")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("shards=%d j=%d: %v\n%s", c.shards, c.j, err, out)
-		}
-		got, err := os.ReadFile(report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if golden == nil {
-			golden = got
-			continue
-		}
-		if !bytes.Equal(golden, got) {
-			t.Fatalf("shards=%d j=%d placement report diverges from shards=%d j=%d (%d vs %d bytes)",
-				c.shards, c.j, cells[0].shards, cells[0].j, len(got), len(golden))
-		}
-	}
-	if len(golden) == 0 {
-		t.Fatal("empty report")
-	}
+	reportMatrix(t, "-instr", "1500", "-cores", "16", "-workloads", "gups", "placement")
 }

@@ -72,7 +72,6 @@ func main() {
 		budget       = flag.Int("cluster-queue-budget", 0, "cluster-wide queued-leg budget for sweep admission (0 = sum of live queue caps)")
 		history      = flag.Int("job-history", 0, "terminal jobs retained in the run registry (0 = 512)")
 		maxRun       = flag.Duration("max-run", 0, "wall-clock cap on every run; 0 means uncapped")
-		shards       = flag.Int("shards", 0, "worker goroutines inside each shardable run (0 = legacy single-engine)")
 		drain        = flag.Duration("drain", time.Minute, "graceful-shutdown drain budget for in-flight runs")
 		selftest     = flag.Bool("selftest", false, "run an end-to-end smoke against a loopback listener and exit")
 		selfcluster  = flag.Bool("selftest-cluster", false, "run a three-node membership/handoff/replication smoke on loopback listeners and exit")
@@ -88,7 +87,6 @@ func main() {
 		StoreMaxBytes:      *storeBytes,
 		JobHistory:         *history,
 		MaxRunDuration:     *maxRun,
-		Shards:             *shards,
 		HeartbeatInterval:  *hbInterval,
 		SuspectAfter:       *suspectAfter,
 		DeadAfter:          *deadAfter,

@@ -123,12 +123,15 @@ func (q *eventQueue) siftDown(e event) {
 	ev[i] = e
 }
 
-// defaultWheelSize is the standalone engine's horizon in cycles. Nearly
-// every delay in the simulator is short (port waits, SRAM latencies, NoC
-// traversals, page walks, shootdown intervals), so events overwhelmingly
-// land within the wheel; only far-future schedules take the overflow
-// heap. Must be a power of two.
-const defaultWheelSize = 8192
+// wheelSize is the engine's horizon in cycles. Nearly every delay in the
+// simulator is short (port waits, SRAM latencies, NoC traversals, page
+// walks, shootdown intervals), so events overwhelmingly land within the
+// wheel; only far-future schedules take the overflow heap. Must be a
+// power of two.
+const (
+	wheelSize = 8192
+	wheelMask = wheelSize - 1
+)
 
 // Engine is a discrete-event simulator clock. The zero value is not ready
 // for use; call New.
@@ -148,13 +151,8 @@ type Engine struct {
 	seq uint64
 	// wheel[c&wheelMask] holds the events of cycle c, for c in
 	// [now, now+wheelSize), in seq order. Buckets keep their capacity
-	// across laps, so the steady state allocates nothing. The size is
-	// fixed at construction: standalone engines use defaultWheelSize,
-	// while sharded runs carve many engines with small wheels so a
-	// 1024-region run stays memory-bounded.
+	// across laps, so the steady state allocates nothing.
 	wheel        [][]event
-	wheelSize    Cycle
-	wheelMask    int
 	wheelPending int
 	overflow     eventQueue // events at now+wheelSize or later
 	finalizers   []func()   // end-of-cycle actions for the current cycle
@@ -198,22 +196,7 @@ const wheelBucketCap = 4
 
 // New returns an engine with the clock at cycle 0 and no pending events.
 func New() *Engine {
-	return NewSized(defaultWheelSize)
-}
-
-// NewSized returns an engine whose timing wheel spans the given horizon,
-// which must be a power of two. Small horizons trade overflow-heap
-// traffic for memory: a sharded run instantiates one engine per region
-// and keeps each wheel short.
-func NewSized(wheelSize int) *Engine {
-	if wheelSize <= 0 || wheelSize&(wheelSize-1) != 0 {
-		panic("engine: wheel size must be a positive power of two")
-	}
-	e := &Engine{
-		wheel:     make([][]event, wheelSize),
-		wheelSize: Cycle(wheelSize),
-		wheelMask: wheelSize - 1,
-	}
+	e := &Engine{wheel: make([][]event, wheelSize)}
 	slab := make([]event, wheelSize*wheelBucketCap)
 	for i := range e.wheel {
 		e.wheel[i] = slab[i*wheelBucketCap : i*wheelBucketCap : (i+1)*wheelBucketCap]
@@ -282,8 +265,8 @@ func (e *Engine) At(when Cycle, fn func()) {
 // insert places an event in the wheel when it is within the horizon, in
 // the overflow heap otherwise.
 func (e *Engine) insert(ev event) {
-	if ev.when < e.now+e.wheelSize {
-		b := int(ev.when) & e.wheelMask
+	if ev.when < e.now+wheelSize {
+		b := int(ev.when) & wheelMask
 		e.wheel[b] = append(e.wheel[b], ev)
 		e.wheelPending++
 		return
@@ -299,20 +282,13 @@ func (e *Engine) insert(ev event) {
 // order, which likewise keeps multiple drained events of one cycle
 // sorted.
 func (e *Engine) drainOverflow() {
-	limit := e.now + e.wheelSize
+	limit := e.now + wheelSize
 	for e.overflow.len() > 0 && e.overflow.head().when < limit {
 		ev := e.overflow.pop()
-		b := int(ev.when) & e.wheelMask
+		b := int(ev.when) & wheelMask
 		e.wheel[b] = append(e.wheel[b], ev)
 		e.wheelPending++
 	}
-}
-
-// NextPending reports the cycle of the earliest pending ordinary event,
-// if any. Finalizers for the current cycle are not considered. The
-// sharded scheduler uses it to fast-forward over globally idle windows.
-func (e *Engine) NextPending() (Cycle, bool) {
-	return e.nextEventCycle()
 }
 
 // nextEventCycle returns the cycle of the earliest pending event.
@@ -322,7 +298,7 @@ func (e *Engine) nextEventCycle() (Cycle, bool) {
 		// earlier than the overflow heap's horizon is in the wheel, so the
 		// first populated bucket from now is the global minimum.
 		for c := e.now; ; c++ {
-			if len(e.wheel[int(c)&e.wheelMask]) > 0 {
+			if len(e.wheel[int(c)&wheelMask]) > 0 {
 				return c, true
 			}
 		}
@@ -373,7 +349,7 @@ func (e *Engine) step() bool {
 	e.drainOverflow()
 	// Alternate between draining same-cycle events and running
 	// finalizers until the cycle produces no further work.
-	bi := int(e.now) & e.wheelMask
+	bi := int(e.now) & wheelMask
 	for {
 		ran := false
 		// The current bucket is in seq order; events executed here may

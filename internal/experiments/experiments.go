@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 	"sort"
 
 	"nocstar/internal/noc"
@@ -42,15 +41,6 @@ type Options struct {
 	// Experiment names the figure/table submitting runs; the registry
 	// stamps it so profiles attribute simulations to their experiment.
 	Experiment string
-	// Shards, when > 0, runs every shardable config (system.Shardable:
-	// Private and DistributedMesh organizations) on the partitioned
-	// parallel engine with that many worker goroutines per run. Results
-	// are invariant in the shard count; the partitioned engine itself is
-	// a documented model variant, so sharded and legacy runs are cached
-	// separately and never compared. When Parallelism is 0, the sweep
-	// worker count is budgeted to GOMAXPROCS/Shards so sweep-level and
-	// intra-run parallelism do not multiply past the machine.
-	Shards int
 	// Topology selects the fabric topology for every experiment config
 	// whose organization routes a generic packet-switched interconnect
 	// (monolithic-mesh and distributed); other organizations keep the
@@ -148,17 +138,7 @@ func (o Options) baseConfig(org system.Org, spec workload.Spec, cores int, thp b
 // deduplicated, and private baselines are memoized across experiments.
 func (o Options) pool() *runner.Runner {
 	r := runner.Default()
-	par := o.Parallelism
-	if o.Shards > 0 && par == 0 {
-		// Budget sweep workers against intra-run workers: K shard workers
-		// per run, so admit ~GOMAXPROCS/K runs at once.
-		par = runtime.GOMAXPROCS(0) / o.Shards
-		if par < 1 {
-			par = 1
-		}
-	}
-	r.SetParallelism(par)
-	r.SetShards(o.Shards)
+	r.SetParallelism(o.Parallelism)
 	return r
 }
 

@@ -71,7 +71,7 @@ func Registry() []Entry {
 			func(o Options) Renderer { return AblationSpeculation(o) }},
 		{"abl-qos", "Ablation: QoS slice partitioning (future work)",
 			func(o Options) Renderer { return AblationQoS(o) }},
-		{"smoke1024", "1024-core DistributedMesh smoke (sharded-engine scale target)",
+		{"smoke1024", "1024-core DistributedMesh smoke",
 			func(o Options) Renderer { return Smoke1024(o) }},
 		{"placement", "Slice placement vs fabric topology (speedup over row-major)",
 			func(o Options) Renderer { return Placement(o) }},

@@ -35,8 +35,8 @@ type RunReport struct {
 }
 
 // ReportOptions echoes the Options the run used (the fields that affect
-// results; Parallelism and Shards deliberately excluded — neither may
-// change a number, so -shards=1 and -shards=4 reports are byte-identical).
+// results; Parallelism deliberately excluded — it may not change a
+// number, so -j 1 and -j 4 reports are byte-identical).
 type ReportOptions struct {
 	Instr      uint64   `json:"instr"`
 	Seed       int64    `json:"seed"`

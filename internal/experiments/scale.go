@@ -9,13 +9,11 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// 1024-core smoke — the scale target the partitioned parallel engine
-// exists for. One gups-like high-miss workload on a 32x32 mesh of
+// 1024-core smoke. One gups-like high-miss workload on a 32x32 mesh of
 // distributed slices, with a deliberately small per-thread instruction
 // budget: over a thousand threads that still totals millions of memory
 // references, enough to exercise every slice, but it completes in
-// minutes rather than hours. Results are deterministic and invariant in
-// Options.Shards.
+// minutes rather than hours. Results are deterministic.
 
 // smoke1024Instr caps the per-thread budget: the point of the smoke is
 // breadth (1024 tiles live at once), not depth.

@@ -143,80 +143,6 @@ func (h *Hist) Mean() float64 {
 // Name reports the registered name.
 func (h *Hist) Name() string { return h.name }
 
-// Merge folds other's samples into m. Means merge exactly: count, sum,
-// and extrema are all associative.
-func (m *Mean) Merge(other *Mean) {
-	if other.n == 0 {
-		return
-	}
-	if m.n == 0 || other.min < m.min {
-		m.min = other.min
-	}
-	if m.n == 0 || other.max > m.max {
-		m.max = other.max
-	}
-	m.n += other.n
-	m.sum += other.sum
-}
-
-// Merge folds other's samples into h. Both histograms must share bucket
-// bounds (they do when registered with the same name and bounds — the
-// per-region registries of a sharded run are built identically).
-func (h *Hist) Merge(other *Hist) {
-	if len(other.counts) != len(h.counts) {
-		panic(fmt.Sprintf("metrics: Merge %q: bucket count mismatch", h.name))
-	}
-	if other.n == 0 {
-		return
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-}
-
-// Merge folds every metric of other into the identically-shaped registry
-// r, by position: both registries must have been built by the same
-// registration sequence (the sharded runtime constructs one registry per
-// region from one constructor). Names are cross-checked.
-func (r *Registry) Merge(other *Registry) {
-	if len(other.counters) != len(r.counters) || len(other.atomics) != len(r.atomics) ||
-		len(other.means) != len(r.means) || len(other.hists) != len(r.hists) {
-		panic("metrics: Merge: registry shapes differ")
-	}
-	for i, c := range r.counters {
-		if c.name != other.counters[i].name {
-			panic(fmt.Sprintf("metrics: Merge: counter %q vs %q", c.name, other.counters[i].name))
-		}
-		c.v += other.counters[i].v
-	}
-	for i, c := range r.atomics {
-		if c.name != other.atomics[i].name {
-			panic(fmt.Sprintf("metrics: Merge: counter %q vs %q", c.name, other.atomics[i].name))
-		}
-		c.v.Add(other.atomics[i].Value())
-	}
-	for i, m := range r.means {
-		if m.name != other.means[i].name {
-			panic(fmt.Sprintf("metrics: Merge: mean %q vs %q", m.name, other.means[i].name))
-		}
-		m.Merge(other.means[i])
-	}
-	for i, h := range r.hists {
-		if h.name != other.hists[i].name {
-			panic(fmt.Sprintf("metrics: Merge: hist %q vs %q", h.name, other.hists[i].name))
-		}
-		h.Merge(other.hists[i])
-	}
-}
-
 // Registry holds one run's metrics. All registration happens at
 // construction time (System.New); the returned typed handles are then
 // incremented directly on the hot path with zero indirection beyond a

@@ -76,29 +76,6 @@ func (m *Mesh) LatencyForHops(h int) int {
 	return h*(m.cfg.RouterCycles+m.cfg.LinkCycles) + m.cfg.Serialization
 }
 
-// Hops returns the hop distance from src to dst without recording a
-// message — the pure counterpart of Latency. Sharded runs own their
-// route accounting per region and fold it back through AddStats.
-func (m *Mesh) Hops(src, dst NodeID) int {
-	return m.topo.Hops(src, dst)
-}
-
-// MinCrossLatency reports the smallest nonzero one-way latency the
-// fabric can produce — the latency of a MinHops traversal. It bounds how
-// far apart two regions' clocks may drift in a sharded run (the
-// conservative lookahead window): every cross-tile message covers at
-// least MinHops hops, so its latency is at least this value.
-func (m *Mesh) MinCrossLatency() int { return m.LatencyForHops(m.topo.MinHops()) }
-
-// AddStats folds externally accumulated message statistics into the
-// mesh's counters. Sharded runs count messages and latency per region
-// (Latency's internal accumulation is single-writer) and fold the
-// per-region totals here, in region order, at collection time.
-func (m *Mesh) AddStats(messages, totalLat uint64) {
-	m.messages += messages
-	m.totalLat += totalLat
-}
-
 // Stats reports message count and mean latency.
 func (m *Mesh) Stats() (messages uint64, avgLatency float64) {
 	if m.messages == 0 {
@@ -154,17 +131,6 @@ func (s *SMART) LatencyForHops(h int) int {
 	}
 	return s.cfg.SetupCycles + (h+s.cfg.HPCmax-1)/s.cfg.HPCmax
 }
-
-// Hops returns the hop distance from src to dst (SMART latencies never
-// accumulate internal statistics, but sharded route ownership uses the
-// same pure-hops interface for both fabrics).
-func (s *SMART) Hops(src, dst NodeID) int {
-	return s.cfg.Geometry.Hops(src, dst)
-}
-
-// MinCrossLatency reports the smallest nonzero one-way SMART latency —
-// the sharded lookahead bound under the monolithic-SMART organization.
-func (s *SMART) MinCrossLatency() int { return s.LatencyForHops(1) }
 
 // ResetStats zeroes the accumulated mesh statistics.
 func (m *Mesh) ResetStats() { m.messages, m.totalLat = 0, 0 }

@@ -6,8 +6,7 @@ package noc
 // crossbar, and a TeraNoC-style hybrid that keeps small mesh clusters
 // and bridges them with a chip-wide crossbar. A Topology supplies the
 // hop model the latency formulas and the slice-placement optimizer
-// consume, plus the minimum cross-tile hop count that bounds the
-// partitioned engine's conservative lookahead window.
+// consume.
 
 import (
 	"fmt"
@@ -83,13 +82,8 @@ func TopologyKinds() []TopologyKind {
 // Topology is a fabric's route-length model over a tile grid. The
 // contract the rest of the system depends on:
 //
-//   - Hops is symmetric, zero exactly when a == b, and bounded below by
-//     MinHops for every distinct pair.
-//   - MinHops is >= 1: it is the hop count the latency formula turns
-//     into the smallest nonzero cross-tile latency, which the sharded
-//     engine adopts as its conservative lookahead window. Every
-//     cross-region message therefore arrives at least one window ahead
-//     of the receiver's clock, for any implementation of this interface.
+//   - Hops is symmetric and zero exactly when a == b, so every distinct
+//     pair is at least one hop apart.
 //   - All methods are pure: implementations carry no per-run state and
 //     may be shared.
 type Topology interface {
@@ -99,9 +93,6 @@ type Topology interface {
 	Geometry() Geometry
 	// Hops returns the route length between two tiles.
 	Hops(a, b NodeID) int
-	// MinHops returns the smallest Hops value over distinct pairs
-	// (1 by construction for every built-in topology).
-	MinHops() int
 	// MeanHops returns the average Hops from a uniformly random source
 	// to a uniformly random (possibly equal) destination.
 	MeanHops() float64
@@ -133,11 +124,6 @@ func (t meshTopo) Hops(a, b NodeID) int {
 	return t.g.Hops(a, b)
 }
 
-// MinHops is 1: adjacent tiles are one hop apart (trivially the minimum
-// over distinct pairs, and on a 1-tile grid there are no distinct pairs
-// to bound).
-func (t meshTopo) MinHops() int { return 1 }
-
 func (t meshTopo) MeanHops() float64 { return t.g.MeanHops() }
 
 // torusTopo wraps both dimensions: the per-dimension distance is the
@@ -160,9 +146,6 @@ func (t torusTopo) Hops(a, b NodeID) int {
 	rb, cb := t.g.Coord(b)
 	return ringDist(ra, rb, t.g.Rows) + ringDist(ca, cb, t.g.Cols)
 }
-
-// MinHops is 1: wrap links do not create shortcuts below one hop.
-func (t torusTopo) MinHops() int { return 1 }
 
 func (t torusTopo) MeanHops() float64 {
 	// Mean ring distance over a ring of k points (including a == b).
@@ -192,7 +175,6 @@ func (t xbarTopo) Hops(a, b NodeID) int {
 	}
 	return 1
 }
-func (t xbarTopo) MinHops() int { return 1 }
 func (t xbarTopo) MeanHops() float64 {
 	n := float64(t.g.Nodes())
 	return (n - 1) / n
@@ -229,10 +211,6 @@ func (t hybridTopo) Hops(a, b NodeID) int {
 	}
 	return abs(ra-har) + abs(ca-hac) + 1 + abs(rb-hbr) + abs(cb-hbc)
 }
-
-// MinHops is 1: intra-cluster neighbours are one mesh hop, and the
-// closest inter-cluster pair (hub to hub) is exactly the crossbar hop.
-func (t hybridTopo) MinHops() int { return 1 }
 
 func (t hybridTopo) MeanHops() float64 {
 	n := t.g.Nodes()

@@ -115,8 +115,7 @@ func TestHybridCrossCluster(t *testing.T) {
 }
 
 // TestTopologyContract checks the interface contract every consumer
-// depends on — symmetry, zero exactly on the diagonal, the MinHops
-// lower bound (the sharded engine's lookahead soundness), and accessor
+// depends on — symmetry, zero exactly on the diagonal, and accessor
 // consistency — for every kind over a range of grid shapes.
 func TestTopologyContract(t *testing.T) {
 	for _, kind := range TopologyKinds() {
@@ -128,27 +127,17 @@ func TestTopologyContract(t *testing.T) {
 			if topo.Geometry() != g {
 				t.Fatalf("%v geometry mismatch", kind)
 			}
-			if mh := topo.MinHops(); mh < 1 {
-				t.Fatalf("%v MinHops = %d < 1 breaks the lookahead window", kind, mh)
-			}
 			n := g.Nodes()
-			minSeen := 0
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
 					h := topo.Hops(NodeID(a), NodeID(b))
 					if rev := topo.Hops(NodeID(b), NodeID(a)); rev != h {
 						t.Fatalf("%v %dx%d Hops(%d,%d)=%d asymmetric with %d", kind, g.Rows, g.Cols, a, b, h, rev)
 					}
-					if (h == 0) != (a == b) {
+					if (h == 0) != (a == b) || h < 0 {
 						t.Fatalf("%v %dx%d Hops(%d,%d)=%d violates zero-iff-equal", kind, g.Rows, g.Cols, a, b, h)
 					}
-					if a != b && (minSeen == 0 || h < minSeen) {
-						minSeen = h
-					}
 				}
-			}
-			if n > 1 && minSeen < topo.MinHops() {
-				t.Fatalf("%v %dx%d observed min hop %d below MinHops %d", kind, g.Rows, g.Cols, minSeen, topo.MinHops())
 			}
 		}
 	}
@@ -189,20 +178,5 @@ func TestTopologyHopsBoundsCheck(t *testing.T) {
 			}()
 			topo.Hops(0, NodeID(g.Nodes()))
 		}()
-	}
-}
-
-// TestMeshMinCrossLatencyPerTopology pins the lookahead window each
-// fabric hands the partitioned engine: with MinHops fixed at 1 for all
-// built-ins, the window equals LatencyForHops(1) regardless of kind.
-func TestMeshMinCrossLatencyPerTopology(t *testing.T) {
-	g := Geometry{Rows: 4, Cols: 4}
-	for _, kind := range TopologyKinds() {
-		mc := DefaultMeshConfig(g)
-		mc.Topology = NewTopology(kind, g)
-		m := NewMesh(mc)
-		if got, want := m.MinCrossLatency(), m.LatencyForHops(1); got != want {
-			t.Fatalf("%v MinCrossLatency = %d, want LatencyForHops(1) = %d", kind, got, want)
-		}
 	}
 }

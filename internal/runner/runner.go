@@ -79,7 +79,6 @@ type Runner struct {
 	cond     *sync.Cond
 	active   int
 	limit    int
-	shards   int                  // >0: run shardable configs on the partitioned engine
 	inflight map[string]*call     // keyed in-flight runs (singleflight)
 	memo     map[string]*call     // completed SubmitCached runs
 	warm     map[string]*warmCall // warm-state checkpoints by WarmupKey
@@ -148,29 +147,6 @@ func (r *Runner) Parallelism() int {
 	return r.limit
 }
 
-// SetShards selects intra-run parallelism: k > 0 makes every subsequent
-// shardable submission (system.Shardable) execute on the partitioned
-// engine with k worker goroutines; k <= 0 (the default) keeps the legacy
-// single-engine path. The partitioned engine is a documented model
-// variant, so its results are memoized under a distinct key — dedup
-// never crosses the engine setting. Within the sharded engine results
-// are invariant in k, so the key does not embed k itself.
-func (r *Runner) SetShards(k int) {
-	r.mu.Lock()
-	if k < 0 {
-		k = 0
-	}
-	r.shards = k
-	r.mu.Unlock()
-}
-
-// Shards reports the current intra-run parallelism (0 = legacy engine).
-func (r *Runner) Shards() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shards
-}
-
 // Progress returns the current counters.
 func (r *Runner) Progress() Progress {
 	return Progress{
@@ -230,11 +206,6 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config, cache bool) *Fut
 		return &Future{c: c}
 	}
 	key, keyed := Key(cfg)
-	if keyed && r.Shards() > 0 && system.Shardable(cfg) {
-		// The partitioned engine is a model variant: never share results
-		// with legacy-engine runs of the same config.
-		key = "sharded|" + key
-	}
 	if keyed {
 		r.mu.Lock()
 		if c, ok := r.memo[key]; ok {
@@ -299,11 +270,6 @@ func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key st
 // inline path, which produces the identical result and reports its own
 // error faithfully, so the checkpoint layer can never change an outcome.
 func (r *Runner) runOne(ctx context.Context, cfg system.Config) (system.Result, error) {
-	if k := r.Shards(); k > 0 && system.Shardable(cfg) {
-		// The partitioned engine runs its own warmup phase inline; warm
-		// checkpoints belong to the legacy engine's state model.
-		return system.RunShardedContext(ctx, cfg, k)
-	}
 	if wkey, ok := system.WarmupKey(cfg); ok {
 		if cp, err := r.warmCheckpoint(ctx, cfg, wkey); err == nil {
 			return system.RunFromCheckpoint(ctx, cfg, cp)

@@ -400,12 +400,15 @@ func TestKillOwnerMidSweep(t *testing.T) {
 	a, b, c := nodes[0], nodes[1], nodes[2]
 	ctx := ctxT(t)
 
-	// A sweep with several B-owned legs (slow enough to still be running
-	// when B dies) plus legs owned elsewhere.
+	// A sweep with three B-owned legs (slow enough to still be running
+	// when B dies) plus three legs owned elsewhere. Node IDs carry the
+	// listeners' ephemeral ports, so ownership differs from run to run:
+	// scan seeds until both quotas are filled rather than taking the
+	// first six.
 	const slowInstr = 120000
 	var bodies []string
-	bOwned := 0
-	for seed := int64(200); len(bodies) < 6 && seed < 900; seed++ {
+	bOwned, others := 0, 0
+	for seed := int64(200); (bOwned < 3 || others < 3) && seed < 900; seed++ {
 		cand := cfgWith(seed, slowInstr)
 		owner, ok := a.srv.clu.Owner(hashOf(t, cand))
 		if !ok {
@@ -416,11 +419,16 @@ func TestKillOwnerMidSweep(t *testing.T) {
 				continue
 			}
 			bOwned++
+		} else {
+			if others >= 3 {
+				continue
+			}
+			others++
 		}
 		bodies = append(bodies, cand)
 	}
-	if bOwned == 0 {
-		t.Fatal("sweep has no B-owned legs")
+	if bOwned < 3 || others < 3 {
+		t.Fatalf("sweep has %d B-owned and %d other legs, want 3 of each", bOwned, others)
 	}
 	wants := make([][]byte, len(bodies))
 	for i, body := range bodies {

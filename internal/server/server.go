@@ -115,13 +115,6 @@ type Options struct {
 	// from submission. 0 leaves runs uncapped; requests may always set
 	// a tighter deadline with ?timeout=.
 	MaxRunDuration time.Duration
-	// Shards, when > 0, executes shardable configs (Private and
-	// DistributedMesh organizations) on the partitioned parallel engine
-	// with that many worker goroutines per run. The setting is
-	// process-wide, so the result cache stays internally consistent:
-	// every cached result for a shardable config came from the same
-	// engine. Results are invariant in the shard count itself.
-	Shards int
 }
 
 func (o Options) normalized() Options {
@@ -136,9 +129,6 @@ func (o Options) normalized() Options {
 	}
 	if o.JobHistory <= 0 {
 		o.JobHistory = 512
-	}
-	if o.Shards < 0 {
-		o.Shards = 0
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = time.Second
@@ -248,7 +238,6 @@ func New(opts Options) (*Server, error) {
 		results:  results,
 		reg:      metrics.NewRegistry(),
 	}
-	s.pool.SetShards(opts.Shards)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if len(peers) > 0 {
 		s.clu = cluster.New(cluster.Options{

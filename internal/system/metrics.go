@@ -41,11 +41,7 @@ type sysMetrics struct {
 // invBurstBounds buckets shootdown burst sizes (invalidations per burst).
 var invBurstBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// newSysMetrics registers every metric in reg, in the canonical order
-// shared by all registries of a run. Sharded runs build one registry per
-// region plus one fold target; positional Registry.Merge depends on every
-// instance registering identically, which funneling all registration
-// through this one constructor guarantees.
+// newSysMetrics registers every metric in reg, in the canonical order.
 func newSysMetrics(reg *metrics.Registry) sysMetrics {
 	var m sysMetrics
 	m.memRefs = reg.Counter("sys.mem_refs")

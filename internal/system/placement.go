@@ -1,10 +1,9 @@
 package system
 
 // Slice-placement construction. The placement table is a pure function
-// of the (normalized) Config: both engines — the legacy single-wheel
-// System and the partitioned shSystem — call buildPlacement during
-// construction and get the identical mapping, so sharded and legacy
-// runs of one config agree on where every logical slice lives.
+// of the (normalized) Config: System calls buildPlacement during
+// construction, so every run of one config agrees on where every
+// logical slice lives.
 //
 // The optimizing strategies need a demand estimate. placementTraffic
 // samples each thread's workload generator with an RNG derived from

@@ -53,10 +53,11 @@ func topologyConfig(kind noc.TopologyKind) Config {
 	return cfg
 }
 
-// TestTopologyShardIdentity extends the K-identity pin across every
-// fabric: for each topology, sharded runs at K in {2, 4} must produce a
-// Result deep-equal to the K=1 run.
-func TestTopologyShardIdentity(t *testing.T) {
+// TestTopologyDeterminism pins run-to-run identity across every fabric:
+// for each topology, a distributed run with remote walks and periodic
+// shootdowns must produce a Result deep-equal to a second run of the
+// same config.
+func TestTopologyDeterminism(t *testing.T) {
 	for _, kind := range noc.TopologyKinds() {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
@@ -64,21 +65,12 @@ func TestTopologyShardIdentity(t *testing.T) {
 			cfg := topologyConfig(kind)
 			cfg.Policy = WalkAtRemote
 			cfg.ShootdownInterval = 30_000
-			base, err := RunSharded(cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			base := mustRun(t, cfg)
 			if base.Cycles == 0 || base.L2Accesses == 0 {
 				t.Fatalf("degenerate run: %+v", base)
 			}
-			for _, k := range []int{2, 4} {
-				got, err := RunSharded(cfg, k)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("shards=%d diverges from shards=1 under %v", k, kind)
-				}
+			if got := mustRun(t, cfg); !reflect.DeepEqual(base, got) {
+				t.Fatalf("repeated run diverges under %v", kind)
 			}
 		})
 	}
@@ -98,54 +90,33 @@ func TestTopologyChangesLatency(t *testing.T) {
 	}
 }
 
-// TestPlacementShardIdentity pins K-invariance for the optimizing
-// placements: both engines must build the identical table and produce
-// the identical Result.
-func TestPlacementShardIdentity(t *testing.T) {
+// TestPlacementDeterminism: for a fixed seed every optimizing strategy
+// must produce the identical mapping and the identical Result on
+// repeated runs (the make-placement CI smoke depends on this).
+func TestPlacementDeterminism(t *testing.T) {
 	for _, strat := range []place.Strategy{place.Random, place.LocalityAware, place.Annealed} {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := topologyConfig(noc.TopoMesh)
 			cfg.Placement = strat
-			base, err := RunSharded(cfg, 1)
+			cfg.PlacementSeed = 11
+
+			t1, _, _, err := PlacementPlan(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []int{2, 4} {
-				got, err := RunSharded(cfg, k)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", k, err)
-				}
-				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("shards=%d diverges from shards=1 under %v placement", k, strat)
-				}
+			t2, _, _, err := PlacementPlan(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !t1.Equal(t2) {
+				t.Fatalf("%v mapping not deterministic:\n %v\n %v", strat, t1.Perm(), t2.Perm())
+			}
+			if r1, r2 := mustRun(t, cfg), mustRun(t, cfg); !reflect.DeepEqual(r1, r2) {
+				t.Fatalf("%v runs differ for fixed seed", strat)
 			}
 		})
-	}
-}
-
-// TestPlacementDeterminism: for a fixed seed the annealed strategy must
-// produce the identical mapping and the identical Result on repeated
-// runs (the make-placement CI smoke depends on this).
-func TestPlacementDeterminism(t *testing.T) {
-	cfg := topologyConfig(noc.TopoMesh)
-	cfg.Placement = place.Annealed
-	cfg.PlacementSeed = 11
-
-	t1, _, _, err := PlacementPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, _, _, err := PlacementPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !t1.Equal(t2) {
-		t.Fatalf("annealed mapping not deterministic:\n %v\n %v", t1.Perm(), t2.Perm())
-	}
-	if r1, r2 := mustRun(t, cfg), mustRun(t, cfg); !reflect.DeepEqual(r1, r2) {
-		t.Fatal("annealed runs differ for fixed seed")
 	}
 }
 

@@ -37,6 +37,12 @@ func (e *ValidationError) Error() string {
 	return "system: invalid config: " + strings.Join(msgs, "; ")
 }
 
+// maxCores bounds Config.Cores. Simulator memory grows with the core
+// count (a 1024-core run holds roughly half a gigabyte), so an unbounded
+// count from an untrusted config could exhaust the host. The limit sits
+// above every core count any experiment uses.
+const maxCores = 4096
+
 // Validate checks cfg without running it, returning nil or a
 // *ValidationError listing every invalid field. Zero values that
 // Normalized fills with defaults (SMT, L1Scale, Banks, ...) are valid;
@@ -53,8 +59,11 @@ func (c Config) Validate() error {
 	if c.Org < Private || c.Org > IdealShared {
 		add("Org", "unknown organization %d", int(c.Org))
 	}
-	if c.Cores <= 0 {
+	switch {
+	case c.Cores <= 0:
 		add("Cores", "must be positive, got %d", c.Cores)
+	case c.Cores > maxCores:
+		add("Cores", "must be at most %d, got %d", maxCores, c.Cores)
 	}
 	if c.SMT < 0 {
 		add("SMT", "must be 0 (default 1) or positive, got %d", c.SMT)

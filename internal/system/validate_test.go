@@ -59,6 +59,7 @@ func TestValidateFields(t *testing.T) {
 		{"org out of range", func(c *Config) { c.Org = IdealShared + 1 }, "Org"},
 		{"org negative", func(c *Config) { c.Org = -1 }, "Org"},
 		{"no cores", func(c *Config) { c.Cores = 0 }, "Cores"},
+		{"too many cores", func(c *Config) { c.Cores = maxCores + 1 }, "Cores"},
 		{"negative smt", func(c *Config) { c.SMT = -2 }, "SMT"},
 		{"negative l1 scale", func(c *Config) { c.L1Scale = -0.5 }, "L1Scale"},
 		{"negative l2 entries", func(c *Config) { c.L2EntriesPerCore = -1 }, "L2EntriesPerCore"},
@@ -103,6 +104,18 @@ func TestValidateFields(t *testing.T) {
 			}
 			t.Fatalf("no FieldError for %q in %v", tc.field, ve.Fields)
 		})
+	}
+}
+
+// TestValidateCoreLimit: core counts up to the limit are accepted.
+func TestValidateCoreLimit(t *testing.T) {
+	for _, cores := range []int{1024, maxCores} {
+		cfg := validCfg()
+		cfg.Cores = cores
+		cfg.Apps[0].Threads = cores
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%d cores rejected: %v", cores, err)
+		}
 	}
 }
 

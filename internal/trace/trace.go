@@ -13,6 +13,10 @@
 //	4 KiB page number (offsets are irrelevant to TLB studies), delta
 //	measured against the previous reference of the same thread.
 //
+// A thread holds at most maxRefsPerThread references (2^26, 512 MiB of
+// decoded page numbers); Write refuses larger traces and Read rejects a
+// header that claims more.
+//
 // Delta encoding exploits the streams' temporal locality: repeated and
 // nearby pages encode in one or two bytes.
 package trace
@@ -32,6 +36,15 @@ var magic = [4]byte{'N', 'S', 'T', 'R'}
 
 // version of the on-disk format.
 const version = 1
+
+// maxRefsPerThread bounds one thread's reference count, so a corrupt or
+// hostile header cannot ask Read for an unbounded allocation.
+const maxRefsPerThread = 1 << 26
+
+// readChunk caps the slice Read pre-sizes from a header count; beyond it
+// the slice grows only as references actually decode, so memory tracks
+// the input's real length rather than its claimed one.
+const readChunk = 4096
 
 // Trace is a fully loaded trace: one page-number sequence per thread.
 type Trace struct {
@@ -73,6 +86,11 @@ func Write(w io.Writer, t *Trace) error {
 	if len(t.Name) > 255 {
 		return fmt.Errorf("trace: name %q too long", t.Name)
 	}
+	for i, refs := range t.Threads {
+		if len(refs) > maxRefsPerThread {
+			return fmt.Errorf("trace: thread %d has %d refs, limit %d", i, len(refs), maxRefsPerThread)
+		}
+	}
 	var hdr [5]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], version)
 	binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(t.Threads)))
@@ -103,7 +121,9 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read deserializes a trace.
+// Read deserializes a trace. A truncated input, or one whose header
+// claims more than maxRefsPerThread references for a thread, is an
+// error.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -131,15 +151,19 @@ func Read(r io.Reader) (*Trace, error) {
 		if _, err := io.ReadFull(br, cnt[:]); err != nil {
 			return nil, fmt.Errorf("trace: thread %d count: %w", i, err)
 		}
-		refs := make([]uint64, binary.LittleEndian.Uint64(cnt[:]))
+		n := binary.LittleEndian.Uint64(cnt[:])
+		if n > maxRefsPerThread {
+			return nil, fmt.Errorf("trace: thread %d claims %d refs, limit %d", i, n, maxRefsPerThread)
+		}
+		refs := make([]uint64, 0, min(n, readChunk))
 		prev := uint64(0)
-		for j := range refs {
+		for j := uint64(0); j < n; j++ {
 			delta, err := binary.ReadVarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("trace: thread %d ref %d: %w", i, j, err)
 			}
 			page := uint64(int64(prev) + delta)
-			refs[j] = page
+			refs = append(refs, page)
 			prev = page
 		}
 		t.Threads[i] = refs

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +125,50 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
+	// A header claiming 2^62 references is rejected before any
+	// allocation; one within the limit but past the end of the input is
+	// a truncation.
+	if _, err := Read(bytes.NewReader(oneThreadHeader(1 << 62))); err == nil {
+		t.Fatal("2^62-ref thread accepted")
+	}
+	if _, err := Read(bytes.NewReader(append(oneThreadHeader(maxRefsPerThread), 2, 2))); err == nil {
+		t.Fatal("truncated thread accepted")
+	}
+}
+
+// oneThreadHeader is an 18-byte input: magic, version 1, one thread, a
+// 1-byte name, then that thread's reference count and no references.
+func oneThreadHeader(count uint64) []byte {
+	return binary.LittleEndian.AppendUint64([]byte("NSTR\x01\x00\x01\x00\x01x"), count)
+}
+
+// FuzzTraceRead: Read never panics, and any input it accepts re-encodes
+// to a trace that reads back identically.
+func FuzzTraceRead(f *testing.F) {
+	spec, _ := workload.ByName("canneal")
+	var valid bytes.Buffer
+	if err := Write(&valid, Capture(spec, 2, 50, 7)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(oneThreadHeader(1 << 62))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := Read(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatalf("accepted trace does not re-encode: %v", err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace unreadable: %v", err)
+		}
+		if !reflect.DeepEqual(tr, again) {
+			t.Fatal("round trip changed the trace")
+		}
+	})
 }
 
 func TestReplayerMatchesAndWraps(t *testing.T) {

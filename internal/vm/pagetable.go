@@ -217,17 +217,6 @@ type PageTable struct {
 	chunks [][]ptNode
 	count  int32
 	alloc  *FrameAlloc
-	// frameFn, when set, assigns table-page frames as a pure function of
-	// the subtree they cover instead of drawing from the bump allocator:
-	// the sharded runtime maps pages from many regions concurrently, and
-	// bump numbering would make PTE addresses (and so walk latencies)
-	// depend on arrival order. See AddressSpace.SetParallelSafe.
-	frameFn func(level int, va VirtAddr) uint64
-	// noWalkCache disables the one-entry walk cache, making Walk and
-	// Translate pure reads — required for lock-free concurrent walks.
-	// Cached and uncached walks return byte-identical WalkResults, so
-	// this is host-side only.
-	noWalkCache bool
 	// mapped counts leaf mappings by size, for accounting.
 	mapped [3]uint64
 
@@ -338,12 +327,6 @@ func (pt *PageTable) Map(va VirtAddr, pa PhysAddr, s PageSize) error {
 		ci := n.child(idx)
 		if ci == 0 {
 			ci = pt.addNode()
-			if pt.frameFn != nil {
-				// The child covers the prefix of va above level's shift;
-				// derive its frame from that prefix so concurrent maps
-				// assign it identically regardless of which arrived first.
-				pt.node(ci).frame = pt.frameFn(level, va)
-			}
 			n.setChild(idx, ci)
 			n.set(idx, ptePresent)
 		}
@@ -432,7 +415,7 @@ func (pt *PageTable) Walk(va VirtAddr) (WalkResult, bool) {
 			return res, true
 		}
 		n = pt.node(n.child(idx))
-		if level == 2 && !pt.noWalkCache {
+		if level == 2 {
 			pt.wcValid = true
 			pt.wcPrefix = uint64(va) >> 30
 			pt.wcNode = n

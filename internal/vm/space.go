@@ -15,10 +15,6 @@ type AddressSpace struct {
 	next2M uint64      // 2M page counter
 	next1G uint64      // 1G page counter
 	region uint64      // per-space physical region selector
-
-	// parallelSafe switches demand-mapping to order-independent frame
-	// assignment (see SetParallelSafe).
-	parallelSafe bool
 }
 
 // Physical layout: bits 56-48 select the address space's region; within a
@@ -44,54 +40,6 @@ func NewAddressSpace(ctx ContextID) *AddressSpace {
 	}
 }
 
-// Deterministic (order-independent) physical sub-spaces, used in
-// parallel-safe mode. Each is tagged with its own high bit pattern below
-// regionShift so the hashed ranges stay disjoint from each other and
-// from every bump allocator's range (table pages from ~0, 4K data from
-// bit 42, 2M extents at bit 46, 1G extents at bit 47).
-const (
-	detData4K  = 1 << 45       // | hash<<12, hash < 2^32
-	detTable   = 1 << 44       // | hash<<12, hash < 2^31
-	detData2M  = 1<<45 | 1<<44 // | hash<<21, hash < 2^23
-	det4KMask  = 1<<32 - 1
-	detTblMask = 1<<31 - 1
-	det2MMask  = 1<<23 - 1
-)
-
-// detMix is a 64-bit finalizer (splitmix64) used to scatter
-// deterministic frame numbers.
-func detMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// SetParallelSafe switches the space to order-independent demand
-// mapping, for runtimes that map pages concurrently from parallel
-// simulation regions: data and page-table frames become pure functions
-// of the virtual page they back (instead of bump-allocated, where the
-// numbering — and therefore PTE addresses and downstream cache behavior
-// — would depend on arrival order), and the page table's internal walk
-// cache is disabled so Walk and Translate are pure reads. Callers remain
-// responsible for mutual exclusion between Map and concurrent walks.
-// Hashed frames may rarely collide (two pages sharing a frame is a
-// benign cache-aliasing artifact); they never collide with the bump
-// allocators' ranges, so superpage promotion keeps working.
-func (as *AddressSpace) SetParallelSafe() {
-	as.parallelSafe = true
-	as.PT.noWalkCache = true
-	region := as.region
-	as.PT.frameFn = func(level int, va VirtAddr) uint64 {
-		prefix := uint64(va) >> levelShift(level)
-		return region<<(regionShift-12) | (detTable >> 12) |
-			detMix(prefix*ptLevels+uint64(level))&detTblMask
-	}
-}
-
 // EnsureMapped demand-maps the page of the given size covering va, if no
 // mapping (of any size) already covers it. It reports whether a new
 // mapping was created.
@@ -102,12 +50,6 @@ func (as *AddressSpace) EnsureMapped(va VirtAddr, s PageSize) bool {
 	base := va.PageBase(s)
 	var pa PhysAddr
 	switch {
-	case as.parallelSafe && s == Page4K:
-		pa = PhysAddr(as.region<<regionShift | detData4K |
-			(detMix(uint64(base)>>12)&det4KMask)<<12)
-	case as.parallelSafe && s == Page2M:
-		pa = PhysAddr(as.region<<regionShift | detData2M |
-			(detMix(uint64(base)>>21)&det2MMask)<<21)
 	case s == Page4K:
 		pa = PhysAddr(as.frames.Alloc() << 12)
 	case s == Page2M:
@@ -201,7 +143,7 @@ func (as *AddressSpace) FullFlushInvalidation() Invalidation {
 // warmed space is cloned into many measurement runs.
 func (as *AddressSpace) Clone() *AddressSpace {
 	tables := &FrameAlloc{next: as.tables.next}
-	c := &AddressSpace{
+	return &AddressSpace{
 		Ctx:    as.Ctx,
 		PT:     as.PT.Clone(tables),
 		frames: &FrameAlloc{next: as.frames.next},
@@ -210,8 +152,4 @@ func (as *AddressSpace) Clone() *AddressSpace {
 		next1G: as.next1G,
 		region: as.region,
 	}
-	if as.parallelSafe {
-		c.SetParallelSafe()
-	}
-	return c
 }

@@ -17,6 +17,10 @@ import (
 type circuitShadow struct {
 	fabric        *noc.Nocstar
 	reservedUntil []engine.Cycle
+	// path is scratch for the route under check, enumerated by the
+	// shadow itself with Geometry.AppendXYPath rather than taken from the
+	// fabric, so a fabric routing bug shows as a divergence.
+	path []noc.LinkID
 }
 
 // AttachFabric binds the checker to a NOCSTAR fabric and installs the
@@ -30,14 +34,15 @@ func (c *Checker) AttachFabric(f *noc.Nocstar) {
 }
 
 // CircuitGranted implements noc.CircuitObserver: the fabric reserved
-// links for [now+1, until]. The shadow asserts no link of the route was
-// still held (an overlapping foreign reservation means two circuits
-// share a wire), then mirrors the reservation and cross-checks the
-// fabric's own state.
-func (c *Checker) CircuitGranted(src, dst noc.NodeID, links []noc.LinkID, now, until engine.Cycle) {
+// the XY route from src to dst for [now+1, until]. The shadow asserts no
+// link of the route was still held (an overlapping foreign reservation
+// means two circuits share a wire), then mirrors the reservation and
+// cross-checks the fabric's own state.
+func (c *Checker) CircuitGranted(src, dst noc.NodeID, now, until engine.Cycle) {
 	c.stats.Grants++
 	sh := &c.circuit
-	for _, l := range links {
+	sh.path = sh.fabric.Geometry().AppendXYPath(sh.path[:0], src, dst)
+	for _, l := range sh.path {
 		if sh.reservedUntil[l] > now {
 			c.Violatef("noc: grant %d->%d overlaps link %d held through cycle %d (grant window ends %d)",
 				int(src), int(dst), int(l), uint64(sh.reservedUntil[l]), uint64(until))
@@ -57,10 +62,11 @@ func (c *Checker) CircuitGranted(src, dst noc.NodeID, links []noc.LinkID, now, u
 // touched — then asserts the fabric agrees link by link. The
 // unconditional-rewind bug diverges here immediately: the fabric frees
 // a foreign hold the shadow correctly retains.
-func (c *Checker) CircuitReleased(src, dst noc.NodeID, links []noc.LinkID, now, until engine.Cycle) {
+func (c *Checker) CircuitReleased(src, dst noc.NodeID, now, until engine.Cycle) {
 	c.stats.Releases++
 	sh := &c.circuit
-	for _, l := range links {
+	sh.path = sh.fabric.Geometry().AppendXYPath(sh.path[:0], src, dst)
+	for _, l := range sh.path {
 		if sh.reservedUntil[l] > now && sh.reservedUntil[l] == until {
 			sh.reservedUntil[l] = now
 		}

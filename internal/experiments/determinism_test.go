@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -59,13 +62,41 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
+// resultDigest fingerprints the simulated statistics of a Result: the
+// same fields, in the same format, as perfbench's digest. Result.Metrics
+// is left out, so observability added later does not change it.
+func resultDigest(r system.Result) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "org=%d cycles=%d instr=%d", r.Org, r.Cycles, r.Instructions)
+	for _, a := range r.Apps {
+		fmt.Fprintf(h, " app=%s/%d/%d", a.Name, a.Instructions, a.FinishCycle)
+	}
+	fmt.Fprintf(h, " refs=%d l1m=%d l2a=%d l2h=%d l2m=%d walks=%d local=%d pf=%d sd=%d stall=%d",
+		r.MemRefs, r.L1Misses, r.L2Accesses, r.L2Hits, r.L2Misses, r.Walks,
+		r.LocalSlice, r.Prefetches, r.Shootdowns, r.StallCycles)
+	n := r.Noc
+	fmt.Fprintf(h, " noc=%d/%d/%d/%d/%d/%d/%d/%d/%d", n.Messages, n.SetupAttempts, n.FirstTryGrants,
+		n.TotalSetupDelay, n.TotalTraversal, n.Retries, n.Releases, n.ReleasedLinks, n.ForeignLinks)
+	p := r.PTW
+	fmt.Fprintf(h, " ptw=%d/%d/%d/%d/%d/%v", p.Walks, p.TotalCycles, p.QueueCycles, p.PWCHits,
+		p.LeafFromLLCOrMem, p.MemRefsByLevel)
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
 // TestGoldenEventOrder pins the engine's total event order — the exact
-// (cycle, seq) stream — for two NOCSTAR configurations. The hashes were
-// captured on the closure-continuation/binary-heap scheduler that predates
-// the typed transaction objects and the timing wheel; any scheduling
-// refactor that reorders even one pair of same-cycle events changes the
-// hash. This is deliberately stricter than TestRunDeterminism, which only
-// requires runs to agree with each other.
+// (cycle, seq) stream — for two NOCSTAR configurations, and their
+// simulated Results. Any scheduling refactor that reorders even one pair
+// of same-cycle events changes the hash. This is deliberately stricter
+// than TestRunDeterminism, which only requires runs to agree with each
+// other.
+//
+// The result digests date from the closure-continuation/binary-heap
+// scheduler that predates the typed transaction objects and the timing
+// wheel. The event hashes were re-captured when the fabric began carrying
+// each arbitration round's denied requests in one retry event instead of
+// one event per request (oneway 9274 -> 9268 events, remote-walk
+// 9272 -> 9267): the new stream is the old one with each round's retry
+// events replaced by a single batch event, and the results are unchanged.
 func TestGoldenEventOrder(t *testing.T) {
 	spec, _ := workload.ByName("graph500")
 	base := system.Config{
@@ -84,18 +115,23 @@ func TestGoldenEventOrder(t *testing.T) {
 		cfg    system.Config
 		events int
 		hash   uint64
+		result string
 	}{
-		{"oneway", base, 9274, 0x3f89308201d036e8},
-		{"remote-walk", remote, 9272, 0x5c20614e14ff4851},
+		{"oneway", base, 9268, 0x679f199496bec998, "20b3c313343d6c53"},
+		{"remote-walk", remote, 9267, 0x15b73db1ad755a55, "7c3df9905779b585"},
 	}
 	for _, g := range golden {
 		var h uint64 = 14695981039346656037
 		n := 0
-		if _, err := system.RunTraced(g.cfg, func(cycle, seq uint64) {
+		res, err := system.RunTraced(g.cfg, func(cycle, seq uint64) {
 			h = fnvMix(fnvMix(h, cycle), seq)
 			n++
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if d := resultDigest(res); d != g.result {
+			t.Errorf("%s: simulated result changed: digest %s, want %s", g.name, d, g.result)
 		}
 		if n != g.events || h != g.hash {
 			t.Errorf("%s: event stream changed: events=%d hash=%#x, want events=%d hash=%#x",

@@ -6,10 +6,7 @@
 // ceil(hops/HPCmax) cycles (Section III-B).
 package noc
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // NodeID identifies a tile. Tiles are numbered row-major on a 2-D grid.
 type NodeID int
@@ -116,9 +113,15 @@ func (g Geometry) Link(n NodeID, d Direction) LinkID {
 // NOCSTAR uses XY routing for its arbitrated paths (Section III-B2).
 // The path is empty when src == dst.
 func (g Geometry) XYPath(src, dst NodeID) []LinkID {
+	return g.AppendXYPath(make([]LinkID, 0, g.Hops(src, dst)), src, dst)
+}
+
+// AppendXYPath appends the links of XYPath(src, dst) to path and returns
+// the extended slice, so a caller that reuses its buffer allocates
+// nothing.
+func (g Geometry) AppendXYPath(path []LinkID, src, dst NodeID) []LinkID {
 	r0, c0 := g.Coord(src)
 	r1, c1 := g.Coord(dst)
-	path := make([]LinkID, 0, abs(r0-r1)+abs(c0-c1))
 	r, c := r0, c0
 	for c != c1 {
 		if c < c1 {
@@ -139,67 +142,6 @@ func (g Geometry) XYPath(src, dst NodeID) []LinkID {
 		}
 	}
 	return path
-}
-
-// routeTable holds every (src, dst) XY route of one grid, flattened into
-// a single links array with per-pair offsets. Routes are static under XY
-// routing, so the table is computed once per grid shape and shared by
-// every simulated system of that shape; Route hands out sub-slices of the
-// shared storage, eliminating the per-request path allocation that
-// XYPath's freshly built slices cost on the NoC critical path.
-type routeTable struct {
-	nodes int
-	off   []int32  // len nodes*nodes+1; route i spans links[off[i]:off[i+1]]
-	links []LinkID // all routes concatenated, src-major then dst
-}
-
-// routeTables caches one table per grid shape for the process lifetime.
-// The table is a pure function of (Rows, Cols), so a racing double build
-// stores identical content and determinism is unaffected.
-var routeTables sync.Map // [2]int{rows, cols} -> *routeTable
-
-// routesFor returns the (possibly freshly built) route table of g.
-func routesFor(g Geometry) *routeTable {
-	key := [2]int{g.Rows, g.Cols}
-	if v, ok := routeTables.Load(key); ok {
-		return v.(*routeTable)
-	}
-	n := g.Nodes()
-	rt := &routeTable{nodes: n, off: make([]int32, n*n+1)}
-	// Total link count: sum of Manhattan distances over all pairs.
-	total := 0
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			total += g.Hops(NodeID(src), NodeID(dst))
-		}
-	}
-	rt.links = make([]LinkID, 0, total)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			rt.links = append(rt.links, g.XYPath(NodeID(src), NodeID(dst))...)
-			rt.off[src*n+dst+1] = int32(len(rt.links))
-		}
-	}
-	v, _ := routeTables.LoadOrStore(key, rt)
-	return v.(*routeTable)
-}
-
-// route returns the precomputed XY route from src to dst as a sub-slice
-// of the shared table storage.
-func (rt *routeTable) route(src, dst NodeID) []LinkID {
-	i := int(src)*rt.nodes + int(dst)
-	lo, hi := rt.off[i], rt.off[i+1]
-	return rt.links[lo:hi:hi]
-}
-
-// Route returns the XY route from src to dst out of the grid's
-// precomputed route table, equal element-for-element to XYPath. The
-// returned slice is shared, read-only storage: callers must not modify
-// it. Hot callers that issue many route queries should capture the table
-// once via the fabric (as Nocstar does) rather than re-resolving the
-// grid's table on every call.
-func (g Geometry) Route(src, dst NodeID) []LinkID {
-	return routesFor(g).route(src, dst)
 }
 
 // LinkEndpoints returns the tail and head nodes of a link. It panics for
@@ -224,29 +166,34 @@ func (g Geometry) LinkEndpoints(l LinkID) (from, to NodeID) {
 // ArbiterFanin returns, for the link l, how many distinct source nodes can
 // ever request it under XY routing — the paper's Fig. 7(d) fan-in
 // discussion (an X link has few requesters, a Y link up to a column's
-// worth of rows times columns).
+// worth of rows times columns). An X link is used only by sources on
+// its own row at or behind it; a Y link by every source in the rows at
+// or behind it, after their X leg has brought them to its column. Edge
+// slots with no physical link have no requesters.
 func (g Geometry) ArbiterFanin(l LinkID) int {
-	// Sources are scanned in ascending NodeID order and counted at most
-	// once each, so the result is structurally deterministic — unlike the
-	// map-set this replaces, whose iteration order was only incidentally
-	// irrelevant.
-	rt := routesFor(g)
-	fanin := 0
-	for src := 0; src < g.Nodes(); src++ {
-	dsts:
-		for dst := 0; dst < g.Nodes(); dst++ {
-			if src == dst {
-				continue
-			}
-			for _, pl := range rt.route(NodeID(src), NodeID(dst)) {
-				if pl == l {
-					fanin++
-					break dsts
-				}
-			}
+	r, c := g.Coord(NodeID(int(l) / int(numDirections)))
+	switch Direction(int(l) % int(numDirections)) {
+	case East:
+		if c == g.Cols-1 {
+			return 0
 		}
+		return c + 1
+	case West:
+		if c == 0 {
+			return 0
+		}
+		return g.Cols - c
+	case South:
+		if r == g.Rows-1 {
+			return 0
+		}
+		return (r + 1) * g.Cols
+	default: // North
+		if r == 0 {
+			return 0
+		}
+		return (g.Rows - r) * g.Cols
 	}
-	return fanin
 }
 
 func abs(x int) int {

@@ -77,14 +77,16 @@ func (s NocstarStats) AvgNetworkLatency() float64 {
 
 // CircuitObserver observes the fabric's reservation state changes, for
 // invariant checking (internal/check): CircuitGranted runs after a
-// grant reserves its links through cycle until, CircuitReleased after
-// an early Release for the hold window ending at until has been
-// processed. links is shared route-table storage and must not be
-// retained or written. The observer is never invoked on an Ideal
-// fabric, which keeps no reservations.
+// grant reserves the XY route from src to dst through cycle until,
+// CircuitReleased after an early Release for the hold window ending at
+// until has been processed. The observer receives only the endpoints,
+// not the fabric's route, so it can enumerate the links independently
+// (Geometry.XYPath) and catch a routing bug rather than mirror it. The
+// observer is never invoked on an Ideal fabric, which keeps no
+// reservations.
 type CircuitObserver interface {
-	CircuitGranted(src, dst NodeID, links []LinkID, now, until engine.Cycle)
-	CircuitReleased(src, dst NodeID, links []LinkID, now, until engine.Cycle)
+	CircuitGranted(src, dst NodeID, now, until engine.Cycle)
+	CircuitReleased(src, dst NodeID, now, until engine.Cycle)
 }
 
 // GrantHandler receives path grants from typed setup requests. Like
@@ -96,11 +98,28 @@ type GrantHandler interface {
 	PathGranted(op uint8, arg any, traversal int)
 }
 
+// linkRun is a straight run of n directed links: first, then every
+// stride IDs after it. A run is one leg of an XY route. The fields are
+// 32-bit to keep a route, which every setup request carries, small.
+type linkRun struct{ first, stride, n int32 }
+
+// xyRoute is the XY route between two nodes as its X run followed by its
+// Y run — the links of Geometry.XYPath, in the same order, computed from
+// the endpoints' coordinates instead of stored.
+type xyRoute struct{ x, y linkRun }
+
+// hops reports the route's length in links.
+func (r xyRoute) hops() int { return int(r.x.n + r.y.n) }
+
+// gridPos is a node's (row, col), tabulated per fabric so that building a
+// route costs no integer division.
+type gridPos struct{ row, col int32 }
+
 // setupReq is one in-flight path-setup request. Requests are recycled
 // through the fabric's free list once their grant is delivered.
 type setupReq struct {
 	src, dst NodeID
-	links    []LinkID     // shared route-table storage; never written
+	route    xyRoute
 	hold     engine.Cycle // cycles the links stay reserved once granted
 	firstTry engine.Cycle
 	prio     int // rotating static priority, computed per arbitration round
@@ -116,10 +135,18 @@ type setupReq struct {
 	next      *setupReq
 }
 
+// retryBatch carries one arbitration round's denied requests, in
+// arbitration order, to the next cycle's round. Batches are recycled
+// through the fabric's free list once they have been re-enqueued.
+type retryBatch struct {
+	reqs []*setupReq
+	next *retryBatch
+}
+
 // Nocstar's own engine.Actor operation codes.
 const (
-	nocOpRetry uint8 = iota // re-enter arbitration after a denied cycle
-	nocOpGrant              // deliver a granted request to its continuation
+	nocOpRetry uint8 = iota // re-enter arbitration after a denied cycle (arg: *retryBatch)
+	nocOpGrant              // deliver a granted request to its continuation (arg: *setupReq)
 )
 
 // Nocstar is the latchless circuit-switched TLB interconnect. All link
@@ -130,7 +157,7 @@ type Nocstar struct {
 	cfg    NocstarConfig
 	eng    *engine.Engine
 	geo    Geometry
-	routes *routeTable // precomputed XY routes of geo, shared read-only
+	coords []gridPos // coords[node] is the node's (row, col) in geo
 	// reservedUntil[l] is the last cycle link l is held through.
 	reservedUntil []engine.Cycle
 	pending       []*setupReq
@@ -138,6 +165,7 @@ type Nocstar struct {
 	arbScheduled  bool
 	arbFn         func() // n.arbitrate, bound once to keep AtEndOfCycle allocation-free
 	free          *setupReq
+	batchFree     *retryBatch
 	stats         NocstarStats
 
 	// Optional observability, attached before the run starts. All are
@@ -156,15 +184,43 @@ type Nocstar struct {
 
 // NewNocstar builds the fabric on an engine.
 func NewNocstar(eng *engine.Engine, cfg NocstarConfig) *Nocstar {
+	g := cfg.Geometry
 	n := &Nocstar{
 		cfg:           cfg,
 		eng:           eng,
-		geo:           cfg.Geometry,
-		routes:        routesFor(cfg.Geometry),
-		reservedUntil: make([]engine.Cycle, cfg.Geometry.NumLinks()),
+		geo:           g,
+		coords:        make([]gridPos, g.Nodes()),
+		reservedUntil: make([]engine.Cycle, g.NumLinks()),
+	}
+	for i := range n.coords {
+		n.coords[i] = gridPos{row: int32(i / g.Cols), col: int32(i % g.Cols)}
 	}
 	n.arbFn = n.arbitrate
 	return n
+}
+
+// route returns the XY route from src to dst: the X run leaves src
+// east or west along its row, then the Y run leaves the turn node
+// (src's row, dst's column) south or north along that column.
+func (n *Nocstar) route(src, dst NodeID) xyRoute {
+	s, d := n.coords[src], n.coords[dst]
+	const dirs = int32(numDirections)
+	var r xyRoute
+	dc := d.col - s.col
+	if dc >= 0 {
+		r.x = linkRun{first: int32(src)*dirs + int32(East), stride: dirs, n: dc}
+	} else {
+		r.x = linkRun{first: int32(src)*dirs + int32(West), stride: -dirs, n: -dc}
+	}
+	turn := int32(src) + dc
+	dr := d.row - s.row
+	col := dirs * int32(n.geo.Cols)
+	if dr >= 0 {
+		r.y = linkRun{first: turn*dirs + int32(South), stride: col, n: dr}
+	} else {
+		r.y = linkRun{first: turn*dirs + int32(North), stride: -col, n: -dr}
+	}
+	return r
 }
 
 // Geometry returns the fabric's grid.
@@ -213,7 +269,8 @@ func (n *Nocstar) TraversalCycles(h int) int {
 // HoldCyclesOneWay returns how long links are reserved for a one-way
 // message between src and dst.
 func (n *Nocstar) HoldCyclesOneWay(src, dst NodeID) engine.Cycle {
-	return engine.Cycle(n.TraversalCycles(n.geo.Hops(src, dst)))
+	s, d := n.coords[src], n.coords[dst]
+	return engine.Cycle(n.TraversalCycles(abs(int(d.row-s.row)) + abs(int(d.col-s.col))))
 }
 
 // RequestPath begins acquiring the XY path from src to dst. Arbitration
@@ -255,7 +312,7 @@ func (n *Nocstar) newReq(src, dst NodeID, hold engine.Cycle) *setupReq {
 	}
 	req.src = src
 	req.dst = dst
-	req.links = n.routes.route(src, dst)
+	req.route = n.route(src, dst)
 	req.hold = hold
 	req.firstTry = n.eng.Now()
 	return req
@@ -278,13 +335,19 @@ func (n *Nocstar) enqueue(req *setupReq) {
 
 // Act dispatches the fabric's own typed events.
 func (n *Nocstar) Act(op uint8, arg any) {
-	req := arg.(*setupReq)
 	switch op {
 	case nocOpRetry:
-		n.enqueue(req)
+		b := arg.(*retryBatch)
+		for _, req := range b.reqs {
+			n.enqueue(req)
+		}
+		b.reqs = b.reqs[:0]
+		b.next = n.batchFree
+		n.batchFree = b
 	case nocOpGrant:
 		// Recycle before delivering: the continuation may request a new
 		// path immediately and reuse this object.
+		req := arg.(*setupReq)
 		h, hop, harg, tr, fn := req.h, req.op, req.arg, req.traversal, req.onGranted
 		n.freeReq(req)
 		if fn != nil {
@@ -308,6 +371,23 @@ func (n *Nocstar) priority(src NodeID, now engine.Cycle) int {
 // Requests are considered in static-priority order; a request wins only
 // if every link of its path is free for its entire hold window. Losers
 // retry next cycle.
+//
+// The round's losers travel to the next cycle together, in one retry
+// event, rather than one event each. That is exact — every grant and
+// every statistic is what per-request retry events would produce —
+// because a retry does nothing but append its request to n.pending, and
+// the only events this round schedules between its retries are grant
+// deliveries, whose continuations in the simulator never request a path
+// synchronously (System.PathGranted only schedules events). So the batch
+// re-enqueues the losers in arbitration order at the same place in the
+// next cycle's enqueue order as the individual retries held: after every
+// enqueue by events scheduled before this round, and before every
+// enqueue by events scheduled after it. (A continuation that did request
+// synchronously would now enqueue ahead of the round's losers instead of
+// among them: still a valid arbitration, just a different one.) The
+// engine sees one event per denying round instead of one per denial,
+// which keeps host time and wheel-bucket memory independent of how many
+// requests are waiting.
 func (n *Nocstar) arbitrate() {
 	n.arbScheduled = false
 	reqs := n.pending
@@ -334,6 +414,7 @@ func (n *Nocstar) arbitrate() {
 		reqs[j+1] = req
 	}
 
+	var denied *retryBatch
 	for _, req := range reqs {
 		n.stats.SetupAttempts++
 		if n.granted(req, now) {
@@ -341,26 +422,53 @@ func (n *Nocstar) arbitrate() {
 		}
 		// Denied: retry at the end of the next cycle.
 		n.stats.Retries++
-		n.eng.ScheduleAct(1, n, nocOpRetry, req)
+		if denied == nil {
+			denied = n.batchFree
+			if denied == nil {
+				denied = &retryBatch{}
+			} else {
+				n.batchFree = denied.next
+				denied.next = nil
+			}
+		}
+		denied.reqs = append(denied.reqs, req)
+	}
+	if denied != nil {
+		n.eng.ScheduleAct(1, n, nocOpRetry, denied)
 	}
 	n.pendingFree = reqs[:0]
+}
+
+// runFree reports whether no link of r is held after cycle now.
+func (n *Nocstar) runFree(r linkRun, now engine.Cycle) bool {
+	for i, l := int32(0), r.first; i < r.n; i, l = i+1, l+r.stride {
+		if n.reservedUntil[l] > now {
+			return false
+		}
+	}
+	return true
+}
+
+// reserve holds every link of r through cycle until.
+func (n *Nocstar) reserve(r linkRun, until engine.Cycle) {
+	for i, l := int32(0), r.first; i < r.n; i, l = i+1, l+r.stride {
+		n.reservedUntil[l] = until
+	}
 }
 
 // granted attempts to reserve the request's links for [now+1, now+hold].
 // On success it schedules onGranted for the next cycle.
 func (n *Nocstar) granted(req *setupReq, now engine.Cycle) bool {
 	if !n.cfg.Ideal {
-		for _, l := range req.links {
-			if n.reservedUntil[l] > now {
-				return false
-			}
+		r := req.route
+		if !n.runFree(r.x, now) || !n.runFree(r.y, now) {
+			return false
 		}
 		until := now + req.hold
-		for _, l := range req.links {
-			n.reservedUntil[l] = until
-		}
+		n.reserve(r.x, until)
+		n.reserve(r.y, until)
 		if n.observer != nil {
-			n.observer.CircuitGranted(req.src, req.dst, req.links, now, until)
+			n.observer.CircuitGranted(req.src, req.dst, now, until)
 		}
 	}
 	n.stats.Messages++
@@ -369,7 +477,7 @@ func (n *Nocstar) granted(req *setupReq, now engine.Cycle) bool {
 	if setupDelay == 1 {
 		n.stats.FirstTryGrants++
 	}
-	traversal := n.TraversalCycles(len(req.links))
+	traversal := n.TraversalCycles(req.route.hops())
 	n.stats.TotalTraversal += uint64(traversal)
 	req.traversal = traversal
 	if n.setupHist != nil {
@@ -401,8 +509,21 @@ func (n *Nocstar) granted(req *setupReq, now engine.Cycle) bool {
 func (n *Nocstar) Release(src, dst NodeID, until engine.Cycle) {
 	now := n.eng.Now()
 	n.stats.Releases++
-	links := n.routes.route(src, dst)
-	for _, l := range links {
+	r := n.route(src, dst)
+	n.releaseRun(r.x, now, until)
+	n.releaseRun(r.y, now, until)
+	if n.observer != nil && !n.cfg.Ideal {
+		n.observer.CircuitReleased(src, dst, now, until)
+	}
+	if n.tracer != nil {
+		n.tracer.Emit(metrics.TraceRelease, uint64(now), 0, int32(src), int32(dst))
+	}
+}
+
+// releaseRun frees the links of r still held by the grant whose window
+// ends at until (see Release).
+func (n *Nocstar) releaseRun(r linkRun, now, until engine.Cycle) {
+	for i, l := int32(0), r.first; i < r.n; i, l = i+1, l+r.stride {
 		switch {
 		case n.reservedUntil[l] <= now:
 			// Already expired or never held; nothing to free.
@@ -415,12 +536,6 @@ func (n *Nocstar) Release(src, dst NodeID, until engine.Cycle) {
 			// A later grant owns this link now.
 			n.stats.ForeignLinks++
 		}
-	}
-	if n.observer != nil && !n.cfg.Ideal {
-		n.observer.CircuitReleased(src, dst, links, now, until)
-	}
-	if n.tracer != nil {
-		n.tracer.Emit(metrics.TraceRelease, uint64(now), 0, int32(src), int32(dst))
 	}
 }
 

@@ -1,10 +1,49 @@
 package noc
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"nocstar/internal/engine"
 )
+
+// appendRun appends the links of r, in order, to links.
+func appendRun(links []LinkID, r linkRun) []LinkID {
+	for i, l := int32(0), r.first; i < r.n; i, l = i+1, l+r.stride {
+		links = append(links, LinkID(l))
+	}
+	return links
+}
+
+// TestRouteMatchesXYPath checks that the fabric's two-run routes
+// enumerate exactly Geometry.XYPath: every pair on the small grids, and
+// sampled pairs on the 32x32 one.
+func TestRouteMatchesXYPath(t *testing.T) {
+	for _, g := range routeTestGrids {
+		ns := NewNocstar(engine.New(), NocstarConfig{Geometry: g})
+		check := func(src, dst NodeID) {
+			r := ns.route(src, dst)
+			got := appendRun(appendRun(nil, r.x), r.y)
+			want := g.XYPath(src, dst)
+			if r.hops() != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("%dx%d %d->%d: route %v (hops %d), XYPath %v", g.Rows, g.Cols, src, dst, got, r.hops(), want)
+			}
+		}
+		if g.Nodes() <= 64 {
+			for src := NodeID(0); int(src) < g.Nodes(); src++ {
+				for dst := NodeID(0); int(dst) < g.Nodes(); dst++ {
+					check(src, dst)
+				}
+			}
+			continue
+		}
+		rng := engine.NewRand(int64(g.Nodes()))
+		for i := 0; i < 20000; i++ {
+			check(NodeID(rng.Intn(g.Nodes())), NodeID(rng.Intn(g.Nodes())))
+		}
+	}
+}
 
 func newFabric(t *testing.T, n, hpc int, ideal bool) (*engine.Engine, *Nocstar) {
 	t.Helper()
@@ -351,5 +390,328 @@ func TestDesignSpaceTable1(t *testing.T) {
 func TestVerdictString(t *testing.T) {
 	if Good.String() != "+" || VeryPoor.String() != "--" || Poor.String() != "-" || VeryGood.String() != "++" {
 		t.Fatal("verdict strings wrong")
+	}
+}
+
+// TestRetryEventsIndependentOfWaiters pins the cost of waiting: n
+// requests blocked for k cycles take at most k retry events, not n*k.
+// On a 1x(n+1) row a blocker holds every east link for k cycles; the n
+// single-hop requests under it are pairwise disjoint, so all of them are
+// denied in every round until the blocker's window ends, then all grant
+// together.
+func TestRetryEventsIndependentOfWaiters(t *testing.T) {
+	const n, k = 64, 100
+	eng := engine.New()
+	ns := NewNocstar(eng, NocstarConfig{Geometry: Geometry{Rows: 1, Cols: n + 1}})
+	eng.Schedule(1, func() {
+		// Arbitrated at the end of cycle 1: held through cycle 1+k.
+		ns.RequestPath(0, NodeID(n), k, func(int) {})
+	})
+	granted := 0
+	eng.Schedule(2, func() {
+		for i := 0; i < n; i++ {
+			ns.RequestPath(NodeID(i), NodeID(i+1), 1, func(int) { granted++ })
+		}
+	})
+	eng.Run()
+
+	// Rounds at the end of cycles 2..k deny every waiter; the round at
+	// the end of cycle k+1 grants them all.
+	const deniedRounds = k - 1
+	if st := ns.Stats(); granted != n || st.Retries != n*deniedRounds {
+		t.Fatalf("granted %d, retries %d; want %d, %d", granted, st.Retries, n, n*deniedRounds)
+	}
+	// Everything the engine processed apart from retry events: the two
+	// scheduled request closures, one arbitration finalizer per round
+	// (the blocker's, the denying rounds, the granting round), and one
+	// grant delivery per message.
+	const other = 2 + (1 + deniedRounds + 1) + (n + 1)
+	if retryEvents := eng.Processed() - other; retryEvents > k {
+		t.Fatalf("%d waiters blocked for %d cycles cost %d retry events, want at most %d",
+			n, k, retryEvents, k)
+	}
+}
+
+// refFabric is the NOCSTAR arbiter with one retry event per denied
+// request, the way the fabric worked before denied requests travelled
+// in one batch per round. It is a test oracle for
+// TestBatchedRetriesMatchPerRequest, not a second fabric: it routes with
+// Geometry.XYPath and keeps only what arbitration and Release need.
+type refFabric struct {
+	eng           *engine.Engine
+	geo           Geometry
+	hpc           int
+	reservedUntil []engine.Cycle
+	pending       []*refReq
+	arbScheduled  bool
+	stats         NocstarStats
+}
+
+type refReq struct {
+	src, dst  NodeID
+	links     []LinkID
+	hold      engine.Cycle
+	firstTry  engine.Cycle
+	prio      int
+	h         GrantHandler
+	op        uint8
+	arg       any
+	traversal int
+}
+
+func newRefFabric(eng *engine.Engine, g Geometry, hpc int) *refFabric {
+	return &refFabric{eng: eng, geo: g, hpc: hpc, reservedUntil: make([]engine.Cycle, g.NumLinks())}
+}
+
+func (f *refFabric) Stats() NocstarStats { return f.stats }
+
+func (f *refFabric) traversalCycles(h int) int {
+	if h <= 0 {
+		return 0
+	}
+	if f.hpc <= 0 {
+		return 1
+	}
+	return (h + f.hpc - 1) / f.hpc
+}
+
+func (f *refFabric) HoldCyclesOneWay(src, dst NodeID) engine.Cycle {
+	return engine.Cycle(f.traversalCycles(f.geo.Hops(src, dst)))
+}
+
+func (f *refFabric) RequestPathTo(src, dst NodeID, hold engine.Cycle, h GrantHandler, op uint8, arg any) {
+	f.enqueue(&refReq{src: src, dst: dst, links: f.geo.XYPath(src, dst), hold: hold,
+		firstTry: f.eng.Now(), h: h, op: op, arg: arg})
+}
+
+func (f *refFabric) enqueue(req *refReq) {
+	f.pending = append(f.pending, req)
+	if !f.arbScheduled {
+		f.arbScheduled = true
+		f.eng.AtEndOfCycle(f.arbitrate)
+	}
+}
+
+const (
+	refOpRetry uint8 = iota
+	refOpGrant
+)
+
+func (f *refFabric) Act(op uint8, arg any) {
+	req := arg.(*refReq)
+	switch op {
+	case refOpRetry:
+		f.enqueue(req)
+	case refOpGrant:
+		req.h.PathGranted(req.op, req.arg, req.traversal)
+	}
+}
+
+func (f *refFabric) arbitrate() {
+	f.arbScheduled = false
+	reqs := f.pending
+	f.pending = nil
+	now := f.eng.Now()
+	nodes := f.geo.Nodes()
+	rot := int(now/PriorityRotationPeriod) % nodes
+	for _, req := range reqs {
+		req.prio = (int(req.src) - rot + nodes) % nodes
+	}
+	for i := 1; i < len(reqs); i++ {
+		req := reqs[i]
+		j := i - 1
+		for j >= 0 && reqs[j].prio > req.prio {
+			reqs[j+1] = reqs[j]
+			j--
+		}
+		reqs[j+1] = req
+	}
+	for _, req := range reqs {
+		f.stats.SetupAttempts++
+		if f.granted(req, now) {
+			continue
+		}
+		f.stats.Retries++
+		f.eng.ScheduleAct(1, f, refOpRetry, req)
+	}
+}
+
+func (f *refFabric) granted(req *refReq, now engine.Cycle) bool {
+	for _, l := range req.links {
+		if f.reservedUntil[l] > now {
+			return false
+		}
+	}
+	for _, l := range req.links {
+		f.reservedUntil[l] = now + req.hold
+	}
+	f.stats.Messages++
+	setupDelay := uint64(now-req.firstTry) + 1
+	f.stats.TotalSetupDelay += setupDelay
+	if setupDelay == 1 {
+		f.stats.FirstTryGrants++
+	}
+	req.traversal = f.traversalCycles(len(req.links))
+	f.stats.TotalTraversal += uint64(req.traversal)
+	f.eng.ScheduleAct(1, f, refOpGrant, req)
+	return true
+}
+
+func (f *refFabric) Release(src, dst NodeID, until engine.Cycle) {
+	now := f.eng.Now()
+	f.stats.Releases++
+	for _, l := range f.geo.XYPath(src, dst) {
+		switch {
+		case f.reservedUntil[l] <= now:
+		case f.reservedUntil[l] == until:
+			f.reservedUntil[l] = now
+			f.stats.ReleasedLinks++
+		default:
+			f.stats.ForeignLinks++
+		}
+	}
+}
+
+// diffFabric is what diffTraffic needs of a fabric: the production
+// Nocstar and the refFabric oracle both provide it.
+type diffFabric interface {
+	RequestPathTo(src, dst NodeID, hold engine.Cycle, h GrantHandler, op uint8, arg any)
+	Release(src, dst NodeID, until engine.Cycle)
+	HoldCyclesOneWay(src, dst NodeID) engine.Cycle
+	Stats() NocstarStats
+}
+
+// diffMsg is one message of the differential traffic.
+type diffMsg struct {
+	id        int
+	src, dst  NodeID
+	hold      engine.Cycle
+	until     engine.Cycle // round trip: the grant's reservation window end
+	roundTrip bool         // hold a conservative window, then Release it
+	reply     bool         // request the reverse path one cycle after the grant
+}
+
+// diffTraffic offers uniform-random traffic to a fabric and records the
+// cycle each message was granted. Every random draw happens either at
+// injection or at a grant, so two fabrics that grant identically see
+// identical traffic.
+type diffTraffic struct {
+	eng     *engine.Engine
+	fab     diffFabric
+	rng     *engine.Rand
+	nodes   int
+	rate    float64
+	stop    engine.Cycle
+	granted []engine.Cycle // by message id
+}
+
+const (
+	trafficTick uint8 = iota
+	trafficReply
+	trafficRelease
+)
+
+func (d *diffTraffic) request(src, dst NodeID, isReply bool) {
+	m := &diffMsg{id: len(d.granted), src: src, dst: dst, hold: d.fab.HoldCyclesOneWay(src, dst)}
+	d.granted = append(d.granted, 0)
+	switch d.rng.Intn(3) {
+	case 0:
+		m.roundTrip = true
+		m.hold = 2*m.hold + engine.Cycle(d.rng.Intn(8))
+	case 1:
+		m.reply = !isReply
+	}
+	d.fab.RequestPathTo(src, dst, m.hold, d, 0, m)
+}
+
+func (d *diffTraffic) Act(op uint8, arg any) {
+	switch op {
+	case trafficTick:
+		for node := 0; node < d.nodes; node++ {
+			if d.rng.Float64() >= d.rate {
+				continue
+			}
+			src := NodeID(node)
+			dst := NodeID(d.rng.Intn(d.nodes - 1))
+			if dst >= src {
+				dst++
+			}
+			d.request(src, dst, false)
+		}
+		if d.eng.Now() < d.stop {
+			d.eng.ScheduleAct(1, d, trafficTick, nil)
+		}
+	case trafficReply:
+		m := arg.(*diffMsg)
+		d.request(m.dst, m.src, true)
+	case trafficRelease:
+		m := arg.(*diffMsg)
+		d.fab.Release(m.src, m.dst, m.until)
+	}
+}
+
+func (d *diffTraffic) PathGranted(op uint8, arg any, traversal int) {
+	m := arg.(*diffMsg)
+	now := d.eng.Now()
+	d.granted[m.id] = now
+	if m.roundTrip {
+		// Release anywhere from at once to a few cycles after the
+		// window ends, so both early frees and late (foreign) releases
+		// occur.
+		m.until = now - 1 + m.hold
+		d.eng.ScheduleAct(engine.Cycle(d.rng.Intn(int(m.hold)+4)), d, trafficRelease, m)
+	}
+	if m.reply {
+		d.eng.ScheduleAct(1, d, trafficReply, m)
+	}
+}
+
+func runDiffTraffic(fab func(*engine.Engine) diffFabric, nodes int, rate float64, cycles engine.Cycle, seed int64) *diffTraffic {
+	eng := engine.New()
+	d := &diffTraffic{eng: eng, fab: fab(eng), rng: engine.NewRand(seed), nodes: nodes, rate: rate, stop: cycles}
+	eng.ScheduleAct(1, d, trafficTick, nil)
+	eng.Run()
+	return d
+}
+
+// TestBatchedRetriesMatchPerRequest is the differential test of retry
+// batching: under random traffic with round-trip releases and grant
+// continuations that request again one cycle later, the fabric grants
+// every message in the same cycle, and ends with the same statistics,
+// as the per-request-retry oracle.
+func TestBatchedRetriesMatchPerRequest(t *testing.T) {
+	// Each case injects about this many messages; at 16 nodes and the
+	// lowest rate that runs past a priority rotation.
+	const injected = 1500
+	for _, nodes := range []int{16, 64, 256} {
+		g := GridFor(nodes)
+		for _, rate := range []float64{0.05, 0.15, 0.4} {
+			cycles := engine.Cycle(injected / (float64(nodes) * rate))
+			for seed := int64(1); seed <= 3; seed++ {
+				got := runDiffTraffic(func(eng *engine.Engine) diffFabric {
+					return NewNocstar(eng, NocstarConfig{Geometry: g, HPCmax: 4})
+				}, nodes, rate, cycles, seed)
+				want := runDiffTraffic(func(eng *engine.Engine) diffFabric {
+					return newRefFabric(eng, g, 4)
+				}, nodes, rate, cycles, seed)
+				name := fmt.Sprintf("%d nodes, rate %.2f, seed %d", nodes, rate, seed)
+				if len(got.granted) != len(want.granted) {
+					t.Fatalf("%s: %d messages, oracle %d", name, len(got.granted), len(want.granted))
+				}
+				for id := range want.granted {
+					if got.granted[id] != want.granted[id] {
+						t.Fatalf("%s: message %d granted at cycle %d, oracle %d",
+							name, id, got.granted[id], want.granted[id])
+					}
+				}
+				gs, ws := got.fab.Stats(), want.fab.Stats()
+				if gs != ws {
+					t.Fatalf("%s: stats %+v, oracle %+v", name, gs, ws)
+				}
+				if rate == 0.4 && (ws.Retries == 0 || ws.Releases == 0 || ws.ForeignLinks == 0) {
+					t.Fatalf("%s: traffic too light to exercise retries and releases: %+v", name, ws)
+				}
+			}
+		}
 	}
 }

@@ -101,17 +101,21 @@ alloc:
 # The invariant-checker gate (internal/check): the checker's own unit and
 # circuit-shadow tests, every organization run under the shadow oracle
 # (including the PR 3 legacy-release reintroduction), and the fuzz seed
-# corpora of the page-table and checked-system fuzzers. Deterministic —
-# `go test` executes fuzz targets over their seeds only.
+# corpora of the page-table, checked-system, config-decoding and
+# trace-reading fuzzers. Deterministic — `go test` executes fuzz targets
+# over their seeds only.
 check:
 	$(GO) test -count 1 ./internal/check/
-	$(GO) test -count 1 -run 'TestChecked|TestCheckerCatches|TestMonoFullFlush|TestStormContextSwitch|FuzzCheckedSystem' ./internal/system/
+	$(GO) test -count 1 -run 'TestChecked|TestCheckerCatches|TestMonoFullFlush|TestStormContextSwitch|FuzzCheckedSystem|FuzzUnmarshalConfig' ./internal/system/
 	$(GO) test -count 1 -run 'TestPromote2M|FuzzPageTable' ./internal/vm/
+	$(GO) test -count 1 -run 'FuzzTraceRead' ./internal/trace/
 
 # Open-ended randomized checking (not part of ci): grow the fuzz corpora.
 fuzz:
 	cd internal/vm && $(GO) test -fuzz FuzzPageTable -fuzztime 30s .
 	cd internal/system && $(GO) test -fuzz FuzzCheckedSystem -fuzztime 60s -run FuzzCheckedSystem .
+	cd internal/system && $(GO) test -fuzz FuzzUnmarshalConfig -fuzztime 30s -run FuzzUnmarshalConfig .
+	cd internal/trace && $(GO) test -fuzz FuzzTraceRead -fuzztime 30s -run FuzzTraceRead .
 
 # End-to-end smoke of the report pipeline: tiny run, JSON document out.
 smoke:

@@ -254,35 +254,6 @@ func (h *Hierarchy) Pollute(lines int) {
 	}
 }
 
-// Snapshot is a deep copy of one cache level's content state — lines and
-// the LRU clock, not hit/miss statistics. Restoring it into a same-shaped
-// cache reproduces the exact replacement behavior of the source.
-type Snapshot struct {
-	lines [][]line
-	tick  uint64
-}
-
-// Snapshot captures the cache's content state.
-func (c *Cache) Snapshot() Snapshot {
-	lines := make([][]line, len(c.sets))
-	for i, s := range c.sets {
-		lines[i] = append([]line(nil), s...)
-	}
-	return Snapshot{lines: lines, tick: c.tick}
-}
-
-// RestoreSnapshot overwrites the cache's content state with a snapshot
-// taken from an identically configured cache.
-func (c *Cache) RestoreSnapshot(s Snapshot) {
-	if len(s.lines) != len(c.sets) {
-		panic("cache: RestoreSnapshot geometry mismatch")
-	}
-	for i := range c.sets {
-		copy(c.sets[i], s.lines[i])
-	}
-	c.tick = s.tick
-}
-
 // ResetStats zeroes hit/miss counts without touching contents.
 func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 

@@ -213,35 +213,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending reports how many events are scheduled but not yet executed.
 func (e *Engine) Pending() int { return e.wheelPending + e.overflow.len() + len(e.finalizers) }
 
-// Clock is the engine's schedule position: the current cycle and the
-// sequence number the next scheduled event will receive. Together they
-// pin the (cycle, seq) total order, so restoring a Clock into an empty
-// engine makes subsequent schedules indistinguishable from a run that
-// reached that position natively.
-type Clock struct {
-	Now Cycle
-	Seq uint64
-}
-
-// Clock captures the current schedule position, for checkpointing.
-func (e *Engine) Clock() Clock { return Clock{Now: e.now, Seq: e.seq} }
-
-// SetClock restores a schedule position captured by Clock. The engine
-// must be empty (no pending events — the wheel is indexed modulo the
-// horizon, so warping under in-flight events would corrupt it) and the
-// clock may only move forward. Resets nothing else; Processed is
-// unchanged.
-func (e *Engine) SetClock(c Clock) {
-	if e.Pending() > 0 {
-		panic("engine: SetClock with pending events")
-	}
-	if c.Now < e.now {
-		panic("engine: SetClock moving backwards")
-	}
-	e.now = c.Now
-	e.seq = c.Seq
-}
-
 // ResetProcessed zeroes the processed-event counter, so a measurement
 // phase that begins mid-run (after a warmup) reports only its own events.
 func (e *Engine) ResetProcessed() { e.processed = 0 }

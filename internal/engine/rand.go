@@ -73,16 +73,3 @@ func (r *Rand) Below(t uint64) bool {
 func (r *Rand) Split() *Rand {
 	return &Rand{state: r.Uint64() | 1}
 }
-
-// State returns the generator's internal state, for checkpointing.
-func (r *Rand) State() uint64 { return r.state }
-
-// SetState restores a state captured by State. A zero state is remapped
-// exactly as NewRand remaps a zero seed, preserving the no-fixed-point
-// invariant.
-func (r *Rand) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9e3779b97f4a7c15
-	}
-	r.state = s
-}

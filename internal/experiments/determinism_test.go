@@ -84,11 +84,12 @@ func resultDigest(r system.Result) string {
 }
 
 // TestGoldenEventOrder pins the engine's total event order — the exact
-// (cycle, seq) stream — for two NOCSTAR configurations, and their
+// (cycle, seq) stream — for three NOCSTAR configurations, and their
 // simulated Results. Any scheduling refactor that reorders even one pair
 // of same-cycle events changes the hash. This is deliberately stricter
 // than TestRunDeterminism, which only requires runs to agree with each
-// other.
+// other. The warmed row covers the inline warmup: its stream includes
+// the warmup's events, its Result only the measured window.
 //
 // The result digests date from the closure-continuation/binary-heap
 // scheduler that predates the typed transaction objects and the timing
@@ -97,6 +98,8 @@ func resultDigest(r system.Result) string {
 // one event per request (oneway 9274 -> 9268 events, remote-walk
 // 9272 -> 9267): the new stream is the old one with each round's retry
 // events replaced by a single batch event, and the results are unchanged.
+// The warmed row was captured later, before the warm-state checkpoint
+// that duplicated the inline warmup was deleted, and held across it.
 func TestGoldenEventOrder(t *testing.T) {
 	spec, _ := workload.ByName("graph500")
 	base := system.Config{
@@ -109,6 +112,8 @@ func TestGoldenEventOrder(t *testing.T) {
 	remote := base
 	remote.Policy = system.WalkAtRemote
 	remote.ShootdownInterval = 5_000
+	warmed := base
+	warmed.WarmupInstr = 3_000
 
 	golden := []struct {
 		name   string
@@ -119,6 +124,7 @@ func TestGoldenEventOrder(t *testing.T) {
 	}{
 		{"oneway", base, 9268, 0x679f199496bec998, "20b3c313343d6c53"},
 		{"remote-walk", remote, 9267, 0x15b73db1ad755a55, "7c3df9905779b585"},
+		{"warmed", warmed, 17492, 0xf1e192bd350ab763, "f80eedffe191b623"},
 	}
 	for _, g := range golden {
 		var h uint64 = 14695981039346656037

@@ -34,10 +34,6 @@ type Options struct {
 	// (0 = GOMAXPROCS). Each run is a self-contained deterministic
 	// simulation, so rendered output is byte-identical at any setting.
 	Parallelism int
-	// Warmup is the per-thread warmup instruction budget applied to
-	// every simulation (0 = cold start). Configs that share a warmup
-	// prefix reuse one checkpointed warm state across the sweep.
-	Warmup uint64
 	// Experiment names the figure/table submitting runs; the registry
 	// stamps it so profiles attribute simulations to their experiment.
 	Experiment string
@@ -126,7 +122,6 @@ func (o Options) baseConfig(org system.Org, spec workload.Spec, cores int, thp b
 		Apps:           []system.App{{Spec: spec, Threads: cores, HammerSlice: system.HammerNone}},
 		THP:            thp,
 		InstrPerThread: o.Instr,
-		WarmupInstr:    o.Warmup,
 		Seed:           o.Seed,
 	}
 	o.applyFabric(&cfg)

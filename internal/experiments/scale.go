@@ -45,7 +45,6 @@ func Smoke1024(o Options) ScaleSmokeResult {
 	}
 	cfg := o.baseConfig(system.DistributedMesh, spec, cores, false)
 	cfg.InstrPerThread = instr
-	cfg.WarmupInstr = 0 // cold: the smoke measures breadth, not steady state
 	r := o.submit(cfg).Wait()
 	local := 0.0
 	if r.L2Accesses > 0 {

@@ -539,25 +539,5 @@ func (n *Nocstar) releaseRun(r linkRun, now, until engine.Cycle) {
 	}
 }
 
-// SnapshotReserved returns a copy of the per-link reservation horizon.
-// It is only meaningful at a quiescent point (no pending setup requests
-// and no arbitration scheduled); it panics otherwise, because a snapshot
-// taken mid-flight could not be restored faithfully.
-func (n *Nocstar) SnapshotReserved() []engine.Cycle {
-	if len(n.pending) > 0 || n.arbScheduled {
-		panic("noc: SnapshotReserved with in-flight setup requests")
-	}
-	return append([]engine.Cycle(nil), n.reservedUntil...)
-}
-
-// RestoreReserved overwrites the per-link reservation horizon with a
-// snapshot from an identically shaped fabric.
-func (n *Nocstar) RestoreReserved(r []engine.Cycle) {
-	if len(r) != len(n.reservedUntil) {
-		panic("noc: RestoreReserved geometry mismatch")
-	}
-	copy(n.reservedUntil, r)
-}
-
 // ResetStats zeroes the accumulated fabric statistics.
 func (n *Nocstar) ResetStats() { n.stats = NocstarStats{} }

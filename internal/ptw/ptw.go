@@ -238,50 +238,5 @@ func min(a, b int) int {
 	return b
 }
 
-// Snapshot is a deep copy of the walker's dynamic state: slot busy
-// times and page-walk cache contents. The cfg and hierarchy are not
-// included — a snapshot restores into a walker built from the same
-// Config (the PWC map is rebuilt from the eviction ring, whose non-zero
-// entries are exactly the cached keys; context IDs start at 1, so the
-// zero key never collides with a real one).
-type Snapshot struct {
-	slots  []engine.Cycle
-	order  []pwcKey
-	next   int
-	hasPWC bool
-}
-
-// Snapshot captures the walker's dynamic state. Statistics are not
-// captured; pair with ResetStats at the measurement boundary.
-func (w *Walker) Snapshot() Snapshot {
-	return Snapshot{
-		slots:  append([]engine.Cycle(nil), w.slots...),
-		order:  append([]pwcKey(nil), w.pwcOrder...),
-		next:   w.pwcNext,
-		hasPWC: w.pwc != nil,
-	}
-}
-
-// RestoreSnapshot overwrites the walker's dynamic state with a snapshot
-// taken from an identically configured walker.
-func (w *Walker) RestoreSnapshot(s Snapshot) {
-	if len(s.slots) != len(w.slots) || s.hasPWC != (w.pwc != nil) || len(s.order) != len(w.pwcOrder) {
-		panic("ptw: RestoreSnapshot configuration mismatch")
-	}
-	copy(w.slots, s.slots)
-	copy(w.pwcOrder, s.order)
-	w.pwcNext = s.next
-	if w.pwc != nil {
-		for k := range w.pwc {
-			delete(w.pwc, k)
-		}
-		for _, k := range w.pwcOrder {
-			if k != (pwcKey{}) {
-				w.pwc[k] = struct{}{}
-			}
-		}
-	}
-}
-
 // ResetStats zeroes the accumulated statistics.
 func (w *Walker) ResetStats() { w.stats = Stats{} }

@@ -59,14 +59,11 @@ func (f *Future) Wait() system.Result {
 // Progress is a snapshot of the runner's counters. Submitted counts
 // scheduled executions (deduplicated submissions are not re-counted);
 // Completed counts finished ones; Deduped counts submissions resolved by
-// an identical in-flight or memoized run; Warmups counts warm-state
-// checkpoint constructions — in a sweep whose configs share a warmup
-// prefix, exactly one warmup executes no matter how many runs reuse it.
+// an identical in-flight or memoized run.
 type Progress struct {
 	Submitted uint64
 	Completed uint64
 	Deduped   uint64
-	Warmups   uint64
 	// MemRefs totals the simulated memory references of completed runs;
 	// benchmarks delta it against wall time for a refs/sec throughput.
 	MemRefs uint64
@@ -79,23 +76,13 @@ type Runner struct {
 	cond     *sync.Cond
 	active   int
 	limit    int
-	inflight map[string]*call     // keyed in-flight runs (singleflight)
-	memo     map[string]*call     // completed SubmitCached runs
-	warm     map[string]*warmCall // warm-state checkpoints by WarmupKey
+	inflight map[string]*call // keyed in-flight runs (singleflight)
+	memo     map[string]*call // completed SubmitCached runs
 
 	submitted atomic.Uint64
 	completed atomic.Uint64
 	deduped   atomic.Uint64
-	warmups   atomic.Uint64
 	memRefs   atomic.Uint64
-}
-
-// warmCall is one warmup execution, shared by every run whose config
-// carries the same WarmupKey.
-type warmCall struct {
-	done chan struct{}
-	cp   *system.Checkpoint
-	err  error
 }
 
 // New returns a runner executing at most parallelism simulations at once.
@@ -104,7 +91,6 @@ func New(parallelism int) *Runner {
 	r := &Runner{
 		inflight: map[string]*call{},
 		memo:     map[string]*call{},
-		warm:     map[string]*warmCall{},
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.limit = normalize(parallelism)
@@ -153,7 +139,6 @@ func (r *Runner) Progress() Progress {
 		Submitted: r.submitted.Load(),
 		Completed: r.completed.Load(),
 		Deduped:   r.deduped.Load(),
-		Warmups:   r.warmups.Load(),
 		MemRefs:   r.memRefs.Load(),
 	}
 }
@@ -245,7 +230,7 @@ func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key st
 		"nocstar_config", hash,
 		"nocstar_experiment", Experiment(ctx),
 	), func(ctx context.Context) {
-		c.res, c.err = r.runOne(ctx, cfg)
+		c.res, c.err = system.RunContext(ctx, cfg)
 	})
 	r.release()
 	if c.err == nil {
@@ -261,48 +246,6 @@ func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key st
 	}
 	close(c.done)
 	r.completed.Add(1)
-}
-
-// runOne executes one simulation, going through the shared warm-state
-// checkpoint when the config warms up. The warmup for each WarmupKey is
-// built once (singleflight) and restored into every run that shares it.
-// A failed warmup — cancellation, model error — falls back to the full
-// inline path, which produces the identical result and reports its own
-// error faithfully, so the checkpoint layer can never change an outcome.
-func (r *Runner) runOne(ctx context.Context, cfg system.Config) (system.Result, error) {
-	if wkey, ok := system.WarmupKey(cfg); ok {
-		if cp, err := r.warmCheckpoint(ctx, cfg, wkey); err == nil {
-			return system.RunFromCheckpoint(ctx, cfg, cp)
-		}
-	}
-	return system.RunContext(ctx, cfg)
-}
-
-// warmCheckpoint returns the shared checkpoint for wkey, building it from
-// cfg's warmup phase if no other run got there first. Joiners block on
-// the owner; the owner holds its own worker slot and never waits on
-// another, so the rendezvous cannot deadlock at any parallelism. A
-// failed build is not cached — the next submission retries.
-func (r *Runner) warmCheckpoint(ctx context.Context, cfg system.Config, wkey string) (*system.Checkpoint, error) {
-	r.mu.Lock()
-	if w, ok := r.warm[wkey]; ok {
-		r.mu.Unlock()
-		<-w.done
-		return w.cp, w.err
-	}
-	w := &warmCall{done: make(chan struct{})}
-	r.warm[wkey] = w
-	r.mu.Unlock()
-	w.cp, w.err = system.WarmupCheckpoint(ctx, cfg)
-	if w.err != nil {
-		r.mu.Lock()
-		delete(r.warm, wkey)
-		r.mu.Unlock()
-	} else {
-		r.warmups.Add(1)
-	}
-	close(w.done)
-	return w.cp, w.err
 }
 
 // ctxSentinel maps a context error onto the system package's typed

@@ -24,18 +24,25 @@ func testConfig(instr uint64) system.Config {
 
 // The engine's reproducibility contract must survive the worker pool: a
 // config run directly, run on the pool, and run on the pool again must
-// produce identical Results in every field.
+// produce identical Results in every field — cold, and with an inline
+// warmup, at any parallelism.
 func TestDeterministicAcrossPool(t *testing.T) {
-	cfg := testConfig(8_000)
-	direct, err := system.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(4)
-	a := r.Submit(cfg).Wait()
-	b := r.Submit(cfg).Wait()
-	if !reflect.DeepEqual(direct, a) || !reflect.DeepEqual(a, b) {
-		t.Fatal("pooled run diverged from direct run")
+	warmed := testConfig(6_000)
+	warmed.WarmupInstr = 4_000
+	for _, cfg := range []system.Config{testConfig(8_000), warmed} {
+		direct, err := system.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 4, 16} {
+			r := New(par)
+			a := r.Submit(cfg).Wait()
+			b := r.Submit(cfg).Wait()
+			if !reflect.DeepEqual(direct, a) || !reflect.DeepEqual(a, b) {
+				t.Fatalf("warmup %d, par %d: pooled run diverged from direct run",
+					cfg.WarmupInstr, par)
+			}
+		}
 	}
 }
 
@@ -199,77 +206,5 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	ka2, _ := Key(testConfig(1_000))
 	if ka != ka2 {
 		t.Fatal("equal configs produced different keys")
-	}
-}
-
-// warmTestConfig is testConfig with a warmup phase and a varying
-// measurement budget: every instance shares one warmup prefix.
-func warmTestConfig(instr uint64) system.Config {
-	cfg := testConfig(instr)
-	cfg.WarmupInstr = 4_000
-	return cfg
-}
-
-// TestSweepSharesOneWarmup pins the sweep-wide warm-state contract: a
-// sweep of many configs differing only in measurement-phase knobs
-// executes exactly one warmup, and every result is byte-identical to the
-// config's standalone inline run — at any parallelism.
-func TestSweepSharesOneWarmup(t *testing.T) {
-	const n = 12
-	var cfgs []system.Config
-	for i := 0; i < n; i++ {
-		cfgs = append(cfgs, warmTestConfig(5_000+uint64(i)*1_000))
-	}
-	want := make([]system.Result, n)
-	for i, cfg := range cfgs {
-		res, err := system.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-	for _, par := range []int{1, 4, 16} {
-		r := New(par)
-		var futs []*Future
-		for _, cfg := range cfgs {
-			futs = append(futs, r.Submit(cfg))
-		}
-		for i, f := range futs {
-			res, err := f.Result()
-			if err != nil {
-				t.Fatalf("par %d: run %d: %v", par, i, err)
-			}
-			if !reflect.DeepEqual(res, want[i]) {
-				t.Fatalf("par %d: run %d diverged from its inline run", par, i)
-			}
-		}
-		if got := r.Progress().Warmups; got != 1 {
-			t.Fatalf("par %d: %d warmups for %d configs sharing one warmup prefix, want 1",
-				par, got, n)
-		}
-	}
-}
-
-// TestWarmupKeysPartitionSweep checks that configs with distinct warmup
-// prefixes do not share warm state: two warmup lengths mean two warmups.
-func TestWarmupKeysPartitionSweep(t *testing.T) {
-	r := New(4)
-	a := warmTestConfig(5_000)
-	b := warmTestConfig(6_000)
-	c := warmTestConfig(5_000)
-	c.WarmupInstr = 2_000
-	d := warmTestConfig(7_000)
-	d.WarmupInstr = 2_000
-	var futs []*Future
-	for _, cfg := range []system.Config{a, b, c, d} {
-		futs = append(futs, r.Submit(cfg))
-	}
-	for i, f := range futs {
-		if _, err := f.Result(); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-	if got := r.Progress().Warmups; got != 2 {
-		t.Fatalf("%d warmups, want 2 (one per distinct warmup prefix)", got)
 	}
 }

@@ -198,8 +198,7 @@ type Config struct {
 	// executes the same workload generators (filling TLBs, page tables,
 	// PTE caches) and then every statistic is reset at the boundary, so
 	// the Result covers only the measured InstrPerThread instructions.
-	// Sweep runners share one warmup across configs that agree on the
-	// warmup-relevant prefix (see WarmupKey).
+	// Every run simulates its own warmup; nothing is shared between runs.
 	WarmupInstr uint64
 	// ShootdownInterval, when nonzero, remaps a random page every N
 	// cycles, generating steady shootdown traffic (Fig. 16 right).

@@ -141,11 +141,14 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
+// shorthandDoc names a suite workload instead of carrying a spec.
+const shorthandDoc = `{
+	"schema": 1, "org": "nocstar", "cores": 4,
+	"apps": [{"workload": "gups", "threads": 4}]
+}`
+
 func TestUnmarshalWorkloadShorthand(t *testing.T) {
-	cfg, err := UnmarshalConfig([]byte(`{
-		"schema": 1, "org": "nocstar", "cores": 4,
-		"apps": [{"workload": "gups", "threads": 4}]
-	}`))
+	cfg, err := UnmarshalConfig([]byte(shorthandDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,22 +167,25 @@ func TestUnmarshalWorkloadShorthand(t *testing.T) {
 	}
 }
 
+// unmarshalRejects are documents UnmarshalConfig must refuse, with a
+// fragment the error must mention.
+var unmarshalRejects = []struct {
+	name, doc, want string
+}{
+	{"unknown field", `{"org": "nocstar", "coars": 4}`, "coars"},
+	{"newer schema", `{"schema": 99, "org": "nocstar"}`, "schema 99"},
+	{"unknown org", `{"org": "toroidal"}`, `org "toroidal"`},
+	{"unknown acquire", `{"acquire": "psychic"}`, "acquire"},
+	{"unknown policy", `{"policy": "nearest-pub"}`, "policy"},
+	{"unknown ptw mode", `{"ptw": {"mode": "teleport"}}`, "PTW mode"},
+	{"unknown workload", `{"apps": [{"workload": "nope", "threads": 1}]}`, `workload "nope"`},
+	{"workload and spec", `{"apps": [{"workload": "gups", "spec": {"name": "x"}, "threads": 1}]}`, "pick one"},
+	{"neither workload nor spec", `{"apps": [{"threads": 1}]}`, "needs a workload"},
+	{"trailing data", `{"org": "nocstar"} {"org": "private"}`, "trailing"},
+}
+
 func TestUnmarshalRejects(t *testing.T) {
-	cases := []struct {
-		name, doc, want string
-	}{
-		{"unknown field", `{"org": "nocstar", "coars": 4}`, "coars"},
-		{"newer schema", `{"schema": 99, "org": "nocstar"}`, "schema 99"},
-		{"unknown org", `{"org": "toroidal"}`, `org "toroidal"`},
-		{"unknown acquire", `{"acquire": "psychic"}`, "acquire"},
-		{"unknown policy", `{"policy": "nearest-pub"}`, "policy"},
-		{"unknown ptw mode", `{"ptw": {"mode": "teleport"}}`, "PTW mode"},
-		{"unknown workload", `{"apps": [{"workload": "nope", "threads": 1}]}`, `workload "nope"`},
-		{"workload and spec", `{"apps": [{"workload": "gups", "spec": {"name": "x"}, "threads": 1}]}`, "pick one"},
-		{"neither workload nor spec", `{"apps": [{"threads": 1}]}`, "needs a workload"},
-		{"trailing data", `{"org": "nocstar"} {"org": "private"}`, "trailing"},
-	}
-	for _, tc := range cases {
+	for _, tc := range unmarshalRejects {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := UnmarshalConfig([]byte(tc.doc))
 			if err == nil {
@@ -200,4 +206,43 @@ func TestCanonicalRejectsLiveState(t *testing.T) {
 	if _, err := cfg.MarshalCanonical(); err == nil {
 		t.Fatal("config with live streams encoded")
 	}
+}
+
+// FuzzUnmarshalConfig feeds arbitrary documents through the config front
+// door. Decoding and validating must never panic, and a config that
+// validates must survive MarshalCanonical -> UnmarshalConfig with its
+// CanonicalHash unchanged, so the cache key of a submitted document is
+// the key of its canonical form.
+func FuzzUnmarshalConfig(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "config.golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(shorthandDoc))
+	for _, tc := range unmarshalRejects {
+		f.Add([]byte(tc.doc))
+	}
+	// The largest uint64 budgets decode; Validate rejects them.
+	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4}],"instr_per_thread":18446744073709551615}`))
+	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4}],"warmup_instr":18446744073709551615}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		cfg, err := UnmarshalConfig(doc)
+		if err != nil || cfg.Validate() != nil {
+			return
+		}
+		canon, err := cfg.MarshalCanonical()
+		if err != nil {
+			t.Fatalf("valid config has no canonical encoding: %v", err)
+		}
+		again, err := UnmarshalConfig(canon)
+		if err != nil {
+			t.Fatalf("canonical encoding does not decode: %v\n%s", err, canon)
+		}
+		h1, err1 := cfg.CanonicalHash()
+		h2, err2 := again.CanonicalHash()
+		if err1 != nil || err2 != nil || h1 != h2 {
+			t.Fatalf("round trip changed the hash (%v, %v):\n%s", err1, err2, canon)
+		}
+	})
 }

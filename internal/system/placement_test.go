@@ -234,19 +234,4 @@ func TestPlacementKeyDistinctness(t *testing.T) {
 	if hash(e) != hash(f) {
 		t.Fatal("locality placement splits one behavior across seed-keyed entries")
 	}
-
-	// The warm-state key must separate placements too.
-	wa, okA := WarmupKey(withWarmup(a))
-	wb, okB := WarmupKey(withWarmup(b))
-	if !okA || !okB {
-		t.Fatal("warmup key unavailable for placement configs")
-	}
-	if wa == wb {
-		t.Fatal("warmup key ignores PlacementSeed")
-	}
-}
-
-func withWarmup(cfg Config) Config {
-	cfg.WarmupInstr = 2_000
-	return cfg
 }

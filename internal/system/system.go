@@ -73,9 +73,11 @@ type thread struct {
 
 // threadBatchSize is how many references one refill pregenerates.
 // Refills are clamped to refsLeft so the generator never draws past the
-// configured workload length — its RNG state at any phase boundary is
-// exactly what the scalar path would have left, which warm-state
-// checkpointing depends on.
+// configured workload length. boundaryReset drops the buffer, so without
+// the clamp the warmup's unused tail would be lost and the measured
+// window would start at addresses that depend on the batch size; with
+// it, the generator's RNG position at the warmup/measure boundary is
+// exactly what the scalar path would have left.
 const threadBatchSize = 1024
 
 // System is one configured machine mid-run.
@@ -359,9 +361,9 @@ func (s *System) runCtx(ctx context.Context) (Result, error) {
 // reservation state — then resets every statistic at the boundary so the
 // measurement phase reports only its own events. Disturbances
 // (shootdowns, storms) do not run during warmup; they belong to the
-// measured phase. The post-warmup state is exactly what Checkpoint
-// captures, so a run restored from a checkpoint of an identically
-// configured warmup is indistinguishable from this inline path.
+// measured phase. The generators stop exactly at the warmup's last
+// reference (see threadBatchSize), so the measured window continues each
+// thread's address stream where the warmup left it.
 func (s *System) warmup(ctx context.Context) error {
 	for _, th := range s.threads {
 		refs := uint64(float64(s.cfg.WarmupInstr) * th.app.cfg.Spec.MemRefPerInstr)

@@ -401,5 +401,26 @@ func TestResultDerivedMetrics(t *testing.T) {
 	}
 }
 
+// warmConfig is smallConfig with a warmup phase attached.
+func warmConfig(org Org) Config {
+	cfg := smallConfig(org)
+	cfg.WarmupInstr = 5_000
+	return cfg
+}
+
+// TestWarmupChangesMeasurement sanity-checks that warmup actually warms:
+// a warmed run must see fewer L2 TLB misses per reference than a cold
+// run of the same measured length.
+func TestWarmupChangesMeasurement(t *testing.T) {
+	cold := mustRun(t, smallConfig(Nocstar))
+	warm := mustRun(t, warmConfig(Nocstar))
+	if warm.MemRefs != cold.MemRefs {
+		t.Fatalf("measured reference counts differ: warm %d cold %d", warm.MemRefs, cold.MemRefs)
+	}
+	if warm.Walks >= cold.Walks {
+		t.Fatalf("warmup did not reduce page walks: warm %d >= cold %d", warm.Walks, cold.Walks)
+	}
+}
+
 // engineRand builds a deterministic stream seed helper for tests.
 func engineRand(seed int64) *engine.Rand { return engine.NewRand(seed) }

@@ -43,6 +43,17 @@ func (e *ValidationError) Error() string {
 // above every core count any experiment uses.
 const maxCores = 4096
 
+// maxInstr bounds Config.InstrPerThread and Config.WarmupInstr. No
+// budget near it can finish: the engine stops every run at maxCycles
+// (2·10⁹), and a thread retires nowhere near 2000 instructions a cycle.
+// A larger budget would only hold a worker until that safety net or a
+// deadline fires, and keeping budgets small keeps the quantities derived
+// from them (references per thread, retired-instruction totals) far from
+// the float64 and uint64 limits. The limit sits above every budget in
+// use, including the 2^40 that the serve tests submit as a run only
+// cancellation ends.
+const maxInstr uint64 = 1 << 42
+
 // Validate checks cfg without running it, returning nil or a
 // *ValidationError listing every invalid field. Zero values that
 // Normalized fills with defaults (SMT, L1Scale, Banks, ...) are valid;
@@ -141,6 +152,12 @@ func (c Config) Validate() error {
 	}
 	if c.QoSMaxCtxWays < 0 {
 		add("QoSMaxCtxWays", "must not be negative, got %d", c.QoSMaxCtxWays)
+	}
+	if c.InstrPerThread > maxInstr {
+		add("InstrPerThread", "must be at most %d, got %d", maxInstr, c.InstrPerThread)
+	}
+	if c.WarmupInstr > maxInstr {
+		add("WarmupInstr", "must be at most %d, got %d", maxInstr, c.WarmupInstr)
 	}
 
 	if len(c.Apps) == 0 {

@@ -2,6 +2,7 @@ package system
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -77,6 +78,10 @@ func TestValidateFields(t *testing.T) {
 		{"negative prefetch", func(c *Config) { c.PrefetchDegree = -1 }, "PrefetchDegree"},
 		{"negative leaders", func(c *Config) { c.InvLeaders = -1 }, "InvLeaders"},
 		{"negative qos ways", func(c *Config) { c.QoSMaxCtxWays = -1 }, "QoSMaxCtxWays"},
+		{"instr over limit", func(c *Config) { c.InstrPerThread = maxInstr + 1 }, "InstrPerThread"},
+		{"instr max uint64", func(c *Config) { c.InstrPerThread = math.MaxUint64 }, "InstrPerThread"},
+		{"warmup over limit", func(c *Config) { c.WarmupInstr = maxInstr + 1 }, "WarmupInstr"},
+		{"warmup max uint64", func(c *Config) { c.WarmupInstr = math.MaxUint64 }, "WarmupInstr"},
 		{"no apps", func(c *Config) { c.Apps = nil }, "Apps"},
 		{"no threads", func(c *Config) { c.Apps[0].Threads = 0 }, "Apps[0].Threads"},
 		{"stream count mismatch", func(c *Config) {
@@ -116,6 +121,17 @@ func TestValidateCoreLimit(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%d cores rejected: %v", cores, err)
 		}
+	}
+}
+
+// TestValidateInstrLimit: instruction budgets up to the limit are
+// accepted.
+func TestValidateInstrLimit(t *testing.T) {
+	cfg := validCfg()
+	cfg.InstrPerThread = maxInstr
+	cfg.WarmupInstr = maxInstr
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("budgets at the limit rejected: %v", err)
 	}
 }
 

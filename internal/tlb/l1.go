@@ -135,26 +135,5 @@ func (g *L1Group) ResetStats() {
 	g.t1g.ResetStats()
 }
 
-// GroupSnapshot deep-copies the warm state of all three arrays.
-type GroupSnapshot struct {
-	S4K, S2M, S1G Snapshot
-}
-
-// Snapshot deep-copies the group's warm state.
-func (g *L1Group) Snapshot() GroupSnapshot {
-	return GroupSnapshot{S4K: g.t4k.Snapshot(), S2M: g.t2m.Snapshot(), S1G: g.t1g.Snapshot()}
-}
-
-// RestoreSnapshot copies a group snapshot into this group's arrays.
-func (g *L1Group) RestoreSnapshot(s GroupSnapshot) error {
-	if err := g.t4k.RestoreSnapshot(s.S4K); err != nil {
-		return err
-	}
-	if err := g.t2m.RestoreSnapshot(s.S2M); err != nil {
-		return err
-	}
-	return g.t1g.RestoreSnapshot(s.S1G)
-}
-
 // TLB4K exposes the 4K array (used by sizing-sensitivity experiments).
 func (g *L1Group) TLB4K() *TLB { return g.t4k }

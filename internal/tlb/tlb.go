@@ -338,43 +338,6 @@ func (t *TLB) Apply(inv vm.Invalidation) int {
 // contents and LRU state are untouched.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
 
-// Snapshot is a deep copy of a TLB's warm state: the entry array, the
-// packed key mirror, and the LRU tick. Statistics are deliberately
-// excluded — a snapshot is taken at a measurement boundary where they
-// have just been reset. The layout is versioned by
-// system.CheckpointVersion.
-type Snapshot struct {
-	Entries []Entry
-	Keys    []uint64
-	Tick    uint64
-}
-
-// Snapshot deep-copies the array's warm state.
-func (t *TLB) Snapshot() Snapshot {
-	s := Snapshot{
-		Entries: make([]Entry, len(t.entries)),
-		Keys:    make([]uint64, len(t.keys)),
-		Tick:    t.tick,
-	}
-	copy(s.Entries, t.entries)
-	copy(s.Keys, t.keys)
-	return s
-}
-
-// RestoreSnapshot copies a snapshot's state into this array. The snapshot
-// is not aliased, so one snapshot can seed many arrays concurrently. It
-// errors if the geometries disagree.
-func (t *TLB) RestoreSnapshot(s Snapshot) error {
-	if len(s.Entries) != len(t.entries) || len(s.Keys) != len(t.keys) {
-		return fmt.Errorf("tlb: snapshot geometry %d/%d entries/keys does not match array %d/%d",
-			len(s.Entries), len(s.Keys), len(t.entries), len(t.keys))
-	}
-	copy(t.entries, s.Entries)
-	copy(t.keys, s.Keys)
-	t.tick = s.Tick
-	return nil
-}
-
 // Occupancy reports the number of valid entries.
 func (t *TLB) Occupancy() int {
 	n := 0

@@ -260,37 +260,6 @@ func (pt *PageTable) addNode() int32 {
 	return i
 }
 
-// Clone deep-copies the table into a new arena drawing future table
-// pages from alloc (pass the clone of the original allocator to keep
-// frame numbering deterministic). Entry arrays are copied wholesale;
-// child index arrays are the only per-node allocation beyond the chunks.
-func (pt *PageTable) Clone(alloc *FrameAlloc) *PageTable {
-	c := &PageTable{
-		chunks: make([][]ptNode, len(pt.chunks)),
-		count:  pt.count,
-		alloc:  alloc,
-		mapped: pt.mapped,
-	}
-	for ci, ck := range pt.chunks {
-		nck := make([]ptNode, len(ck), ptChunkSize)
-		copy(nck, ck)
-		for i := range nck {
-			if ch := nck[i].children; ch != nil {
-				nck[i].children = append([]int32(nil), ch...)
-			}
-			if f := nck[i].full; f != nil {
-				nf := new([ptFanout]pte)
-				*nf = *f
-				nck[i].full = nf
-			}
-		}
-		c.chunks[ci] = nck
-	}
-	// The walk cache is deliberately not cloned: wcNode points into the
-	// source arena. The clone starts cold and re-warms on first walk.
-	return c
-}
-
 // leafLevel returns the radix level at which a page of size s terminates.
 func leafLevel(s PageSize) int {
 	switch s {

@@ -135,21 +135,3 @@ func (as *AddressSpace) Demote2M(va VirtAddr) ([]Invalidation, error) {
 func (as *AddressSpace) FullFlushInvalidation() Invalidation {
 	return Invalidation{Ctx: as.Ctx, FullFlush: true}
 }
-
-// Clone deep-copies the address space: the page table, both frame
-// allocators, and the superpage counters. The clone and the original
-// evolve independently but deterministically identically under identical
-// operation sequences — the basis of warm-state checkpointing, where one
-// warmed space is cloned into many measurement runs.
-func (as *AddressSpace) Clone() *AddressSpace {
-	tables := &FrameAlloc{next: as.tables.next}
-	return &AddressSpace{
-		Ctx:    as.Ctx,
-		PT:     as.PT.Clone(tables),
-		frames: &FrameAlloc{next: as.frames.next},
-		tables: tables,
-		next2M: as.next2M,
-		next1G: as.next1G,
-		region: as.region,
-	}
-}

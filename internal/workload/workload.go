@@ -394,51 +394,6 @@ func (g *Generator) NextBatch(buf []vm.VirtAddr) {
 	*g.rng = rng
 }
 
-// State is the checkpointable portion of a Generator: the RNG stream plus
-// the reuse-ring and sequential-run registers. Everything else in the
-// Generator is derived from (Spec, threads, thread) at construction and
-// is re-derived on restore. The layout is versioned by
-// system.CheckpointVersion.
-type State struct {
-	Rng       uint64
-	Ring      [recentRingSize]vm.VirtAddr
-	RingN     int
-	RingW     int
-	RunLeft   int
-	RunRank   uint64
-	RunBase   vm.VirtAddr
-	RunPages  uint64
-	RunStride uint64
-}
-
-// State snapshots the generator's mutable state.
-func (g *Generator) State() State {
-	return State{
-		Rng:       g.rng.State(),
-		Ring:      g.ring,
-		RingN:     g.ringN,
-		RingW:     g.ringW,
-		RunLeft:   g.runLeft,
-		RunRank:   g.runRank,
-		RunBase:   g.runBase,
-		RunPages:  g.runPages,
-		RunStride: g.runStride,
-	}
-}
-
-// SetState restores a snapshot taken by State.
-func (g *Generator) SetState(st State) {
-	g.rng.SetState(st.Rng)
-	g.ring = st.Ring
-	g.ringN = st.RingN
-	g.ringW = st.RingW
-	g.runLeft = st.RunLeft
-	g.runRank = st.RunRank
-	g.runBase = st.RunBase
-	g.runPages = st.RunPages
-	g.runStride = st.RunStride
-}
-
 // Spec returns the generator's workload spec.
 func (g *Generator) Spec() Spec { return g.spec }
 

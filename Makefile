@@ -93,20 +93,22 @@ bench-compare:
 
 # The allocation-regression gate: the steady-state translation critical
 # path (NoC request/grant round trip, and the full system access path)
-# must stay at exactly zero heap allocations.
+# and shootdown delivery must stay at exactly zero heap allocations.
 alloc:
 	$(GO) test -run 'TestRequestPathAllocFree' -count 1 -v ./internal/noc/
-	$(GO) test -run 'TestAccessL2AllocFree' -count 1 -v ./internal/system/
+	$(GO) test -run 'TestAccessL2AllocFree|TestDeliverInvalidationsAllocFree' -count 1 -v ./internal/system/
 
 # The invariant-checker gate (internal/check): the checker's own unit and
 # circuit-shadow tests, every organization run under the shadow oracle
-# (including the PR 3 legacy-release reintroduction), and the fuzz seed
-# corpora of the page-table, checked-system, config-decoding and
-# trace-reading fuzzers. Deterministic — `go test` executes fuzz targets
-# over their seeds only.
+# (including the legacy-release reintroduction), shootdown bursts
+# scrubbing populated arrays, and the fuzz seed corpora of the
+# page-table, checked-system, config-decoding, trace-reading and
+# burst-invalidation fuzzers. Deterministic — `go test` executes fuzz
+# targets over their seeds only.
 check:
 	$(GO) test -count 1 ./internal/check/
-	$(GO) test -count 1 -run 'TestChecked|TestCheckerCatches|TestMonoFullFlush|TestStormContextSwitch|FuzzCheckedSystem|FuzzUnmarshalConfig' ./internal/system/
+	$(GO) test -count 1 -run 'TestChecked|TestCheckerCatches|TestMonoFullFlush|TestStormContextSwitch|TestBurstScrubsPopulatedArrays|FuzzCheckedSystem|FuzzUnmarshalConfig' ./internal/system/
+	$(GO) test -count 1 -run 'TestInvalidateBurst|TestBurstAdd|FuzzInvalidateBurst' ./internal/tlb/
 	$(GO) test -count 1 -run 'TestPromote2M|FuzzPageTable' ./internal/vm/
 	$(GO) test -count 1 -run 'FuzzTraceRead' ./internal/trace/
 
@@ -116,6 +118,7 @@ fuzz:
 	cd internal/system && $(GO) test -fuzz FuzzCheckedSystem -fuzztime 60s -run FuzzCheckedSystem .
 	cd internal/system && $(GO) test -fuzz FuzzUnmarshalConfig -fuzztime 30s -run FuzzUnmarshalConfig .
 	cd internal/trace && $(GO) test -fuzz FuzzTraceRead -fuzztime 30s -run FuzzTraceRead .
+	cd internal/tlb && $(GO) test -fuzz FuzzInvalidateBurst -fuzztime 30s -run FuzzInvalidateBurst .
 
 # End-to-end smoke of the report pipeline: tiny run, JSON document out.
 smoke:

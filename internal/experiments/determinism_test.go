@@ -114,6 +114,17 @@ func TestGoldenEventOrder(t *testing.T) {
 	remote.ShootdownInterval = 5_000
 	warmed := base
 	warmed.WarmupInstr = 3_000
+	// The storm rows run the TLB-storm co-runner beside steady
+	// shootdowns, so promote/demote bursts, context-switch flushes and
+	// their port charges are pinned too.
+	stormNoc := base
+	stormNoc.THP = true
+	stormNoc.ShootdownInterval = 2_000
+	stormNoc.Storm = &system.StormConfig{ContextSwitchInterval: 4_000, PromoteDemoteInterval: 1_000, Pages: 4096}
+	stormNoc.InvLeaders = 2
+	stormPriv := stormNoc
+	stormPriv.Org = system.Private
+	stormPriv.InvLeaders = 0
 
 	golden := []struct {
 		name   string
@@ -125,6 +136,8 @@ func TestGoldenEventOrder(t *testing.T) {
 		{"oneway", base, 9268, 0x679f199496bec998, "20b3c313343d6c53"},
 		{"remote-walk", remote, 9267, 0x15b73db1ad755a55, "7c3df9905779b585"},
 		{"warmed", warmed, 17492, 0xf1e192bd350ab763, "f80eedffe191b623"},
+		{"storm-private", stormPriv, 4631, 0x766556bff835d887, "5dd0a06fb8482c50"},
+		{"storm-nocstar", stormNoc, 9241, 0xcf953875816f842c, "e0388b780bba9a65"},
 	}
 	for _, g := range golden {
 		var h uint64 = 14695981039346656037

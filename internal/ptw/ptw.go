@@ -156,12 +156,8 @@ func (w *Walker) InvalidatePWC() {
 	if w.pwc == nil {
 		return
 	}
-	for k := range w.pwc {
-		delete(w.pwc, k)
-	}
-	for i := range w.pwcOrder {
-		w.pwcOrder[i] = pwcKey{}
-	}
+	clear(w.pwc)
+	clear(w.pwcOrder)
 }
 
 // Walk performs the page-table walk for va in space as, starting at

@@ -139,3 +139,63 @@ func BenchmarkAccessL2(b *testing.B) {
 	*limit += engine.Cycle(b.N)
 	s.eng.RunUntil(*limit)
 }
+
+// deliverTestSystem builds a system of org whose cores' L1 TLBs (and
+// private L2 TLBs) are full of an application's translations, with a
+// 512-page promotion burst of the storm's context and a single-page
+// shootdown of the application's ready to deliver.
+func deliverTestSystem(t testing.TB, org Org, cores int) (s *System, burst, single []vm.Invalidation) {
+	t.Helper()
+	cfg := smallConfig(org)
+	cfg.Cores = cores
+	cfg.Apps[0].Threads = cores
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const app = vm.ContextID(1)
+	for _, c := range s.cores {
+		for vpn := uint64(0); vpn < 4096; vpn++ {
+			c.l1.Insert(app, vpn, vm.Page4K, vpn)
+			if c.privL2 != nil {
+				c.privL2.Insert(app, vpn, vm.Page4K, vpn)
+			}
+		}
+	}
+	burst = promoteBurst(t, vm.ContextID(len(s.apps)+1), 0x7000_0000_0000)
+	single = []vm.Invalidation{{Ctx: app, VPN: 7, Size: vm.Page4K}}
+	return s, burst, single
+}
+
+// TestDeliverInvalidationsAllocFree pins shootdown delivery to the heap
+// it needs: after a warm-up call, a 512-page promotion burst and a
+// single-page shootdown each allocate nothing, in the private,
+// monolithic and sliced organizations.
+func TestDeliverInvalidationsAllocFree(t *testing.T) {
+	for _, org := range []Org{Private, MonolithicMesh, DistributedMesh} {
+		s, burst, single := deliverTestSystem(t, org, 8)
+		for name, invs := range map[string][]vm.Invalidation{"burst": burst, "single page": single} {
+			s.deliverInvalidations(invs)
+			if avg := testing.AllocsPerRun(20, func() { s.deliverInvalidations(invs) }); avg != 0 {
+				t.Errorf("%v: %s shootdown allocates %.1f times per delivery, want 0", org, name, avg)
+			}
+		}
+	}
+}
+
+// BenchmarkDeliverBurst measures one 512-page promotion burst delivered
+// to a 32-core system, in wall time per burst: every core's L1 TLBs,
+// page-walk cache and (private organization) L2 TLB, plus the shared
+// structure's per-page invalidations and the coalesced port charges.
+func BenchmarkDeliverBurst(b *testing.B) {
+	for _, org := range []Org{Private, MonolithicMesh, Nocstar} {
+		b.Run(org.String(), func(b *testing.B) {
+			s, burst, _ := deliverTestSystem(b, org, 32)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.deliverInvalidations(burst)
+			}
+		})
+	}
+}

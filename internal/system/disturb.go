@@ -3,6 +3,7 @@ package system
 import (
 	"nocstar/internal/check"
 	"nocstar/internal/engine"
+	"nocstar/internal/tlb"
 	"nocstar/internal/vm"
 	"nocstar/internal/workload"
 )
@@ -135,16 +136,23 @@ func (s *System) stormContextSwitch() {
 	s.eng.ScheduleAct(engine.Cycle(s.cfg.Storm.ContextSwitchInterval), s, opStormCtxSwitch, nil)
 }
 
-// deliverInvalidations executes one shootdown: the IPI handler
-// invalidates every core's L1 TLB and page-walk cache, then invalidation
-// messages are relayed to the owning shared-TLB structure — either
-// directly from every core (InvLeaders == 0) or via the configured
-// invalidation leaders (Section III-G). Message traffic is charged to the
-// structure ports so it contends with demand lookups. Bursts targeting
-// the same structure (a superpage promotion invalidating 512 base-page
-// entries of one home slice) coalesce into at most a full set-scrub of
-// that structure, the way range invalidations work in hardware — so a
-// small slice absorbs a burst far faster than a monolithic bank.
+// deliverInvalidations executes one shootdown. The invalidations are
+// delivered as bursts (tlb.Burst): each maximal run that shares a
+// context, a page size and one 512-page window — a superpage promotion's
+// 512 base pages of one 2 MB region, or a single invalidation — is one
+// burst. For each burst, every core's IPI handler invalidates its L1
+// TLBs in one burst operation per array and clears its page-walk cache
+// once; in the private organization the core's private L2 TLB applies
+// the burst too. The shared structures are then reached per
+// invalidation: messages are relayed to the owning monolithic bank or
+// home slice either directly from every core (InvLeaders == 0) or via
+// the configured invalidation leaders (Section III-G), and the checker
+// records and verifies each invalidation. Message traffic is charged to
+// the structure ports so it contends with demand lookups. Charges to the
+// same structure (a promotion's 512 base-page entries of one home slice)
+// coalesce into at most a full set-scrub of that structure, the way
+// range invalidations work in hardware — so a small slice absorbs a
+// burst far faster than a monolithic bank.
 // It returns the latest cycle any charged port stays busy through.
 func (s *System) deliverInvalidations(invs []vm.Invalidation) engine.Cycle {
 	if len(invs) == 0 {
@@ -163,69 +171,76 @@ func (s *System) deliverInvalidations(invs []vm.Invalidation) engine.Cycle {
 		}
 	}
 
-	sliceCharges := map[int]int{}
-	bankCharges := map[int]int{}
 	privCharges := 0
-
-	for _, inv := range invs {
-		if s.check != nil {
-			s.check.Invalidated(inv)
+	for len(invs) > 0 {
+		var b tlb.Burst
+		n := 0
+		for n < len(invs) && b.Add(invs[n]) {
+			n++
 		}
 		for _, c := range s.cores {
-			c.l1.Apply(inv)
+			c.l1.InvalidateBurst(&b)
 			c.walker.InvalidatePWC()
+			if c.privL2 != nil {
+				c.privL2.InvalidateBurst(&b)
+			}
 		}
-
-		switch {
-		case s.mono != nil:
-			s.mono.Apply(inv)
-			if inv.FullFlush {
-				// The flush scrubs every bank's share of the array, so
-				// every bank's port is busy — mirroring the sliced
-				// branch below, which charges every slice.
-				for b := range s.bankPortFree {
-					bankCharges[b]++
+		for _, inv := range invs[:n] {
+			if s.check != nil {
+				s.check.Invalidated(inv)
+			}
+			switch {
+			case s.mono != nil:
+				s.mono.Apply(inv)
+				if inv.FullFlush {
+					// The flush scrubs every bank's share of the array,
+					// so every bank's port is busy — mirroring the
+					// sliced branch below, which charges every slice.
+					for bank := range s.bankCharges {
+						s.bankCharges[bank]++
+					}
+					s.m.shootdowns.Add(uint64(s.cfg.Banks))
+					continue
 				}
-				s.m.shootdowns.Add(uint64(s.cfg.Banks))
-				continue
-			}
-			bank := s.bankFor(vm.VirtAddr(inv.VPN << inv.Size.Shift()))
-			bankCharges[bank] += senders
-			s.m.shootdowns.Add(uint64(senders))
-			s.checkScrubbed(inv, -1, true)
-		case s.slices != nil:
-			if inv.FullFlush {
-				for i, sl := range s.slices {
-					sl.Apply(inv)
-					sliceCharges[i]++
+				bank := s.bankFor(vm.VirtAddr(inv.VPN << inv.Size.Shift()))
+				s.bankCharges[bank] += senders
+				s.m.shootdowns.Add(uint64(senders))
+				s.checkScrubbed(inv, -1, true)
+			case s.slices != nil:
+				if inv.FullFlush {
+					for i, sl := range s.slices {
+						sl.Apply(inv)
+						s.sliceCharges[i]++
+					}
+					s.m.shootdowns.Add(uint64(len(s.slices)))
+					continue
 				}
-				s.m.shootdowns.Add(uint64(len(s.slices)))
-				continue
+				home := s.homeSlice(vm.VirtAddr(inv.VPN << inv.Size.Shift()))
+				s.slices[home].Apply(inv)
+				s.sliceCharges[home] += senders
+				s.m.shootdowns.Add(uint64(senders))
+				s.checkScrubbed(inv, home, false)
+			default:
+				// Private org: every core's private L2 TLB performed
+				// the invalidation lookup above, occupying its port —
+				// IPI shootdowns are not free on the baseline either.
+				privCharges++
+				s.m.shootdowns.Inc()
+				s.checkScrubbed(inv, -1, false)
 			}
-			home := s.homeSlice(vm.VirtAddr(inv.VPN << inv.Size.Shift()))
-			s.slices[home].Apply(inv)
-			sliceCharges[home] += senders
-			s.m.shootdowns.Add(uint64(senders))
-			s.checkScrubbed(inv, home, false)
-		default:
-			// Private org: every core's private L2 TLB performs the
-			// invalidation lookup, occupying its port — IPI shootdowns
-			// are not free on the baseline either.
-			for _, c := range s.cores {
-				c.privL2.Apply(inv)
-			}
-			privCharges++
-			s.m.shootdowns.Inc()
-			s.checkScrubbed(inv, -1, false)
 		}
+		invs = invs[n:]
 	}
 
 	// Apply coalesced charges: a burst costs at most one scrub of the
 	// target structure's sets plus the message delivery itself.
 	horizon := s.eng.Now()
-	for slice, n := range sliceCharges {
-		cap := s.slices[slice].Sets() + senders
-		if n > cap {
+	for slice, n := range s.sliceCharges {
+		if n == 0 {
+			continue
+		}
+		s.sliceCharges[slice] = 0
+		if cap := s.slices[slice].Sets() + senders; n > cap {
 			n = cap
 		}
 		s.chargeSlicePort(slice, n)
@@ -233,9 +248,12 @@ func (s *System) deliverInvalidations(invs []vm.Invalidation) engine.Cycle {
 			horizon = s.slicePortFree[slice]
 		}
 	}
-	for bank, n := range bankCharges {
-		cap := s.mono.Sets()/s.cfg.Banks + senders
-		if n > cap {
+	for bank, n := range s.bankCharges {
+		if n == 0 {
+			continue
+		}
+		s.bankCharges[bank] = 0
+		if cap := s.mono.Sets()/s.cfg.Banks + senders; n > cap {
 			n = cap
 		}
 		s.chargeBankPort(bank, n)

@@ -101,6 +101,11 @@ type System struct {
 	bankNodes     []noc.NodeID
 	sliceLat      int // SRAM cycles of a slice / private L2
 	monoLat       int // SRAM cycles of a monolithic bank
+	// sliceCharges and bankCharges accumulate one shootdown's port
+	// charges per slice or bank; deliverInvalidations zeroes each entry
+	// as it applies it.
+	sliceCharges []int
+	bankCharges  []int
 
 	fabric *noc.Nocstar
 	mesh   *noc.Mesh
@@ -195,6 +200,7 @@ func New(cfg Config) (*System, error) {
 		// latency (Fig. 4's 16-cycle SRAM for the 32x structure).
 		s.monoLat = sram.AccessCycles(total)
 		s.bankPortFree = make([]engine.Cycle, cfg.Banks)
+		s.bankCharges = make([]int, cfg.Banks)
 		// The monolithic structure sits at one end of the chip: banks
 		// spread along the bottom row (Section II-C2). GridFor pads
 		// non-rectangular core counts, so a bottom-row tile may hold no
@@ -225,6 +231,7 @@ func New(cfg Config) (*System, error) {
 			}))
 		}
 		s.slicePortFree = make([]engine.Cycle, cfg.Cores)
+		s.sliceCharges = make([]int, cfg.Cores)
 		s.sliceOut = make([]int, cfg.Cores)
 		mc := noc.DefaultMeshConfig(s.geo)
 		mc.Topology = s.topo

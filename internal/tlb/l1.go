@@ -94,6 +94,18 @@ func (g *L1Group) Apply(inv vm.Invalidation) int {
 	return g.bySize(inv.Size).Apply(inv)
 }
 
+// InvalidateBurst applies a burst to the array holding its page size, or
+// to all three arrays for a FullFlush burst, returning the number of
+// entries removed.
+func (g *L1Group) InvalidateBurst(b *Burst) int {
+	if b.FullFlush {
+		return g.t4k.InvalidateContext(b.Ctx) +
+			g.t2m.InvalidateContext(b.Ctx) +
+			g.t1g.InvalidateContext(b.Ctx)
+	}
+	return g.bySize(b.Size).InvalidateBurst(b)
+}
+
 // Probe reports whether the group holds the translation, without
 // touching LRU state or statistics (used by invariant checking to
 // assert delivered shootdowns really removed their target).

@@ -7,18 +7,19 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nocstar/internal/vm"
 )
 
-// Entry is one TLB entry.
+// Entry is one TLB entry. Validity lives in the array's packed keys, not
+// here: an Entry whose key is zero is a stale leftover that no scan reads.
 type Entry struct {
-	Valid bool
-	Ctx   vm.ContextID
-	VPN   uint64 // page number at Size granularity
-	Size  vm.PageSize
-	PFN   uint64 // physical frame number at Size granularity
-	lru   uint64
+	Ctx  vm.ContextID
+	VPN  uint64 // page number at Size granularity
+	Size vm.PageSize
+	PFN  uint64 // physical frame number at Size granularity
+	lru  uint64
 }
 
 // Packed-key layout: the way-match loop — the hottest code in the
@@ -93,11 +94,11 @@ type TLB struct {
 	// the simulator's profile.
 	entries []Entry
 	// keys mirrors entries as a contiguous set-major block of packed
-	// key words: keys[i] is keyFor(entries[i]) or zero when invalid. The
-	// way-match scan runs over this block — compare every way,
-	// accumulate a match mask, then select — so a whole 4-way set costs
-	// half a 64-byte line and entries is only touched on a hit.
-	// Maintained by Insert and the invalidation paths.
+	// key words: keys[i] is keyFor(entries[i]) or zero when invalid. It
+	// is the only record of validity: the invalidation paths and Flush
+	// zero keys and never touch entries, and every scan (lookup, victim
+	// choice, occupancy) tests keys[i] != 0. A whole 4-way set costs half
+	// a 64-byte line, and entries is only touched on a hit or an insert.
 	keys    []uint64
 	ways    int
 	nsets   uint64
@@ -248,32 +249,32 @@ func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64)
 			e.lru = t.tick
 			return false
 		}
-		e := &set[i]
-		if !e.Valid {
+		if keys[i] == 0 {
 			victim = i
 			// Keep scanning: the entry might exist in a later way.
 			continue
 		}
+		e := &set[i]
 		if e.Ctx == ctx {
 			ctxWays++
 			if ownLRU < 0 || e.lru < set[ownLRU].lru {
 				ownLRU = i
 			}
 		}
-		if set[victim].Valid && e.lru < set[victim].lru {
+		if keys[victim] != 0 && e.lru < set[victim].lru {
 			victim = i
 		}
 	}
-	if t.cfg.MaxCtxWays > 0 && ctxWays >= t.cfg.MaxCtxWays && set[victim].Valid &&
+	if t.cfg.MaxCtxWays > 0 && ctxWays >= t.cfg.MaxCtxWays && keys[victim] != 0 &&
 		set[victim].Ctx != ctx && ownLRU >= 0 {
 		victim = ownLRU
 	}
-	evicted := set[victim].Valid
+	evicted := keys[victim] != 0
 	if evicted {
 		t.stats.Evictions++
 	}
-	set[victim] = Entry{Valid: true, Ctx: ctx, VPN: vpn, Size: size, PFN: pfn, lru: t.tick}
-	t.keys[base+victim] = key
+	set[victim] = Entry{Ctx: ctx, VPN: vpn, Size: size, PFN: pfn, lru: t.tick}
+	keys[victim] = key
 	return evicted
 }
 
@@ -285,7 +286,6 @@ func (t *TLB) InvalidatePage(ctx vm.ContextID, vpn uint64, size vm.PageSize) boo
 	if w < 0 {
 		return false
 	}
-	t.entries[base+w].Valid = false
 	t.keys[base+w] = 0
 	t.stats.Invalidated++
 	return true
@@ -295,10 +295,96 @@ func (t *TLB) InvalidatePage(ctx vm.ContextID, vpn uint64, size vm.PageSize) boo
 // the number invalidated (an x86 context-switch flush for shared TLBs).
 func (t *TLB) InvalidateContext(ctx vm.ContextID) int {
 	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.Valid && e.Ctx == ctx {
-			e.Valid = false
+	for i, k := range t.keys {
+		if k != 0 && vm.ContextID(k>>keyCtxLsb) == ctx {
+			t.keys[i] = 0
+			n++
+		}
+	}
+	t.stats.Invalidated += uint64(n)
+	return n
+}
+
+// Burst is a batch of page invalidations delivered together: one context,
+// one page size, and every page inside one aligned window of burstPages
+// pages. At 4 KB that window is a 2 MB region, the shape of a superpage
+// promotion's shootdown. A FullFlush burst instead names every
+// translation of Ctx, like vm.Invalidation's FullFlush. Build one with
+// Add; the zero Burst is empty.
+type Burst struct {
+	Ctx       vm.ContextID
+	Size      vm.PageSize
+	Base      uint64                  // first VPN of the window, a multiple of burstPages
+	Mask      [burstPages / 64]uint64 // bit i set: VPN Base+i is invalidated
+	FullFlush bool
+}
+
+// burstPages is a Burst's window: the 4 KB pages of one 2 MB superpage.
+const burstPages = 512
+
+// Add folds inv into the burst, reporting false and leaving the burst
+// unchanged when inv does not fit: another context, page size or window,
+// or any FullFlush beside another invalidation. An empty burst takes any
+// invalidation.
+func (b *Burst) Add(inv vm.Invalidation) bool {
+	window := inv.VPN &^ (burstPages - 1)
+	empty := !b.FullFlush && b.Mask == [len(b.Mask)]uint64{}
+	switch {
+	case empty && inv.FullFlush:
+		*b = Burst{Ctx: inv.Ctx, FullFlush: true}
+		return true
+	case empty:
+		*b = Burst{Ctx: inv.Ctx, Size: inv.Size, Base: window}
+	case b.FullFlush || inv.FullFlush || inv.Ctx != b.Ctx || inv.Size != b.Size || window != b.Base:
+		return false
+	}
+	off := inv.VPN - window
+	b.Mask[off/64] |= 1 << (off % 64)
+	return true
+}
+
+// Pages reports how many distinct pages the burst names (0 for a
+// FullFlush burst).
+func (b *Burst) Pages() int {
+	n := 0
+	for _, w := range b.Mask {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// InvalidateBurst removes every translation the burst names, returning
+// the number removed. It removes exactly the entries, and counts exactly
+// the Invalidated events, that one InvalidatePage per page would (one
+// InvalidateContext for a FullFlush burst). The array picks the cheaper
+// exact strategy itself: a burst of fewer pages than the array has sets
+// is probed page by page (pages × ways key compares, below one pass),
+// and a larger one is found in a single pass over the packed keys. In
+// that pass a key belongs to the burst when its bits above the window
+// offset equal the window's own key, and its offset's Mask bit is set.
+func (t *TLB) InvalidateBurst(b *Burst) int {
+	if b.FullFlush {
+		return t.InvalidateContext(b.Ctx)
+	}
+	n := 0
+	if uint64(b.Pages()) < t.nsets {
+		for w, word := range b.Mask {
+			for word != 0 {
+				vpn := b.Base + uint64(w*64+bits.TrailingZeros64(word))
+				word &= word - 1
+				if t.InvalidatePage(b.Ctx, vpn, b.Size) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	window := keyFor(b.Ctx, b.Size, b.Base)
+	for i, k := range t.keys {
+		if k&^(burstPages-1) != window {
+			continue
+		}
+		if off := k & (burstPages - 1); b.Mask[off/64]&(1<<(off%64)) != 0 {
 			t.keys[i] = 0
 			n++
 		}
@@ -309,13 +395,7 @@ func (t *TLB) InvalidateContext(ctx vm.ContextID) int {
 
 // Flush removes everything, returning the number of entries dropped.
 func (t *TLB) Flush() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].Valid {
-			n++
-		}
-		t.entries[i] = Entry{}
-	}
+	n := t.Occupancy()
 	clear(t.keys)
 	t.stats.Invalidated += uint64(n)
 	return n
@@ -341,8 +421,8 @@ func (t *TLB) ResetStats() { t.stats = Stats{} }
 // Occupancy reports the number of valid entries.
 func (t *TLB) Occupancy() int {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].Valid {
+	for _, k := range t.keys {
+		if k != 0 {
 			n++
 		}
 	}

@@ -85,6 +85,23 @@ func TestInvalidatePage(t *testing.T) {
 	}
 }
 
+// TestInsertPrefersInvalidatedWay pins that an invalidated way is
+// refilled before any valid way is evicted, even though the invalidated
+// entry keeps its stale, more recent LRU stamp (only its key is zeroed).
+func TestInsertPrefersInvalidatedWay(t *testing.T) {
+	tl := New(Config{Name: "t", Entries: 2, Ways: 2, Sizes: []vm.PageSize{vm.Page4K}})
+	tl.Insert(1, 10, vm.Page4K, 1)    // fills the last free way
+	tl.Insert(1, 20, vm.Page4K, 2)    // fills the first way
+	tl.Lookup(1, vm.VirtAddr(20<<12)) // vpn 20 is now the MRU way
+	tl.InvalidatePage(1, 20, vm.Page4K)
+	if evicted := tl.Insert(1, 30, vm.Page4K, 3); evicted {
+		t.Fatal("insert evicted a valid entry while an invalidated way was free")
+	}
+	if !tl.Probe(1, 10, vm.Page4K) || !tl.Probe(1, 30, vm.Page4K) {
+		t.Fatal("insert did not refill the invalidated way")
+	}
+}
+
 func TestInvalidateContext(t *testing.T) {
 	tl := newSmall()
 	tl.Insert(1, 1, vm.Page4K, 1)

@@ -1,8 +1,8 @@
 // Package client is the typed Go client for the nocstar serve tier.
 // It covers every /v1 endpoint — run submission and tracking, streamed
-// sweeps, workload and experiment catalogs, cluster introspection —
-// with contexts plumbed through and the server's unified error
-// envelope decoded into errors.Is-able typed errors.
+// sweeps, workload and experiment catalogs — with contexts plumbed
+// through and the server's unified error envelope decoded into
+// errors.Is-able typed errors.
 //
 // Quick start:
 //
@@ -12,10 +12,10 @@
 //	var res nocstar.Result
 //	_ = st.Decode(&res)
 //
-// Any cluster node answers for any run ID: the serve tier's shared job
-// namespace resolves IDs minted elsewhere by proxying to the live
-// owner or serving from the replicated store, so the client can point
-// at a load balancer without sticky sessions.
+// Any replica sharing the result store answers for any run ID: a job ID
+// embeds its config's canonical hash, and a replica resolves an ID
+// minted elsewhere from the shared store and its leases, so the client
+// can point at a load balancer without sticky sessions.
 package client
 
 import (
@@ -89,13 +89,13 @@ const (
 
 // RunStatus is one run's wire status.
 type RunStatus struct {
-	// ID is the cluster-wide run ID (resolvable on any node).
+	// ID is the run ID, resolvable on any replica sharing the store.
 	ID string `json:"id"`
 	// State is one of the State* constants.
 	State string `json:"state"`
 	// ConfigHash is the canonical config hash the run executes.
 	ConfigHash string `json:"config_hash"`
-	// Node identifies the cluster node that minted the run.
+	// Node identifies the server incarnation that minted the run.
 	Node string `json:"node,omitempty"`
 	// Cached reports the result was served from the content-addressed
 	// store rather than executed.
@@ -131,8 +131,8 @@ func WithTimeout(d time.Duration) RunOption {
 }
 
 // SubmitRun submits one config. The returned status is 202-queued (or
-// running/proxied), 200-done for a store hit, or deduped onto an
-// identical live run; follow it with Wait.
+// running), 200-done for a store hit, or deduped onto an identical live
+// run; follow it with Wait.
 func (c *Client) SubmitRun(ctx context.Context, cfg nocstar.Config, opts ...RunOption) (RunStatus, error) {
 	body, err := cfg.MarshalCanonical()
 	if err != nil {
@@ -150,7 +150,7 @@ func (c *Client) SubmitRunJSON(ctx context.Context, cfg []byte, opts ...RunOptio
 }
 
 // GetRun fetches one run's status (result included when terminal).
-// The ID need not have been minted by this client's node.
+// The ID need not have been minted by this client's server.
 func (c *Client) GetRun(ctx context.Context, id string) (RunStatus, error) {
 	var st RunStatus
 	err := c.do(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id), nil, &st)
@@ -277,62 +277,6 @@ func (c *Client) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
 	return out, err
 }
 
-// ClusterNode is one member of the serve tier's membership view.
-type ClusterNode struct {
-	ID           string `json:"id"`
-	Addr         string `json:"addr"`
-	Epoch        int64  `json:"epoch"`
-	State        string `json:"state"` // alive | suspect | dead
-	QueueDepth   int    `json:"queue_depth"`
-	QueueCap     int    `json:"queue_cap"`
-	StoreEntries int    `json:"store_entries"`
-	LastSeenMS   int64  `json:"last_seen_ms"`
-}
-
-// ClusterView is the versioned membership snapshot.
-type ClusterView struct {
-	Version uint64        `json:"version"`
-	Self    string        `json:"self"`
-	Nodes   []ClusterNode `json:"nodes"`
-}
-
-// Live returns the view's alive members.
-func (v ClusterView) Live() []ClusterNode {
-	var out []ClusterNode
-	for _, n := range v.Nodes {
-		if n.State == "alive" {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Ownership is the ?hash= ownership preview: where the current view
-// places a canonical config hash.
-type Ownership struct {
-	Hash       string        `json:"hash"`
-	Owner      ClusterNode   `json:"owner"`
-	Successors []ClusterNode `json:"successors,omitempty"`
-}
-
-// ClusterInfo is the GET /v1/cluster response.
-type ClusterInfo struct {
-	View      ClusterView `json:"view"`
-	Ownership *Ownership  `json:"ownership,omitempty"`
-}
-
-// Cluster fetches the node's membership view. A non-empty hash adds
-// the ownership preview for that canonical config hash.
-func (c *Client) Cluster(ctx context.Context, hash string) (ClusterInfo, error) {
-	path := "/v1/cluster"
-	if hash != "" {
-		path += "?hash=" + url.QueryEscape(hash)
-	}
-	var out ClusterInfo
-	err := c.do(ctx, http.MethodGet, path, nil, &out)
-	return out, err
-}
-
 // Health is the /healthz document.
 type Health struct {
 	Status   string `json:"status"` // ok | draining
@@ -342,10 +286,10 @@ type Health struct {
 	QueueCap int    `json:"queue_cap"`
 	Jobs     int    `json:"jobs"`
 	Cached   int    `json:"cached"`
-	Node     string `json:"node"`
-	Epoch    string `json:"epoch"`
-	Addr     string `json:"addr"`
-	Members  int    `json:"members"`
+	// Epoch identifies the server incarnation; it heads the IDs of the
+	// runs it mints. Node carries the same token, under its older name.
+	Node  string `json:"node"`
+	Epoch string `json:"epoch"`
 }
 
 // Health fetches the node's health document. A draining node answers

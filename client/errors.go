@@ -30,9 +30,12 @@ var (
 	ErrQueueFull = errors.New("nocstar: queue full")
 	// ErrDraining: the node is shutting down.
 	ErrDraining = errors.New("nocstar: server draining")
-	// ErrNotFound: no such run anywhere the cluster can see.
+	// ErrNotFound: no such run — neither known to the server nor
+	// stored or leased in the store it shares.
 	ErrNotFound = errors.New("nocstar: run not found")
-	// ErrOwnerUnreachable: the run's node is down and no replica exists.
+	// ErrOwnerUnreachable matches the retired "owner_unreachable" code,
+	// which servers sent while they proxied requests to one another. No
+	// server sends it now; it stays because codes are never reused.
 	ErrOwnerUnreachable = errors.New("nocstar: owner unreachable")
 	// ErrInternal: the server failed.
 	ErrInternal = errors.New("nocstar: internal server error")

@@ -67,7 +67,8 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	}{
 		{"not_found", http.MethodGet, "/v1/runs/run-999999-nope", "", "not_found", 404},
 		{"bad_request", http.MethodPost, "/v1/sweeps", `{"not":"an array"}`, "bad_request", 400},
-		{"bad_hash", http.MethodGet, "/v1/cluster?hash=XYZ", "", "bad_request", 400},
+		{"bad_timeout", http.MethodPost, "/v1/runs?timeout=soon", smallConfig(1), "bad_request", 400},
+		{"too_large", http.MethodPost, "/v1/runs", strings.Repeat(" ", maxConfigBytes+1), "bad_request", 413},
 		{"invalid_config", http.MethodPost, "/v1/runs", `{"org":"nocstar","coars":4}`, "invalid_config", 400},
 	} {
 		var rd io.Reader

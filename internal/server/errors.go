@@ -16,27 +16,25 @@ import (
 // pins the schema.
 
 // Stable error codes. These are API surface: never renumber or reuse.
+// "owner_unreachable" was sent while servers proxied requests to one
+// another; no server sends it now, and the code stays retired.
 const (
-	// codeBadRequest: the request itself is malformed (unreadable
-	// body, bad query parameter, non-array sweep, oversized batch).
+	// codeBadRequest: the request itself is malformed (unreadable or
+	// oversized body, bad query parameter, non-array sweep, oversized
+	// batch).
 	codeBadRequest = "bad_request"
 	// codeInvalidConfig: the submitted config failed decoding or
 	// validation; Fields carries the per-field diagnoses when the
 	// validator produced them.
 	codeInvalidConfig = "invalid_config"
-	// codeQueueFull: admission control rejected the work — the local
-	// bounded queue is full, or a sweep exceeds the cluster-wide
-	// queue budget. Responses carry Retry-After.
+	// codeQueueFull: the bounded queue is full. Responses carry
+	// Retry-After.
 	codeQueueFull = "queue_full"
-	// codeDraining: the node is shutting down and refuses new work.
+	// codeDraining: the server is shutting down and refuses new work.
 	codeDraining = "draining"
-	// codeNotFound: no such run, on this node or anywhere the
-	// membership view can reach.
+	// codeNotFound: no such run — not in this server's registry, and
+	// neither stored nor leased in the shared store.
 	codeNotFound = "not_found"
-	// codeOwnerUnreachable: the job ID names a node the membership
-	// view knows but cannot currently reach, and no replicated result
-	// exists locally.
-	codeOwnerUnreachable = "owner_unreachable"
 	// codeInternal: the server failed; the message says how.
 	codeInternal = "internal"
 )

@@ -3,8 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"sync"
-	"time"
 
 	"nocstar/internal/system"
 )
@@ -39,12 +39,8 @@ type jobEvent struct {
 // job is one accepted simulation request.
 type job struct {
 	id   string
-	node string // minting node's cluster ID
 	hash string
 	cfg  system.Config
-	// timeout is the effective run deadline the job was created with,
-	// forwarded verbatim when the job is proxied to its owning peer.
-	timeout time.Duration
 
 	// ctx governs the execution (server base context plus the request's
 	// deadline); cancel releases it and is also the DELETE handler's
@@ -84,11 +80,12 @@ type runStatus struct {
 func (j *job) status(withResult bool) runStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	epoch, _, _ := strings.Cut(j.id, "-") // the minting incarnation heads the ID
 	st := runStatus{
 		ID:         j.id,
 		State:      string(j.state),
 		ConfigHash: j.hash,
-		Node:       j.node,
+		Node:       epoch,
 		Cached:     j.cached,
 		Error:      j.errMsg,
 	}

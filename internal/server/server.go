@@ -5,38 +5,36 @@
 // hashes them, and executes them on a bounded worker pool that reuses
 // internal/runner's singleflight machinery; a content-addressed result
 // store keyed on the canonical config hash serves repeated sweeps —
-// from memory, and optionally from a persistent directory shared
-// between replicas, so results survive restarts. Results served over
-// HTTP are byte-identical to a direct in-process system.Run of the same
-// Config.
+// from memory, and optionally from a persistent directory, so results
+// survive restarts. Results served over HTTP are byte-identical to a
+// direct in-process system.Run of the same Config.
 //
-// Horizontal scale: with a peer list (Options.Peers/Node), nodes form a
-// dynamic cluster over heartbeat-based membership (internal/cluster).
-// Each canonical hash has exactly one owner under rendezvous hashing
-// over the *live* membership view, so ownership recomputes on
-// join/leave instead of being frozen at process start. A submission
-// landing on a non-owner is transparently proxied to the owner; when
-// the owner becomes unreachable mid-flight, the submission hands off to
-// the next live node in HRW order (counted, never silently duplicated)
-// and only then degrades to local execution. Terminal results are
-// pushed write-behind to the hash's HRW successors (Options.Replicas),
-// so an owner death loses no hot results; and job IDs embed the minting
-// node and its epoch, so every /v1/runs/{id} endpoint resolves
-// non-local IDs by consulting the membership view — proxying to the
-// live owner or serving straight from the replicated store.
+// Horizontal scale: any number of replicas share one store directory
+// (Options.StoreDir on a common volume) and never talk to each other.
+// A worker that dequeues a cold hash claims it with a lease file in the
+// store (see store.Dir.Claim), runs it, publishes the blob and drops
+// the lease; a replica that finds another's live lease follows it —
+// polling the store without holding a worker — and takes the hash over
+// only if the lease is given up or goes stale. So a config submitted to
+// several replicas runs once, a sweep sent to several replicas splits
+// its legs among them, and a replica's death loses nothing it had
+// published. Job IDs embed the canonical hash, so every /v1/runs/{id}
+// endpoint resolves an ID minted by any replica from the store and the
+// leases (see replica.go). A server without StoreDir shares nothing and
+// takes no leases.
 //
 // Production plumbing: per-request run deadlines (?timeout=30s),
-// backpressure (a bounded local queue plus a cluster-wide sweep
-// admission budget fed by gossiped queue depths; both reject with 429
-// and Retry-After), graceful shutdown that drains in-flight runs,
-// /healthz (503 while draining, so load balancers stop routing), a
-// bounded terminal-job history, /v1/cluster exposing the membership
-// view and ownership previews, and /metrics exporting the
-// internal/metrics counters in Prometheus text format. Every non-2xx
-// response uses the unified error envelope (see errors.go).
+// backpressure (a bounded queue that rejects with 429 and Retry-After),
+// bounded request bodies (413 beyond the limit), graceful shutdown that
+// drains in-flight runs, /healthz (503 while draining, so load
+// balancers stop routing), a bounded terminal-job history, and /metrics
+// exporting the internal/metrics counters in Prometheus text format.
+// Every non-2xx response uses the unified error envelope (see
+// errors.go).
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,9 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"context"
-
-	"nocstar/internal/cluster"
 	"nocstar/internal/experiments"
 	"nocstar/internal/metrics"
 	"nocstar/internal/runner"
@@ -73,8 +68,8 @@ type Options struct {
 	CacheEntries int
 	// StoreDir, when non-empty, backs the in-memory cache with a
 	// persistent content-addressed store: one <hash>.json blob per
-	// result, written atomically, shareable between replicas via a
-	// common volume. Results survive restarts.
+	// result, written atomically. Results survive restarts, and
+	// replicas pointed at one directory share results and leases.
 	StoreDir string
 	// StoreMaxEntries bounds the directory store
 	// (<= 0 selects store.DefaultDirEntries).
@@ -82,35 +77,11 @@ type Options struct {
 	// StoreMaxBytes bounds the directory store's payload bytes
 	// (<= 0 leaves it unbounded).
 	StoreMaxBytes int64
-	// Store overrides the result store outright; when set, the
-	// CacheEntries/StoreDir fields are ignored.
-	Store store.Store
 	// JobHistory bounds retained terminal jobs: once more than this
 	// many jobs have reached a terminal state, the oldest are evicted
-	// from the registry (their IDs 404). <= 0 selects 512.
+	// from the registry (their IDs then resolve from the store, like
+	// any other replica's). <= 0 selects 512.
 	JobHistory int
-	// Node and Peers enable clustering. Peers seeds the membership
-	// (base URLs; more members are learned via heartbeat gossip, so
-	// the list need not be complete); Node is this replica's own base
-	// URL and must be reachable by peers. Empty Peers disables
-	// clustering.
-	Node  string
-	Peers []string
-	// HeartbeatInterval paces membership heartbeats (<= 0 selects 1s).
-	HeartbeatInterval time.Duration
-	// SuspectAfter and DeadAfter are the membership silence deadlines
-	// (<= 0 selects 3x and 8x HeartbeatInterval).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// Replicas is the number of HRW successors every terminal result
-	// is pushed to write-behind (0 selects 2, < 0 disables).
-	Replicas int
-	// ClusterQueueBudget bounds the aggregate queued jobs a sweep may
-	// add cluster-wide: admission compares the gossiped queue depths
-	// plus the sweep size against this budget and rejects with 429
-	// when exceeded. <= 0 derives the budget from the live members'
-	// summed queue capacities.
-	ClusterQueueBudget int
 	// MaxRunDuration caps every run's wall-clock execution, counted
 	// from submission. 0 leaves runs uncapped; requests may always set
 	// a tighter deadline with ?timeout=.
@@ -130,15 +101,6 @@ func (o Options) normalized() Options {
 	if o.JobHistory <= 0 {
 		o.JobHistory = 512
 	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = time.Second
-	}
-	switch {
-	case o.Replicas == 0:
-		o.Replicas = 2
-	case o.Replicas < 0:
-		o.Replicas = 0
-	}
 	return o
 }
 
@@ -154,18 +116,10 @@ type serverMetrics struct {
 	completed    *metrics.AtomicCounter
 	failed       *metrics.AtomicCounter
 	canceledRun  *metrics.AtomicCounter
-	proxied      *metrics.AtomicCounter
-	proxyFallbck *metrics.AtomicCounter
-	proxyHandoff *metrics.AtomicCounter
-	reresolved   *metrics.AtomicCounter
-	remoteGets   *metrics.AtomicCounter
 	sweepConfigs *metrics.AtomicCounter
-	sweepSpilled *metrics.AtomicCounter
-	sweepBounced *metrics.AtomicCounter
-	replicaPush  *metrics.AtomicCounter
-	replicaRecv  *metrics.AtomicCounter
-	replicaErrs  *metrics.AtomicCounter
 	storeErrors  *metrics.AtomicCounter
+	leaseWaits   *metrics.AtomicCounter
+	takeovers    *metrics.AtomicCounter
 }
 
 // Server is the resident simulation service. Create with New, mount
@@ -175,15 +129,9 @@ type Server struct {
 	pool *runner.Runner
 	mux  *http.ServeMux
 
-	// clu tracks dynamic membership; nil when clustering is disabled.
-	clu *cluster.Membership
-	// nodeID and epochToken identify this process incarnation; every
-	// job ID minted here embeds both, so any cluster node can route
-	// the ID back (or detect that the incarnation is gone).
-	nodeID     string
-	epoch      int64
+	// epochToken identifies this process incarnation; every job ID
+	// minted here starts with it.
 	epochToken string
-	self       string // this node's base URL ("" when unclustered)
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -197,6 +145,11 @@ type Server struct {
 	order    []string        // job IDs in submission order, for listing
 	inflight map[string]*job // canonical hash -> live (non-terminal) job
 	results  store.Store
+	// dir is the shared directory tier, which also holds the leases;
+	// nil for a memory-only server.
+	dir *store.Dir
+	// renewed closes when the lease-renewal loop exits.
+	renewed chan struct{}
 
 	seq     atomic.Uint64
 	running atomic.Int64
@@ -205,129 +158,51 @@ type Server struct {
 	met serverMetrics
 }
 
-// New builds a server and starts its worker pool (and, when Peers is
-// non-empty, its membership heartbeats). It fails when the persistent
-// store directory cannot be opened or the peer list is inconsistent (a
-// non-empty Peers requires Node).
+// New builds a server and starts its worker pool (and, with a store
+// directory, its lease renewal). It fails when the persistent store
+// directory cannot be opened.
 func New(opts Options) (*Server, error) {
 	opts = opts.normalized()
-	results := opts.Store
-	if results == nil {
-		mem := store.NewMemory(opts.CacheEntries)
-		if opts.StoreDir != "" {
-			dir, err := store.OpenDir(opts.StoreDir, opts.StoreMaxEntries, opts.StoreMaxBytes)
-			if err != nil {
-				return nil, err
-			}
-			results = store.Tiered(mem, dir)
-		} else {
-			results = mem
-		}
+	reg := metrics.NewRegistry()
+	s := &Server{
+		opts:       opts,
+		pool:       runner.New(opts.Workers),
+		epochToken: strconv.FormatInt(time.Now().UnixNano(), 36),
+		queue:      make(chan *job, opts.QueueDepth),
+		jobs:       map[string]*job{},
+		inflight:   map[string]*job{},
+		renewed:    make(chan struct{}),
+		reg:        reg,
+		met: serverMetrics{
+			requests:     reg.AtomicCounter("server.http.requests"),
+			submitted:    reg.AtomicCounter("server.runs.submitted"),
+			invalid:      reg.AtomicCounter("server.runs.invalid"),
+			rejected:     reg.AtomicCounter("server.runs.rejected"),
+			deduped:      reg.AtomicCounter("server.runs.deduped"),
+			cacheHits:    reg.AtomicCounter("server.cache.hits"),
+			executed:     reg.AtomicCounter("server.runs.executed"),
+			completed:    reg.AtomicCounter("server.runs.completed"),
+			failed:       reg.AtomicCounter("server.runs.failed"),
+			canceledRun:  reg.AtomicCounter("server.runs.canceled"),
+			sweepConfigs: reg.AtomicCounter("server.sweep.configs"),
+			storeErrors:  reg.AtomicCounter("server.store.errors"),
+			leaseWaits:   reg.AtomicCounter("server.lease.waits"),
+			takeovers:    reg.AtomicCounter("server.lease.takeovers"),
+		},
 	}
-	peers, self, err := normalizePeers(opts.Peers, opts.Node)
+	results, dir, err := openResults(opts, s.met.storeErrors)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		opts:     opts,
-		pool:     runner.New(opts.Workers),
-		self:     self,
-		queue:    make(chan *job, opts.QueueDepth),
-		jobs:     map[string]*job{},
-		inflight: map[string]*job{},
-		results:  results,
-		reg:      metrics.NewRegistry(),
-	}
+	s.results, s.dir = results, dir
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if len(peers) > 0 {
-		s.clu = cluster.New(cluster.Options{
-			Self:         self,
-			Seeds:        peers,
-			Interval:     opts.HeartbeatInterval,
-			SuspectAfter: opts.SuspectAfter,
-			DeadAfter:    opts.DeadAfter,
-			StatsFunc: func() cluster.Stats {
-				return cluster.Stats{
-					QueueDepth:   len(s.queue),
-					QueueCap:     opts.QueueDepth,
-					StoreEntries: s.results.Len(),
-				}
-			},
-		})
-		s.nodeID = s.clu.SelfID()
-		s.epoch = s.clu.Epoch()
-	} else {
-		// Unclustered nodes still mint namespaced IDs so the API shape
-		// is uniform; the identity is synthetic but the epoch is real.
-		id := opts.Node
-		if id == "" {
-			id = "local"
-		}
-		s.nodeID = cluster.NodeID(id)
-		s.epoch = time.Now().UnixNano()
-	}
-	s.epochToken = epochToken(s.epoch)
-	s.met = serverMetrics{
-		requests:     s.reg.AtomicCounter("server.http.requests"),
-		submitted:    s.reg.AtomicCounter("server.runs.submitted"),
-		invalid:      s.reg.AtomicCounter("server.runs.invalid"),
-		rejected:     s.reg.AtomicCounter("server.runs.rejected"),
-		deduped:      s.reg.AtomicCounter("server.runs.deduped"),
-		cacheHits:    s.reg.AtomicCounter("server.cache.hits"),
-		executed:     s.reg.AtomicCounter("server.runs.executed"),
-		completed:    s.reg.AtomicCounter("server.runs.completed"),
-		failed:       s.reg.AtomicCounter("server.runs.failed"),
-		canceledRun:  s.reg.AtomicCounter("server.runs.canceled"),
-		proxied:      s.reg.AtomicCounter("server.runs.proxied"),
-		proxyFallbck: s.reg.AtomicCounter("server.proxy.fallback"),
-		proxyHandoff: s.reg.AtomicCounter("server.proxy.handoff"),
-		reresolved:   s.reg.AtomicCounter("server.proxy.reresolved"),
-		remoteGets:   s.reg.AtomicCounter("server.runs.remote_resolved"),
-		sweepConfigs: s.reg.AtomicCounter("server.sweep.configs"),
-		sweepSpilled: s.reg.AtomicCounter("server.sweep.spilled"),
-		sweepBounced: s.reg.AtomicCounter("server.sweep.admission_rejected"),
-		replicaPush:  s.reg.AtomicCounter("server.replica.pushed"),
-		replicaRecv:  s.reg.AtomicCounter("server.replica.received"),
-		replicaErrs:  s.reg.AtomicCounter("server.replica.errors"),
-		storeErrors:  s.reg.AtomicCounter("server.store.errors"),
-	}
 	s.routes()
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go s.worker()
 	}
-	if s.clu != nil {
-		s.clu.Start()
-	}
+	go s.renewLoop()
 	return s, nil
-}
-
-// epochToken renders a process epoch as the compact base-36 token job
-// IDs embed.
-func epochToken(epoch int64) string {
-	return strconv.FormatInt(epoch, 36)
-}
-
-// normalizePeers canonicalizes the peer seed list (trailing slashes
-// trimmed, empties dropped) and this node's own base URL. Unlike the
-// static-sharding era the list is only a seed: membership is dynamic,
-// and Node need not appear in Peers.
-func normalizePeers(peers []string, node string) ([]string, string, error) {
-	var out []string
-	self := strings.TrimRight(strings.TrimSpace(node), "/")
-	for _, p := range peers {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
-		if p != "" && p != self {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		return nil, self, nil
-	}
-	if self == "" {
-		return nil, "", fmt.Errorf("server: -peers requires -node (this replica's reachable base URL)")
-	}
-	return out, self, nil
 }
 
 // Handler returns the service's HTTP handler.
@@ -348,22 +223,17 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
-	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-	s.mux.HandleFunc("PUT /v1/store/{hash}", s.handleStorePut)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.clu != nil {
-		s.mux.HandleFunc("POST /v1/cluster/heartbeat", s.clu.HandleHeartbeat)
-	}
 }
 
 // Shutdown gracefully stops the server: submissions are refused with
-// 503, queued and running jobs (including proxied ones) drain to
-// completion, and the worker pool exits. Heartbeats stop immediately,
-// so live peers route new work around this node while it drains. If
-// ctx expires first, every remaining run is canceled (they stop at the
-// next context-poll stride) and Shutdown returns ctx's error once the
-// pool exits.
+// 503, and queued, running and following jobs drain to completion while
+// their leases stay renewed; then the worker pool exits. If ctx expires
+// first, every remaining run is canceled (they stop at the next
+// context-poll stride and release their leases, so a replica following
+// them takes them over) and Shutdown returns ctx's error once the pool
+// exits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -371,24 +241,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.queue)
 	}
 	s.mu.Unlock()
-	if s.clu != nil {
-		s.clu.Stop()
-	}
 
 	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
 		close(drained)
 	}()
+	var err error
 	select {
 	case <-drained:
-		s.baseCancel()
-		return nil
 	case <-ctx.Done():
-		s.baseCancel()
-		<-drained
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.baseCancel()
+	<-drained
+	<-s.renewed
+	return err
 }
 
 // worker executes queued jobs until the queue closes.
@@ -399,58 +267,46 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job through the shared runner pool. A job already
-// terminal — canceled while it waited in the queue — is only
-// deregistered, never executed: its context is dead, and running it
-// would park a stale singleflight call in the runner that a fresh
-// resubmission could join.
-func (s *Server) runJob(j *job) {
-	if j.terminal() {
-		s.unregisterInflight(j)
-		return
+// execute runs j's config on the pool and returns its terminal outcome.
+// A job whose context died in the queue completes at once as canceled
+// and is not counted as an execution.
+func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
+	if j.ctx.Err() == nil {
+		s.met.executed.Inc()
 	}
-	j.setState(stateRunning, nil, "")
-	s.execJob(j)
-}
-
-// execJob runs j's config on the pool and finishes the job. It is the
-// local-execution tail shared by queue workers and the proxy fallback.
-func (s *Server) execJob(j *job) {
 	s.running.Add(1)
-	s.met.executed.Inc()
 	res, err := s.pool.SubmitContext(j.ctx, j.cfg).Result()
 	s.running.Add(-1)
 	j.cancel() // release the deadline timer
-
-	var result json.RawMessage
-	var state jobState
-	var msg string
 	switch {
 	case err == nil:
-		if b, merr := json.Marshal(res); merr != nil {
-			state, msg = stateFailed, fmt.Sprintf("marshaling result: %v", merr)
-		} else {
-			state, result = stateDone, b
+		b, merr := json.Marshal(res)
+		if merr != nil {
+			return stateFailed, nil, fmt.Sprintf("marshaling result: %v", merr)
 		}
+		return stateDone, b, ""
 	case errors.Is(err, system.ErrCanceled), errors.Is(err, system.ErrDeadlineExceeded):
-		state, msg = stateCanceled, err.Error()
+		return stateCanceled, nil, err.Error()
 	default:
-		state, msg = stateFailed, err.Error()
+		return stateFailed, nil, err.Error()
 	}
-	s.finishJob(j, state, result, msg)
 }
 
-// finishJob moves j to a terminal state: it leaves the singleflight
-// registry, a done result enters the content-addressed store (and is
-// pushed write-behind to the hash's HRW successors), and the outcome
-// counters advance.
-func (s *Server) finishJob(j *job, state jobState, result json.RawMessage, msg string) {
-	s.unregisterInflight(j)
-	if state == stateDone {
+// finish moves j to a terminal state: a freshly executed result enters
+// the content-addressed store, j leaves the singleflight registry, and
+// the outcome counters advance. cached marks a result read from the
+// store rather than executed.
+func (s *Server) finish(j *job, state jobState, result json.RawMessage, msg string, cached bool) {
+	if state == stateDone && !cached {
 		if err := s.results.Put(j.hash, result); err != nil {
 			s.met.storeErrors.Inc()
 		}
-		s.replicate(j.hash, result)
+	}
+	s.unregisterInflight(j)
+	if cached {
+		j.mu.Lock()
+		j.cached = true
+		j.mu.Unlock()
 	}
 	j.setState(state, result, msg)
 	switch state {
@@ -474,23 +330,20 @@ func (s *Server) unregisterInflight(j *job) {
 }
 
 // newJob constructs a job (not yet registered) with its execution
-// context. IDs are namespaced cluster-wide:
+// context. IDs have the form
 //
-//	<nodeID>-<epoch36>-<seq>-<canonical hash>
+//	<epoch36>-<seq>-<canonical hash>
 //
-// so any node can route an ID back to the node (and incarnation) that
-// minted it, and — because the full canonical hash rides along — serve
-// the result straight from the replicated store when that node is gone.
+// so the minting incarnation is visible and, because the full canonical
+// hash rides along, any replica sharing the store can resolve the ID.
 func (s *Server) newJob(hash string, cfg system.Config, timeout time.Duration) *job {
 	j := &job{
-		id:    fmt.Sprintf("%s-%s-%06d-%s", s.nodeID, s.epochToken, s.seq.Add(1), hash),
-		node:  s.nodeID,
+		id:    fmt.Sprintf("%s-%06d-%s", s.epochToken, s.seq.Add(1), hash),
 		hash:  hash,
 		cfg:   cfg,
 		done:  make(chan struct{}),
 		state: stateQueued,
 	}
-	j.timeout = timeout
 	if timeout > 0 {
 		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, timeout)
 	} else {
@@ -499,24 +352,31 @@ func (s *Server) newJob(hash string, cfg system.Config, timeout time.Duration) *
 	return j
 }
 
-// parseJobID splits a namespaced job ID into its minting node, epoch
-// token, and canonical hash. It rejects strings that do not fit the
-// scheme.
-func parseJobID(id string) (nodeID, epoch, hash string, ok bool) {
-	parts := strings.SplitN(id, "-", 4)
-	if len(parts) != 4 {
-		return "", "", "", false
+// parseJobID returns the canonical hash a job ID embeds. It rejects
+// strings that do not fit the scheme, so the hash is safe as a store
+// key.
+func parseJobID(id string) (hash string, ok bool) {
+	epoch, rest, ok1 := strings.Cut(id, "-")
+	seq, hash, ok2 := strings.Cut(rest, "-")
+	if !ok1 || !ok2 || epoch == "" || seq == "" || len(hash) < 4 || len(hash) > 128 {
+		return "", false
 	}
-	nodeID, epoch, hash = parts[0], parts[1], parts[3]
-	if len(nodeID) != 16 || epoch == "" || len(hash) < 4 || len(hash) > 128 {
-		return "", "", "", false
+	for _, c := range epoch {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'z') {
+			return "", false
+		}
+	}
+	for _, c := range seq {
+		if c < '0' || c > '9' {
+			return "", false
+		}
 	}
 	for _, c := range hash {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return "", "", "", false
+			return "", false
 		}
 	}
-	return nodeID, epoch, hash, true
+	return hash, true
 }
 
 // Sentinel outcomes of acquire, mapped to HTTP statuses by handlers.
@@ -535,20 +395,14 @@ const (
 	acqJoined
 	// acqQueued: a fresh job entered the bounded queue.
 	acqQueued
-	// acqProxied: the hash is owned by (or spilled to) a peer; a proxy
-	// job mirrors the remote execution.
-	acqProxied
 )
 
 // acquire resolves a validated config to a job: a store hit is born
-// done, an identical live job is joined, a hash owned by a live peer is
-// transparently proxied (with forwarded requests allowed one re-resolve
-// against a newer membership view before resolving locally — see
-// route), and otherwise a fresh job enters the bounded queue. allowSpill
-// permits routing a leg to the owner's HRW successor when the gossiped
-// view shows the owner's queue saturated. The returned errors are
-// errDraining and errQueueFull.
-func (s *Server) acquire(cfg system.Config, hash string, timeout time.Duration, fwd forwardInfo, allowSpill bool) (*job, acquisition, error) {
+// done, an identical live job is joined, and otherwise a fresh job
+// enters the bounded queue (whether it runs here or follows another
+// replica's run is decided when a worker dequeues it). The returned
+// errors are errDraining and errQueueFull.
+func (s *Server) acquire(cfg system.Config, hash string, timeout time.Duration) (*job, acquisition, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -575,31 +429,16 @@ func (s *Server) acquire(cfg system.Config, hash string, timeout time.Duration, 
 		return j, acqCached, nil
 	}
 
-	// Routing happens outside s.mu: it reads the membership view.
-	target, remote := s.route(hash, fwd, allowSpill)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, 0, errDraining
 	}
 	// Singleflight: an identical config already queued, running, or
-	// proxied is joined, not re-simulated.
+	// following is joined, not re-simulated.
 	if live, ok := s.inflight[hash]; ok {
 		s.met.deduped.Inc()
 		return live, acqJoined, nil
-	}
-	if remote {
-		j := s.newJob(hash, cfg, timeout)
-		s.registerLocked(j)
-		s.inflight[hash] = j
-		s.met.proxied.Inc()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.proxyJob(j, target)
-		}()
-		return j, acqProxied, nil
 	}
 	j := s.newJob(hash, cfg, timeout)
 	select {
@@ -631,10 +470,37 @@ func (s *Server) parseTimeout(r *http.Request) (time.Duration, error) {
 	return timeout, nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
+// maxConfigBytes bounds one submitted config: the body of POST /v1/runs
+// and each element of a sweep. It also bounds the largest Result a run
+// can produce (see store's maxBlobBytes).
+const maxConfigBytes = 1 << 20
+
+// readBody reads a request body of at most limit bytes. An oversized
+// body is refused with 413 — from its declared length before reading
+// any of it, or once a body of unknown length passes the limit — and
+// never truncated. On failure the error response is written and ok is
+// false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	var err error
+	if r.ContentLength <= limit {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case r.ContentLength > limit, errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, codeBadRequest,
+			fmt.Sprintf("request body exceeds the %d-byte limit", limit))
+		return nil, false
+	case err != nil:
 		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("reading body: %v", err))
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r, maxConfigBytes)
+	if !ok {
 		return
 	}
 	cfg, err := system.UnmarshalConfig(body)
@@ -668,7 +534,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, how, err := s.acquire(cfg, hash, timeout, parseForward(r), false)
+	j, how, err := s.acquire(cfg, hash, timeout)
 	switch {
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is shutting down")
@@ -686,7 +552,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		st := j.status(false)
 		st.Deduped = true
 		writeJSON(w, http.StatusAccepted, st)
-	default: // queued or proxied
+	default:
 		w.Header().Set("Location", "/v1/runs/"+j.id)
 		writeJSON(w, http.StatusAccepted, j.status(false))
 	}
@@ -740,7 +606,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.status(true))
 		return
 	}
-	s.resolveRemoteGet(w, r, id)
+	s.resolveRemoteGet(w, id)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -757,20 +623,24 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.lookup(id)
 	if !ok {
-		s.resolveRemoteCancel(w, r, id)
+		s.resolveRemoteCancel(w, id)
 		return
 	}
-	j.cancel()
-	// A job still waiting in the queue never reaches a worker's
-	// RunContext poll promptly, so resolve it here; runJob's terminal
-	// setState is a no-op if the worker picks it up concurrently.
-	j.setState(stateCanceled, nil, "canceled by request")
-	// The canceled job must stop absorbing identical submissions
-	// immediately: left registered, a resubmission of the same config
-	// would be deduped onto a dead job and see "canceled" for a run it
-	// never canceled.
-	s.unregisterInflight(j)
+	s.cancelJob(j)
 	writeJSON(w, http.StatusOK, j.status(false))
+}
+
+// cancelJob cancels a local job. A job still waiting in the queue never
+// reaches a worker's RunContext poll promptly, so it is resolved here;
+// runJob's terminal setState is a no-op if a worker picks it up
+// concurrently. The canceled job stops absorbing identical submissions
+// immediately: left registered, a resubmission of the same config would
+// be deduped onto a dead job and see "canceled" for a run it never
+// canceled.
+func (s *Server) cancelJob(j *job) {
+	j.cancel()
+	j.setState(stateCanceled, nil, "canceled by request")
+	s.unregisterInflight(j)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -848,10 +718,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// health check too, or load balancers keep routing to it.
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	members := 1
-	if s.clu != nil {
-		members = len(s.clu.View().Nodes)
-	}
 	writeJSON(w, code, map[string]any{
 		"status":    status,
 		"workers":   s.opts.Workers,
@@ -860,10 +726,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"queue_cap": s.opts.QueueDepth,
 		"jobs":      jobs,
 		"cached":    s.results.Len(),
-		"node":      s.nodeID,
+		"node":      s.epochToken, // the older name of "epoch", kept for clients
 		"epoch":     s.epochToken,
-		"addr":      s.self,
-		"members":   members,
 	})
 }
 
@@ -878,23 +742,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE nocstar_pool_submitted counter\nnocstar_pool_submitted %d\n", p.Submitted)
 	fmt.Fprintf(w, "# TYPE nocstar_pool_completed counter\nnocstar_pool_completed %d\n", p.Completed)
 	fmt.Fprintf(w, "# TYPE nocstar_pool_deduped counter\nnocstar_pool_deduped %d\n", p.Deduped)
-	// Membership gauges: the live view in numbers.
-	if s.clu != nil {
-		v := s.clu.View()
-		counts := map[cluster.State]int{}
-		depth := 0
-		for _, n := range v.Nodes {
-			counts[n.State]++
-			if n.State == cluster.StateAlive {
-				depth += n.QueueDepth
-			}
-		}
-		fmt.Fprintf(w, "# TYPE nocstar_cluster_view_version gauge\nnocstar_cluster_view_version %d\n", v.Version)
-		fmt.Fprintf(w, "# TYPE nocstar_cluster_members_alive gauge\nnocstar_cluster_members_alive %d\n", counts[cluster.StateAlive])
-		fmt.Fprintf(w, "# TYPE nocstar_cluster_members_suspect gauge\nnocstar_cluster_members_suspect %d\n", counts[cluster.StateSuspect])
-		fmt.Fprintf(w, "# TYPE nocstar_cluster_members_dead gauge\nnocstar_cluster_members_dead %d\n", counts[cluster.StateDead])
-		fmt.Fprintf(w, "# TYPE nocstar_cluster_queue_depth gauge\nnocstar_cluster_queue_depth %d\n", depth)
-	}
 }
 
 // writeJSON writes a JSON response with the given status. No indenting:

@@ -6,7 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -388,7 +392,7 @@ func TestReadEndpoints(t *testing.T) {
 	if err != nil || h.Status != "ok" {
 		t.Fatalf("health: %+v, %v", h, err)
 	}
-	if h.Node == "" || h.Members != 1 {
+	if h.Node == "" || h.Epoch == "" {
 		t.Fatalf("health node identity missing: %+v", h)
 	}
 
@@ -427,37 +431,6 @@ func TestReadEndpoints(t *testing.T) {
 	// Unknown run is a typed not-found.
 	if _, err := c.GetRun(ctx, "run-999999-nope"); !errors.Is(err, client.ErrNotFound) {
 		t.Fatalf("unknown run error: %v, want ErrNotFound", err)
-	}
-}
-
-// TestClusterEndpointSingleNode: /v1/cluster answers on an unclustered
-// node with a synthesized one-member view and a self-owned preview, so
-// the endpoint's shape is uniform for tooling.
-func TestClusterEndpointSingleNode(t *testing.T) {
-	_, c := newTestServer(t, Options{Workers: 1})
-	ctx := ctxT(t)
-	info, err := c.Cluster(ctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.View.Nodes) != 1 || info.View.Nodes[0].State != "alive" {
-		t.Fatalf("single-node view: %+v", info.View)
-	}
-	if info.Ownership != nil {
-		t.Fatal("unrequested ownership preview present")
-	}
-
-	withOwner, err := c.Cluster(ctx, "deadbeef")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withOwner.Ownership == nil || withOwner.Ownership.Owner.ID != info.View.Self {
-		t.Fatalf("ownership preview: %+v", withOwner.Ownership)
-	}
-
-	// A malformed hash is a typed bad request.
-	if _, err := c.Cluster(ctx, "NOT-HEX"); !errors.Is(err, client.ErrBadRequest) {
-		t.Fatalf("bad hash error: %v, want ErrBadRequest", err)
 	}
 }
 
@@ -614,5 +587,266 @@ func TestShutdownDrains(t *testing.T) {
 	// New work is refused.
 	if _, err := c.SubmitRunJSON(ctx, []byte(smallConfig(8))); !errors.Is(err, client.ErrDraining) {
 		t.Fatalf("post-shutdown submit: %v, want ErrDraining", err)
+	}
+}
+
+// directBytes is the byte-identity reference: json.Marshal of a direct
+// in-process Run of the config.
+func directBytes(t *testing.T, body string) []byte {
+	t.Helper()
+	cfg, err := system.UnmarshalConfig([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := system.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func hashOf(t *testing.T, body string) string {
+	t.Helper()
+	cfg, err := system.UnmarshalConfig([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cfg.CanonicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// cfgWith builds a config with a chosen seed and instruction count, so
+// tests control both identity and run duration.
+func cfgWith(seed, instr int64) string {
+	return fmt.Sprintf(`{
+		"schema": 1, "org": "nocstar", "cores": 4,
+		"apps": [{"workload": "gups", "threads": 4}],
+		"instr_per_thread": %d, "seed": %d
+	}`, instr, seed)
+}
+
+// TestRestartSurvival populates the persistent store through one server,
+// shuts it down, and verifies a brand-new server over the same directory
+// serves the result as a cache hit — byte-identical, zero executions.
+func TestRestartSurvival(t *testing.T) {
+	dir := t.TempDir()
+	body := smallConfig(40)
+	want := directBytes(t, body)
+	ctx := ctxT(t)
+
+	srv1, c1 := newTestServer(t, Options{Workers: 2, StoreDir: dir})
+	st, err := c1.SubmitRunJSON(ctx, []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c1.Wait(ctx, st.ID); err != nil || final.State != client.StateDone {
+		t.Fatalf("run: %v %+v", err, final)
+	}
+	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv1.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// "Restart": a fresh server over the same store directory.
+	srv2, c2 := newTestServer(t, Options{Workers: 2, StoreDir: dir})
+	hit, err := c2.SubmitRunJSON(ctx, []byte(body))
+	if err != nil || !hit.Cached {
+		t.Fatalf("post-restart submit: %v cached=%v", err, hit.Cached)
+	}
+	if !bytes.Equal(hit.Result, want) {
+		t.Fatalf("post-restart result differs from direct run (%d vs %d bytes)", len(hit.Result), len(want))
+	}
+	if got := srv2.met.executed.Value(); got != 0 {
+		t.Fatalf("restarted server executed %d runs, want 0", got)
+	}
+}
+
+// TestSweepSSE is the batch contract: POST /v1/sweeps streams one
+// result frame per config as it completes — each embedding the raw
+// Result bytes, identical to a direct system.Run — and closes with a
+// summary. A duplicated config still yields a frame per index.
+func TestSweepSSE(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
+	ctx := ctxT(t)
+
+	bodies := []string{smallConfig(70), smallConfig(71), smallConfig(70)}
+	wants := make([][]byte, len(bodies))
+	for i, b := range bodies {
+		wants[i] = directBytes(t, b)
+	}
+
+	seen := map[int]bool{}
+	var results []client.SweepResult
+	summary, err := c.SweepJSON(ctx, []byte("["+strings.Join(bodies, ",")+"]"),
+		func(sr client.SweepResult) error {
+			if seen[sr.Index] {
+				t.Fatalf("index %d streamed twice", sr.Index)
+			}
+			seen[sr.Index] = true
+			results = append(results, sr)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if len(results) != len(bodies) {
+		t.Fatalf("%d result frames, want %d", len(results), len(bodies))
+	}
+	for _, r := range results {
+		if r.State != client.StateDone {
+			t.Fatalf("config %d ended %s: %s", r.Index, r.State, r.Error)
+		}
+		if !bytes.Equal(r.Result, wants[r.Index]) {
+			t.Fatalf("config %d: streamed result differs from direct run (%d vs %d bytes)",
+				r.Index, len(r.Result), len(wants[r.Index]))
+		}
+	}
+	if summary.Total != 3 || summary.Done != 3 || summary.Failed != 0 || summary.Canceled != 0 {
+		t.Fatalf("summary %+v", summary)
+	}
+}
+
+// TestSweepValidation: an invalid element fails the whole batch with a
+// typed invalid-config error naming the index, before any streaming.
+func TestSweepValidation(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 1})
+	ctx := ctxT(t)
+
+	_, err := c.SweepJSON(ctx,
+		[]byte(`[`+smallConfig(80)+`, {"schema": 1, "org": "nocstar", "apps": []}]`), nil)
+	if !errors.Is(err, client.ErrInvalidConfig) {
+		t.Fatalf("invalid element: %v, want ErrInvalidConfig", err)
+	}
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || !strings.Contains(apiErr.Message, "config[1]") {
+		t.Fatalf("error does not name the offending index: %v", err)
+	}
+
+	// Not an array at all.
+	if _, err := c.SweepJSON(ctx, []byte(`{"not":"an array"}`), nil); !errors.Is(err, client.ErrBadRequest) {
+		t.Fatalf("non-array: %v, want ErrBadRequest", err)
+	}
+}
+
+// TestSweepServesFromStore: a sweep resubmitted end-to-end is all cache
+// hits — zero new executions — with byte-identical frames.
+func TestSweepServesFromStore(t *testing.T) {
+	srv, c := newTestServer(t, Options{Workers: 2})
+	ctx := ctxT(t)
+	payload := []byte("[" + smallConfig(90) + "," + smallConfig(91) + "]")
+
+	first := map[int][]byte{}
+	if _, err := c.SweepJSON(ctx, payload, func(sr client.SweepResult) error {
+		first[sr.Index] = sr.Result
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	executed := srv.met.executed.Value()
+	if executed != 2 {
+		t.Fatalf("first sweep executed %d, want 2", executed)
+	}
+
+	summary, err := c.SweepJSON(ctx, payload, func(sr client.SweepResult) error {
+		if !sr.Cached {
+			t.Fatalf("replayed config %d not served from store", sr.Index)
+		}
+		if !bytes.Equal(sr.Result, first[sr.Index]) {
+			t.Fatalf("replayed config %d differs from first sweep", sr.Index)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.met.executed.Value() != executed {
+		t.Fatal("replayed sweep re-executed configs")
+	}
+	if summary.CacheHits != 2 {
+		t.Fatalf("replayed sweep cache hits %d, want 2", summary.CacheHits)
+	}
+}
+
+// TestSubmitBodyTooLarge: a run body over the 1 MiB limit is refused
+// with 413 and a typed bad request naming the limit — whether its length
+// is declared or it arrives chunked — not truncated and misreported as
+// an invalid config.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	srv, c := newTestServer(t, Options{Workers: 1})
+	ctx := ctxT(t)
+	// A valid config padded past the limit with trailing whitespace.
+	body := smallConfig(95) + strings.Repeat(" ", maxConfigBytes)
+	_, err := c.SubmitRunJSON(ctx, []byte(body))
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge ||
+		!errors.Is(err, client.ErrBadRequest) || !strings.Contains(apiErr.Message, strconv.Itoa(maxConfigBytes)) {
+		t.Fatalf("oversized run body: %v, want 413 bad_request naming %d", err, maxConfigBytes)
+	}
+
+	// Chunked: no declared length, so the limit trips mid-read.
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL()+"/v1/runs",
+		io.MultiReader(strings.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), `"bad_request"`) {
+		t.Fatalf("chunked oversized body: status %d %s", resp.StatusCode, raw)
+	}
+	if got := srv.met.invalid.Value(); got != 0 {
+		t.Fatalf("oversized bodies counted as %d invalid configs", got)
+	}
+	// The same config within the limit is accepted.
+	if _, err := c.SubmitRunJSON(ctx, []byte(smallConfig(95))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestSweepBodyTooLarge: a sweep body over its 64 MiB limit is refused
+// with 413 rather than cut short and reported as a malformed array (the
+// body is declared, not sent, so the test stays small), and one element
+// over the per-config limit fails the batch naming it.
+func TestSweepBodyTooLarge(t *testing.T) {
+	srv, c := newTestServer(t, Options{Workers: 1})
+	ctx := ctxT(t)
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweeps",
+		io.MultiReader(strings.NewReader("["+smallConfig(96)), io.LimitReader(spaces{}, maxSweepBytes)))
+	req.ContentLength = maxSweepBytes + 1
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"bad_request"`) ||
+		!strings.Contains(rec.Body.String(), strconv.Itoa(maxSweepBytes)) {
+		t.Fatalf("oversized sweep body: status %d %s", rec.Code, rec.Body)
+	}
+
+	padded := `{"schema": 1` + strings.Repeat(" ", maxConfigBytes) + `}`
+	_, err := c.SweepJSON(ctx, []byte("["+smallConfig(96)+","+padded+"]"), nil)
+	var apiErr *client.APIError
+	if !errors.Is(err, client.ErrBadRequest) || !errors.As(err, &apiErr) || !strings.Contains(apiErr.Message, "config[1]") {
+		t.Fatalf("oversized sweep element: %v, want bad_request naming config[1]", err)
 	}
 }

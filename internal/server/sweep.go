@@ -16,21 +16,21 @@ import (
 // config fails the whole batch with a 400 naming its index, before a
 // byte of the stream is committed), then fans the batch through the
 // same acquire path as single submissions: store hits are served
-// instantly, duplicates singleflight, peer-owned hashes proxy (with
-// legs spilling from saturated owners to their HRW successors), the
-// rest flow through the bounded queue (a full queue backpressures the
-// sweep instead of rejecting it). In a cluster the sweep is
-// admission-controlled first: the queue depths gossiped in heartbeats
-// say how much work the cluster already holds, and a sweep that would
-// push the aggregate past the budget is rejected with 429 and
-// Retry-After before any leg is committed. Results stream back as SSE
-// "result" events in completion order, each embedding the raw
-// marshaled Result — byte-identical to a direct system.Run — and a
-// terminal "summary" event closes the stream.
+// instantly, duplicates singleflight, and the rest flow through the
+// bounded queue (a full queue backpressures the sweep instead of
+// rejecting it). The same sweep sent to several replicas sharing a
+// store splits between them: each leg runs on whichever replica claims
+// it first, and the others follow. Results stream back as SSE "result"
+// events in completion order, each embedding the raw marshaled Result —
+// byte-identical to a direct system.Run — and a terminal "summary"
+// event closes the stream.
 
 // maxSweepConfigs bounds one sweep request; larger design spaces are
 // split by the client.
 const maxSweepConfigs = 4096
+
+// maxSweepBytes bounds the body of one sweep request.
+const maxSweepBytes = 64 << 20
 
 // sweepResult is one SSE "result" frame: the terminal status of the
 // sweep element at Index.
@@ -56,31 +56,9 @@ type sweepSummary struct {
 	Unsubmitted int `json:"unsubmitted,omitempty"`
 }
 
-// admitSweep applies the cluster-wide sweep budget: the gossiped queue
-// depths plus this sweep's size must fit Options.ClusterQueueBudget
-// (default: the live members' summed queue capacities). Store hits
-// consume no queue slot, but counting them keeps admission cheap and
-// conservative. Forwarded sweeps are exempt — the first-hop node
-// already admitted them.
-func (s *Server) admitSweep(n int, fwd forwardInfo) bool {
-	if s.clu == nil || fwd.forwarded {
-		return true
-	}
-	depth, capSum := s.clu.Load()
-	budget := s.opts.ClusterQueueBudget
-	if budget <= 0 {
-		budget = capSum
-	}
-	if budget <= 0 {
-		return true
-	}
-	return depth+n <= budget
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("reading body: %v", err))
+	body, ok := readBody(w, r, maxSweepBytes)
+	if !ok {
 		return
 	}
 	var raws []json.RawMessage
@@ -102,19 +80,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
 		return
 	}
-	fwd := parseForward(r)
-	if !s.admitSweep(len(raws), fwd) {
-		s.met.sweepBounced.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, codeQueueFull,
-			fmt.Sprintf("sweep of %d configs exceeds the cluster queue budget; retry later", len(raws)))
-		return
-	}
 	// Validate the whole batch before committing the response status:
 	// SSE cannot report a 400 once streaming has begun.
 	cfgs := make([]system.Config, len(raws))
 	hashes := make([]string, len(raws))
 	for i, raw := range raws {
+		if len(raw) > maxConfigBytes {
+			writeError(w, http.StatusBadRequest, codeBadRequest,
+				fmt.Sprintf("config[%d]: %d bytes exceeds the %d-byte per-config limit", i, len(raw), maxConfigBytes))
+			return
+		}
 		cfg, err := system.UnmarshalConfig(raw)
 		if err != nil {
 			s.met.invalid.Inc()
@@ -156,17 +131,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	s.met.sweepConfigs.Add(uint64(len(cfgs)))
 
-	// Acquire every config. Legs may spill from a saturated owner to
-	// its successors (first-hand sweeps only; a forwarded leg stays
-	// put). A full local queue backpressures (retry until a slot frees)
-	// rather than failing the sweep; draining or a gone client abandons
-	// the remainder.
+	// Acquire every config. A full queue backpressures (retry until a
+	// slot frees) rather than failing the sweep; draining or a gone
+	// client abandons the remainder.
 	jobs := make([]*job, len(cfgs))
 	summary := sweepSummary{Total: len(cfgs)}
 acquire:
 	for i := range cfgs {
 		for {
-			j, how, err := s.acquire(cfgs[i], hashes[i], timeout, fwd, !fwd.forwarded)
+			j, how, err := s.acquire(cfgs[i], hashes[i], timeout)
 			switch {
 			case err == nil:
 				jobs[i] = j

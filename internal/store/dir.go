@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,21 +24,43 @@ import (
 // disk (ordered by modification time), which is how results survive
 // restarts. A Get for a hash absent from the index still probes the
 // disk, so blobs written by another replica are found and adopted.
+//
+// Blobs this process did not write are input from outside it. Get never
+// reads one larger than maxBlobBytes, and when a check is installed
+// (SetCheck) a blob is served only once it passes; the index remembers
+// a passed blob until its size or mtime changes.
 type Dir struct {
 	dir        string
 	maxEntries int
 	maxBytes   int64 // 0 = unbounded
+	check      func(blob []byte) bool
 
 	mu    sync.Mutex
 	order *list.List // front = most recently used
 	items map[string]*list.Element
 	bytes int64
+
+	leaseMu sync.Mutex
+	held    map[*Lease]struct{}
 }
 
 type dirEntry struct {
-	key  string
-	size int64
+	key     string
+	size    int64
+	mtime   int64 // UnixNano of the blob file when last read or written
+	checked bool  // the blob at (size, mtime) passed the check
 }
+
+// maxBlobBytes caps the blob Get will read: anything larger is a miss,
+// neither adopted nor served. It is set from the largest Result a
+// config the serve tier accepts can produce. Validate bounds the core
+// count, and the per-core parts of a Result are fixed-size, but not the
+// number of apps or their names: those are bounded by the 1 MiB cap on
+// one submitted config. A Result spends at most about 6 bytes on each
+// config byte (an app name of '<' characters marshals as \u003c), so
+// the largest is about 6 MiB over a fixed part of a few kilobytes
+// (TestMaxBlobBytesCoversLargestResult builds it).
+const maxBlobBytes = 8 << 20
 
 // DefaultDirEntries bounds a directory store when OpenDir is given a
 // non-positive entry cap.
@@ -59,6 +83,7 @@ func OpenDir(dir string, maxEntries int, maxBytes int64) (*Dir, error) {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		items:      make(map[string]*list.Element),
+		held:       make(map[*Lease]struct{}),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -87,7 +112,7 @@ func OpenDir(dir string, maxEntries int, maxBytes int64) (*Dir, error) {
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
 	for _, f := range found { // oldest first, so the newest ends up MRU
-		d.items[f.key] = d.order.PushFront(&dirEntry{key: f.key, size: f.size})
+		d.items[f.key] = d.order.PushFront(&dirEntry{key: f.key, size: f.size, mtime: f.mtime})
 		d.bytes += f.size
 	}
 	d.mu.Lock()
@@ -119,50 +144,93 @@ func validHash(h string) bool {
 	return true
 }
 
+// SetCheck installs the test a blob must pass before Get serves it,
+// for blobs this process did not write itself. Call it before the Dir
+// is shared between goroutines.
+func (d *Dir) SetCheck(check func(blob []byte) bool) { d.check = check }
+
 // Get returns the blob stored under hash. Index misses probe the disk
 // so blobs written by other replicas sharing the directory are adopted;
-// index hits whose file vanished (evicted by another replica) are
-// dropped and miss.
+// index hits whose file vanished (evicted by another replica), grew
+// past maxBlobBytes or failed the check are dropped and miss.
 func (d *Dir) Get(hash string) ([]byte, bool) {
 	if !validHash(hash) {
 		return nil, false
 	}
+	b, mtime, ok := readBlob(d.blobPath(hash))
+	if ok && d.check != nil && !d.passed(hash, len(b), mtime) {
+		ok = d.check(b)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	b, err := os.ReadFile(d.blobPath(hash))
 	el, indexed := d.items[hash]
-	if err != nil {
+	if !ok {
 		if indexed {
-			d.bytes -= el.Value.(*dirEntry).size
-			d.order.Remove(el)
-			delete(d.items, hash)
+			d.dropLocked(el)
 		}
 		return nil, false
 	}
+	ent := &dirEntry{key: hash}
 	if indexed {
-		ent := el.Value.(*dirEntry)
-		d.bytes += int64(len(b)) - ent.size
-		ent.size = int64(len(b))
+		ent = el.Value.(*dirEntry)
+		d.bytes -= ent.size
 		d.order.MoveToFront(el)
 	} else {
-		d.items[hash] = d.order.PushFront(&dirEntry{key: hash, size: int64(len(b))})
-		d.bytes += int64(len(b))
+		d.items[hash] = d.order.PushFront(ent)
+	}
+	ent.size, ent.mtime, ent.checked = int64(len(b)), mtime, true
+	d.bytes += ent.size
+	if !indexed {
 		d.evictLocked()
 	}
 	return b, true
 }
 
+// passed reports whether the indexed blob under hash already passed the
+// check at this size and mtime.
+func (d *Dir) passed(hash string, size int, mtime int64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	el, ok := d.items[hash]
+	if !ok {
+		return false
+	}
+	ent := el.Value.(*dirEntry)
+	return ent.checked && ent.size == int64(size) && ent.mtime == mtime
+}
+
+// readBlob reads one blob file and its mtime. A file larger than
+// maxBlobBytes is not read.
+func readBlob(path string) ([]byte, int64, bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, false
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil || !info.Mode().IsRegular() || info.Size() > maxBlobBytes {
+		return nil, 0, false
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, info.Size()+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(f, maxBlobBytes+1)); err != nil || buf.Len() > maxBlobBytes {
+		return nil, 0, false
+	}
+	return buf.Bytes(), info.ModTime().UnixNano(), true
+}
+
 // Put stores result under hash with an atomic temp-write + rename. A
-// hash already present only has its recency refreshed (blobs are
-// immutable). Eviction of least-recently-used blobs keeps the store
-// within its entry and byte bounds.
+// hash whose blob this Dir has already written or checked only has its
+// recency refreshed (blobs are immutable); any other file under the
+// hash is replaced. Eviction of least-recently-used blobs keeps the
+// store within its entry and byte bounds.
 func (d *Dir) Put(hash string, result []byte) error {
 	if !validHash(hash) {
 		return fmt.Errorf("store: invalid content hash %q", hash)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if el, ok := d.items[hash]; ok {
+	el, indexed := d.items[hash]
+	if indexed && el.Value.(*dirEntry).checked {
 		d.order.MoveToFront(el)
 		return nil
 	}
@@ -175,7 +243,11 @@ func (d *Dir) Put(hash string, result []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: writing blob: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
+	info, err := tmp.Stat()
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: closing blob: %w", err)
 	}
@@ -183,10 +255,23 @@ func (d *Dir) Put(hash string, result []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: publishing blob: %w", err)
 	}
-	d.items[hash] = d.order.PushFront(&dirEntry{key: hash, size: int64(len(result))})
-	d.bytes += int64(len(result))
+	if indexed {
+		d.dropLocked(el)
+	}
+	ent := &dirEntry{key: hash, size: int64(len(result)), mtime: info.ModTime().UnixNano(), checked: true}
+	d.items[hash] = d.order.PushFront(ent)
+	d.bytes += ent.size
 	d.evictLocked()
 	return nil
+}
+
+// dropLocked removes one entry from the index, leaving its file alone.
+// Caller holds d.mu.
+func (d *Dir) dropLocked(el *list.Element) {
+	ent := el.Value.(*dirEntry)
+	d.bytes -= ent.size
+	d.order.Remove(el)
+	delete(d.items, ent.key)
 }
 
 // evictLocked removes least-recently-used blobs (index entry and file)
@@ -200,11 +285,8 @@ func (d *Dir) evictLocked() {
 		if !overEntries && !overBytes {
 			return
 		}
-		last := d.order.Back()
-		ent := last.Value.(*dirEntry)
-		d.order.Remove(last)
-		delete(d.items, ent.key)
-		d.bytes -= ent.size
+		ent := d.order.Back().Value.(*dirEntry)
+		d.dropLocked(d.order.Back())
 		os.Remove(d.blobPath(ent.key))
 	}
 }

@@ -8,7 +8,9 @@
 // Two implementations are provided: Memory, a bounded in-process LRU
 // (the original server cache), and Dir, a persistent directory of
 // <hash>.json blobs written atomically so replicas sharing a volume
-// never observe torn writes. Tiered composes them front-to-back.
+// never observe torn writes. Tiered composes them front-to-back. Dir
+// also holds the leases with which replicas sharing it run each hash
+// once (lease.go).
 package store
 
 // Store is a content-addressed result store. Get returns the stored

@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all help build fmt vet staticcheck test race bench bench-engine perfbench alloc check fuzz smoke serve-smoke placement profile ci clean
+.PHONY: all help build fmt vet staticcheck test race bench bench-engine perfbench alloc check fuzz smoke serve-smoke shape profile ci clean
 
 all: build vet test
 
@@ -17,9 +17,9 @@ help:
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
 	@echo "  smoke        end-to-end report-pipeline smoke run"
 	@echo "  serve-smoke  HTTP service smoke: submit/poll/cache/sweep/persistent-store, two replicas over one store"
-	@echo "  placement    fabric/placement gate: topology contract, annealed determinism, placement report matrix"
+	@echo "  shape        the paper's headline claims at reduced scale (NOCSTAR > distributed > private, ideal within 5%)"
 	@echo "  profile      CPU/heap profiles of the Table III sweep"
-	@echo "  ci           build fmt vet staticcheck race bench perfbench alloc check placement smoke serve-smoke"
+	@echo "  ci           build fmt vet staticcheck race bench perfbench alloc check shape smoke serve-smoke"
 
 build:
 	$(GO) build ./...
@@ -110,16 +110,12 @@ smoke:
 serve-smoke:
 	$(GO) run ./cmd/nocstar-serve -selftest
 
-# The fabric/placement gate: the Topology interface contract (symmetry,
-# zero diagonal), run-to-run determinism of every topology and of every
-# optimizing placement (identical mapping and identical Result for a
-# fixed seed), cache-key distinctness of the placement knobs, and the
-# end-to-end placement report matrix through the nocstar-exp binary.
-placement:
-	$(GO) test -count 1 -run 'TestTopologyContract|TestTopologyGoldenHops|TestGridForProperty' ./internal/noc/
-	$(GO) test -count 1 ./internal/place/
-	$(GO) test -count 1 -run 'TestBankNodesWithinCores|TestTopologyDeterminism|TestPlacementDeterminism|TestPlacementKeyDistinctness' ./internal/system/
-	$(GO) test -count 1 -run 'TestReportPlacementMatrix' ./cmd/nocstar-exp/
+# The paper's headline shape as one gate: at 16, 32 and 64 cores with
+# superpages, NOCSTAR beats distributed, distributed beats private,
+# monolithic loses to private at 32 and 64 cores, and NOCSTAR reaches
+# 95% of the zero-interconnect ideal (EXPERIMENTS.md "Headline claims").
+shape:
+	$(GO) test -count 1 -run 'TestHeadlineClaims' -v ./internal/experiments/
 
 # CPU and heap profiles of the heavyweight Table III sweep, written to
 # ./profiles/ for `go tool pprof` (see EXPERIMENTS.md "Allocation-free
@@ -131,7 +127,7 @@ profile:
 		-o profiles/nocstar.test .
 	@echo "inspect with: go tool pprof -top profiles/nocstar.test profiles/cpu.out"
 
-ci: build fmt vet staticcheck race bench perfbench alloc check placement smoke serve-smoke
+ci: build fmt vet staticcheck race bench perfbench alloc check shape smoke serve-smoke
 
 clean:
 	$(GO) clean ./...

@@ -22,8 +22,6 @@ import (
 
 	"nocstar/internal/experiments"
 	"nocstar/internal/metrics"
-	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/runner"
 	"nocstar/internal/system"
 	"nocstar/internal/workload"
@@ -41,9 +39,6 @@ func main() {
 		report     = flag.String("report", "", "write a schema-versioned JSON run report to this file")
 		trace      = flag.String("trace", "", "write a Chrome trace_event JSON of one representative run to this file (view in chrome://tracing or ui.perfetto.dev)")
 		parallel   = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS); output is byte-identical at any setting")
-		topology   = flag.String("topology", "", "fabric topology for mesh-routed organizations: "+strings.Join(noc.TopologyTokens(), ", "))
-		placement  = flag.String("placement", "", "slice-placement strategy for sliced organizations: "+strings.Join(place.Tokens(), ", "))
-		placeSeed  = flag.Int64("placement-seed", 0, "seed for the seeded placement strategies (0 = the simulation seed)")
 		quiet      = flag.Bool("quiet", false, "suppress the progress line on stderr")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (use -j 1 for a single-simulation view)")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after GC) to this file on exit")
@@ -69,25 +64,7 @@ func main() {
 	}
 
 	opts := experiments.Options{Instr: *instr, Seed: *seed, Combos: *combos,
-		Parallelism: *parallel, PlacementSeed: *placeSeed}
-	if *topology != "" {
-		kind, ok := noc.ParseTopologyKind(*topology)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bad -topology value %q (have %s)\n",
-				*topology, strings.Join(noc.TopologyTokens(), ", "))
-			os.Exit(2)
-		}
-		opts.Topology = kind
-	}
-	if *placement != "" {
-		strat, ok := place.ParseStrategy(*placement)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "bad -placement value %q (have %s)\n",
-				*placement, strings.Join(place.Tokens(), ", "))
-			os.Exit(2)
-		}
-		opts.Placement = strat
-	}
+		Parallelism: *parallel}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}

@@ -15,8 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/stats"
 	"nocstar/internal/system"
 	"nocstar/internal/workload"
@@ -43,9 +41,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		baseline = flag.Bool("baseline", true, "also run the private baseline and report speedup")
 		timeout  = flag.Duration("timeout", 0, "wall-clock cap on each run (e.g. 30s); 0 means uncapped")
-		topology = flag.String("topology", "mesh", "fabric topology for mesh-routed orgs: "+strings.Join(noc.TopologyTokens(), "|"))
-		placemnt = flag.String("placement", "row-major", "slice placement for sliced orgs: "+strings.Join(place.Tokens(), "|"))
-		plSeed   = flag.Int64("placement-seed", 0, "seed for seeded placement strategies (0 = -seed)")
 	)
 	flag.Parse()
 
@@ -67,28 +62,12 @@ func main() {
 			*name, strings.Join(workload.Names(), ", "))
 		os.Exit(2)
 	}
-	kind, ok := noc.ParseTopologyKind(*topology)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown topology %q (have %s)\n",
-			*topology, strings.Join(noc.TopologyTokens(), ", "))
-		os.Exit(2)
-	}
-	strat, ok := place.ParseStrategy(*placemnt)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown placement %q (have %s)\n",
-			*placemnt, strings.Join(place.Tokens(), ", "))
-		os.Exit(2)
-	}
-
 	cfg := system.Config{
 		Org:            org,
 		Cores:          *cores,
 		SMT:            *smt,
 		PrefetchDegree: *prefetch,
 		THP:            *thp,
-		Topology:       kind,
-		Placement:      strat,
-		PlacementSeed:  *plSeed,
 		Apps:           []system.App{{Spec: spec, Threads: *cores * *smt, HammerSlice: system.HammerNone}},
 		InstrPerThread: *instr / uint64(*smt),
 		Seed:           *seed,
@@ -130,11 +109,6 @@ func main() {
 		bcfg := cfg
 		bcfg.Org = system.Private
 		bcfg.L2EntriesPerCore = 0
-		// The private baseline has no shared fabric to route or slices to
-		// place; validation rejects the knobs there.
-		bcfg.Topology = noc.TopoMesh
-		bcfg.Placement = place.RowMajor
-		bcfg.PlacementSeed = 0
 		b, err := system.RunContext(ctx, bcfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -6,13 +6,12 @@ import (
 	"nocstar/internal/runner"
 	"nocstar/internal/stats"
 	"nocstar/internal/system"
-	"nocstar/internal/workload"
 )
 
 // This file holds ablations of NOCSTAR design choices beyond the paper's
 // own figures: the maximum-hops-per-cycle pipelining bound (Section
-// III-B3), the speculative response-path setup of the Fig. 10 timeline,
-// and the QoS slice partitioning the paper leaves to future work.
+// III-B3) and the speculative response-path setup of the Fig. 10
+// timeline.
 
 // ---------------------------------------------------------------------
 // HPCmax ablation: how much of NOCSTAR's win survives as technology
@@ -106,71 +105,5 @@ func (r SpeculationResult) Render() string {
 	t.Row("response setup", "avg speedup")
 	t.Row("speculative (Fig. 10)", fmt.Sprintf("%.3f", r.Speculative))
 	t.Row("demand (after lookup)", fmt.Sprintf("%.3f", r.Demand))
-	return t.String()
-}
-
-// ---------------------------------------------------------------------
-// QoS slice partitioning (the paper's future work): an aggressive tenant
-// (gups) shares the chip with a victim (olio); way quotas protect the
-// victim's slice occupancy.
-
-// QoSResult compares victim and aggressor speedups with and without
-// per-context way quotas.
-type QoSResult struct {
-	// Victim/Aggressor speedups vs the private-TLB baseline of the same
-	// mix, without and with the quota.
-	VictimFree, VictimQoS         float64
-	AggressorFree, AggressorQoS   float64
-	ThroughputFree, ThroughputQoS float64
-}
-
-// AblationQoS runs the 2-tenant interference scenario on 16 cores. At
-// the paper's slice sizes cross-tenant capacity interference is minimal
-// (consistent with Fig. 18's mild degradations), so the ablation uses
-// capacity-pressured 256-entry slices, where an unregulated aggressor
-// does crowd the victim out and quotas have something to protect.
-func AblationQoS(o Options) QoSResult {
-	const cores = 16
-	victim, _ := workload.ByName("olio")
-	aggressor, _ := workload.ByName("gups")
-	mk := func(org system.Org, quota int) system.Config {
-		return system.Config{
-			Org:   org,
-			Cores: cores,
-			Apps: []system.App{
-				{Spec: victim, Threads: cores / 4, HammerSlice: system.HammerNone},
-				{Spec: aggressor, Threads: 3 * cores / 4, HammerSlice: system.HammerNone},
-			},
-			L2EntriesPerCore: 256,
-			QoSMaxCtxWays:    quota,
-			InstrPerThread:   o.Instr,
-			Seed:             o.Seed,
-		}
-	}
-	privF := o.submit(mk(system.Private, 0))
-	freeF := o.submit(mk(system.Nocstar, 0))
-	qosF := o.submit(mk(system.Nocstar, 5)) // 5 of 8 ways per tenant
-	priv, free, qos := privF.Wait(), freeF.Wait(), qosF.Wait()
-
-	ratio := func(r system.Result, i int) float64 {
-		return r.Apps[i].IPC / priv.Apps[i].IPC
-	}
-	return QoSResult{
-		VictimFree:     ratio(free, 0),
-		VictimQoS:      ratio(qos, 0),
-		AggressorFree:  ratio(free, 1),
-		AggressorQoS:   ratio(qos, 1),
-		ThroughputFree: free.ThroughputSpeedupOver(priv),
-		ThroughputQoS:  qos.ThroughputSpeedupOver(priv),
-	}
-}
-
-// Render prints the interference comparison.
-func (r QoSResult) Render() string {
-	t := stats.NewTable("Ablation: QoS slice partitioning (olio victim + gups aggressor, 16 cores)")
-	t.Row("metric", "no quota", "5/8-way quota")
-	t.Row("victim speedup", fmt.Sprintf("%.3f", r.VictimFree), fmt.Sprintf("%.3f", r.VictimQoS))
-	t.Row("aggressor speedup", fmt.Sprintf("%.3f", r.AggressorFree), fmt.Sprintf("%.3f", r.AggressorQoS))
-	t.Row("overall throughput", fmt.Sprintf("%.3f", r.ThroughputFree), fmt.Sprintf("%.3f", r.ThroughputQoS))
 	return t.String()
 }

@@ -9,8 +9,6 @@ import (
 	"context"
 	"sort"
 
-	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/runner"
 	"nocstar/internal/system"
 	"nocstar/internal/workload"
@@ -37,36 +35,6 @@ type Options struct {
 	// Experiment names the figure/table submitting runs; the registry
 	// stamps it so profiles attribute simulations to their experiment.
 	Experiment string
-	// Topology selects the fabric topology for every experiment config
-	// whose organization routes a generic packet-switched interconnect
-	// (monolithic-mesh and distributed); other organizations keep the
-	// mesh their structure requires.
-	Topology noc.TopologyKind
-	// Placement selects the slice-placement strategy for every config
-	// with a sliced shared organization; others are unaffected.
-	Placement place.Strategy
-	// PlacementSeed seeds the seeded placement strategies (0 = adopt
-	// each config's Seed).
-	PlacementSeed int64
-}
-
-// applyFabric applies the fabric overrides to one config, gated by the
-// same organization rules Config validation enforces, so a sweep that
-// mixes organizations stays valid under -topology/-placement.
-func (o Options) applyFabric(cfg *system.Config) {
-	if o.Topology != noc.TopoMesh {
-		switch cfg.Org {
-		case system.MonolithicMesh, system.DistributedMesh:
-			cfg.Topology = o.Topology
-		}
-	}
-	if o.Placement != place.RowMajor {
-		switch cfg.Org {
-		case system.DistributedMesh, system.Nocstar, system.NocstarIdeal, system.IdealShared:
-			cfg.Placement = o.Placement
-			cfg.PlacementSeed = o.PlacementSeed
-		}
-	}
 }
 
 // coreCounts returns the core-count sweep.
@@ -116,7 +84,7 @@ func (o Options) focusSuite() []workload.Spec {
 // baseConfig builds the standard single-application configuration: one
 // thread per core running spec.
 func (o Options) baseConfig(org system.Org, spec workload.Spec, cores int, thp bool) system.Config {
-	cfg := system.Config{
+	return system.Config{
 		Org:            org,
 		Cores:          cores,
 		Apps:           []system.App{{Spec: spec, Threads: cores, HammerSlice: system.HammerNone}},
@@ -124,8 +92,6 @@ func (o Options) baseConfig(org system.Org, spec workload.Spec, cores int, thp b
 		InstrPerThread: o.Instr,
 		Seed:           o.Seed,
 	}
-	o.applyFabric(&cfg)
-	return cfg
 }
 
 // pool returns the process-wide runner resized to o.Parallelism. All

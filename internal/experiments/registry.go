@@ -69,12 +69,8 @@ func Registry() []Entry {
 			func(o Options) Renderer { return AblationHPC(o) }},
 		{"abl-spec", "Ablation: speculative response path setup",
 			func(o Options) Renderer { return AblationSpeculation(o) }},
-		{"abl-qos", "Ablation: QoS slice partitioning (future work)",
-			func(o Options) Renderer { return AblationQoS(o) }},
 		{"smoke1024", "1024-core DistributedMesh smoke",
 			func(o Options) Renderer { return Smoke1024(o) }},
-		{"placement", "Slice placement vs fabric topology (speedup over row-major)",
-			func(o Options) Renderer { return Placement(o) }},
 	}
 	for i := range entries {
 		id, run := entries[i].ID, entries[i].Run

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"nocstar/internal/metrics"
-	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/ptw"
 	"nocstar/internal/runner"
 	"nocstar/internal/system"
@@ -43,12 +41,6 @@ type ReportOptions struct {
 	Workloads  []string `json:"workloads,omitempty"`
 	Combos     int      `json:"combos,omitempty"`
 	CoreCounts []int    `json:"core_counts,omitempty"`
-	// The fabric overrides appear only when set off their defaults, so
-	// reports from older invocations keep their exact bytes (additive,
-	// schema stays 1).
-	Topology      string `json:"topology,omitempty"`
-	Placement     string `json:"placement,omitempty"`
-	PlacementSeed int64  `json:"placement_seed,omitempty"`
 }
 
 // RanExperiment pairs an executed experiment with its result.
@@ -131,13 +123,6 @@ func BuildReport(o Options, ran []RanExperiment) *RunReport {
 		},
 		Experiments: []ExperimentReport{},
 		Probes:      []ProbeReport{},
-	}
-	if o.Topology != noc.TopoMesh {
-		rep.Options.Topology = o.Topology.String()
-	}
-	if o.Placement != place.RowMajor {
-		rep.Options.Placement = o.Placement.String()
-		rep.Options.PlacementSeed = o.PlacementSeed
 	}
 	for _, e := range ran {
 		rep.Experiments = append(rep.Experiments, ExperimentReport{

@@ -12,10 +12,7 @@ package noc
 
 // MeshConfig describes the baseline packet-switched fabric.
 type MeshConfig struct {
-	Geometry Geometry
-	// Topology supplies the route-length model; nil selects the XY mesh
-	// over Geometry (the paper's baseline and the historical behavior).
-	Topology      Topology
+	Geometry      Geometry
 	RouterCycles  int // tr: per-hop router pipeline delay (paper: 1)
 	LinkCycles    int // tw: per-hop wire delay (paper: 1)
 	Serialization int // Ts: extra cycles for wide packets on narrow links
@@ -27,12 +24,10 @@ func DefaultMeshConfig(g Geometry) MeshConfig {
 }
 
 // Mesh is the contention-free multi-hop packet-switched baseline. Its
-// latency formula is the textbook T = H(tr + tw) + Ts; the hop count H
-// comes from the configured Topology, so the same model covers the
-// mesh, torus, crossbar, and hybrid fabrics.
+// latency formula is the textbook T = H(tr + tw) + Ts, where H is the
+// XY-routed Manhattan distance.
 type Mesh struct {
 	cfg      MeshConfig
-	topo     Topology
 	messages uint64
 	totalLat uint64
 }
@@ -45,20 +40,14 @@ func NewMesh(cfg MeshConfig) *Mesh {
 	if cfg.LinkCycles <= 0 {
 		cfg.LinkCycles = 1
 	}
-	if cfg.Topology == nil {
-		cfg.Topology = NewTopology(TopoMesh, cfg.Geometry)
-	}
-	return &Mesh{cfg: cfg, topo: cfg.Topology}
+	return &Mesh{cfg: cfg}
 }
-
-// Topology returns the route-length model the mesh latencies use.
-func (m *Mesh) Topology() Topology { return m.topo }
 
 // Latency returns the one-way message latency from src to dst using the
 // textbook formula T = H(tr + tw) + Ts with zero contention. Local
 // delivery (src == dst) is free.
 func (m *Mesh) Latency(src, dst NodeID) int {
-	h := m.topo.Hops(src, dst)
+	h := m.cfg.Geometry.Hops(src, dst)
 	if h == 0 {
 		return 0
 	}

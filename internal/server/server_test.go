@@ -131,23 +131,29 @@ func TestSubmitPollByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSubmitFabricConfig pushes the fabric knobs through the full HTTP
-// path: a torus-topology, annealed-placement distributed config must
-// round-trip the decoder, simulate, and serve bytes identical to the
-// direct run — and a config differing only in placement seed must
-// occupy its own cache entry.
+// TestSubmitFabricConfig pins the one fabric through the full HTTP
+// path: a document that still names a knob of the removed fabric layer
+// (topology, slice placement, the way quota) is rejected as
+// invalid_config, and the same distributed config without it
+// round-trips the decoder, simulates over the mesh, and serves bytes
+// identical to the direct run.
 func TestSubmitFabricConfig(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 2})
 	ctx := ctxT(t)
-	fabricConfig := func(placementSeed int64) string {
+	fabricConfig := func(knob string) string {
 		return fmt.Sprintf(`{
-		"schema": 3, "org": "distributed", "cores": 8,
-		"topology": "torus", "placement": "annealed", "placement_seed": %d,
+		"schema": 4, "org": "distributed", "cores": 8,%s
 		"apps": [{"workload": "gups", "threads": 8}],
 		"instr_per_thread": 5000, "seed": 1
-	}`, placementSeed)
+	}`, knob)
 	}
-	body := fabricConfig(4)
+	for _, knob := range []string{`"topology": "torus",`, `"placement": "annealed",`,
+		`"placement_seed": 4,`, `"qos_max_ctx_ways": 5,`} {
+		if _, err := c.SubmitRunJSON(ctx, []byte(fabricConfig(knob))); !errors.Is(err, client.ErrInvalidConfig) {
+			t.Fatalf("removed knob %s: %v, want ErrInvalidConfig", knob, err)
+		}
+	}
+	body := fabricConfig("")
 
 	cfg, err := system.UnmarshalConfig([]byte(body))
 	if err != nil {
@@ -175,18 +181,6 @@ func TestSubmitFabricConfig(t *testing.T) {
 	}
 	if !bytes.Equal(final.Result, want) {
 		t.Fatalf("HTTP result differs from direct run (%d vs %d bytes)", len(final.Result), len(want))
-	}
-
-	// A different placement seed is a different simulation, not a cache hit.
-	other, err := c.SubmitRunJSON(ctx, []byte(fabricConfig(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Cached {
-		t.Fatal("distinct placement seed served from cache")
-	}
-	if done, err := c.Wait(ctx, other.ID); err != nil || done.State != client.StateDone {
-		t.Fatalf("seed-5 run: %v %+v", err, done)
 	}
 }
 
@@ -325,6 +319,55 @@ func TestValidationErrors(t *testing.T) {
 	_, err = c.SubmitRunJSON(ctx, []byte(smallConfig(1)), client.WithTimeout(-1*time.Second))
 	if !errors.Is(err, client.ErrBadRequest) {
 		t.Fatalf("bad timeout error: %v, want ErrBadRequest", err)
+	}
+}
+
+// TestSubmitRejectsUnbuildableConfig sends documents that once passed
+// validation and then panicked the simulator's constructor (or wrapped
+// the thread-capacity check): each must get a 400 invalid_config naming
+// the field, and the server must keep answering.
+func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 1})
+	ctx := ctxT(t)
+	const huge = "4611686018427387904" // 2^62
+	doc := func(org, knobs string) string {
+		return fmt.Sprintf(`{"org": %q, "cores": 4, %s, "apps": [{"workload": "gups", "threads": 4}]}`,
+			org, knobs)
+	}
+	cases := []struct{ doc, field string }{
+		{fmt.Sprintf(`{"org": "nocstar", "cores": 4, "apps": [{"workload": "gups", "threads": %s}, {"workload": "gups", "threads": %s}]}`,
+			huge, huge), "Apps[0].Threads"},
+		{doc("nocstar", `"smt": `+huge), "SMT"},
+		{doc("mono-mesh", `"banks": `+huge), "Banks"},
+		{doc("nocstar", `"ptw": {"pwc_entries": `+huge+`}`), "PTW.PWCEntries"},
+		{doc("distributed", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
+		{doc("mono-mesh", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
+		{doc("nocstar", `"l1_scale": 1e30`), "L1Scale"},
+	}
+	for _, tc := range cases {
+		_, err := c.SubmitRunJSON(ctx, []byte(tc.doc))
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest ||
+			!errors.Is(err, client.ErrInvalidConfig) {
+			t.Fatalf("%s: got %v, want a 400 invalid_config", tc.doc, err)
+		}
+		named := false
+		for _, f := range apiErr.Fields {
+			named = named || f.Field == tc.field
+		}
+		if !named {
+			t.Fatalf("%s: fields %+v do not name %s", tc.doc, apiErr.Fields, tc.field)
+		}
+		if h, err := c.Health(ctx); err != nil || h.Status != "ok" {
+			t.Fatalf("after %s: health %+v, %v", tc.field, h, err)
+		}
+	}
+	st, err := c.SubmitRunJSON(ctx, []byte(smallConfig(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, st.ID); err != nil || final.State != client.StateDone {
+		t.Fatalf("server stopped running configs: %v %+v", err, final)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"nocstar/internal/check"
 	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/workload"
 )
 
@@ -131,44 +130,22 @@ func TestCheckerCatchesLegacyReleaseInSystem(t *testing.T) {
 // FuzzCheckedSystem runs small randomized machine configurations with
 // the shadow oracle attached: whatever the fuzzer combines — org, walk
 // policy, acquisition mode, SMT, THP, prefetching, shootdowns, the
-// storm, fabric topology, slice placement — the run must complete with
-// zero invariant violations. fabSel packs the fabric axes: the low two
-// bits pick the topology, the next two the placement strategy; either
-// is dropped when the drawn organization does not admit it (mirroring
-// Config validation rather than rejecting the input).
+// storm — the run must complete with zero invariant violations.
 func FuzzCheckedSystem(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), int64(3))   // private baseline, quiet
-	f.Add(uint8(1), uint8(3), uint8(0), int64(7))   // monolithic mesh, shootdowns + storm
-	f.Add(uint8(2), uint8(12), uint8(0), int64(1))  // monolithic SMART, THP + prefetch
-	f.Add(uint8(3), uint8(33), uint8(0), int64(5))  // distributed mesh, shootdowns + remote walks
-	f.Add(uint8(4), uint8(19), uint8(0), int64(9))  // nocstar, round-trip + shootdowns + storm
-	f.Add(uint8(4), uint8(64), uint8(0), int64(2))  // nocstar, SMT
-	f.Add(uint8(5), uint8(2), uint8(0), int64(11))  // nocstar ideal, storm
-	f.Add(uint8(6), uint8(15), uint8(0), int64(13)) // ideal shared, everything at once
-	f.Add(uint8(3), uint8(33), uint8(1), int64(5))  // distributed over the torus
-	f.Add(uint8(3), uint8(3), uint8(2), int64(7))   // distributed over the crossbar, storm
-	f.Add(uint8(1), uint8(12), uint8(3), int64(1))  // monolithic over the hybrid
-	f.Add(uint8(3), uint8(1), uint8(12), int64(4))  // distributed, annealed placement
-	f.Add(uint8(4), uint8(19), uint8(8), int64(9))  // nocstar, locality placement
-	f.Add(uint8(3), uint8(35), uint8(7), int64(6))  // torus + random placement + remote walks
-	f.Fuzz(func(t *testing.T, orgSel, knobs, fabSel uint8, seed int64) {
+	f.Add(uint8(0), uint8(0), int64(3))   // private baseline, quiet
+	f.Add(uint8(1), uint8(3), int64(7))   // monolithic mesh, shootdowns + storm
+	f.Add(uint8(2), uint8(12), int64(1))  // monolithic SMART, THP + prefetch
+	f.Add(uint8(3), uint8(33), int64(5))  // distributed mesh, shootdowns + remote walks
+	f.Add(uint8(4), uint8(19), int64(9))  // nocstar, round-trip + shootdowns + storm
+	f.Add(uint8(4), uint8(64), int64(2))  // nocstar, SMT
+	f.Add(uint8(5), uint8(2), int64(11))  // nocstar ideal, storm
+	f.Add(uint8(6), uint8(15), int64(13)) // ideal shared, everything at once
+	f.Fuzz(func(t *testing.T, orgSel, knobs uint8, seed int64) {
 		orgs := []Org{Private, MonolithicMesh, MonolithicSMART,
 			DistributedMesh, Nocstar, NocstarIdeal, IdealShared}
 		cfg := smallConfig(orgs[int(orgSel)%len(orgs)])
 		cfg.InstrPerThread = 5_000
 		cfg.Seed = seed
-		if topo := noc.TopologyKind(fabSel & 3); topo != noc.TopoMesh {
-			switch cfg.Org {
-			case MonolithicMesh, DistributedMesh:
-				cfg.Topology = topo
-			}
-		}
-		if strat := place.Strategy((fabSel >> 2) & 3); strat != place.RowMajor {
-			switch cfg.Org {
-			case DistributedMesh, Nocstar, NocstarIdeal, IdealShared:
-				cfg.Placement = strat
-			}
-		}
 		if knobs&1 != 0 {
 			cfg.ShootdownInterval = 1500
 			cfg.InvLeaders = 2

@@ -13,7 +13,6 @@ import (
 
 	"nocstar/internal/check"
 	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/ptw"
 	"nocstar/internal/workload"
 )
@@ -151,25 +150,6 @@ type Config struct {
 	HPCmax int
 	// Acquire selects one-way vs round-trip link reservation.
 	Acquire noc.AcquireMode
-	// Topology selects the fabric topology routing the packet-switched
-	// organizations (mesh, torus, xbar, hybrid; see noc.TopologyKind).
-	// The default mesh is valid everywhere; the alternatives are valid
-	// only for the MonolithicMesh and DistributedMesh organizations —
-	// NOCSTAR, SMART and the fixed/ideal references model their fabric
-	// structurally and always route the mesh grid.
-	Topology noc.TopologyKind
-	// Placement selects the address→slice placement strategy for the
-	// sliced organizations (row-major, random, locality, annealed; see
-	// place.Strategy). Non-row-major placements are valid only for orgs
-	// with per-tile slices (DistributedMesh, Nocstar, NocstarIdeal,
-	// IdealShared). App.HammerSlice bypasses placement: it names a
-	// physical slice.
-	Placement place.Strategy
-	// PlacementSeed seeds the randomized placement strategies and the
-	// traffic sampler. 0 adopts Seed; it is forced to 0 for the
-	// deterministic strategies (row-major, locality) so configs that
-	// differ only in an inert seed share one cache key.
-	PlacementSeed int64
 	// PTW configures the page-table walkers.
 	PTW ptw.Config
 	// Policy selects where shared-slice-miss walks run.
@@ -182,10 +162,6 @@ type Config struct {
 	InvLeaders int
 	// THP backs each region's SuperpageFrac with transparent 2 MB pages.
 	THP bool
-	// QoSMaxCtxWays, when positive, caps how many ways of each shared
-	// set one application may occupy — the LLC-style QoS/fairness
-	// partitioning the paper leaves to future work (Section V).
-	QoSMaxCtxWays int
 	// NoSpeculativeResponse disables the Fig. 10 optimization of setting
 	// up the response path during the slice lookup, for ablation.
 	NoSpeculativeResponse bool
@@ -255,17 +231,6 @@ func (c Config) Normalized() (Config, error) {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	switch c.Placement {
-	case place.RowMajor, place.LocalityAware:
-		// Pin the seed so the deterministic strategies cannot split one
-		// simulated behavior across several cache keys (row-major uses
-		// no seed at all; locality samples traffic with the pinned one).
-		c.PlacementSeed = 0
-	default:
-		if c.PlacementSeed == 0 {
-			c.PlacementSeed = c.Seed
-		}
 	}
 	return c, nil
 }

@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/ptw"
 	"nocstar/internal/workload"
 )
@@ -32,7 +31,10 @@ import (
 //
 // v2 added warmup_instr.
 // v3 added topology, placement, placement_seed.
-const ConfigSchemaVersion = 3
+// v4 removed topology, placement, placement_seed and qos_max_ctx_ways:
+// every organization routes the one mesh over address-interleaved
+// slices, and a document naming a removed field is rejected as unknown.
+const ConfigSchemaVersion = 4
 
 // orgTokens are the stable wire names of the organizations.
 var orgTokens = map[Org]string{
@@ -89,15 +91,11 @@ type configJSON struct {
 	FixedAccessLatency    int        `json:"fixed_access_latency"`
 	HPCmax                int        `json:"hpc_max"`
 	Acquire               string     `json:"acquire"`
-	Topology              string     `json:"topology"`
-	Placement             string     `json:"placement"`
-	PlacementSeed         int64      `json:"placement_seed"`
 	PTW                   ptwJSON    `json:"ptw"`
 	Policy                string     `json:"policy"`
 	PrefetchDegree        int        `json:"prefetch_degree"`
 	InvLeaders            int        `json:"inv_leaders"`
 	THP                   bool       `json:"thp"`
-	QoSMaxCtxWays         int        `json:"qos_max_ctx_ways"`
 	NoSpeculativeResponse bool       `json:"no_speculative_response"`
 	Apps                  []appJSON  `json:"apps"`
 	InstrPerThread        uint64     `json:"instr_per_thread"`
@@ -188,9 +186,6 @@ func (c Config) MarshalCanonical() ([]byte, error) {
 		FixedAccessLatency: n.FixedAccessLatency,
 		HPCmax:             n.HPCmax,
 		Acquire:            acquire,
-		Topology:           n.Topology.String(),
-		Placement:          n.Placement.String(),
-		PlacementSeed:      n.PlacementSeed,
 		PTW: ptwJSON{
 			Mode:         mode,
 			FixedLatency: n.PTW.FixedLatency,
@@ -202,7 +197,6 @@ func (c Config) MarshalCanonical() ([]byte, error) {
 		PrefetchDegree:        n.PrefetchDegree,
 		InvLeaders:            n.InvLeaders,
 		THP:                   n.THP,
-		QoSMaxCtxWays:         n.QoSMaxCtxWays,
 		NoSpeculativeResponse: n.NoSpeculativeResponse,
 		InstrPerThread:        n.InstrPerThread,
 		WarmupInstr:           n.WarmupInstr,
@@ -268,7 +262,6 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		PrefetchDegree:        doc.PrefetchDegree,
 		InvLeaders:            doc.InvLeaders,
 		THP:                   doc.THP,
-		QoSMaxCtxWays:         doc.QoSMaxCtxWays,
 		NoSpeculativeResponse: doc.NoSpeculativeResponse,
 		InstrPerThread:        doc.InstrPerThread,
 		WarmupInstr:           doc.WarmupInstr,
@@ -291,23 +284,6 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		return Config{}, fmt.Errorf("system: unknown acquire mode %q (have %s, %s)",
 			doc.Acquire, acquireOneWayToken, acquireRoundTripToken)
 	}
-	if doc.Topology != "" {
-		kind, ok := noc.ParseTopologyKind(doc.Topology)
-		if !ok {
-			return Config{}, fmt.Errorf("system: unknown topology %q (have %s)",
-				doc.Topology, strings.Join(noc.TopologyTokens(), ", "))
-		}
-		cfg.Topology = kind
-	}
-	if doc.Placement != "" {
-		strategy, ok := place.ParseStrategy(doc.Placement)
-		if !ok {
-			return Config{}, fmt.Errorf("system: unknown placement strategy %q (have %s)",
-				doc.Placement, strings.Join(place.Tokens(), ", "))
-		}
-		cfg.Placement = strategy
-	}
-	cfg.PlacementSeed = doc.PlacementSeed
 	switch doc.Policy {
 	case "", policyRequestToken:
 	case policyRemoteToken:

@@ -182,6 +182,10 @@ var unmarshalRejects = []struct {
 	{"workload and spec", `{"apps": [{"workload": "gups", "spec": {"name": "x"}, "threads": 1}]}`, "pick one"},
 	{"neither workload nor spec", `{"apps": [{"threads": 1}]}`, "needs a workload"},
 	{"trailing data", `{"org": "nocstar"} {"org": "private"}`, "trailing"},
+	// Schema 4 dropped topology, placement, placement_seed and
+	// qos_max_ctx_ways; a document naming one is refused, even at its
+	// old default, rather than silently simulating without it.
+	{"removed fabric field", `{"org": "distributed", "topology": "mesh"}`, `unknown field "topology"`},
 }
 
 func TestUnmarshalRejects(t *testing.T) {
@@ -226,10 +230,21 @@ func FuzzUnmarshalConfig(f *testing.F) {
 	// The largest uint64 budgets decode; Validate rejects them.
 	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4}],"instr_per_thread":18446744073709551615}`))
 	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4}],"warmup_instr":18446744073709551615}`))
+	// Two apps of 2^62 threads once wrapped the thread sum negative and
+	// passed the capacity check; 2^62 banks once passed and panicked New.
+	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4611686018427387904},{"workload":"gups","threads":4611686018427387904}]}`))
+	f.Add([]byte(`{"org":"mono-mesh","cores":4,"banks":4611686018427387904,"apps":[{"workload":"gups","threads":4}]}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := UnmarshalConfig(doc)
 		if err != nil || cfg.Validate() != nil {
 			return
+		}
+		// What Validate accepts, New builds. Small machines keep the
+		// check cheap.
+		if cfg.Cores <= 64 {
+			if _, err := New(cfg); err != nil {
+				t.Fatalf("validated config does not build: %v", err)
+			}
 		}
 		canon, err := cfg.MarshalCanonical()
 		if err != nil {

@@ -242,7 +242,7 @@ func (s *System) monoAccess(x *xact) {
 	case MonolithicFixed:
 		x.oneWay = 0 // folded into the forced access latency
 	}
-	x.hops = s.topo.Hops(x.src, x.dst)
+	x.hops = s.geo.Hops(x.src, x.dst)
 	s.meter.AddMessage(energy.MonolithicMessage(2*x.hops, 0))
 	s.m.netLat.Observe(uint64(2 * x.oneWay))
 	s.m.remote.Inc()
@@ -316,7 +316,7 @@ func (s *System) distAccess(x *xact) {
 	if x.src == x.dst {
 		s.m.localSlice.Inc()
 	} else {
-		x.hops = s.topo.Hops(x.src, x.dst)
+		x.hops = s.geo.Hops(x.src, x.dst)
 		s.meter.AddMessage(energy.DistributedMessage(2*x.hops, 0))
 		s.m.netLat.Observe(uint64(2 * x.oneWay))
 		s.m.remote.Inc()
@@ -400,9 +400,7 @@ func (s *System) nocstarAccess(x *xact) {
 	}
 
 	s.m.remote.Inc()
-	// NOCSTAR routes the mesh grid structurally (per-link XY circuits);
-	// validation pins its Topology to the mesh, so geometry hops are the
-	// fabric's hops.
+	// NOCSTAR routes the mesh grid structurally (per-link XY circuits).
 	x.hops = s.geo.Hops(x.src, x.dst)
 	s.meter.AddMessage(energy.NocstarMessage(2*x.hops, 0))
 

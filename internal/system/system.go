@@ -10,7 +10,6 @@ import (
 	"nocstar/internal/engine"
 	"nocstar/internal/metrics"
 	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/ptw"
 	"nocstar/internal/sram"
 	"nocstar/internal/stats"
@@ -82,12 +81,10 @@ const threadBatchSize = 1024
 
 // System is one configured machine mid-run.
 type System struct {
-	cfg  Config
-	eng  *engine.Engine
-	geo  noc.Geometry
-	topo noc.Topology
-	pl   *place.Table
-	rng  *engine.Rand
+	cfg Config
+	eng *engine.Engine
+	geo noc.Geometry
+	rng *engine.Rand
 
 	cores   []*core
 	apps    []*app
@@ -157,8 +154,6 @@ func New(cfg Config) (*System, error) {
 		geo: noc.GridFor(cfg.Cores),
 		rng: engine.NewRand(cfg.Seed),
 	}
-	s.topo = noc.NewTopology(cfg.Topology, s.geo)
-	s.pl = buildPlacement(cfg, s.topo)
 	s.initMetrics()
 
 	sizing := tlb.DefaultL1Sizing().Scale(cfg.L1Scale)
@@ -182,18 +177,17 @@ func New(cfg Config) (*System, error) {
 			c.privL2 = tlb.New(tlb.Config{
 				Name:    fmt.Sprintf("privL2-%d", c.id),
 				Entries: cfg.L2EntriesPerCore,
-				Ways:    8,
+				Ways:    l2Ways,
 				Sizes:   []vm.PageSize{vm.Page4K, vm.Page2M},
 			})
 		}
 	case MonolithicMesh, MonolithicSMART, MonolithicFixed:
 		total := cfg.L2EntriesPerCore * cfg.Cores
 		s.mono = tlb.New(tlb.Config{
-			Name:       "monolithic",
-			Entries:    total,
-			Ways:       8,
-			Sizes:      []vm.PageSize{vm.Page4K, vm.Page2M},
-			MaxCtxWays: cfg.QoSMaxCtxWays,
+			Name:    "monolithic",
+			Entries: total,
+			Ways:    l2Ways,
+			Sizes:   []vm.PageSize{vm.Page4K, vm.Page2M},
 		})
 		// Banking multiplies ports but the monolithic structure is still
 		// one physical array: its lookup latency is the full-capacity
@@ -215,27 +209,22 @@ func New(cfg Config) (*System, error) {
 			}
 			s.bankNodes = append(s.bankNodes, nd)
 		}
-		mc := noc.DefaultMeshConfig(s.geo)
-		mc.Topology = s.topo
-		s.mesh = noc.NewMesh(mc)
+		s.mesh = noc.NewMesh(noc.DefaultMeshConfig(s.geo))
 		s.smart = noc.NewSMART(noc.DefaultSMARTConfig(s.geo))
 	case DistributedMesh, Nocstar, NocstarIdeal, IdealShared:
 		for i := 0; i < cfg.Cores; i++ {
 			s.slices = append(s.slices, tlb.New(tlb.Config{
-				Name:       fmt.Sprintf("slice-%d", i),
-				Entries:    cfg.L2EntriesPerCore,
-				Ways:       8,
-				Sizes:      []vm.PageSize{vm.Page4K, vm.Page2M},
-				IndexHash:  true,
-				MaxCtxWays: cfg.QoSMaxCtxWays,
+				Name:      fmt.Sprintf("slice-%d", i),
+				Entries:   cfg.L2EntriesPerCore,
+				Ways:      l2Ways,
+				Sizes:     []vm.PageSize{vm.Page4K, vm.Page2M},
+				IndexHash: true,
 			}))
 		}
 		s.slicePortFree = make([]engine.Cycle, cfg.Cores)
 		s.sliceCharges = make([]int, cfg.Cores)
 		s.sliceOut = make([]int, cfg.Cores)
-		mc := noc.DefaultMeshConfig(s.geo)
-		mc.Topology = s.topo
-		s.mesh = noc.NewMesh(mc)
+		s.mesh = noc.NewMesh(noc.DefaultMeshConfig(s.geo))
 		if cfg.Org == Nocstar || cfg.Org == NocstarIdeal {
 			s.fabric = noc.NewNocstar(s.eng, noc.NocstarConfig{
 				Geometry: s.geo,
@@ -692,11 +681,10 @@ func (s *System) sliceFor(th *thread, va vm.VirtAddr) int {
 	return s.homeSlice(va)
 }
 
-// homeSlice is sliceFor without per-app redirection: the address hash
-// picks a logical slice and the placement table maps it onto a physical
-// tile (the identity under the default row-major placement).
+// homeSlice is sliceFor without per-app redirection: slices are
+// interleaved across tiles by a hash of the 2 MB-granule address.
 func (s *System) homeSlice(va vm.VirtAddr) int {
-	return s.pl.Slice(int(mix(uint64(va)>>21) % uint64(s.cfg.Cores)))
+	return int(mix(uint64(va)>>21) % uint64(s.cfg.Cores))
 }
 
 // bankFor returns the monolithic bank of va.

@@ -424,3 +424,36 @@ func TestWarmupChangesMeasurement(t *testing.T) {
 
 // engineRand builds a deterministic stream seed helper for tests.
 func engineRand(seed int64) *engine.Rand { return engine.NewRand(seed) }
+
+// TestBankNodesWithinCores is the regression pin for the padded-grid
+// bank-placement bug: a core count whose grid pads spare tiles (5 -> 3x2,
+// 7 -> 3x3, 11 -> 4x3) used to place monolithic banks on tile IDs at or
+// beyond Cores, and the first remote walk indexed s.cores out of range.
+func TestBankNodesWithinCores(t *testing.T) {
+	for _, cores := range []int{5, 7, 11} {
+		cfg := smallConfig(MonolithicMesh)
+		cfg.Cores = cores
+		cfg.Apps[0].Threads = cores
+		cfg.Policy = WalkAtRemote
+		cfg.InstrPerThread = 5_000
+
+		norm, err := cfg.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, nd := range s.bankNodes {
+			if int(nd) >= cores {
+				t.Fatalf("cores=%d: bank %d on padded tile %d", cores, b, nd)
+			}
+		}
+		// The full run exercises the walk path that panicked pre-fix.
+		r := mustRun(t, cfg)
+		if r.Cycles == 0 || r.Instructions != uint64(cores)*5_000 {
+			t.Fatalf("cores=%d: degenerate run %+v", cores, r)
+		}
+	}
+}

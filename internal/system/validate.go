@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/ptw"
 )
 
@@ -54,6 +53,48 @@ const maxCores = 4096
 // cancellation ends.
 const maxInstr uint64 = 1 << 42
 
+// The bounds below keep what New allocates from one untrusted config
+// finite and the sizes it derives from overflowing int. Each limit sits
+// well above every value an experiment, example or benchmark uses, and
+// each is derived from the memory that field makes New allocate on a
+// maxCores (4096-core) machine.
+const (
+	// maxSMT bounds Config.SMT. Each hardware thread owns an 8 KiB
+	// reference buffer (threadBatchSize 8-byte addresses), so
+	// maxCores x 8 threads hold 256 MiB of buffers. The paper's cores
+	// run 2-way SMT.
+	maxSMT = 8
+	// maxThreads bounds App.Threads: no valid machine has more hardware
+	// threads than maxCores x maxSMT (32768). Bounding every term keeps
+	// the thread sum in Validate far from int overflow.
+	maxThreads = maxCores * maxSMT
+	// maxL1Scale bounds Config.L1Scale. The default L1 TLBs hold 100
+	// entries; 16x is 1600 entries of 48 bytes (Entry plus its packed
+	// key), 75 KiB per core, 300 MiB on maxCores. Fig. 6 scales by 0.5x
+	// and 1.5x.
+	maxL1Scale = 16.0
+	// maxL2EntriesPerCore bounds Config.L2EntriesPerCore: 4096 entries of
+	// 48 bytes per core is 768 MiB of slices, private arrays or
+	// monolithic array on maxCores. The paper's L2 TLB holds 1024.
+	maxL2EntriesPerCore = 4096
+	// l2Ways is the associativity of every L2 TLB array; an array's
+	// entry count must be a multiple of it.
+	l2Ways = 8
+	// maxBanks bounds Config.Banks at one bank per tile of the largest
+	// chip. A bank costs New 24 bytes (port horizon, charge counter,
+	// node), 96 KiB at the bound. The paper's best settings are 4 and 8.
+	maxBanks = maxCores
+	// maxPWCEntries bounds PTW.PWCEntries. A page-walk-cache entry costs
+	// under 40 bytes (a 16-byte key in the FIFO ring plus its map slot),
+	// so 4096 entries per core stay under 640 MiB on maxCores. The
+	// paper's walker caches 32.
+	maxPWCEntries = 4096
+	// maxWalkers bounds PTW.Walkers: a walker slot is one 8-byte busy
+	// horizon, 32 MiB for 1024 slots per core on maxCores. The paper's
+	// cores walk 2 at a time.
+	maxWalkers = 1024
+)
+
 // Validate checks cfg without running it, returning nil or a
 // *ValidationError listing every invalid field. Zero values that
 // Normalized fills with defaults (SMT, L1Scale, Banks, ...) are valid;
@@ -76,17 +117,31 @@ func (c Config) Validate() error {
 	case c.Cores > maxCores:
 		add("Cores", "must be at most %d, got %d", maxCores, c.Cores)
 	}
-	if c.SMT < 0 {
+	switch {
+	case c.SMT < 0:
 		add("SMT", "must be 0 (default 1) or positive, got %d", c.SMT)
+	case c.SMT > maxSMT:
+		add("SMT", "must be at most %d, got %d", maxSMT, c.SMT)
 	}
-	if c.L1Scale < 0 {
+	switch {
+	case c.L1Scale < 0:
 		add("L1Scale", "must be 0 (default 1.0) or positive, got %g", c.L1Scale)
+	case !(c.L1Scale <= maxL1Scale): // also rejects NaN
+		add("L1Scale", "must be at most %g, got %g", maxL1Scale, c.L1Scale)
 	}
-	if c.L2EntriesPerCore < 0 {
+	switch {
+	case c.L2EntriesPerCore < 0:
 		add("L2EntriesPerCore", "must be 0 (default) or positive, got %d", c.L2EntriesPerCore)
+	case c.L2EntriesPerCore > maxL2EntriesPerCore:
+		add("L2EntriesPerCore", "must be at most %d, got %d", maxL2EntriesPerCore, c.L2EntriesPerCore)
+	case c.L2EntriesPerCore%l2Ways != 0:
+		add("L2EntriesPerCore", "must be a multiple of the %d L2 ways, got %d", l2Ways, c.L2EntriesPerCore)
 	}
-	if c.Banks < 0 {
+	switch {
+	case c.Banks < 0:
 		add("Banks", "must be 0 (default) or positive, got %d", c.Banks)
+	case c.Banks > maxBanks:
+		add("Banks", "must be at most %d, got %d", maxBanks, c.Banks)
 	}
 	if c.FixedAccessLatency < 0 {
 		add("FixedAccessLatency", "must not be negative, got %d", c.FixedAccessLatency)
@@ -100,26 +155,6 @@ func (c Config) Validate() error {
 	if c.Acquire != noc.OneWayAcquire && c.Acquire != noc.RoundTripAcquire {
 		add("Acquire", "unknown acquire mode %d", int(c.Acquire))
 	}
-	if !c.Topology.Valid() {
-		add("Topology", "unknown topology %d", int(c.Topology))
-	} else if c.Topology != noc.TopoMesh {
-		switch c.Org {
-		case MonolithicMesh, DistributedMesh:
-		default:
-			add("Topology", "%v topology requires the monolithic(mesh) or distributed organization, got %v",
-				c.Topology, c.Org)
-		}
-	}
-	if !c.Placement.Valid() {
-		add("Placement", "unknown placement strategy %d", int(c.Placement))
-	} else if c.Placement != place.RowMajor {
-		switch c.Org {
-		case DistributedMesh, Nocstar, NocstarIdeal, IdealShared:
-		default:
-			add("Placement", "%v placement requires a sliced organization, got %v",
-				c.Placement, c.Org)
-		}
-	}
 	switch c.PTW.Mode {
 	case ptw.Variable:
 	case ptw.Fixed:
@@ -132,14 +167,20 @@ func (c Config) Validate() error {
 	if c.PTW.FixedLatency < 0 && c.PTW.Mode != ptw.Fixed {
 		add("PTW.FixedLatency", "must not be negative, got %d", c.PTW.FixedLatency)
 	}
-	if c.PTW.PWCEntries < 0 {
+	switch {
+	case c.PTW.PWCEntries < 0:
 		add("PTW.PWCEntries", "must not be negative, got %d", c.PTW.PWCEntries)
+	case c.PTW.PWCEntries > maxPWCEntries:
+		add("PTW.PWCEntries", "must be at most %d, got %d", maxPWCEntries, c.PTW.PWCEntries)
 	}
 	if c.PTW.Overhead < 0 {
 		add("PTW.Overhead", "must not be negative, got %d", c.PTW.Overhead)
 	}
-	if c.PTW.Walkers < 0 {
+	switch {
+	case c.PTW.Walkers < 0:
 		add("PTW.Walkers", "must be 0 (default 2) or positive, got %d", c.PTW.Walkers)
+	case c.PTW.Walkers > maxWalkers:
+		add("PTW.Walkers", "must be at most %d, got %d", maxWalkers, c.PTW.Walkers)
 	}
 	if c.Policy != WalkAtRequester && c.Policy != WalkAtRemote {
 		add("Policy", "unknown walk policy %d", int(c.Policy))
@@ -149,9 +190,6 @@ func (c Config) Validate() error {
 	}
 	if c.InvLeaders < 0 {
 		add("InvLeaders", "must not be negative, got %d", c.InvLeaders)
-	}
-	if c.QoSMaxCtxWays < 0 {
-		add("QoSMaxCtxWays", "must not be negative, got %d", c.QoSMaxCtxWays)
 	}
 	if c.InstrPerThread > maxInstr {
 		add("InstrPerThread", "must be at most %d, got %d", maxInstr, c.InstrPerThread)
@@ -163,10 +201,17 @@ func (c Config) Validate() error {
 	if len(c.Apps) == 0 {
 		add("Apps", "at least one App required")
 	}
+	// threads stops growing once it passes maxThreads, so no number of
+	// apps can wrap it; every App.Threads it adds is at most maxThreads.
 	threads := 0
 	for i, a := range c.Apps {
-		if a.Threads <= 0 {
+		switch {
+		case a.Threads <= 0:
 			add(fmt.Sprintf("Apps[%d].Threads", i), "must be positive, got %d", a.Threads)
+		case a.Threads > maxThreads:
+			add(fmt.Sprintf("Apps[%d].Threads", i), "must be at most %d, got %d", maxThreads, a.Threads)
+		case threads <= maxThreads:
+			threads += a.Threads
 		}
 		if a.Streams != nil && len(a.Streams) != a.Threads {
 			add(fmt.Sprintf("Apps[%d].Streams", i), "%d streams for %d threads",
@@ -176,13 +221,13 @@ func (c Config) Validate() error {
 			add(fmt.Sprintf("Apps[%d].HammerSlice", i),
 				"must be HammerNone (-1) or a slice index, got %d", a.HammerSlice)
 		}
-		threads += a.Threads
 	}
 	smt := c.SMT
 	if smt <= 0 {
 		smt = 1
 	}
-	if c.Cores > 0 && len(c.Apps) > 0 && threads > c.Cores*smt {
+	// Cores and SMT are bounded before the product is formed.
+	if c.Cores > 0 && c.Cores <= maxCores && smt <= maxSMT && len(c.Apps) > 0 && threads > c.Cores*smt {
 		add("Apps", "%d threads exceed %d cores x %d SMT", threads, c.Cores, smt)
 	}
 

@@ -62,6 +62,9 @@ func TestValidateFields(t *testing.T) {
 		{"no cores", func(c *Config) { c.Cores = 0 }, "Cores"},
 		{"too many cores", func(c *Config) { c.Cores = maxCores + 1 }, "Cores"},
 		{"negative smt", func(c *Config) { c.SMT = -2 }, "SMT"},
+		{"smt wraps the capacity", func(c *Config) { c.SMT = 1 << 62 }, "SMT"},
+		{"nan l1 scale", func(c *Config) { c.L1Scale = math.NaN() }, "L1Scale"},
+		{"l2 entries off the ways", func(c *Config) { c.L2EntriesPerCore = 1001 }, "L2EntriesPerCore"},
 		{"negative l1 scale", func(c *Config) { c.L1Scale = -0.5 }, "L1Scale"},
 		{"negative l2 entries", func(c *Config) { c.L2EntriesPerCore = -1 }, "L2EntriesPerCore"},
 		{"negative banks", func(c *Config) { c.Banks = -4 }, "Banks"},
@@ -77,7 +80,6 @@ func TestValidateFields(t *testing.T) {
 		{"bad policy", func(c *Config) { c.Policy = 99 }, "Policy"},
 		{"negative prefetch", func(c *Config) { c.PrefetchDegree = -1 }, "PrefetchDegree"},
 		{"negative leaders", func(c *Config) { c.InvLeaders = -1 }, "InvLeaders"},
-		{"negative qos ways", func(c *Config) { c.QoSMaxCtxWays = -1 }, "QoSMaxCtxWays"},
 		{"instr over limit", func(c *Config) { c.InstrPerThread = maxInstr + 1 }, "InstrPerThread"},
 		{"instr max uint64", func(c *Config) { c.InstrPerThread = math.MaxUint64 }, "InstrPerThread"},
 		{"warmup over limit", func(c *Config) { c.WarmupInstr = maxInstr + 1 }, "WarmupInstr"},
@@ -89,6 +91,10 @@ func TestValidateFields(t *testing.T) {
 		}, "Apps[0].Streams"},
 		{"hammer below none", func(c *Config) { c.Apps[0].HammerSlice = -2 }, "Apps[0].HammerSlice"},
 		{"too many threads", func(c *Config) { c.Apps[0].Threads = 5 }, "Apps"},
+		{"thread sum wraps", func(c *Config) {
+			c.Apps[0].Threads = 1 << 62
+			c.Apps = append(c.Apps, c.Apps[0])
+		}, "Apps[1].Threads"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,6 +114,75 @@ func TestValidateFields(t *testing.T) {
 				}
 			}
 			t.Fatalf("no FieldError for %q in %v", tc.field, ve.Fields)
+		})
+	}
+}
+
+// TestValidateBounds pins every size bound Validate enforces: the
+// largest accepted value builds with New on a small machine, and the
+// next value is rejected with a FieldError naming the field.
+func TestValidateBounds(t *testing.T) {
+	cases := []struct {
+		field        string
+		atMax, above func(*Config)
+		// builds is false where the bound is unreachable on a small
+		// machine: maxThreads threads need maxCores x maxSMT hardware
+		// threads, so at 4 cores the capacity check rejects it instead.
+		builds bool
+	}{
+		{"SMT", func(c *Config) { c.SMT = maxSMT }, func(c *Config) { c.SMT = maxSMT + 1 }, true},
+		{"Apps[0].Threads", func(c *Config) { c.Apps[0].Threads = maxThreads },
+			func(c *Config) { c.Apps[0].Threads = maxThreads + 1 }, false},
+		{"L1Scale", func(c *Config) { c.L1Scale = maxL1Scale },
+			func(c *Config) { c.L1Scale = math.Nextafter(maxL1Scale, math.Inf(1)) }, true},
+		{"L2EntriesPerCore", func(c *Config) { c.L2EntriesPerCore = maxL2EntriesPerCore },
+			func(c *Config) { c.L2EntriesPerCore = maxL2EntriesPerCore + 1 }, true},
+		{"Banks", func(c *Config) { c.Org, c.Banks = MonolithicMesh, maxBanks },
+			func(c *Config) { c.Org, c.Banks = MonolithicMesh, maxBanks+1 }, true},
+		{"PTW.PWCEntries", func(c *Config) { c.PTW.PWCEntries = maxPWCEntries },
+			func(c *Config) { c.PTW.PWCEntries = maxPWCEntries + 1 }, true},
+		{"PTW.Walkers", func(c *Config) { c.PTW.Walkers = maxWalkers },
+			func(c *Config) { c.PTW.Walkers = maxWalkers + 1 }, true},
+	}
+	names := func(err error, field string) bool {
+		var ve *ValidationError
+		if !errors.As(err, &ve) {
+			return false
+		}
+		for _, f := range ve.Fields {
+			if f.Field == field {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			for _, org := range []Org{Private, MonolithicMesh, Nocstar} {
+				cfg := validCfg()
+				cfg.Org = org
+				cfg.PTW = ptw.DefaultConfig()
+				tc.atMax(&cfg)
+				err := cfg.Validate()
+				if names(err, tc.field) {
+					t.Fatalf("%v: largest accepted value rejected: %v", org, err)
+				}
+				if !tc.builds {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%v: %v", org, err)
+				}
+				if _, err := New(cfg); err != nil {
+					t.Fatalf("%v: New: %v", org, err)
+				}
+			}
+			cfg := validCfg()
+			cfg.PTW = ptw.DefaultConfig()
+			tc.above(&cfg)
+			if err := cfg.Validate(); !names(err, tc.field) {
+				t.Fatalf("value past the bound: got %v, want a FieldError naming %s", err, tc.field)
+			}
 		})
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // burstGeometries covers every indexing path InvalidateBurst can meet:
 // power-of-two and non-power-of-two set counts, hashed indexing, a
-// per-context way quota, a fully associative array, and arrays small
-// enough that even a few pages take the single-pass path.
+// fully associative array, and arrays small enough that even a few
+// pages take the single-pass path.
 var burstGeometries = []Config{
 	{Name: "L1-4K", Entries: 64, Ways: 4, Sizes: []vm.PageSize{vm.Page4K}},
 	{Name: "L1-1G", Entries: 4, Ways: 4, Sizes: []vm.PageSize{vm.Page1G}},
@@ -19,7 +19,7 @@ var burstGeometries = []Config{
 	{Name: "privL2", Entries: 1024, Ways: 8, Sizes: []vm.PageSize{vm.Page4K, vm.Page2M}},
 	{Name: "slice", Entries: 920, Ways: 8, Sizes: []vm.PageSize{vm.Page4K, vm.Page2M}, IndexHash: true},
 	{Name: "slice-pow2", Entries: 512, Ways: 8, Sizes: []vm.PageSize{vm.Page4K, vm.Page2M}, IndexHash: true},
-	{Name: "qos", Entries: 64, Ways: 8, Sizes: []vm.PageSize{vm.Page4K, vm.Page2M}, MaxCtxWays: 3},
+	{Name: "small-8way", Entries: 64, Ways: 8, Sizes: []vm.PageSize{vm.Page4K, vm.Page2M}},
 }
 
 // burstNeighbourVPN draws a VPN for a translation that sits in or near

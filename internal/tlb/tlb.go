@@ -56,11 +56,6 @@ type Config struct {
 	// so plain modulo indexing inside a slice would alias entire page
 	// ranges onto a few sets.
 	IndexHash bool
-	// MaxCtxWays caps how many ways of each set a single context may
-	// occupy (0 = no cap). This is the QoS/fairness partitioning the
-	// paper leaves as future work: it stops one aggressive application
-	// from monopolizing shared slices in multiprogrammed mixes.
-	MaxCtxWays int
 }
 
 // Stats counts TLB events since construction.
@@ -228,10 +223,8 @@ func (t *TLB) Probe(ctx vm.ContextID, vpn uint64, size vm.PageSize) bool {
 }
 
 // Insert installs a translation, replacing the set's LRU entry when full.
-// Inserting an already-present translation refreshes it in place. When a
-// MaxCtxWays quota is configured and the inserting context is at its
-// cap, the victim is the context's own LRU entry, preserving other
-// applications' occupancy. It reports whether a valid entry was evicted.
+// Inserting an already-present translation refreshes it in place. It
+// reports whether a valid entry was evicted.
 func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64) bool {
 	t.stats.Inserts++
 	t.tick++
@@ -240,8 +233,6 @@ func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64)
 	key := keyFor(ctx, size, vpn)
 	keys := t.keys[base : base+t.ways]
 	victim := 0
-	ctxWays := 0
-	ownLRU := -1
 	for i := range set {
 		if keys[i] == key {
 			e := &set[i]
@@ -254,20 +245,9 @@ func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64)
 			// Keep scanning: the entry might exist in a later way.
 			continue
 		}
-		e := &set[i]
-		if e.Ctx == ctx {
-			ctxWays++
-			if ownLRU < 0 || e.lru < set[ownLRU].lru {
-				ownLRU = i
-			}
-		}
-		if keys[victim] != 0 && e.lru < set[victim].lru {
+		if keys[victim] != 0 && set[i].lru < set[victim].lru {
 			victim = i
 		}
-	}
-	if t.cfg.MaxCtxWays > 0 && ctxWays >= t.cfg.MaxCtxWays && keys[victim] != 0 &&
-		set[victim].Ctx != ctx && ownLRU >= 0 {
-		victim = ownLRU
 	}
 	evicted := keys[victim] != 0
 	if evicted {

@@ -335,41 +335,3 @@ func TestNonPowerOfTwoSets(t *testing.T) {
 		t.Fatalf("occupancy %d exceeds capacity", occ)
 	}
 }
-
-func TestMaxCtxWaysQuota(t *testing.T) {
-	// One set of 8 ways, quota 5: context 1 floods, context 2's entries
-	// must survive once inserted.
-	tl := New(Config{Name: "qos", Entries: 8, Ways: 8, MaxCtxWays: 5, Sizes: []vm.PageSize{vm.Page4K}})
-	tl.Insert(2, 100, vm.Page4K, 1)
-	tl.Insert(2, 101, vm.Page4K, 1)
-	tl.Insert(2, 102, vm.Page4K, 1)
-	for vpn := uint64(0); vpn < 50; vpn++ {
-		tl.Insert(1, vpn, vm.Page4K, vpn)
-	}
-	for _, vpn := range []uint64{100, 101, 102} {
-		if !tl.Probe(2, vpn, vm.Page4K) {
-			t.Fatalf("victim entry %d evicted despite quota", vpn)
-		}
-	}
-	// The aggressor holds at most its quota.
-	own := 0
-	for vpn := uint64(0); vpn < 50; vpn++ {
-		if tl.Probe(1, vpn, vm.Page4K) {
-			own++
-		}
-	}
-	if own > 5 {
-		t.Fatalf("aggressor holds %d ways, quota is 5", own)
-	}
-}
-
-func TestMaxCtxWaysStillFillsEmpty(t *testing.T) {
-	// Quotas never block filling invalid ways.
-	tl := New(Config{Name: "qos", Entries: 8, Ways: 8, MaxCtxWays: 2, Sizes: []vm.PageSize{vm.Page4K}})
-	for vpn := uint64(0); vpn < 8; vpn++ {
-		tl.Insert(1, vpn, vm.Page4K, vpn)
-	}
-	if occ := tl.Occupancy(); occ != 8 {
-		t.Fatalf("sole tenant limited to %d entries by its own quota", occ)
-	}
-}

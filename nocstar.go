@@ -36,8 +36,6 @@ import (
 	"io"
 
 	"nocstar/internal/experiments"
-	"nocstar/internal/noc"
-	"nocstar/internal/place"
 	"nocstar/internal/system"
 	"nocstar/internal/trace"
 	"nocstar/internal/workload"
@@ -78,40 +76,6 @@ const (
 	NocstarIdeal = system.NocstarIdeal
 	// IdealShared is the zero-interconnect-latency shared reference.
 	IdealShared = system.IdealShared
-)
-
-// TopologyKind selects the fabric topology (Config.Topology) for the
-// organizations that route a generic packet-switched interconnect.
-type TopologyKind = noc.TopologyKind
-
-// Fabric topologies.
-const (
-	// TopoMesh is the paper's 2-D mesh with XY routing (the default).
-	TopoMesh = noc.TopoMesh
-	// TopoTorus wraps both mesh dimensions.
-	TopoTorus = noc.TopoTorus
-	// TopoXBar is a single-hop crossbar.
-	TopoXBar = noc.TopoXBar
-	// TopoHybrid is the TeraNoC-style mesh-of-clusters bridged by a
-	// hub crossbar.
-	TopoHybrid = noc.TopoHybrid
-)
-
-// PlacementStrategy selects the address-to-slice placement
-// (Config.Placement) for the sliced shared organizations.
-type PlacementStrategy = place.Strategy
-
-// Slice-placement strategies.
-const (
-	// PlaceRowMajor is the identity mapping (the default).
-	PlaceRowMajor = place.RowMajor
-	// PlaceRandom is a seeded random permutation.
-	PlaceRandom = place.Random
-	// PlaceLocality greedily co-locates hot slices with central tiles.
-	PlaceLocality = place.LocalityAware
-	// PlaceAnnealed minimizes traffic-weighted hop distance by
-	// simulated annealing.
-	PlaceAnnealed = place.Annealed
 )
 
 // WalkPolicy selects where shared-slice-miss page walks execute.

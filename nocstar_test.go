@@ -45,7 +45,7 @@ func TestWorkloadsExposed(t *testing.T) {
 }
 
 func TestExperimentRegistryExposed(t *testing.T) {
-	if len(nocstar.Experiments()) != 26 {
+	if len(nocstar.Experiments()) != 24 {
 		t.Fatalf("experiments = %d", len(nocstar.Experiments()))
 	}
 	opts := nocstar.DefaultExperimentOptions()

@@ -1,84 +1,165 @@
-// Command nocstar-sim runs one simulated configuration and prints a
-// detailed report of the translation path: runtime, TLB statistics,
-// network behaviour, walk latencies, concurrency, and energy.
+// Command nocstar-sim runs the machine one config document describes and
+// prints a detailed report of the translation path: runtime, TLB
+// statistics, network behaviour, walk latencies, concurrency, energy,
+// and the speedup over private L2 TLBs.
+//
+// The document is the canonical config JSON that POST /v1/runs accepts
+// and the result store hashes, so a run typed here pastes into the
+// service unchanged, and the printed hash is the service's config_hash.
 //
 // Usage:
 //
-//	nocstar-sim -org nocstar -cores 32 -workload canneal -thp
-//	nocstar-sim -org private -cores 16 -workload gups -instr 500000
+//	nocstar-sim DOC [TRACE]
+//
+// DOC is a file, or - for stdin. With TRACE (a file nocstar-trace gen
+// writes), the document's single app replays the trace, one thread per
+// trace thread, in place of its generated references; the app's
+// workload still sets the CPI and memory-reference rate.
+//
+//	echo '{"org":"nocstar","cores":16,"apps":[{"workload":"canneal","threads":16}]}' | nocstar-sim -
+//	nocstar-sim run.json canneal.trc
+//
+// A document or trace that cannot be read, decoded or validated exits 2
+// naming what is wrong; a failed run exits 1.
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"nocstar/internal/stats"
 	"nocstar/internal/system"
+	"nocstar/internal/trace"
 	"nocstar/internal/workload"
 )
 
-var orgNames = map[string]system.Org{
-	"private":     system.Private,
-	"mono":        system.MonolithicMesh,
-	"mono-smart":  system.MonolithicSMART,
-	"distributed": system.DistributedMesh,
-	"nocstar":     system.Nocstar,
-	"ideal":       system.IdealShared,
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func main() {
-	var (
-		orgName  = flag.String("org", "nocstar", "organization: private|mono|mono-smart|distributed|nocstar|ideal")
-		cores    = flag.Int("cores", 32, "core count")
-		name     = flag.String("workload", "canneal", "suite workload name")
-		thp      = flag.Bool("thp", false, "enable transparent 2MB superpages")
-		smt      = flag.Int("smt", 1, "hyperthreads per core")
-		prefetch = flag.Int("prefetch", 0, "translation prefetch degree (0-3)")
-		instr    = flag.Uint64("instr", 200_000, "instructions per thread")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		baseline = flag.Bool("baseline", true, "also run the private baseline and report speedup")
-		timeout  = flag.Duration("timeout", 0, "wall-clock cap on each run (e.g. 30s); 0 means uncapped")
-	)
-	flag.Parse()
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+// run is the whole command: it returns the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if len(args) < 1 || len(args) > 2 || args[0] != "-" && strings.HasPrefix(args[0], "-") {
+		fmt.Fprintln(stderr, "usage: nocstar-sim DOC [TRACE]  (DOC is a config JSON file, or - for stdin)")
+		return 2
 	}
-
-	org, ok := orgNames[*orgName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown org %q\n", *orgName)
-		os.Exit(2)
-	}
-	spec, ok := workload.ByName(*name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q (have %s)\n",
-			*name, strings.Join(workload.Names(), ", "))
-		os.Exit(2)
-	}
-	cfg := system.Config{
-		Org:            org,
-		Cores:          *cores,
-		SMT:            *smt,
-		PrefetchDegree: *prefetch,
-		THP:            *thp,
-		Apps:           []system.App{{Spec: spec, Threads: *cores * *smt, HammerSlice: system.HammerNone}},
-		InstrPerThread: *instr / uint64(*smt),
-		Seed:           *seed,
-	}
-	r, err := system.RunContext(ctx, cfg)
+	cfg, tr, err := load(args, stdin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "nocstar-sim:", err)
+		return 2
 	}
+	if tr == nil {
+		// A replayed run carries live streams and so has no canonical
+		// form to hash.
+		hash, err := cfg.CanonicalHash()
+		if err != nil {
+			fmt.Fprintln(stderr, "nocstar-sim:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "config sha256 %s\n", hash)
+	}
+	r, err := system.Run(cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, "nocstar-sim:", err)
+		return 1
+	}
+	report(stdout, cfg, tr, r)
 
-	t := stats.NewTable(fmt.Sprintf("%s on %d-core %s (THP=%v)", spec.Name, *cores, org, *thp))
+	if cfg.Org != system.Private {
+		bcfg := cfg
+		bcfg.Org = system.Private
+		bcfg.L2EntriesPerCore = 0
+		if tr != nil {
+			// Fresh replayers: the run above left its streams mid-trace.
+			app := cfg.Apps[0]
+			app.Streams, _ = replayers(tr) // cannot fail: load built them once
+			bcfg.Apps = []system.App{app}
+		}
+		b, err := system.Run(bcfg)
+		if err != nil {
+			fmt.Fprintln(stderr, "nocstar-sim:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "\nspeedup vs private L2 TLBs: %.3fx (misses eliminated: %.1f%%)\n",
+			r.SpeedupOver(b), 100*r.MissesEliminatedVs(b))
+	}
+	return 0
+}
+
+// load reads, decodes and validates the document, attaching the trace's
+// replayers when a trace is named.
+func load(args []string, stdin io.Reader) (system.Config, *trace.Trace, error) {
+	var doc []byte
+	var err error
+	if args[0] == "-" {
+		if doc, err = io.ReadAll(stdin); err != nil {
+			err = fmt.Errorf("reading the document from stdin: %w", err)
+		}
+	} else {
+		doc, err = os.ReadFile(args[0])
+	}
+	if err != nil {
+		return system.Config{}, nil, err
+	}
+	cfg, err := system.UnmarshalConfig(doc)
+	if err != nil {
+		return system.Config{}, nil, err
+	}
+	var tr *trace.Trace
+	if len(args) == 2 {
+		if tr, err = readTrace(args[1]); err != nil {
+			return system.Config{}, nil, err
+		}
+		if len(cfg.Apps) != 1 {
+			return system.Config{}, nil, fmt.Errorf("a replayed document must hold exactly one app, not %d", len(cfg.Apps))
+		}
+		if cfg.Apps[0].Streams, err = replayers(tr); err != nil {
+			return system.Config{}, nil, err
+		}
+	}
+	// Validate names every failing field; with a trace it also checks
+	// the app's thread count against the trace's.
+	if err := cfg.Validate(); err != nil {
+		return system.Config{}, nil, err
+	}
+	return cfg, tr, nil
+}
+
+func readTrace(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.Read(f)
+}
+
+// replayers returns one stream per trace thread, each from its start.
+func replayers(tr *trace.Trace) ([]workload.Stream, error) {
+	streams := make([]workload.Stream, len(tr.Threads))
+	for i := range streams {
+		r, err := tr.NewReplayer(i)
+		if err != nil {
+			return nil, err
+		}
+		streams[i] = r
+	}
+	return streams, nil
+}
+
+// report prints the run's table and its shared-L2 concurrency.
+func report(w io.Writer, cfg system.Config, tr *trace.Trace, r system.Result) {
+	names := make([]string, len(cfg.Apps))
+	for i, a := range cfg.Apps {
+		names[i] = a.Spec.Name
+	}
+	title := strings.Join(names, "+")
+	if tr != nil {
+		title += " replaying trace " + tr.Name
+	}
+	t := stats.NewTable(fmt.Sprintf("%s on %d-core %s (THP=%v)", title, cfg.Cores, cfg.Org, cfg.THP))
 	t.Row("metric", "value")
 	t.Row("cycles", r.Cycles)
 	t.Row("instructions", r.Instructions)
@@ -98,23 +179,10 @@ func main() {
 		t.Row("contention-free setups", fmt.Sprintf("%.1f%%", 100*r.Noc.NoContentionFraction()))
 	}
 	t.Row("translation energy (uJ)", fmt.Sprintf("%.2f", r.Energy.TotalPJ()/1e6))
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 
-	fmt.Println("\nconcurrency of shared L2 accesses:")
+	fmt.Fprintln(w, "\nconcurrency of shared L2 accesses:")
 	for i, b := range stats.ConcurrencyBuckets {
-		fmt.Printf("  %-10s %.1f%%\n", b.Label, 100*r.Conc.Fractions()[i])
-	}
-
-	if *baseline && org != system.Private {
-		bcfg := cfg
-		bcfg.Org = system.Private
-		bcfg.L2EntriesPerCore = 0
-		b, err := system.RunContext(ctx, bcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nspeedup vs private L2 TLBs: %.3fx (misses eliminated: %.1f%%)\n",
-			r.SpeedupOver(b), 100*r.MissesEliminatedVs(b))
+		fmt.Fprintf(w, "  %-10s %.1f%%\n", b.Label, 100*r.Conc.Fractions()[i])
 	}
 }

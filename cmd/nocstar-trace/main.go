@@ -1,10 +1,10 @@
-// Command nocstar-trace captures, inspects, and replays address traces.
+// Command nocstar-trace captures and inspects address traces. To replay
+// one, pass it to nocstar-sim after a one-app config document.
 //
 // Usage:
 //
 //	nocstar-trace gen -workload canneal -threads 16 -refs 100000 -o canneal.trc
 //	nocstar-trace stat canneal.trc
-//	nocstar-trace replay -org nocstar -cores 16 canneal.trc
 package main
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"nocstar/internal/system"
 	"nocstar/internal/trace"
 	"nocstar/internal/workload"
 )
@@ -26,15 +25,13 @@ func main() {
 		genCmd(os.Args[2:])
 	case "stat":
 		statCmd(os.Args[2:])
-	case "replay":
-		replayCmd(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: nocstar-trace gen|stat|replay [flags] [file]")
+	fmt.Fprintln(os.Stderr, "usage: nocstar-trace gen|stat [flags] [file]")
 	os.Exit(2)
 }
 
@@ -104,66 +101,4 @@ func statCmd(args []string) {
 	fmt.Printf("shared pages:   %d (%.1f%% of distinct)\n",
 		s.SharedPages, 100*float64(s.SharedPages)/float64(max(1, s.DistinctPages)))
 	fmt.Printf("reuse rate:     %.3f\n", s.ReuseRate)
-}
-
-func replayCmd(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	orgName := fs.String("org", "nocstar", "organization: private|mono|distributed|nocstar|ideal")
-	cores := fs.Int("cores", 16, "core count")
-	instr := fs.Uint64("instr", 100_000, "instructions per thread")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "replay: one trace file required")
-		os.Exit(2)
-	}
-	orgs := map[string]system.Org{
-		"private": system.Private, "mono": system.MonolithicMesh,
-		"distributed": system.DistributedMesh, "nocstar": system.Nocstar,
-		"ideal": system.IdealShared,
-	}
-	org, ok := orgs[*orgName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "replay: unknown org %q\n", *orgName)
-		os.Exit(2)
-	}
-	tr := load(fs.Arg(0))
-	spec, ok := workload.ByName(tr.Name)
-	if !ok {
-		// Replaying an unknown workload: use a neutral spec for CPI.
-		spec = workload.Uniform(tr.Name, 1)
-	}
-	if len(tr.Threads) > *cores {
-		fmt.Fprintf(os.Stderr, "replay: trace has %d threads but only %d cores\n",
-			len(tr.Threads), *cores)
-		os.Exit(2)
-	}
-	streams := make([]workload.Stream, len(tr.Threads))
-	for i := range streams {
-		r, err := tr.NewReplayer(i)
-		if err != nil {
-			fatal(err)
-		}
-		streams[i] = r
-	}
-	cfg := system.Config{
-		Org:            org,
-		Cores:          *cores,
-		Apps:           []system.App{{Spec: spec, Threads: len(tr.Threads), HammerSlice: system.HammerNone, Streams: streams}},
-		InstrPerThread: *instr,
-		Seed:           *seed,
-	}
-	r, err := system.Run(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("replayed %s on %d-core %s: %d cycles, IPC %.3f, L2 miss rate %.3f\n",
-		tr.Name, *cores, org, r.Cycles, r.IPC, r.L2MissRate())
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

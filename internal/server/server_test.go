@@ -323,7 +323,7 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestSubmitRejectsUnbuildableConfig sends documents that once passed
-// validation and then panicked the simulator's constructor (or wrapped
+// validation and then panicked the simulator's constructor or run (or wrapped
 // the thread-capacity check): each must get a 400 invalid_config naming
 // the field, and the server must keep answering.
 func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
@@ -343,6 +343,9 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 		{doc("distributed", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
 		{doc("mono-mesh", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
 		{doc("nocstar", `"l1_scale": 1e30`), "L1Scale"},
+		{doc("nocstar", `"storm": {"promote_demote_interval": 1000, "pages": `+huge+`}`), "Storm.Pages"},
+		{`{"org": "nocstar", "cores": 4, "apps": [{"spec": {"name": "x", "footprint_pages": ` + huge +
+			`, "mem_ref_per_instr": 0.3, "base_cpi": 1}, "threads": 4}]}`, "Apps[0].Spec.FootprintPages"},
 	}
 	for _, tc := range cases {
 		_, err := c.SubmitRunJSON(ctx, []byte(tc.doc))

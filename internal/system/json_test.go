@@ -234,6 +234,20 @@ func FuzzUnmarshalConfig(f *testing.F) {
 	// passed the capacity check; 2^62 banks once passed and panicked New.
 	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4611686018427387904},{"workload":"gups","threads":4611686018427387904}]}`))
 	f.Add([]byte(`{"org":"mono-mesh","cores":4,"banks":4611686018427387904,"apps":[{"workload":"gups","threads":4}]}`))
+	// Footprints of 2^40 and 2^62 pages, a footprint of 0, a shared
+	// fraction of -1 and storm pages of 2^62 once passed and panicked the
+	// run.
+	for _, spec := range []string{
+		`"footprint_pages":1099511627776,"shared_frac":0`,
+		`"footprint_pages":4611686018427387904,"shared_frac":0.5`,
+		`"footprint_pages":0,"shared_frac":0.5`,
+		`"footprint_pages":1024,"shared_frac":-1`,
+		`"footprint_pages":1024,"shared_frac":1.5`,
+	} {
+		f.Add([]byte(`{"org":"nocstar","cores":4,"apps":[{"spec":{"name":"x",` + spec +
+			`,"mem_ref_per_instr":0.3,"base_cpi":1},"threads":4}]}`))
+	}
+	f.Add([]byte(`{"org":"nocstar","cores":4,"apps":[{"workload":"gups","threads":4}],"storm":{"promote_demote_interval":1000,"pages":4611686018427387904}}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := UnmarshalConfig(doc)
 		if err != nil || cfg.Validate() != nil {

@@ -6,6 +6,8 @@ import (
 
 	"nocstar/internal/noc"
 	"nocstar/internal/ptw"
+	"nocstar/internal/vm"
+	"nocstar/internal/workload"
 )
 
 // FieldError names one invalid Config field. Field uses Go selector
@@ -93,7 +95,23 @@ const (
 	// horizon, 32 MiB for 1024 slots per core on maxCores. The paper's
 	// cores walk 2 at a time.
 	maxWalkers = 1024
+	// maxStormPages bounds Storm.Pages. The storm keeps one bool of
+	// promotion state per 2 MB region (512 pages), so 2^30 pages cost a
+	// 2 MiB bitmap, and its regions end 2^42 bytes past the storm's base,
+	// far below the TLB keys' VPN field. The storm experiments use 4096.
+	maxStormPages = 1 << 30
 )
+
+// maxFootprintPages bounds App.Spec.FootprintPages. Each thread's
+// private arena is 2^38 bytes, 2^26 4 KiB slots, and a region scatters
+// its touched pages over SpreadFactor (64) slots each, so an arena holds
+// 2^20 touched pages. With SharedFrac 0 and one thread, the private
+// region is the whole footprint (less the one-page shared floor), so a
+// larger footprint runs into the next arena and, past 2^39 pages, out of
+// the TLB keys' VPN field. The suite's largest footprint is gups' 90 000
+// pages. Below 1 page, the private size underflows through
+// FootprintPages - shared.
+const maxFootprintPages = (1 << 38) / vm.FrameSize / workload.SpreadFactor
 
 // Validate checks cfg without running it, returning nil or a
 // *ValidationError listing every invalid field. Zero values that
@@ -197,6 +215,9 @@ func (c Config) Validate() error {
 	if c.WarmupInstr > maxInstr {
 		add("WarmupInstr", "must be at most %d, got %d", maxInstr, c.WarmupInstr)
 	}
+	if c.Storm != nil && c.Storm.Pages > maxStormPages {
+		add("Storm.Pages", "must be at most %d, got %d", maxStormPages, c.Storm.Pages)
+	}
 
 	if len(c.Apps) == 0 {
 		add("Apps", "at least one App required")
@@ -212,6 +233,15 @@ func (c Config) Validate() error {
 			add(fmt.Sprintf("Apps[%d].Threads", i), "must be at most %d, got %d", maxThreads, a.Threads)
 		case threads <= maxThreads:
 			threads += a.Threads
+		}
+		switch fp := a.Spec.FootprintPages; {
+		case fp < 1:
+			add(fmt.Sprintf("Apps[%d].Spec.FootprintPages", i), "must be positive, got %d", fp)
+		case fp > maxFootprintPages:
+			add(fmt.Sprintf("Apps[%d].Spec.FootprintPages", i), "must be at most %d, got %d", maxFootprintPages, fp)
+		}
+		if sf := a.Spec.SharedFrac; !(sf >= 0 && sf <= 1) { // also rejects NaN
+			add(fmt.Sprintf("Apps[%d].Spec.SharedFrac", i), "must lie in [0,1], got %g", sf)
 		}
 		if a.Streams != nil && len(a.Streams) != a.Threads {
 			add(fmt.Sprintf("Apps[%d].Streams", i), "%d streams for %d threads",

@@ -90,6 +90,13 @@ func TestValidateFields(t *testing.T) {
 			c.Apps[0].Streams = make([]workload.Stream, 2)
 		}, "Apps[0].Streams"},
 		{"hammer below none", func(c *Config) { c.Apps[0].HammerSlice = -2 }, "Apps[0].HammerSlice"},
+		{"no footprint", func(c *Config) { c.Apps[0].Spec.FootprintPages = 0 }, "Apps[0].Spec.FootprintPages"},
+		{"footprint past the vpn field", func(c *Config) { c.Apps[0].Spec.FootprintPages = 1 << 40 }, "Apps[0].Spec.FootprintPages"},
+		{"footprint 2^62", func(c *Config) { c.Apps[0].Spec.FootprintPages = 1 << 62 }, "Apps[0].Spec.FootprintPages"},
+		{"negative shared frac", func(c *Config) { c.Apps[0].Spec.SharedFrac = -1 }, "Apps[0].Spec.SharedFrac"},
+		{"shared frac over 1", func(c *Config) { c.Apps[0].Spec.SharedFrac = 1.5 }, "Apps[0].Spec.SharedFrac"},
+		{"nan shared frac", func(c *Config) { c.Apps[0].Spec.SharedFrac = math.NaN() }, "Apps[0].Spec.SharedFrac"},
+		{"storm pages 2^62", func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: 1 << 62} }, "Storm.Pages"},
 		{"too many threads", func(c *Config) { c.Apps[0].Threads = 5 }, "Apps"},
 		{"thread sum wraps", func(c *Config) {
 			c.Apps[0].Threads = 1 << 62
@@ -143,6 +150,10 @@ func TestValidateBounds(t *testing.T) {
 			func(c *Config) { c.PTW.PWCEntries = maxPWCEntries + 1 }, true},
 		{"PTW.Walkers", func(c *Config) { c.PTW.Walkers = maxWalkers },
 			func(c *Config) { c.PTW.Walkers = maxWalkers + 1 }, true},
+		{"Apps[0].Spec.FootprintPages", func(c *Config) { c.Apps[0].Spec.FootprintPages = maxFootprintPages },
+			func(c *Config) { c.Apps[0].Spec.FootprintPages = maxFootprintPages + 1 }, true},
+		{"Storm.Pages", func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: maxStormPages} },
+			func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: maxStormPages + 1} }, true},
 	}
 	names := func(err error, field string) bool {
 		var ve *ValidationError

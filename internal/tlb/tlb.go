@@ -25,16 +25,17 @@ type Entry struct {
 // Packed-key layout: the way-match loop — the hottest code in the
 // simulator — compares one word per way instead of four fields. Bit 63
 // is the valid bit (a zero key never matches), bits 62-61 the page size,
-// bits 60-45 the 16-bit context ID, and bits 44-0 the VPN. 2^45 4 KiB
-// pages cover a 128 TB address space, beyond every layout constant in
-// the model; keyFor panics if a VPN ever overflows the field rather than
-// silently aliasing.
+// bits 60-45 the 16-bit context ID, and bits 44-0 the VPN. The field
+// holds vm.VPNLimit (2^45) 4 KiB pages, 128 PiB, beyond every layout
+// constant in the model; keyFor panics if a VPN ever overflows the field
+// rather than silently aliasing.
 const (
 	keyValid    = uint64(1) << 63
 	keySizeLsb  = 61
 	keyCtxLsb   = 45
-	keyVPNBits  = keyCtxLsb
-	keyVPNLimit = uint64(1) << keyVPNBits
+	keyVPNLimit = vm.VPNLimit
+	// The VPN field must fit below the context field.
+	_ = uint64(1)<<keyCtxLsb - keyVPNLimit
 )
 
 // keyFor builds the packed comparison key of a live entry.

@@ -15,7 +15,8 @@
 //
 // A thread holds at most maxRefsPerThread references (2^26, 512 MiB of
 // decoded page numbers); Write refuses larger traces and Read rejects a
-// header that claims more.
+// header that claims more. Read also rejects a page number at or above
+// vm.VPNLimit, which no simulated TLB can hold.
 //
 // Delta encoding exploits the streams' temporal locality: repeated and
 // nearby pages encode in one or two bytes.
@@ -121,9 +122,9 @@ func Write(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// Read deserializes a trace. A truncated input, or one whose header
-// claims more than maxRefsPerThread references for a thread, is an
-// error.
+// Read deserializes a trace. A truncated input, one whose header claims
+// more than maxRefsPerThread references for a thread, or one holding a
+// page at or above vm.VPNLimit is an error.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -163,6 +164,10 @@ func Read(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: thread %d ref %d: %w", i, j, err)
 			}
 			page := uint64(int64(prev) + delta)
+			if page >= vm.VPNLimit {
+				return nil, fmt.Errorf("trace: thread %d ref %d: page %#x is not below the %#x VPN limit",
+					i, j, page, vm.VPNLimit)
+			}
 			refs = append(refs, page)
 			prev = page
 		}
@@ -201,9 +206,6 @@ func (r *Replayer) Next() vm.VirtAddr {
 	}
 	return vm.VirtAddr(page << 12)
 }
-
-// Wrapped reports how far the replayer has advanced (for tests).
-func (r *Replayer) Position() int { return r.pos }
 
 var _ workload.Stream = (*Replayer)(nil)
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"nocstar/internal/vm"
 	"nocstar/internal/workload"
 )
 
@@ -136,14 +138,41 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadRejectsPageOverLimit: a page no TLB key can hold is rejected
+// by Read, naming the thread and reference, rather than panicking a
+// replay later; the last page below the limit is accepted.
+func TestReadRejectsPageOverLimit(t *testing.T) {
+	for _, page := range []uint64{vm.VPNLimit, 1 << 50} {
+		_, err := Read(bytes.NewReader(hostilePage(page)))
+		if err == nil || !strings.Contains(err.Error(), "thread 0 ref 1") {
+			t.Fatalf("page %#x: got %v, want an error naming thread 0 ref 1", page, err)
+		}
+	}
+	tr, err := Read(bytes.NewReader(hostilePage(vm.VPNLimit - 1)))
+	if err != nil || tr.Threads[0][1] != vm.VPNLimit-1 {
+		t.Fatalf("last page below the limit: %v", err)
+	}
+}
+
+// hostilePage is a one-thread trace of two references, page 1 then the
+// given page.
+func hostilePage(page uint64) []byte {
+	var buf bytes.Buffer
+	if err := Write(&buf, &Trace{Name: "x", Threads: [][]uint64{{1, page}}}); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
 // oneThreadHeader is an 18-byte input: magic, version 1, one thread, a
 // 1-byte name, then that thread's reference count and no references.
 func oneThreadHeader(count uint64) []byte {
 	return binary.LittleEndian.AppendUint64([]byte("NSTR\x01\x00\x01\x00\x01x"), count)
 }
 
-// FuzzTraceRead: Read never panics, and any input it accepts re-encodes
-// to a trace that reads back identically.
+// FuzzTraceRead: Read never panics, every page it accepts is below
+// vm.VPNLimit, and any input it accepts re-encodes to a trace that reads
+// back identically.
 func FuzzTraceRead(f *testing.F) {
 	spec, _ := workload.ByName("canneal")
 	var valid bytes.Buffer
@@ -152,10 +181,18 @@ func FuzzTraceRead(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	f.Add(oneThreadHeader(1 << 62))
+	f.Add(hostilePage(1 << 50))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		tr, err := Read(bytes.NewReader(in))
 		if err != nil {
 			return
+		}
+		for i, refs := range tr.Threads {
+			for j, page := range refs {
+				if page >= vm.VPNLimit {
+					t.Fatalf("thread %d ref %d: accepted page %#x at or above the VPN limit", i, j, page)
+				}
+			}
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, tr); err != nil {
@@ -183,12 +220,12 @@ func TestReplayerMatchesAndWraps(t *testing.T) {
 			t.Fatalf("ref %d: %#x != %#x", i, got, want)
 		}
 	}
-	// Wrap-around.
-	if got := uint64(r.Next()); got != tr.Threads[2][0]<<12 {
-		t.Fatalf("wrap failed: %#x", got)
-	}
-	if r.Position() != 1 {
-		t.Fatalf("position = %d", r.Position())
+	// Wrap-around: the stream restarts at its first reference and goes
+	// on from there.
+	for i := 0; i < 2; i++ {
+		if got := uint64(r.Next()); got != tr.Threads[2][i]<<12 {
+			t.Fatalf("wrapped ref %d: %#x != %#x", i, got, tr.Threads[2][i]<<12)
+		}
 	}
 }
 

@@ -55,6 +55,12 @@ func (s PageSize) String() string {
 	return fmt.Sprintf("PageSize(%d)", uint8(s))
 }
 
+// VPNLimit bounds every 4 KiB virtual page number the model handles:
+// 2^45 pages make 128 PiB, beyond every layout constant in the model.
+// The TLBs' packed keys hold the VPN in 45 bits, and trace.Read rejects
+// a page at or above the limit.
+const VPNLimit = uint64(1) << 45
+
 // VPN returns the virtual page number of va at page size s.
 func (va VirtAddr) VPN(s PageSize) uint64 { return uint64(va) >> s.Shift() }
 

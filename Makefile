@@ -49,8 +49,9 @@ race:
 	$(GO) test -race ./...
 
 # Short smoke at benchOptions() scale: representative figures plus the
-# engine event-queue microbenchmarks (watch allocs/op: the typed 4-ary
-# heap must stay allocation-free in steady state).
+# engine event-queue microbenchmarks, which schedule typed Actor events
+# the way the simulator does (watch allocs/op: the timing wheel must stay
+# allocation-free in steady state).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig16Left$$|BenchmarkFig11c$$' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkScheduleRun' -benchtime 1s -benchmem ./internal/engine/

@@ -183,6 +183,8 @@ func TestRejects(t *testing.T) {
 			`, "mem_ref_per_instr": 0.3, "base_cpi": 1}, "threads": 4}]}`, "", "Apps[0].Spec.FootprintPages"},
 		{"storm pages 2^62", `{"org": "nocstar", "cores": 4, "apps": [{"workload": "gups", "threads": 4}],
 			"storm": {"promote_demote_interval": 1000, "pages": ` + huge + `}}`, "", "Storm.Pages"},
+		{"shootdown every cycle", `{"org": "nocstar", "cores": 4, "apps": [{"workload": "gups", "threads": 4}],
+			"shootdown_interval": 1}`, "", "ShootdownInterval"},
 		{"two apps with a trace", `{"org": "nocstar", "cores": 4, "apps": [{"workload": "gups", "threads": 2},
 			{"workload": "canneal", "threads": 2}]}`, trace4, "exactly one app"},
 		{"thread count mismatch", `{"org": "nocstar", "cores": 4, "apps": [{"workload": "canneal", "threads": 2}]}`,

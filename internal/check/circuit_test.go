@@ -8,6 +8,22 @@ import (
 	"nocstar/internal/noc"
 )
 
+// fn adapts a closure to engine.Actor, so a test can schedule inline
+// code.
+type fn func()
+
+func (f fn) Act(uint8, any) { f() }
+
+// after schedules f delay cycles from now.
+func after(eng *engine.Engine, delay engine.Cycle, f func()) {
+	eng.ScheduleAct(delay, fn(f), 0, nil)
+}
+
+// noGrant is a GrantHandler that ignores its grants.
+type noGrant struct{}
+
+func (noGrant) PathGranted(uint8, any, int) {}
+
 // shadowedFabric builds a 4x4 NOCSTAR fabric with a fresh Checker's
 // circuit shadow and event-order hook attached.
 func shadowedFabric() (*engine.Engine, *noc.Nocstar, *Checker) {
@@ -24,17 +40,17 @@ func shadowedFabric() (*engine.Engine, *noc.Nocstar, *Checker) {
 // round-trip release arrives after its window expired and B re-reserved
 // the shared links, then C requests the same path.
 func lateReleaseTraffic(eng *engine.Engine, n *noc.Nocstar) {
-	eng.Schedule(1, func() {
-		n.RequestPath(0, 3, 20, func(int) {}) // A: reserved through 21
+	after(eng, 1, func() {
+		n.RequestPathTo(0, 3, 20, noGrant{}, 0, nil) // A: reserved through 21
 	})
-	eng.Schedule(22, func() {
-		n.RequestPath(0, 3, 20, func(int) {}) // B: reserved through 42
+	after(eng, 22, func() {
+		n.RequestPathTo(0, 3, 20, noGrant{}, 0, nil) // B: reserved through 42
 	})
-	eng.Schedule(30, func() {
+	after(eng, 30, func() {
 		n.Release(0, 3, 21) // A's late release; B owns the links now
 	})
-	eng.Schedule(31, func() {
-		n.RequestPath(0, 3, 1, func(int) {}) // C: must wait for B
+	after(eng, 31, func() {
+		n.RequestPathTo(0, 3, 1, noGrant{}, 0, nil) // C: must wait for B
 	})
 	eng.Run()
 }
@@ -54,16 +70,25 @@ func TestCircuitShadowCleanTraffic(t *testing.T) {
 	}
 }
 
+// releaseAt5 releases its grant's links at cycle 5, well inside the
+// 1000-cycle window they were reserved for.
+type releaseAt5 struct {
+	eng *engine.Engine
+	n   *noc.Nocstar
+}
+
+func (r releaseAt5) PathGranted(uint8, any, int) {
+	r.eng.AtAct(5, fn(func() { r.n.Release(0, 3, 1001) }), 0, nil)
+}
+
 func TestCircuitShadowEarlyRelease(t *testing.T) {
 	eng, n, c := shadowedFabric()
-	eng.Schedule(1, func() {
+	after(eng, 1, func() {
 		// Granted end of cycle 1: links reserved through 1001.
-		n.RequestPath(0, 3, 1000, func(int) {
-			eng.At(5, func() { n.Release(0, 3, 1001) })
-		})
+		n.RequestPathTo(0, 3, 1000, releaseAt5{eng, n}, 0, nil)
 	})
-	eng.Schedule(6, func() {
-		n.RequestPath(0, 3, 1, func(int) {})
+	after(eng, 6, func() {
+		n.RequestPathTo(0, 3, 1, noGrant{}, 0, nil)
 	})
 	eng.Run()
 	if !c.Ok() {

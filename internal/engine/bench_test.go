@@ -11,25 +11,33 @@ import "testing"
 
 const benchHoldWidth = 4096
 
+// holdActor is one event of the hold model: it reschedules itself until
+// the benchmark's event budget is spent.
+type holdActor struct {
+	e    *Engine
+	r    *Rand
+	n    int
+	next func(*Rand) Cycle
+}
+
+func (h *holdActor) Act(uint8, any) {
+	if h.n <= 0 {
+		return
+	}
+	h.n--
+	h.e.ScheduleAct(h.next(h.r), h, 0, nil)
+}
+
 func benchmarkScheduleRun(b *testing.B, next func(*Rand) Cycle) {
 	b.ReportAllocs()
 	e := New()
-	r := NewRand(1)
-	n := b.N
-	var hold func()
-	hold = func() {
-		if n <= 0 {
-			return
-		}
-		n--
-		e.Schedule(next(r), hold)
-	}
+	h := &holdActor{e: e, r: NewRand(1), n: b.N, next: next}
 	width := benchHoldWidth
 	if width > b.N {
 		width = b.N
 	}
 	for i := 0; i < width; i++ {
-		e.Schedule(next(r), hold)
+		e.ScheduleAct(next(h.r), h, 0, nil)
 	}
 	e.Run()
 }
@@ -57,10 +65,11 @@ func BenchmarkScheduleRun(b *testing.B) {
 func BenchmarkSchedulePushPop(b *testing.B) {
 	b.ReportAllocs()
 	r := NewRand(7)
+	idle := &holdActor{}
 	for i := 0; i < b.N; i += benchHoldWidth {
 		e := New()
 		for j := 0; j < benchHoldWidth; j++ {
-			e.Schedule(Cycle(r.Intn(10000)), func() {})
+			e.ScheduleAct(Cycle(r.Intn(10000)), idle, 0, nil)
 		}
 		e.Run()
 	}

@@ -13,25 +13,23 @@ package engine
 // Cycle is a point in simulated time, measured in clock cycles.
 type Cycle uint64
 
-// Actor handles typed events. Hot simulation paths schedule through
-// ScheduleAct/AtAct instead of closure callbacks: the event carries a
+// Actor handles typed events. Every event and finalizer carries a
 // persistent Actor (the model object), a small operation code selecting
 // the continuation, and an opaque pointer payload. None of the three
 // allocate — interfaces over pointers box nothing — so a steady-state
-// transaction path can run without a single heap allocation, where an
-// equivalent closure would capture its variables on the heap at every
-// scheduling site.
+// transaction path can run without a single heap allocation, where a
+// closure would capture its variables on the heap at every scheduling
+// site.
 type Actor interface {
 	// Act executes the continuation op with payload arg.
 	Act(op uint8, arg any)
 }
 
-// event is a scheduled callback: either a plain closure (fn) or a typed
-// (actor, op, arg) triple. fn takes precedence when non-nil.
+// event is a scheduled (actor, op, arg) triple. Finalizers leave when and
+// seq zero.
 type event struct {
 	when  Cycle
 	seq   uint64
-	fn    func()
 	actor Actor
 	op    uint8
 	arg   any
@@ -85,7 +83,7 @@ func (q *eventQueue) pop() event {
 	top := q.ev[0]
 	n := len(q.ev) - 1
 	last := q.ev[n]
-	q.ev[n] = event{} // release the callback for GC
+	q.ev[n] = event{} // release the payload for GC
 	q.ev = q.ev[:n]
 	if n > 0 {
 		q.siftDown(last)
@@ -141,7 +139,7 @@ const (
 // scheduling order and scheduling only happens while the clock stands
 // still, appending to a bucket already yields (when, seq) order — popping
 // a bucket front-to-back replays a cycle exactly as the old comparison
-// heap did, without the O(log n) sift (and its 64-byte event moves) per
+// heap did, without the O(log n) sift (and its 56-byte event moves) per
 // push and pop on the simulator's hottest path. Events beyond the horizon
 // wait in an overflow min-heap and migrate into the wheel as the clock
 // advances, before any newer (higher-seq) event can be appended behind
@@ -155,11 +153,11 @@ type Engine struct {
 	wheel        [][]event
 	wheelPending int
 	overflow     eventQueue // events at now+wheelSize or later
-	finalizers   []func()   // end-of-cycle actions for the current cycle
+	finalizers   []event    // end-of-cycle actions for the current cycle
 	// finalizerFree is the drained finalizer buffer from the previous
 	// phase, recycled so a steady stream of AtEndOfCycle registrations
 	// (one per NoC arbitration round) reallocates nothing.
-	finalizerFree []func()
+	finalizerFree []event
 	processed     uint64
 	observe       func(when Cycle, seq uint64)
 	check         func(when Cycle, seq uint64)
@@ -217,22 +215,6 @@ func (e *Engine) Pending() int { return e.wheelPending + e.overflow.len() + len(
 // phase that begins mid-run (after a warmup) reports only its own events.
 func (e *Engine) ResetProcessed() { e.processed = 0 }
 
-// Schedule runs fn delay cycles from now. A delay of zero runs fn later in
-// the current cycle, before any end-of-cycle finalizers fire.
-func (e *Engine) Schedule(delay Cycle, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
-// At runs fn at the given absolute cycle. Scheduling in the past panics:
-// it indicates a model bug that would otherwise corrupt causality.
-func (e *Engine) At(when Cycle, fn func()) {
-	if when < e.now {
-		panic("engine: event scheduled in the past")
-	}
-	e.seq++
-	e.insert(event{when: when, seq: e.seq, fn: fn})
-}
-
 // insert places an event in the wheel when it is within the horizon, in
 // the overflow heap otherwise.
 func (e *Engine) insert(ev event) {
@@ -280,16 +262,16 @@ func (e *Engine) nextEventCycle() (Cycle, bool) {
 	return 0, false
 }
 
-// ScheduleAct runs a.Act(op, arg) delay cycles from now. It is the
-// allocation-free counterpart of Schedule: typed events interleave with
-// closure events in one (cycle, seq) order, so the two styles can be
-// mixed freely without perturbing determinism.
+// ScheduleAct runs a.Act(op, arg) delay cycles from now. A delay of zero
+// runs it later in the current cycle, before any end-of-cycle finalizers
+// fire.
 func (e *Engine) ScheduleAct(delay Cycle, a Actor, op uint8, arg any) {
 	e.AtAct(e.now+delay, a, op, arg)
 }
 
 // AtAct runs a.Act(op, arg) at the given absolute cycle. Scheduling in
-// the past panics, as with At.
+// the past panics: it indicates a model bug that would otherwise corrupt
+// causality.
 func (e *Engine) AtAct(when Cycle, a Actor, op uint8, arg any) {
 	if when < e.now {
 		panic("engine: event scheduled in the past")
@@ -298,12 +280,13 @@ func (e *Engine) AtAct(when Cycle, a Actor, op uint8, arg any) {
 	e.insert(event{when: when, seq: e.seq, actor: a, op: op, arg: arg})
 }
 
-// AtEndOfCycle runs fn after every ordinary event of the current cycle has
-// executed. Finalizers run in registration order. A finalizer may schedule
+// AtEndOfCycle runs a.Act(op, arg) after every ordinary event of the
+// current cycle has executed. Finalizers run in registration order; they
+// take no sequence number and are not observed. A finalizer may schedule
 // new events for the current cycle; the engine keeps alternating between
 // event and finalizer phases until the cycle quiesces.
-func (e *Engine) AtEndOfCycle(fn func()) {
-	e.finalizers = append(e.finalizers, fn)
+func (e *Engine) AtEndOfCycle(a Actor, op uint8, arg any) {
+	e.finalizers = append(e.finalizers, event{actor: a, op: op, arg: arg})
 }
 
 // step executes every event and finalizer for the next populated cycle.
@@ -336,11 +319,7 @@ func (e *Engine) step() bool {
 			if e.check != nil {
 				e.check(e.now, ev.seq)
 			}
-			if ev.fn != nil {
-				ev.fn()
-			} else {
-				ev.actor.Act(ev.op, ev.arg)
-			}
+			ev.actor.Act(ev.op, ev.arg)
 			ran = true
 		}
 		if len(e.wheel[bi]) > 0 {
@@ -357,14 +336,14 @@ func (e *Engine) step() bool {
 			// Swap in the recycled buffer before running: finalizers may
 			// register new finalizers for the same cycle, which land in
 			// the other buffer while this one drains.
-			fns := e.finalizers
+			fins := e.finalizers
 			e.finalizers = e.finalizerFree[:0]
-			for i, fn := range fns {
+			for i, f := range fins {
 				e.processed++
-				fns[i] = nil // release the callback for GC
-				fn()
+				fins[i] = event{} // release the payload for GC
+				f.actor.Act(f.op, f.arg)
 			}
-			e.finalizerFree = fns[:0]
+			e.finalizerFree = fins[:0]
 			ran = true
 		}
 		if !ran {

@@ -5,12 +5,23 @@ import (
 	"testing/quick"
 )
 
+// fn adapts a closure to Actor, so a test can schedule inline code.
+type fn func()
+
+func (f fn) Act(uint8, any) { f() }
+
+// after schedules f delay cycles from now.
+func after(e *Engine, delay Cycle, f func()) { e.ScheduleAct(delay, fn(f), 0, nil) }
+
+// atEnd registers f as an end-of-cycle finalizer.
+func atEnd(e *Engine, f func()) { e.AtEndOfCycle(fn(f), 0, nil) }
+
 func TestScheduleOrdering(t *testing.T) {
 	e := New()
 	var got []int
-	e.Schedule(5, func() { got = append(got, 5) })
-	e.Schedule(1, func() { got = append(got, 1) })
-	e.Schedule(3, func() { got = append(got, 3) })
+	after(e, 5, func() { got = append(got, 5) })
+	after(e, 1, func() { got = append(got, 1) })
+	after(e, 3, func() { got = append(got, 3) })
 	e.Run()
 	want := []int{1, 3, 5}
 	for i := range want {
@@ -23,17 +34,22 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
+// recorder is a typed actor that logs each event's op and payload, so
+// the ordering tests also check that both reach Act intact.
+type recorder struct{ got []int }
+
+func (r *recorder) Act(op uint8, arg any) { r.got = append(r.got, int(op)*100+arg.(int)) }
+
 func TestSameCycleFIFO(t *testing.T) {
 	e := New()
-	var got []int
+	r := &recorder{}
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(7, func() { got = append(got, i) })
+		e.ScheduleAct(7, r, uint8(i%3), i)
 	}
 	e.Run()
 	for i := 0; i < 10; i++ {
-		if got[i] != i {
-			t.Fatalf("same-cycle order not FIFO: %v", got)
+		if r.got[i] != (i%3)*100+i {
+			t.Fatalf("same-cycle order not FIFO: %v", r.got)
 		}
 	}
 }
@@ -41,11 +57,11 @@ func TestSameCycleFIFO(t *testing.T) {
 func TestZeroDelayRunsThisCycle(t *testing.T) {
 	e := New()
 	var order []string
-	e.Schedule(2, func() {
+	after(e, 2, func() {
 		order = append(order, "a")
-		e.Schedule(0, func() { order = append(order, "b") })
+		after(e, 0, func() { order = append(order, "b") })
 	})
-	e.Schedule(3, func() { order = append(order, "c") })
+	after(e, 3, func() { order = append(order, "c") })
 	e.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
@@ -55,9 +71,9 @@ func TestZeroDelayRunsThisCycle(t *testing.T) {
 func TestEndOfCycleAfterEvents(t *testing.T) {
 	e := New()
 	var order []string
-	e.Schedule(4, func() {
-		e.AtEndOfCycle(func() { order = append(order, "final") })
-		e.Schedule(0, func() { order = append(order, "late-event") })
+	after(e, 4, func() {
+		atEnd(e, func() { order = append(order, "final") })
+		after(e, 0, func() { order = append(order, "late-event") })
 		order = append(order, "event")
 	})
 	e.Run()
@@ -74,14 +90,14 @@ func TestFinalizerCanScheduleNextCycle(t *testing.T) {
 	hits := 0
 	var tick func()
 	tick = func() {
-		e.AtEndOfCycle(func() {
+		atEnd(e, func() {
 			hits++
 			if hits < 5 {
-				e.Schedule(1, tick)
+				after(e, 1, tick)
 			}
 		})
 	}
-	e.Schedule(1, tick)
+	after(e, 1, tick)
 	e.Run()
 	if hits != 5 {
 		t.Fatalf("hits = %d, want 5", hits)
@@ -96,13 +112,13 @@ func TestFinalizerSameCycleEventLoop(t *testing.T) {
 	// finalizer; the engine must keep alternating phases within the cycle.
 	e := New()
 	var order []string
-	e.Schedule(1, func() {
+	after(e, 1, func() {
 		order = append(order, "ev1")
-		e.AtEndOfCycle(func() {
+		atEnd(e, func() {
 			order = append(order, "fin1")
-			e.Schedule(0, func() {
+			after(e, 0, func() {
 				order = append(order, "ev2")
-				e.AtEndOfCycle(func() { order = append(order, "fin2") })
+				atEnd(e, func() { order = append(order, "fin2") })
 			})
 		})
 	})
@@ -126,7 +142,7 @@ func TestRunUntil(t *testing.T) {
 	ran := make(map[Cycle]bool)
 	for _, c := range []Cycle{1, 5, 10, 20} {
 		c := c
-		e.At(c, func() { ran[c] = true })
+		e.AtAct(c, fn(func() { ran[c] = true }), 0, nil)
 	}
 	e.RunUntil(10)
 	if !ran[1] || !ran[5] || !ran[10] {
@@ -146,13 +162,13 @@ func TestRunUntil(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.Schedule(10, func() {
+	after(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(3, func() {})
+		e.AtAct(3, fn(func() {}), 0, nil)
 	})
 	e.Run()
 }
@@ -160,7 +176,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 func TestProcessedCounts(t *testing.T) {
 	e := New()
 	for i := 0; i < 7; i++ {
-		e.Schedule(Cycle(i), func() {})
+		after(e, Cycle(i), func() {})
 	}
 	e.Run()
 	if e.Processed() != 7 {
@@ -179,10 +195,10 @@ func TestDeterministicReplay(t *testing.T) {
 			if depth == 0 {
 				return
 			}
-			e.Schedule(Cycle(1+r.Intn(10)), func() { spawn(depth - 1) })
-			e.Schedule(Cycle(1+r.Intn(10)), func() { spawn(depth - 1) })
+			after(e, Cycle(1+r.Intn(10)), func() { spawn(depth - 1) })
+			after(e, Cycle(1+r.Intn(10)), func() { spawn(depth - 1) })
 		}
-		e.Schedule(0, func() { spawn(6) })
+		after(e, 0, func() { spawn(6) })
 		e.Run()
 		return trace
 	}
@@ -295,7 +311,7 @@ func TestEventOrderProperty(t *testing.T) {
 		e := New()
 		var seen []Cycle
 		for _, d := range delays {
-			e.Schedule(Cycle(d), func() { seen = append(seen, e.Now()) })
+			after(e, Cycle(d), func() { seen = append(seen, e.Now()) })
 		}
 		e.Run()
 		for i := 1; i < len(seen); i++ {

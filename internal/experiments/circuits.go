@@ -84,15 +84,14 @@ func Fig11a() Fig11aResult {
 	}
 	sliceLat := sram.AccessCycles(1024)
 	monoLat := sram.AccessCycles(32 * 1024)
-	mesh := noc.NewMesh(noc.DefaultMeshConfig(noc.GridFor(32)))
 
 	type design struct {
 		name string
 		f    func(h int) int
 	}
 	designs := []design{
-		{"Monolithic", func(h int) int { return monoLat + mesh.LatencyForHops(h) }},
-		{"Distributed", func(h int) int { return sliceLat + mesh.LatencyForHops(h) }},
+		{"Monolithic", func(h int) int { return monoLat + noc.MeshLatency(h) }},
+		{"Distributed", func(h int) int { return sliceLat + noc.MeshLatency(h) }},
 	}
 	for _, hpc := range []int{4, 8, 16} {
 		ns := noc.NewNocstar(nil, noc.NocstarConfig{Geometry: noc.GridFor(32), HPCmax: hpc})

@@ -9,6 +9,7 @@ import (
 
 	"nocstar/internal/runner"
 	"nocstar/internal/system"
+	"nocstar/internal/trace"
 	"nocstar/internal/workload"
 )
 
@@ -140,22 +141,48 @@ func TestGoldenEventOrder(t *testing.T) {
 		{"storm-nocstar", stormNoc, 9241, 0xcf953875816f842c, "e0388b780bba9a65"},
 	}
 	for _, g := range golden {
-		var h uint64 = 14695981039346656037
-		n := 0
-		res, err := system.RunTraced(g.cfg, func(cycle, seq uint64) {
-			h = fnvMix(fnvMix(h, cycle), seq)
-			n++
-		})
+		checkGolden(t, g.name, g.cfg, g.events, g.hash, g.result)
+	}
+
+	// The replay row runs trace replayers instead of generators. The
+	// trace holds 1000 references per thread and the run draws 700
+	// (warmup) plus 1050 (measured), so every stream wraps mid-run, and
+	// the nonzero warmup pins the stream position the measured window
+	// resumes from. Replayers keep a position, so each run gets fresh
+	// ones.
+	tr := trace.Capture(spec, 16, 1000, 11)
+	replay := base
+	replay.WarmupInstr = 2_000
+	replay.Apps = []system.App{{Spec: spec, Threads: 16, HammerSlice: system.HammerNone}}
+	for i := range tr.Threads {
+		r, err := tr.NewReplayer(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := resultDigest(res); d != g.result {
-			t.Errorf("%s: simulated result changed: digest %s, want %s", g.name, d, g.result)
-		}
-		if n != g.events || h != g.hash {
-			t.Errorf("%s: event stream changed: events=%d hash=%#x, want events=%d hash=%#x",
-				g.name, n, h, g.events, g.hash)
-		}
+		replay.Apps[0].Streams = append(replay.Apps[0].Streams, r)
+	}
+	checkGolden(t, "replay", replay, 12774, 0x78542f6a9c5e6f80, "1293bcc08e672487")
+}
+
+// checkGolden runs cfg under an event-order observer and compares its
+// event count, event-stream hash and result digest with the pinned ones.
+func checkGolden(t *testing.T, name string, cfg system.Config, events int, hash uint64, result string) {
+	t.Helper()
+	var h uint64 = 14695981039346656037
+	n := 0
+	res, err := system.RunTraced(cfg, func(cycle, seq uint64) {
+		h = fnvMix(fnvMix(h, cycle), seq)
+		n++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := resultDigest(res); d != result {
+		t.Errorf("%s: simulated result changed: digest %s, want %s", name, d, result)
+	}
+	if n != events || h != hash {
+		t.Errorf("%s: event stream changed: events=%d hash=%#x, want events=%d hash=%#x",
+			name, n, h, events, hash)
 	}
 }
 

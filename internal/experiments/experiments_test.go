@@ -189,6 +189,25 @@ func TestFig11cContentionGrowsWithRate(t *testing.T) {
 	}
 }
 
+// TestFig11cPointPinned pins one Fig. 11(c) injection point exactly, at
+// a low and a high rate, so a change to how the injector or the fabric
+// schedules its work cannot move the figure unnoticed.
+func TestFig11cPointPinned(t *testing.T) {
+	for _, c := range []struct {
+		rate        float64
+		lat, noCont float64
+	}{
+		{0.1, 2.24473786407767, 0.8353398058252427},
+		{0.4, 29.90033066583185, 0.4466336653035669},
+	} {
+		lat, free := Fig11cPoint(64, c.rate, 2000, 1)
+		if lat != c.lat || free != c.noCont {
+			t.Errorf("rate %.1f: (avgLat, noContention) = (%v, %v), want (%v, %v)",
+				c.rate, lat, free, c.lat, c.noCont)
+		}
+	}
+}
+
 func TestFig12Ordering(t *testing.T) {
 	r := Fig12(testOptions())
 	mono := r.Average("Monolithic")

@@ -29,40 +29,59 @@ type Fig11cResult struct {
 func Fig11cPoint(n int, rate float64, cycles uint64, seed int64) (avgLat, noContention float64) {
 	eng := engine.New()
 	geo := noc.GridFor(n)
-	fabric := noc.NewNocstar(eng, noc.NocstarConfig{Geometry: geo, HPCmax: 16})
-	rng := engine.NewRand(seed)
-
-	var tick func()
-	tick = func() {
-		now := eng.Now()
-		if uint64(now) >= cycles {
-			return
-		}
-		for node := 0; node < geo.Nodes(); node++ {
-			if rng.Float64() >= rate {
-				continue
-			}
-			src := noc.NodeID(node)
-			dst := noc.NodeID(rng.Intn(geo.Nodes() - 1))
-			if dst >= src {
-				dst++
-			}
-			fabric.RequestPath(src, dst, fabric.HoldCyclesOneWay(src, dst), func(int) {})
-		}
-		eng.Schedule(1, tick)
+	in := &injector{
+		eng:    eng,
+		fabric: noc.NewNocstar(eng, noc.NocstarConfig{Geometry: geo, HPCmax: 16}),
+		rng:    engine.NewRand(seed),
+		nodes:  geo.Nodes(),
+		rate:   rate,
+		cycles: cycles,
 	}
-	eng.Schedule(1, tick)
+	eng.ScheduleAct(1, in, 0, nil)
 	eng.Run()
 
-	st := fabric.Stats()
+	st := in.fabric.Stats()
 	return st.AvgNetworkLatency(), st.NoContentionFraction()
 }
+
+// injector offers Fig. 11(c)'s uniform-random traffic: once per cycle
+// until the cycle budget runs out, each node requests a path to a random
+// other node with probability rate. Grants carry no continuation.
+type injector struct {
+	eng    *engine.Engine
+	fabric *noc.Nocstar
+	rng    *engine.Rand
+	nodes  int
+	rate   float64
+	cycles uint64
+}
+
+// Act is one cycle's injection.
+func (in *injector) Act(uint8, any) {
+	if uint64(in.eng.Now()) >= in.cycles {
+		return
+	}
+	for node := 0; node < in.nodes; node++ {
+		if in.rng.Float64() >= in.rate {
+			continue
+		}
+		src := noc.NodeID(node)
+		dst := noc.NodeID(in.rng.Intn(in.nodes - 1))
+		if dst >= src {
+			dst++
+		}
+		in.fabric.RequestPathTo(src, dst, in.fabric.HoldCyclesOneWay(src, dst), in, 0, nil)
+	}
+	in.eng.ScheduleAct(1, in, 0, nil)
+}
+
+// PathGranted ignores the grant: only the fabric's statistics matter.
+func (in *injector) PathGranted(uint8, any, int) {}
 
 // Fig11c sweeps injection rates on the 64-node system.
 func Fig11c(o Options) Fig11cResult {
 	res := Fig11cResult{}
 	geo := noc.GridFor(64)
-	mesh := noc.NewMesh(noc.DefaultMeshConfig(geo))
 	meshAvg := 0.0
 	{
 		// Contention-free mesh average over uniform pairs.
@@ -72,7 +91,7 @@ func Fig11c(o Options) Fig11cResult {
 				if s == d {
 					continue
 				}
-				total += mesh.LatencyForHops(geo.Hops(noc.NodeID(s), noc.NodeID(d)))
+				total += noc.MeshLatency(geo.Hops(noc.NodeID(s), noc.NodeID(d)))
 				cnt++
 			}
 		}

@@ -163,39 +163,6 @@ func (g Geometry) LinkEndpoints(l LinkID) (from, to NodeID) {
 	panic("noc: invalid link")
 }
 
-// ArbiterFanin returns, for the link l, how many distinct source nodes can
-// ever request it under XY routing — the paper's Fig. 7(d) fan-in
-// discussion (an X link has few requesters, a Y link up to a column's
-// worth of rows times columns). An X link is used only by sources on
-// its own row at or behind it; a Y link by every source in the rows at
-// or behind it, after their X leg has brought them to its column. Edge
-// slots with no physical link have no requesters.
-func (g Geometry) ArbiterFanin(l LinkID) int {
-	r, c := g.Coord(NodeID(int(l) / int(numDirections)))
-	switch Direction(int(l) % int(numDirections)) {
-	case East:
-		if c == g.Cols-1 {
-			return 0
-		}
-		return c + 1
-	case West:
-		if c == 0 {
-			return 0
-		}
-		return g.Cols - c
-	case South:
-		if r == g.Rows-1 {
-			return 0
-		}
-		return (r + 1) * g.Cols
-	default: // North
-		if r == 0 {
-			return 0
-		}
-		return (g.Rows - r) * g.Cols
-	}
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x

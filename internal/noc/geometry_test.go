@@ -163,59 +163,9 @@ func TestLinkEndpoints(t *testing.T) {
 	}
 }
 
-func TestArbiterFanin(t *testing.T) {
-	// Fig. 7(d): under XY routing an X-direction link has fewer possible
-	// requesters than a Y-direction link near the middle of the chip.
-	g := Geometry{Rows: 4, Cols: 4}
-	xLink := g.Link(g.Node(1, 1), East)
-	yLink := g.Link(g.Node(1, 1), South)
-	fx, fy := g.ArbiterFanin(xLink), g.ArbiterFanin(yLink)
-	if fx == 0 || fy == 0 {
-		t.Fatalf("fanin zero: x=%d y=%d", fx, fy)
-	}
-	if fx >= fy {
-		t.Fatalf("X-link fanin %d not below Y-link fanin %d (Fig. 7d)", fx, fy)
-	}
-	// An X link in a row can only be requested by nodes earlier in that
-	// row (XY routing): at most Cols-1 sources.
-	if fx > g.Cols-1 {
-		t.Fatalf("X-link fanin %d exceeds row bound %d", fx, g.Cols-1)
-	}
-}
-
-// routeTestGrids are the grid shapes the route and fan-in tests cover:
+// routeTestGrids are the grid shapes the route tests cover:
 // square, non-square both ways, single row and column, and an odd shape.
 var routeTestGrids = []Geometry{
 	{Rows: 4, Cols: 4}, {Rows: 8, Cols: 4}, {Rows: 1, Cols: 8},
 	{Rows: 8, Cols: 1}, {Rows: 5, Cols: 3}, {Rows: 32, Cols: 32},
-}
-
-// TestArbiterFaninClosedForm checks the closed-form fan-in of every link
-// slot, edge slots included, against a brute-force count of the distinct
-// sources whose XY path uses the link.
-func TestArbiterFaninClosedForm(t *testing.T) {
-	for _, g := range routeTestGrids {
-		count := make([]int, g.NumLinks())
-		lastSrc := make([]NodeID, g.NumLinks())
-		for i := range lastSrc {
-			lastSrc[i] = -1
-		}
-		var path []LinkID
-		for src := NodeID(0); int(src) < g.Nodes(); src++ {
-			for dst := NodeID(0); int(dst) < g.Nodes(); dst++ {
-				path = g.AppendXYPath(path[:0], src, dst)
-				for _, l := range path {
-					if lastSrc[l] != src {
-						lastSrc[l] = src
-						count[l]++
-					}
-				}
-			}
-		}
-		for l := LinkID(0); int(l) < g.NumLinks(); l++ {
-			if got := g.ArbiterFanin(l); got != count[l] {
-				t.Fatalf("%dx%d link %d: ArbiterFanin = %d, brute force %d", g.Rows, g.Cols, l, got, count[l])
-			}
-		}
-	}
 }

@@ -89,11 +89,11 @@ type CircuitObserver interface {
 	CircuitReleased(src, dst NodeID, now, until engine.Cycle)
 }
 
-// GrantHandler receives path grants from typed setup requests. Like
-// engine.Actor, the (handler, op, arg) triple replaces a captured
-// closure: the handler is a persistent model object, op selects the
-// continuation, and arg is an opaque pointer payload. PathGranted runs at
-// the start of the cycle the message may begin traversing.
+// GrantHandler receives path grants. Like engine.Actor, a request
+// carries a (handler, op, arg) triple instead of a captured closure: the
+// handler is a persistent model object, op selects the continuation, and
+// arg is an opaque pointer payload. PathGranted runs at the start of the
+// cycle the message may begin traversing.
 type GrantHandler interface {
 	PathGranted(op uint8, arg any, traversal int)
 }
@@ -124,12 +124,9 @@ type setupReq struct {
 	firstTry engine.Cycle
 	prio     int // rotating static priority, computed per arbitration round
 
-	// Exactly one continuation style is set: the legacy closure, or the
-	// typed (handler, op, arg) triple.
-	onGranted func(traversal int)
-	h         GrantHandler
-	op        uint8
-	arg       any
+	h   GrantHandler
+	op  uint8
+	arg any
 
 	traversal int // datapath cycles, filled at grant time
 	next      *setupReq
@@ -145,8 +142,9 @@ type retryBatch struct {
 
 // Nocstar's own engine.Actor operation codes.
 const (
-	nocOpRetry uint8 = iota // re-enter arbitration after a denied cycle (arg: *retryBatch)
-	nocOpGrant              // deliver a granted request to its continuation (arg: *setupReq)
+	nocOpRetry     uint8 = iota // re-enter arbitration after a denied cycle (arg: *retryBatch)
+	nocOpGrant                  // deliver a granted request to its continuation (arg: *setupReq)
+	nocOpArbitrate              // end-of-cycle finalizer: resolve this cycle's requests
 )
 
 // Nocstar is the latchless circuit-switched TLB interconnect. All link
@@ -163,7 +161,6 @@ type Nocstar struct {
 	pending       []*setupReq
 	pendingFree   []*setupReq // drained pending buffer, recycled
 	arbScheduled  bool
-	arbFn         func() // n.arbitrate, bound once to keep AtEndOfCycle allocation-free
 	free          *setupReq
 	batchFree     *retryBatch
 	stats         NocstarStats
@@ -195,7 +192,6 @@ func NewNocstar(eng *engine.Engine, cfg NocstarConfig) *Nocstar {
 	for i := range n.coords {
 		n.coords[i] = gridPos{row: int32(i / g.Cols), col: int32(i % g.Cols)}
 	}
-	n.arbFn = n.arbitrate
 	return n
 }
 
@@ -273,49 +269,29 @@ func (n *Nocstar) HoldCyclesOneWay(src, dst NodeID) engine.Cycle {
 	return engine.Cycle(n.TraversalCycles(abs(int(d.row-s.row)) + abs(int(d.col-s.col))))
 }
 
-// RequestPath begins acquiring the XY path from src to dst. Arbitration
-// happens at the end of the current cycle; on a conflict the request
-// retries automatically every cycle until it wins. onGranted runs at the
-// start of the cycle the message may begin traversing, and receives the
-// traversal cycle count. hold is how many cycles the links stay reserved
-// from that point (use HoldCyclesOneWay, or the full round-trip residency
-// for RoundTripAcquire).
+// RequestPathTo begins acquiring the XY path from src to dst.
+// Arbitration happens at the end of the current cycle; on a conflict the
+// request retries automatically every cycle until it wins. On grant,
+// h.PathGranted(op, arg, traversal) runs at the start of the cycle the
+// message may begin traversing. hold is how many cycles the links stay
+// reserved from that point (use HoldCyclesOneWay, or the full round-trip
+// residency for RoundTripAcquire).
 //
 // src == dst is a caller bug — local slices bypass the network — and
 // panics to surface model errors early.
-func (n *Nocstar) RequestPath(src, dst NodeID, hold engine.Cycle, onGranted func(traversal int)) {
-	req := n.newReq(src, dst, hold)
-	req.onGranted = onGranted
-	n.enqueue(req)
-}
-
-// RequestPathTo is the typed, allocation-free form of RequestPath: on
-// grant, h.PathGranted(op, arg, traversal) runs instead of a closure.
-// Semantics and arbitration order are otherwise identical.
 func (n *Nocstar) RequestPathTo(src, dst NodeID, hold engine.Cycle, h GrantHandler, op uint8, arg any) {
-	req := n.newReq(src, dst, hold)
-	req.h, req.op, req.arg = h, op, arg
-	n.enqueue(req)
-}
-
-// newReq initializes a setup request from the free list.
-func (n *Nocstar) newReq(src, dst NodeID, hold engine.Cycle) *setupReq {
 	if src == dst {
-		panic("noc: RequestPath for local access")
+		panic("noc: RequestPathTo for local access")
 	}
 	req := n.free
 	if req == nil {
 		req = &setupReq{}
 	} else {
 		n.free = req.next
-		*req = setupReq{}
 	}
-	req.src = src
-	req.dst = dst
-	req.route = n.route(src, dst)
-	req.hold = hold
-	req.firstTry = n.eng.Now()
-	return req
+	*req = setupReq{src: src, dst: dst, route: n.route(src, dst), hold: hold,
+		firstTry: n.eng.Now(), h: h, op: op, arg: arg}
+	n.enqueue(req)
 }
 
 // freeReq recycles a request whose grant has been delivered.
@@ -329,7 +305,7 @@ func (n *Nocstar) enqueue(req *setupReq) {
 	n.pending = append(n.pending, req)
 	if !n.arbScheduled {
 		n.arbScheduled = true
-		n.eng.AtEndOfCycle(n.arbFn)
+		n.eng.AtEndOfCycle(n, nocOpArbitrate, nil)
 	}
 }
 
@@ -348,13 +324,11 @@ func (n *Nocstar) Act(op uint8, arg any) {
 		// Recycle before delivering: the continuation may request a new
 		// path immediately and reuse this object.
 		req := arg.(*setupReq)
-		h, hop, harg, tr, fn := req.h, req.op, req.arg, req.traversal, req.onGranted
+		h, hop, harg, tr := req.h, req.op, req.arg, req.traversal
 		n.freeReq(req)
-		if fn != nil {
-			fn(tr)
-		} else {
-			h.PathGranted(hop, harg, tr)
-		}
+		h.PathGranted(hop, harg, tr)
+	case nocOpArbitrate:
+		n.arbitrate()
 	}
 }
 
@@ -457,7 +431,7 @@ func (n *Nocstar) reserve(r linkRun, until engine.Cycle) {
 }
 
 // granted attempts to reserve the request's links for [now+1, now+hold].
-// On success it schedules onGranted for the next cycle.
+// On success it schedules the grant delivery for the next cycle.
 func (n *Nocstar) granted(req *setupReq, now engine.Cycle) bool {
 	if !n.cfg.Ideal {
 		r := req.route

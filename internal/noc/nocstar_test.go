@@ -8,6 +8,27 @@ import (
 	"nocstar/internal/engine"
 )
 
+// fn adapts a closure to engine.Actor, and onGrant a grant continuation
+// to GrantHandler, so a test can schedule and request paths with inline
+// code.
+type (
+	fn      func()
+	onGrant func(traversal int)
+)
+
+func (f fn) Act(uint8, any)                                 { f() }
+func (g onGrant) PathGranted(_ uint8, _ any, traversal int) { g(traversal) }
+
+// after schedules f delay cycles from now.
+func after(eng *engine.Engine, delay engine.Cycle, f func()) {
+	eng.ScheduleAct(delay, fn(f), 0, nil)
+}
+
+// request asks ns for the path from src to dst, running f on grant.
+func request(ns *Nocstar, src, dst NodeID, hold engine.Cycle, f func(traversal int)) {
+	ns.RequestPathTo(src, dst, hold, onGrant(f), 0, nil)
+}
+
 // appendRun appends the links of r, in order, to links.
 func appendRun(links []LinkID, r linkRun) []LinkID {
 	for i, l := int32(0), r.first; i < r.n; i, l = i+1, l+r.stride {
@@ -73,8 +94,8 @@ func TestSingleRequestGrantTiming(t *testing.T) {
 	eng, ns := newFabric(t, 16, 16, false)
 	var grantedAt engine.Cycle
 	var traversal int
-	eng.Schedule(5, func() {
-		ns.RequestPath(0, 15, ns.HoldCyclesOneWay(0, 15), func(tr int) {
+	after(eng, 5, func() {
+		request(ns, 0, 15, ns.HoldCyclesOneWay(0, 15), func(tr int) {
 			grantedAt = eng.Now()
 			traversal = tr
 		})
@@ -98,11 +119,11 @@ func TestConflictingRequestsSerialize(t *testing.T) {
 	// Node 0 and node 0's neighbour both need link 1->2 on row 0:
 	// paths 0->3 and 1->3 share links.
 	var grants []engine.Cycle
-	eng.Schedule(1, func() {
-		ns.RequestPath(0, 3, ns.HoldCyclesOneWay(0, 3), func(int) {
+	after(eng, 1, func() {
+		request(ns, 0, 3, ns.HoldCyclesOneWay(0, 3), func(int) {
 			grants = append(grants, eng.Now())
 		})
-		ns.RequestPath(1, 3, ns.HoldCyclesOneWay(1, 3), func(int) {
+		request(ns, 1, 3, ns.HoldCyclesOneWay(1, 3), func(int) {
 			grants = append(grants, eng.Now())
 		})
 	})
@@ -126,11 +147,11 @@ func TestDisjointPathsShareCycle(t *testing.T) {
 	eng, ns := newFabric(t, 16, 16, false)
 	// Row 0 and row 3 paths are disjoint: both grant in the same cycle.
 	var grants []engine.Cycle
-	eng.Schedule(1, func() {
-		ns.RequestPath(0, 3, ns.HoldCyclesOneWay(0, 3), func(int) {
+	after(eng, 1, func() {
+		request(ns, 0, 3, ns.HoldCyclesOneWay(0, 3), func(int) {
 			grants = append(grants, eng.Now())
 		})
-		ns.RequestPath(12, 15, ns.HoldCyclesOneWay(12, 15), func(int) {
+		request(ns, 12, 15, ns.HoldCyclesOneWay(12, 15), func(int) {
 			grants = append(grants, eng.Now())
 		})
 	})
@@ -148,13 +169,13 @@ func TestNoPartialPathReservation(t *testing.T) {
 	// First request holds 0->1->2->3 for 10 cycles. A second request
 	// 1->2 (subset) must be denied while held; a third request 4->7 on
 	// another row must be unaffected.
-	eng.Schedule(1, func() {
-		ns.RequestPath(0, 3, 10, func(int) {})
+	after(eng, 1, func() {
+		request(ns, 0, 3, 10, func(int) {})
 	})
 	var secondGrant, thirdGrant engine.Cycle
-	eng.Schedule(2, func() {
-		ns.RequestPath(1, 3, ns.HoldCyclesOneWay(1, 3), func(int) { secondGrant = eng.Now() })
-		ns.RequestPath(4, 7, ns.HoldCyclesOneWay(4, 7), func(int) { thirdGrant = eng.Now() })
+	after(eng, 2, func() {
+		request(ns, 1, 3, ns.HoldCyclesOneWay(1, 3), func(int) { secondGrant = eng.Now() })
+		request(ns, 4, 7, ns.HoldCyclesOneWay(4, 7), func(int) { thirdGrant = eng.Now() })
 	})
 	eng.Run()
 	if thirdGrant != 3 {
@@ -170,9 +191,9 @@ func TestNoPartialPathReservation(t *testing.T) {
 func TestIdealModeNeverBlocks(t *testing.T) {
 	eng, ns := newFabric(t, 16, 16, true)
 	var grants []engine.Cycle
-	eng.Schedule(1, func() {
+	after(eng, 1, func() {
 		for i := 0; i < 8; i++ {
-			ns.RequestPath(0, 3, 100, func(int) { grants = append(grants, eng.Now()) })
+			request(ns, 0, 3, 100, func(int) { grants = append(grants, eng.Now()) })
 		}
 	})
 	eng.Run()
@@ -188,17 +209,17 @@ func TestIdealModeNeverBlocks(t *testing.T) {
 
 func TestReleaseFreesLinks(t *testing.T) {
 	eng, ns := newFabric(t, 16, 16, false)
-	eng.Schedule(1, func() {
+	after(eng, 1, func() {
 		// Arbitrated end of cycle 1: links reserved through 1+1000.
-		ns.RequestPath(0, 3, 1000, func(int) {
+		request(ns, 0, 3, 1000, func(int) {
 			// Holder releases early at cycle 5, identifying its own
 			// reservation window.
-			eng.At(5, func() { ns.Release(0, 3, 1001) })
+			eng.AtAct(5, fn(func() { ns.Release(0, 3, 1001) }), 0, nil)
 		})
 	})
 	var grant engine.Cycle
-	eng.Schedule(3, func() {
-		ns.RequestPath(0, 3, 1, func(int) { grant = eng.Now() })
+	after(eng, 3, func() {
+		request(ns, 0, 3, 1, func(int) { grant = eng.Now() })
 	})
 	eng.Run()
 	if grant != 6 {
@@ -231,18 +252,18 @@ func TestReleaseFreesLinks(t *testing.T) {
 //	          and C was granted at cycle 32, overlapping B's circuit.
 func TestLateReleaseDoesNotClobber(t *testing.T) {
 	eng, ns := newFabric(t, 16, 16, false)
-	eng.Schedule(1, func() {
-		ns.RequestPath(0, 3, 20, func(int) {}) // A: reserved through 21
+	after(eng, 1, func() {
+		request(ns, 0, 3, 20, func(int) {}) // A: reserved through 21
 	})
-	eng.Schedule(22, func() {
-		ns.RequestPath(0, 3, 20, func(int) {}) // B: reserved through 42
+	after(eng, 22, func() {
+		request(ns, 0, 3, 20, func(int) {}) // B: reserved through 42
 	})
-	eng.Schedule(30, func() {
+	after(eng, 30, func() {
 		ns.Release(0, 3, 21) // A's late release
 	})
 	var cGrant engine.Cycle
-	eng.Schedule(31, func() {
-		ns.RequestPath(0, 3, 1, func(int) { cGrant = eng.Now() })
+	after(eng, 31, func() {
+		request(ns, 0, 3, 1, func(int) { cGrant = eng.Now() })
 	})
 	eng.Run()
 	if cGrant != 43 {
@@ -265,14 +286,14 @@ func TestPriorityRotationPreventsStarvation(t *testing.T) {
 		if eng.Now() >= stop {
 			return
 		}
-		ns.RequestPath(0, 3, 2, func(int) {
+		request(ns, 0, 3, 2, func(int) {
 			flood()
 		})
 	}
 	var victimGranted bool
-	eng.Schedule(1, flood)
-	eng.Schedule(10, func() {
-		ns.RequestPath(1, 3, 1, func(int) { victimGranted = true })
+	after(eng, 1, flood)
+	after(eng, 10, func() {
+		request(ns, 1, 3, 1, func(int) { victimGranted = true })
 	})
 	eng.Run()
 	if !victimGranted {
@@ -284,11 +305,11 @@ func TestLocalRequestPanics(t *testing.T) {
 	eng, ns := newFabric(t, 16, 16, false)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RequestPath(src==dst) did not panic")
+			t.Fatal("RequestPathTo(src==dst) did not panic")
 		}
 	}()
 	_ = eng
-	ns.RequestPath(3, 3, 1, func(int) {})
+	request(ns, 3, 3, 1, func(int) {})
 }
 
 func TestStatsAverages(t *testing.T) {
@@ -310,41 +331,27 @@ func TestStatsAverages(t *testing.T) {
 
 func TestMeshLatency(t *testing.T) {
 	g := Geometry{Rows: 4, Cols: 4}
-	m := NewMesh(DefaultMeshConfig(g))
-	if got := m.Latency(0, 15); got != 12 {
+	if got := MeshLatency(g.Hops(0, 15)); got != 12 {
 		t.Fatalf("mesh 6-hop latency = %d, want 12 (2/hop)", got)
 	}
-	if m.Latency(5, 5) != 0 {
+	if MeshLatency(g.Hops(5, 5)) != 0 {
 		t.Fatal("local mesh latency != 0")
 	}
-	if m.LatencyForHops(3) != 6 {
-		t.Fatalf("LatencyForHops(3) = %d", m.LatencyForHops(3))
-	}
-	msgs, avg := m.Stats()
-	if msgs != 1 || avg != 12 {
-		t.Fatalf("mesh stats = %d %v", msgs, avg)
-	}
-}
-
-func TestMeshSerialization(t *testing.T) {
-	g := Geometry{Rows: 4, Cols: 4}
-	m := NewMesh(MeshConfig{Geometry: g, RouterCycles: 1, LinkCycles: 1, Serialization: 4})
-	if got := m.Latency(0, 1); got != 6 {
-		t.Fatalf("narrow mesh latency = %d, want 2+4", got)
+	if MeshLatency(3) != 6 {
+		t.Fatalf("MeshLatency(3) = %d", MeshLatency(3))
 	}
 }
 
 func TestSMARTLatency(t *testing.T) {
 	g := Geometry{Rows: 8, Cols: 8}
-	s := NewSMART(DefaultSMARTConfig(g))
-	if got := s.Latency(0, 63); got != 1+2 {
+	if got := SMARTLatency(g.Hops(0, 63)); got != 1+2 {
 		t.Fatalf("SMART 14-hop latency = %d, want 3", got)
 	}
-	if s.LatencyForHops(0) != 0 {
+	if SMARTLatency(0) != 0 {
 		t.Fatal("SMART local latency != 0")
 	}
-	if s.LatencyForHops(8) != 2 {
-		t.Fatalf("SMART 8-hop latency = %d, want 2", s.LatencyForHops(8))
+	if SMARTLatency(8) != 2 {
+		t.Fatalf("SMART 8-hop latency = %d, want 2", SMARTLatency(8))
 	}
 }
 
@@ -403,14 +410,14 @@ func TestRetryEventsIndependentOfWaiters(t *testing.T) {
 	const n, k = 64, 100
 	eng := engine.New()
 	ns := NewNocstar(eng, NocstarConfig{Geometry: Geometry{Rows: 1, Cols: n + 1}})
-	eng.Schedule(1, func() {
+	after(eng, 1, func() {
 		// Arbitrated at the end of cycle 1: held through cycle 1+k.
-		ns.RequestPath(0, NodeID(n), k, func(int) {})
+		request(ns, 0, NodeID(n), k, func(int) {})
 	})
 	granted := 0
-	eng.Schedule(2, func() {
+	after(eng, 2, func() {
 		for i := 0; i < n; i++ {
-			ns.RequestPath(NodeID(i), NodeID(i+1), 1, func(int) { granted++ })
+			request(ns, NodeID(i), NodeID(i+1), 1, func(int) { granted++ })
 		}
 	})
 	eng.Run()
@@ -488,22 +495,25 @@ func (f *refFabric) enqueue(req *refReq) {
 	f.pending = append(f.pending, req)
 	if !f.arbScheduled {
 		f.arbScheduled = true
-		f.eng.AtEndOfCycle(f.arbitrate)
+		f.eng.AtEndOfCycle(f, refOpArbitrate, nil)
 	}
 }
 
 const (
 	refOpRetry uint8 = iota
 	refOpGrant
+	refOpArbitrate
 )
 
 func (f *refFabric) Act(op uint8, arg any) {
-	req := arg.(*refReq)
 	switch op {
 	case refOpRetry:
-		f.enqueue(req)
+		f.enqueue(arg.(*refReq))
 	case refOpGrant:
+		req := arg.(*refReq)
 		req.h.PathGranted(req.op, req.arg, req.traversal)
+	case refOpArbitrate:
+		f.arbitrate()
 	}
 }
 

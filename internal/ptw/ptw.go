@@ -30,7 +30,10 @@ const (
 type Config struct {
 	Mode         Mode
 	FixedLatency int // used when Mode == Fixed
-	// PWCEntries sizes the page-walk cache (0 disables it).
+	// PWCEntries sizes the page-walk cache. 0 disables it in a walker
+	// built directly with New; inside a system.Config, Normalized fills
+	// a Variable-mode 0 with the default 32, so there the cache is
+	// always on.
 	PWCEntries int
 	// Overhead is the fixed per-walk cost in Variable mode beyond the PTE
 	// fetches themselves: miss-handler dispatch, walker occupancy, the

@@ -323,8 +323,9 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestSubmitRejectsUnbuildableConfig sends documents that once passed
-// validation and then panicked the simulator's constructor or run (or wrapped
-// the thread-capacity check): each must get a 400 invalid_config naming
+// validation and then panicked the simulator's constructor or run,
+// wrapped the thread-capacity check, or (a shootdown every cycle) held
+// a worker until its deadline: each must get a 400 invalid_config naming
 // the field, and the server must keep answering.
 func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 1})
@@ -344,6 +345,7 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 		{doc("mono-mesh", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
 		{doc("nocstar", `"l1_scale": 1e30`), "L1Scale"},
 		{doc("nocstar", `"storm": {"promote_demote_interval": 1000, "pages": `+huge+`}`), "Storm.Pages"},
+		{doc("nocstar", `"shootdown_interval": 1`), "ShootdownInterval"},
 		{`{"org": "nocstar", "cores": 4, "apps": [{"spec": {"name": "x", "footprint_pages": ` + huge +
 			`, "mem_ref_per_instr": 0.3, "base_cpi": 1}, "threads": 4}]}`, "Apps[0].Spec.FootprintPages"},
 	}

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -75,74 +74,6 @@ func (h *ConcurrencyHist) Merge(other *ConcurrencyHist) {
 	h.total += other.total
 }
 
-// Mean is an online mean/min/max accumulator.
-type Mean struct {
-	n        uint64
-	sum      float64
-	min, max float64
-}
-
-// Add records a sample.
-func (m *Mean) Add(v float64) {
-	if m.n == 0 {
-		m.min, m.max = v, v
-	} else {
-		if v < m.min {
-			m.min = v
-		}
-		if v > m.max {
-			m.max = v
-		}
-	}
-	m.n++
-	m.sum += v
-}
-
-// N reports the sample count.
-func (m *Mean) N() uint64 { return m.n }
-
-// Mean reports the sample mean, or NaN with no samples. NaN propagates
-// loudly (Table renders it as "-") where a silent 0 used to masquerade as
-// a legitimate measured value.
-func (m *Mean) Mean() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.sum / float64(m.n)
-}
-
-// Min reports the smallest sample, or NaN with no samples.
-func (m *Mean) Min() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.min
-}
-
-// Max reports the largest sample, or NaN with no samples.
-func (m *Mean) Max() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.max
-}
-
-// Geomean returns the geometric mean of vs, ignoring non-positive values.
-// It returns 1 for an empty input, matching its use for speedup ratios.
-func Geomean(vs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, v := range vs {
-		if v > 0 {
-			sum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 1
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Mean64 returns the arithmetic mean of vs, or 0 for empty input.
 func Mean64(vs []float64) float64 {
 	if len(vs) == 0 {
@@ -170,19 +101,6 @@ func MinMax(vs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Percentile returns the p-th percentile (0..100) of vs using linear
-// interpolation. It panics on empty input. The input is copied and
-// sorted on every call; callers extracting several percentiles of the
-// same data should sort once and use PercentileSorted.
-func Percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	return PercentileSorted(s, p)
 }
 
 // PercentileSorted returns the p-th percentile (0..100) of an

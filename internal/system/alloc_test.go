@@ -21,10 +21,11 @@ type ringStream struct {
 	next  uint64
 }
 
-func (r *ringStream) Next() vm.VirtAddr {
-	va := r.base + vm.VirtAddr((r.next%r.pages)*4096)
-	r.next++
-	return va
+func (r *ringStream) NextBatch(buf []vm.VirtAddr) {
+	for i := range buf {
+		buf[i] = r.base + vm.VirtAddr((r.next%r.pages)*4096)
+		r.next++
+	}
 }
 
 // allocTestSystem builds a running NOCSTAR system in steady state: thread

@@ -223,8 +223,22 @@ func (c Config) Normalized() (Config, error) {
 	if c.HPCmax <= 0 {
 		c.HPCmax = 16
 	}
-	if c.PTW.Mode == ptw.Variable && c.PTW.PWCEntries == 0 && c.PTW.Overhead == 0 {
-		c.PTW = ptw.DefaultConfig()
+	if c.PTW.Mode == ptw.Variable {
+		// Each zero field takes its default, so a partial block keeps
+		// what it sets and an all-zero block is ptw.DefaultConfig().
+		// FixedLatency means nothing here and is cleared, so configs
+		// that walk alike hash alike.
+		d := ptw.DefaultConfig()
+		c.PTW.FixedLatency = 0
+		if c.PTW.PWCEntries == 0 {
+			c.PTW.PWCEntries = d.PWCEntries
+		}
+		if c.PTW.Overhead == 0 {
+			c.PTW.Overhead = d.Overhead
+		}
+		if c.PTW.Walkers == 0 {
+			c.PTW.Walkers = d.Walkers
+		}
 	}
 	if c.InstrPerThread == 0 {
 		c.InstrPerThread = 200_000

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nocstar/internal/noc"
+	"nocstar/internal/ptw"
 	"nocstar/internal/workload"
 )
 
@@ -164,6 +165,33 @@ func TestUnmarshalWorkloadShorthand(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("decoded config invalid: %v", err)
+	}
+}
+
+// TestPartialPTWBlock pins what a partial Variable-mode PTW block means:
+// the fields it sets are kept and each zero field takes its default, so
+// {"walkers": 4} walks with 4 walkers, not the default block's 2.
+func TestPartialPTWBlock(t *testing.T) {
+	cfg, err := UnmarshalConfig([]byte(`{
+		"org": "nocstar", "cores": 4,
+		"apps": [{"workload": "gups", "threads": 4}],
+		"ptw": {"walkers": 4}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ptw.Config{Mode: ptw.Variable, PWCEntries: 32, Overhead: 15, Walkers: 4}
+	if n.PTW != want {
+		t.Fatalf("normalized PTW = %+v, want %+v", n.PTW, want)
+	}
+	// An all-zero block is still the default block.
+	cfg.PTW = ptw.Config{}
+	if n, _ = cfg.Normalized(); n.PTW != ptw.DefaultConfig() {
+		t.Fatalf("all-zero PTW normalized to %+v, want %+v", n.PTW, ptw.DefaultConfig())
 	}
 }
 

@@ -234,15 +234,15 @@ func (s *System) monoAccess(x *xact) {
 	x.dst = s.bankNodes[bank]
 	x.src = th.core.node
 
+	x.hops = s.geo.Hops(x.src, x.dst)
 	switch s.cfg.Org {
 	case MonolithicMesh:
-		x.oneWay = s.mesh.Latency(x.src, x.dst)
+		x.oneWay = noc.MeshLatency(x.hops)
 	case MonolithicSMART:
-		x.oneWay = s.smart.Latency(x.src, x.dst)
+		x.oneWay = noc.SMARTLatency(x.hops)
 	case MonolithicFixed:
 		x.oneWay = 0 // folded into the forced access latency
 	}
-	x.hops = s.geo.Hops(x.src, x.dst)
 	s.meter.AddMessage(energy.MonolithicMessage(2*x.hops, 0))
 	s.m.netLat.Observe(uint64(2 * x.oneWay))
 	s.m.remote.Inc()
@@ -310,13 +310,13 @@ func (s *System) distAccess(x *xact) {
 
 	x.src = th.core.node
 	x.dst = noc.NodeID(slice)
+	x.hops = s.geo.Hops(x.src, x.dst)
 	if s.cfg.Org == DistributedMesh {
-		x.oneWay = s.mesh.Latency(x.src, x.dst)
+		x.oneWay = noc.MeshLatency(x.hops)
 	}
 	if x.src == x.dst {
 		s.m.localSlice.Inc()
 	} else {
-		x.hops = s.geo.Hops(x.src, x.dst)
 		s.meter.AddMessage(energy.DistributedMessage(2*x.hops, 0))
 		s.m.netLat.Observe(uint64(2 * x.oneWay))
 		s.m.remote.Inc()

@@ -52,12 +52,9 @@ type thread struct {
 	core *core
 	gen  workload.Stream
 
-	// Batched reference generation: when gen supports NextBatch, buf is
-	// refilled a slice at a time and the hot loop consumes it by index
-	// bump; bufPos..bufLen is the unconsumed window. batch is nil for
-	// plain Streams (trace replayers, test stubs), which fall back to
-	// per-reference Next.
-	batch  workload.BatchStream
+	// Batched reference generation: buf is refilled a slice at a time
+	// and the hot loop consumes it by index bump; bufPos..bufLen is the
+	// unconsumed window.
 	buf    []vm.VirtAddr
 	bufPos int
 	bufLen int
@@ -75,8 +72,8 @@ type thread struct {
 // configured workload length. boundaryReset drops the buffer, so without
 // the clamp the warmup's unused tail would be lost and the measured
 // window would start at addresses that depend on the batch size; with
-// it, the generator's RNG position at the warmup/measure boundary is
-// exactly what the scalar path would have left.
+// it, the measured window resumes each stream at the reference after the
+// warmup's last.
 const threadBatchSize = 1024
 
 // System is one configured machine mid-run.
@@ -105,8 +102,6 @@ type System struct {
 	bankCharges  []int
 
 	fabric *noc.Nocstar
-	mesh   *noc.Mesh
-	smart  *noc.SMART
 
 	// Shootdown plumbing.
 	leaderOf   []int // core -> leader core
@@ -209,8 +204,6 @@ func New(cfg Config) (*System, error) {
 			}
 			s.bankNodes = append(s.bankNodes, nd)
 		}
-		s.mesh = noc.NewMesh(noc.DefaultMeshConfig(s.geo))
-		s.smart = noc.NewSMART(noc.DefaultSMARTConfig(s.geo))
 	case DistributedMesh, Nocstar, NocstarIdeal, IdealShared:
 		for i := 0; i < cfg.Cores; i++ {
 			s.slices = append(s.slices, tlb.New(tlb.Config{
@@ -224,7 +217,6 @@ func New(cfg Config) (*System, error) {
 		s.slicePortFree = make([]engine.Cycle, cfg.Cores)
 		s.sliceCharges = make([]int, cfg.Cores)
 		s.sliceOut = make([]int, cfg.Cores)
-		s.mesh = noc.NewMesh(noc.DefaultMeshConfig(s.geo))
 		if cfg.Org == Nocstar || cfg.Org == NocstarIdeal {
 			s.fabric = noc.NewNocstar(s.eng, noc.NocstarConfig{
 				Geometry: s.geo,
@@ -296,10 +288,7 @@ func New(cfg Config) (*System, error) {
 				refsTotal:    refs,
 				refsLeft:     refs,
 				cyclesPerRef: acfg.Spec.BaseCPI / acfg.Spec.MemRefPerInstr,
-			}
-			if bs, ok := stream.(workload.BatchStream); ok {
-				th.batch = bs
-				th.buf = make([]vm.VirtAddr, threadBatchSize)
+				buf:          make([]vm.VirtAddr, threadBatchSize),
 			}
 			s.threads = append(s.threads, th)
 		}
@@ -409,9 +398,6 @@ func (s *System) boundaryReset() {
 	if s.fabric != nil {
 		s.fabric.ResetStats()
 	}
-	if s.mesh != nil {
-		s.mesh.ResetStats()
-	}
 	for _, a := range s.apps {
 		a.threadsLeft = a.cfg.Threads
 		a.instrDone = 0
@@ -500,21 +486,16 @@ func (s *System) threadLoop(th *thread) {
 		}
 		budget--
 		carry += th.cyclesPerRef
-		var va vm.VirtAddr
-		if th.batch != nil {
-			if th.bufPos == th.bufLen {
-				n := len(th.buf)
-				if th.refsLeft < uint64(n) {
-					n = int(th.refsLeft)
-				}
-				th.batch.NextBatch(th.buf[:n])
-				th.bufPos, th.bufLen = 0, n
+		if th.bufPos == th.bufLen {
+			n := len(th.buf)
+			if th.refsLeft < uint64(n) {
+				n = int(th.refsLeft)
 			}
-			va = th.buf[th.bufPos]
-			th.bufPos++
-		} else {
-			va = th.gen.Next()
+			th.gen.NextBatch(th.buf[:n])
+			th.bufPos, th.bufLen = 0, n
 		}
+		va := th.buf[th.bufPos]
+		th.bufPos++
 		th.refsLeft--
 		s.m.memRefs.Inc()
 		if e, ok := th.core.l1.Lookup(ctx, va); ok {

@@ -102,6 +102,23 @@ const (
 	maxStormPages = 1 << 30
 )
 
+// minDisturbInterval bounds ShootdownInterval, Storm.ContextSwitchInterval
+// and Storm.PromoteDemoteInterval from below; 0 still turns each off.
+// Every disturbance charges shared-structure ports: a single-page
+// shootdown charges its home slice or bank one port cycle per relaying
+// sender (every core, without invalidation leaders), and a context switch
+// charges every port 4 cycles. Disturbances that arrive faster than the
+// ports drain push the port horizons out without bound, so the threads
+// never finish and the run holds its worker until maxCycles or its
+// deadline; a shootdown every cycle did exactly that. With the default
+// banking (8 banks from 64 cores up) a maxCores machine relays 4096 / 8 =
+// 512 messages per shootdown to each bank on average, so from 512 cycles
+// up the shootdown stream alone asks no bank for more than one port cycle
+// per cycle. A machine with fewer banks or more senders per bank can
+// still saturate a port; maxCycles and the run's deadline bound those.
+// Every experiment, example, benchmark and test uses 1000 cycles or more.
+const minDisturbInterval = 512
+
 // maxFootprintPages bounds App.Spec.FootprintPages. Each thread's
 // private arena is 2^38 bytes, 2^26 4 KiB slots, and a region scatters
 // its touched pages over SpreadFactor (64) slots each, so an arena holds
@@ -215,8 +232,18 @@ func (c Config) Validate() error {
 	if c.WarmupInstr > maxInstr {
 		add("WarmupInstr", "must be at most %d, got %d", maxInstr, c.WarmupInstr)
 	}
-	if c.Storm != nil && c.Storm.Pages > maxStormPages {
-		add("Storm.Pages", "must be at most %d, got %d", maxStormPages, c.Storm.Pages)
+	interval := func(field string, v uint64) {
+		if v != 0 && v < minDisturbInterval {
+			add(field, "must be 0 (off) or at least %d cycles, got %d", minDisturbInterval, v)
+		}
+	}
+	interval("ShootdownInterval", c.ShootdownInterval)
+	if c.Storm != nil {
+		interval("Storm.ContextSwitchInterval", c.Storm.ContextSwitchInterval)
+		interval("Storm.PromoteDemoteInterval", c.Storm.PromoteDemoteInterval)
+		if c.Storm.Pages > maxStormPages {
+			add("Storm.Pages", "must be at most %d, got %d", maxStormPages, c.Storm.Pages)
+		}
 	}
 
 	if len(c.Apps) == 0 {

@@ -97,6 +97,14 @@ func TestValidateFields(t *testing.T) {
 		{"shared frac over 1", func(c *Config) { c.Apps[0].Spec.SharedFrac = 1.5 }, "Apps[0].Spec.SharedFrac"},
 		{"nan shared frac", func(c *Config) { c.Apps[0].Spec.SharedFrac = math.NaN() }, "Apps[0].Spec.SharedFrac"},
 		{"storm pages 2^62", func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: 1 << 62} }, "Storm.Pages"},
+		{"shootdown every cycle", func(c *Config) { c.ShootdownInterval = 1 }, "ShootdownInterval"},
+		{"shootdown under the floor", func(c *Config) { c.ShootdownInterval = minDisturbInterval - 1 }, "ShootdownInterval"},
+		{"context switch every cycle", func(c *Config) {
+			c.Storm = &StormConfig{ContextSwitchInterval: 1, Pages: 4096}
+		}, "Storm.ContextSwitchInterval"},
+		{"promote/demote every cycle", func(c *Config) {
+			c.Storm = &StormConfig{PromoteDemoteInterval: 1, Pages: 4096}
+		}, "Storm.PromoteDemoteInterval"},
 		{"too many threads", func(c *Config) { c.Apps[0].Threads = 5 }, "Apps"},
 		{"thread sum wraps", func(c *Config) {
 			c.Apps[0].Threads = 1 << 62

@@ -197,14 +197,15 @@ func (t *Trace) NewReplayer(thread int) (*Replayer, error) {
 	return &Replayer{refs: t.Threads[thread]}, nil
 }
 
-// Next implements workload.Stream.
-func (r *Replayer) Next() vm.VirtAddr {
-	page := r.refs[r.pos]
-	r.pos++
-	if r.pos == len(r.refs) {
-		r.pos = 0
+// NextBatch implements workload.Stream.
+func (r *Replayer) NextBatch(buf []vm.VirtAddr) {
+	for i := range buf {
+		buf[i] = vm.VirtAddr(r.refs[r.pos] << 12)
+		r.pos++
+		if r.pos == len(r.refs) {
+			r.pos = 0
+		}
 	}
-	return vm.VirtAddr(page << 12)
 }
 
 var _ workload.Stream = (*Replayer)(nil)

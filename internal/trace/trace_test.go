@@ -214,17 +214,19 @@ func TestReplayerMatchesAndWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5000; i++ {
-		want := tr.Threads[2][i] << 12
-		if got := uint64(r.Next()); got != want {
-			t.Fatalf("ref %d: %#x != %#x", i, got, want)
-		}
+	// Batches of 7 straddle the end of the stream, so one batch holds
+	// both its last references and, after the wrap-around, its first.
+	refs := tr.Threads[2]
+	if len(refs)%7 == 0 {
+		t.Fatalf("%d refs: no batch straddles the wrap", len(refs))
 	}
-	// Wrap-around: the stream restarts at its first reference and goes
-	// on from there.
-	for i := 0; i < 2; i++ {
-		if got := uint64(r.Next()); got != tr.Threads[2][i]<<12 {
-			t.Fatalf("wrapped ref %d: %#x != %#x", i, got, tr.Threads[2][i]<<12)
+	buf := make([]vm.VirtAddr, 7)
+	for i := 0; i < len(refs)+2*len(buf); i += len(buf) {
+		r.NextBatch(buf)
+		for j, got := range buf {
+			if want := refs[(i+j)%len(refs)] << 12; uint64(got) != want {
+				t.Fatalf("ref %d: %#x != %#x", i+j, uint64(got), want)
+			}
 		}
 	}
 }

@@ -6,21 +6,10 @@ import "nocstar/internal/vm"
 // synthetic Generator implements it, as does a trace replayer — the
 // simulator consumes either interchangeably, mirroring how the paper's
 // Simics-based infrastructure can run live or from captured traces.
+// NextBatch fills buf with the stream's next len(buf) references, so the
+// consumer's hot loop reduces to a buffer index bump.
 type Stream interface {
-	Next() vm.VirtAddr
-}
-
-// BatchStream is a Stream that can also fill a whole slice of references
-// in one call, letting the consumer's hot loop reduce to a buffer index
-// bump. NextBatch must produce exactly the addresses len(buf) calls to
-// Next would have. The simulator type-asserts for this at setup and falls
-// back to per-reference Next for plain Streams.
-type BatchStream interface {
-	Stream
 	NextBatch(buf []vm.VirtAddr)
 }
 
-var (
-	_ Stream      = (*Generator)(nil)
-	_ BatchStream = (*Generator)(nil)
-)
+var _ Stream = (*Generator)(nil)

@@ -16,9 +16,10 @@
 //     hold — the invariant whose absence let PR 3's link-release clobber
 //     survive (see circuit.go).
 //   - Engine and timing invariants: executed event cycles never
-//     decrease, the port-free horizons (slice, bank, and private-L2
-//     ports) are monotone, and per-thread committed reference counts
-//     reconcile with the workload length at the end of the run.
+//     decrease, the free horizons of the L2 TLB ports (private L2
+//     TLBs, monolithic banks, slices) are monotone, and per-thread
+//     committed reference counts reconcile with the workload length at
+//     the end of the run.
 //
 // A Checker belongs to exactly one run: the system binds it at New and
 // the shadow state is meaningless across runs. With Config.Check nil the
@@ -63,15 +64,6 @@ type Stats struct {
 	Ports         uint64 // port-horizon updates checked
 }
 
-// Port kinds for the horizon-monotonicity check.
-const (
-	PortSlice uint8 = iota
-	PortBank
-	PortPriv
-)
-
-var portNames = [...]string{"slicePortFree", "bankPortFree", "privPortFree"}
-
 // invKey identifies one translation for the stale-serve record.
 type invKey struct {
 	ctx  vm.ContextID
@@ -98,16 +90,15 @@ type Checker struct {
 	lastSeq  uint64
 	sawEvent bool
 
-	// Port-free horizon shadows, sized by BindPorts.
-	ports [3][]engine.Cycle
+	// Port-free horizon shadows, one per L2 TLB port, sized by BindPorts.
+	ports []engine.Cycle
 
 	// Stale-TLB record: a translation is stale when its latest recorded
 	// insert generation predates the latest invalidation generation
-	// covering it (per-page, per-context full flush, or global flush).
+	// covering it (per-page, or global flush).
 	gen      uint64
 	inserts  map[invKey]uint64
 	invs     map[invKey]uint64
-	ctxFlush map[vm.ContextID]uint64
 	allFlush uint64
 
 	circuit circuitShadow
@@ -117,9 +108,8 @@ type Checker struct {
 // Config.Check) binds it to the run's engine, fabric, and port arrays.
 func New() *Checker {
 	return &Checker{
-		inserts:  map[invKey]uint64{},
-		invs:     map[invKey]uint64{},
-		ctxFlush: map[vm.ContextID]uint64{},
+		inserts: map[invKey]uint64{},
+		invs:    map[invKey]uint64{},
 	}
 }
 
@@ -195,32 +185,25 @@ func (c *Checker) event(when engine.Cycle, seq uint64) {
 	c.lastWhen, c.lastSeq = when, seq
 }
 
-// BindPorts sizes the port-free horizon shadows: slices and banks are
-// the shared-structure port arrays (zero for organizations without
-// them), cores is the private-L2 port count.
-func (c *Checker) BindPorts(slices, banks, cores int) {
-	c.ports[PortSlice] = make([]engine.Cycle, slices)
-	c.ports[PortBank] = make([]engine.Cycle, banks)
-	c.ports[PortPriv] = make([]engine.Cycle, cores)
-}
+// BindPorts sizes the port-free horizon shadows to the run's n L2 TLB
+// ports.
+func (c *Checker) BindPorts(n int) { c.ports = make([]engine.Cycle, n) }
 
-// Port verifies one port-free horizon update: horizons only ever move
-// forward (a port busy through cycle T can never become busy only
-// through some earlier T' — that would retroactively un-charge
+// Port verifies one update of port idx's free horizon: horizons only
+// ever move forward (a port busy through cycle T can never become busy
+// only through some earlier T' — that would retroactively un-charge
 // contention already paid for).
-func (c *Checker) Port(kind uint8, idx int, v engine.Cycle) {
+func (c *Checker) Port(idx int, v engine.Cycle) {
 	c.stats.Ports++
-	shadow := c.ports[kind]
-	if idx < 0 || idx >= len(shadow) {
-		c.Violatef("port: %s index %d out of range (%d ports bound)",
-			portNames[kind], idx, len(shadow))
+	if idx < 0 || idx >= len(c.ports) {
+		c.Violatef("port: index %d out of range (%d ports bound)", idx, len(c.ports))
 		return
 	}
-	if v < shadow[idx] {
-		c.Violatef("port: %s[%d] horizon moved backwards: %d after %d",
-			portNames[kind], idx, uint64(v), uint64(shadow[idx]))
+	if v < c.ports[idx] {
+		c.Violatef("port: port %d horizon moved backwards: %d after %d",
+			idx, uint64(v), uint64(c.ports[idx]))
 	}
-	shadow[idx] = v
+	c.ports[idx] = v
 }
 
 // ---------------------------------------------------------------------
@@ -285,10 +268,6 @@ func (c *Checker) Inserted(ctx vm.ContextID, vpn uint64, size vm.PageSize) {
 func (c *Checker) Invalidated(inv vm.Invalidation) {
 	c.stats.Invalidations++
 	c.gen++
-	if inv.FullFlush {
-		c.ctxFlush[inv.Ctx] = c.gen
-		return
-	}
 	c.invs[invKey{ctx: inv.Ctx, vpn: inv.VPN, size: inv.Size}] = c.gen
 }
 
@@ -302,14 +281,7 @@ func (c *Checker) FlushedAll() {
 
 // invGen returns the latest invalidation generation covering key.
 func (c *Checker) invGen(key invKey) uint64 {
-	g := c.invs[key]
-	if cg := c.ctxFlush[key.ctx]; cg > g {
-		g = cg
-	}
-	if c.allFlush > g {
-		g = c.allFlush
-	}
-	return g
+	return max(c.invs[key], c.allFlush)
 }
 
 // ---------------------------------------------------------------------

@@ -33,26 +33,25 @@ func TestEventOrder(t *testing.T) {
 
 func TestPortHorizonMonotone(t *testing.T) {
 	c := New()
-	c.BindPorts(2, 1, 3)
-	c.Port(PortSlice, 0, 10)
-	c.Port(PortSlice, 0, 10) // unchanged horizon is fine
-	c.Port(PortSlice, 1, 4)
-	c.Port(PortBank, 0, 2)
-	c.Port(PortPriv, 2, 9)
+	c.BindPorts(3)
+	c.Port(0, 10)
+	c.Port(0, 10) // unchanged horizon is fine
+	c.Port(1, 4)
+	c.Port(2, 9)
 	if !c.Ok() {
 		t.Fatalf("monotone horizons flagged: %v", c.Err())
 	}
-	c.Port(PortSlice, 0, 9) // rewound past an already-charged horizon
+	c.Port(0, 9) // rewound past an already-charged horizon
 	if c.Ok() {
-		t.Fatal("rewound slice horizon not flagged")
+		t.Fatal("rewound port horizon not flagged")
 	}
-	if !strings.Contains(c.Violations()[0].Msg, "slicePortFree[0]") {
+	if !strings.Contains(c.Violations()[0].Msg, "port 0 ") {
 		t.Fatalf("violation does not name the port: %v", c.Violations()[0])
 	}
 
 	c = New()
-	c.BindPorts(1, 0, 0)
-	c.Port(PortBank, 0, 1) // no banks bound
+	c.BindPorts(1)
+	c.Port(1, 1) // only port 0 bound
 	if c.Ok() {
 		t.Fatal("out-of-range port index not flagged")
 	}
@@ -149,21 +148,13 @@ func TestStaleServeDetection(t *testing.T) {
 		t.Fatalf("re-inserted serve flagged: %d violations", n)
 	}
 
-	// Per-context full flush covers the key too.
-	c.Invalidated(vm.Invalidation{Ctx: as.Ctx, FullFlush: true})
-	serve(c)
-	if n := len(c.Violations()); n != 2 {
-		t.Fatalf("stale serve after context flush: %d violations, want 2", n)
-	}
-	c.Inserted(as.Ctx, vpn, vm.Page4K)
-
 	// Global flush (storm context switch) invalidates everything.
 	c.FlushedAll()
 	serve(c)
-	if n := len(c.Violations()); n != 3 {
-		t.Fatalf("stale serve after global flush: %d violations, want 3", n)
+	if n := len(c.Violations()); n != 2 {
+		t.Fatalf("stale serve after global flush: %d violations, want 2", n)
 	}
-	if c.Stats().Invalidations != 3 || c.Stats().Inserts != 3 {
+	if c.Stats().Invalidations != 2 || c.Stats().Inserts != 2 {
 		t.Fatalf("stats = %+v", c.Stats())
 	}
 }

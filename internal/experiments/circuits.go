@@ -82,24 +82,24 @@ func Fig11a() Fig11aResult {
 		Hops:    []int{0, 1, 2, 4, 6, 8, 10, 12},
 		Latency: map[string][]int{},
 	}
-	sliceLat := sram.AccessCycles(1024)
-	monoLat := sram.AccessCycles(32 * 1024)
+	sliceSRAM := sram.AccessCycles(1024)
+	monoSRAM := sram.AccessCycles(32 * 1024)
 
 	type design struct {
 		name string
 		f    func(h int) int
 	}
 	designs := []design{
-		{"Monolithic", func(h int) int { return monoLat + noc.MeshLatency(h) }},
-		{"Distributed", func(h int) int { return sliceLat + noc.MeshLatency(h) }},
+		{"Monolithic", func(h int) int { return monoSRAM + noc.MeshLatency(h) }},
+		{"Distributed", func(h int) int { return sliceSRAM + noc.MeshLatency(h) }},
 	}
 	for _, hpc := range []int{4, 8, 16} {
 		ns := noc.NewNocstar(nil, noc.NocstarConfig{Geometry: noc.GridFor(32), HPCmax: hpc})
 		designs = append(designs, design{fmt.Sprintf("NOCSTAR-HPC%d", hpc), func(h int) int {
 			if h == 0 {
-				return sliceLat
+				return sliceSRAM
 			}
-			return sliceLat + 1 + ns.TraversalCycles(h) // setup + traversal
+			return sliceSRAM + 1 + ns.TraversalCycles(h) // setup + traversal
 		}})
 	}
 	series := runner.Map(runner.Default(), designs, func(d design) []int {

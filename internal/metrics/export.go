@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -28,16 +27,9 @@ func promName(prefix, name string) string {
 	return b.String()
 }
 
-// formatFloat renders a float the way Prometheus clients do: shortest
-// round-trip representation.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteProm writes the snapshot in the Prometheus text exposition
 // format (one family per metric, prefixed with prefix): counters as
-// counter families, online means as _count/_sum/_min/_max gauges, and
-// histograms as native Prometheus histograms with cumulative le
+// counter families and histograms as native Prometheus histograms with cumulative le
 // buckets. Output order follows the snapshot's sorted order, so equal
 // snapshots encode identically — the /metrics endpoint is deterministic
 // for a quiesced server.
@@ -46,19 +38,6 @@ func (s Snapshot) WriteProm(w io.Writer, prefix string) error {
 		name := promName(prefix, c.Name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, c.Value); err != nil {
 			return err
-		}
-	}
-	for _, m := range s.Means {
-		name := promName(prefix, m.Name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s_count gauge\n%s_count %d\n# TYPE %s_sum gauge\n%s_sum %s\n",
-			name, name, m.N, name, name, formatFloat(m.Sum)); err != nil {
-			return err
-		}
-		if m.N > 0 {
-			if _, err := fmt.Fprintf(w, "# TYPE %s_min gauge\n%s_min %s\n# TYPE %s_max gauge\n%s_max %s\n",
-				name, name, formatFloat(m.Min), name, name, formatFloat(m.Max)); err != nil {
-				return err
-			}
 		}
 	}
 	for _, h := range s.Hists {

@@ -9,9 +9,6 @@ func TestWriteProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("l2.hits").Add(42)
 	r.AtomicCounter("server.runs.submitted").Add(3)
-	m := r.Mean("walk.depth")
-	m.Observe(2)
-	m.Observe(4)
 	h := r.Hist("lat", []uint64{1, 4, 16})
 	h.Observe(1)  // le=1
 	h.Observe(3)  // le=4
@@ -29,11 +26,6 @@ func TestWriteProm(t *testing.T) {
 		"# TYPE nocstar_l2_hits counter\nnocstar_l2_hits 42\n",
 		// AtomicCounters share the counter family.
 		"nocstar_server_runs_submitted 3\n",
-		// Means export count/sum/min/max.
-		"nocstar_walk_depth_count 2\n",
-		"nocstar_walk_depth_sum 6\n",
-		"nocstar_walk_depth_min 2\n",
-		"nocstar_walk_depth_max 4\n",
 		// Histogram buckets are cumulative, closed by +Inf.
 		"nocstar_lat_bucket{le=\"1\"} 1\n",
 		"nocstar_lat_bucket{le=\"4\"} 2\n",
@@ -45,17 +37,6 @@ func TestWriteProm(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
-	}
-
-	// Empty means elide min/max (NaN has no exposition form).
-	r2 := NewRegistry()
-	r2.Mean("empty")
-	var b2 strings.Builder
-	if err := r2.Snapshot().WriteProm(&b2, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b2.String(), "_min") {
-		t.Errorf("empty mean exported min/max:\n%s", b2.String())
 	}
 
 	// Determinism: a second encode of an equal snapshot is identical.

@@ -1,11 +1,11 @@
 // Package metrics is the simulator's observability layer: named, typed
-// metrics (counters, online means, fixed-bucket latency histograms)
+// metrics (counters and fixed-bucket latency histograms)
 // collected in a per-System registry and snapshotted into a stable,
 // JSON-marshalable form for machine-readable run reports.
 //
 // The design contract is a zero-allocation steady state: all metrics are
 // registered up front (at System construction), and every hot-path
-// operation — Counter.Inc/Add, Mean.Observe, Hist.Observe, Tracer.Emit —
+// operation — Counter.Inc/Add, Hist.Observe, Tracer.Emit —
 // writes into preallocated storage and never touches the heap. The
 // allocation-regression suite (make alloc) pins the full translation
 // critical path at exactly zero allocs/op with the registry attached.
@@ -55,35 +55,6 @@ func (c *AtomicCounter) Value() uint64 { return c.v.Load() }
 
 // Name reports the registered name.
 func (c *AtomicCounter) Name() string { return c.name }
-
-// Mean is an online mean/min/max accumulator over float64 samples.
-type Mean struct {
-	name     string
-	n        uint64
-	sum      float64
-	min, max float64
-}
-
-// Observe records a sample.
-func (m *Mean) Observe(v float64) {
-	if m.n == 0 || v < m.min {
-		m.min = v
-	}
-	if m.n == 0 || v > m.max {
-		m.max = v
-	}
-	m.n++
-	m.sum += v
-}
-
-// N reports the sample count.
-func (m *Mean) N() uint64 { return m.n }
-
-// Sum reports the sample sum.
-func (m *Mean) Sum() float64 { return m.sum }
-
-// Name reports the registered name.
-func (m *Mean) Name() string { return m.name }
 
 // DefaultLatencyBounds are the inclusive upper bounds (in cycles) of the
 // standard latency histogram, spanning a same-cycle port hit through a
@@ -150,7 +121,6 @@ func (h *Hist) Name() string { return h.name }
 type Registry struct {
 	counters []*Counter
 	atomics  []*AtomicCounter
-	means    []*Mean
 	hists    []*Hist
 	names    map[string]struct{}
 }
@@ -188,14 +158,6 @@ func (r *Registry) AtomicCounter(name string) *AtomicCounter {
 	return c
 }
 
-// Mean registers and returns a named online mean.
-func (r *Registry) Mean(name string) *Mean {
-	r.register(name)
-	m := &Mean{name: name}
-	r.means = append(r.means, m)
-	return m
-}
-
 // Hist registers and returns a named histogram with the given inclusive
 // upper bounds (nil selects DefaultLatencyBounds). Bounds must ascend.
 func (r *Registry) Hist(name string, bounds []uint64) *Hist {
@@ -219,17 +181,6 @@ type CounterValue struct {
 	Value uint64 `json:"value"`
 }
 
-// MeanValue is one online mean in a snapshot. Min/Max/Mean are 0 when
-// N == 0 (NaN is not JSON-marshalable; N disambiguates).
-type MeanValue struct {
-	Name string  `json:"name"`
-	N    uint64  `json:"n"`
-	Sum  float64 `json:"sum"`
-	Mean float64 `json:"mean"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
 // HistValue is one histogram in a snapshot. Counts has one more entry
 // than Bounds: the final open-ended overflow bucket.
 type HistValue struct {
@@ -248,7 +199,6 @@ type HistValue struct {
 // compare full Results including their snapshots).
 type Snapshot struct {
 	Counters []CounterValue `json:"counters"`
-	Means    []MeanValue    `json:"means,omitempty"`
 	Hists    []HistValue    `json:"histograms"`
 }
 
@@ -262,14 +212,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, c := range r.atomics {
 		s.Counters = append(s.Counters, CounterValue{Name: c.name, Value: c.Value()})
 	}
-	for _, m := range r.means {
-		mv := MeanValue{Name: m.name, N: m.n, Sum: m.sum}
-		if m.n > 0 {
-			mv.Mean = m.sum / float64(m.n)
-			mv.Min, mv.Max = m.min, m.max
-		}
-		s.Means = append(s.Means, mv)
-	}
 	for _, h := range r.hists {
 		hv := HistValue{
 			Name: h.name, Count: h.n, Sum: h.sum, Mean: h.Mean(),
@@ -282,7 +224,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Hists = append(s.Hists, hv)
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Means, func(i, j int) bool { return s.Means[i].Name < s.Means[j].Name })
 	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].Name < s.Hists[j].Name })
 	return s
 }
@@ -317,9 +258,6 @@ func (r *Registry) Reset() {
 	}
 	for _, c := range r.atomics {
 		c.v.Store(0)
-	}
-	for _, m := range r.means {
-		m.n, m.sum, m.min, m.max = 0, 0, 0, 0
 	}
 	for _, h := range r.hists {
 		for i := range h.counts {

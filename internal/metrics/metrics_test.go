@@ -28,28 +28,6 @@ func TestDuplicateNamePanics(t *testing.T) {
 	r.Hist("x", nil)
 }
 
-func TestMean(t *testing.T) {
-	r := NewRegistry()
-	m := r.Mean("m")
-	for _, v := range []float64{4, 2, 6} {
-		m.Observe(v)
-	}
-	snap := r.Snapshot()
-	mv := snap.Means[0]
-	if mv.N != 3 || mv.Mean != 4 || mv.Min != 2 || mv.Max != 6 {
-		t.Fatalf("mean snapshot = %+v", mv)
-	}
-}
-
-func TestEmptyMeanSnapshotsZero(t *testing.T) {
-	r := NewRegistry()
-	r.Mean("m")
-	mv := r.Snapshot().Means[0]
-	if mv.N != 0 || mv.Mean != 0 || mv.Min != 0 || mv.Max != 0 {
-		t.Fatalf("empty mean snapshot = %+v, want zeros (JSON cannot carry NaN)", mv)
-	}
-}
-
 func TestHistBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Hist("h", []uint64{1, 4, 16})
@@ -101,13 +79,11 @@ func TestSnapshotSortedAndMarshalable(t *testing.T) {
 func TestHotPathAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
-	m := r.Mean("m")
 	h := r.Hist("h", nil)
 	tr := NewTracer(64)
 	avg := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		c.Add(3)
-		m.Observe(1.5)
 		h.Observe(42)
 		tr.Emit(TraceL2Hit, 10, 4, 1, 2)
 	})

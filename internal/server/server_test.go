@@ -346,6 +346,9 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 		{doc("nocstar", `"l1_scale": 1e30`), "L1Scale"},
 		{doc("nocstar", `"storm": {"promote_demote_interval": 1000, "pages": `+huge+`}`), "Storm.Pages"},
 		{doc("nocstar", `"shootdown_interval": 1`), "ShootdownInterval"},
+		{doc("nocstar", `"prefetch_degree": 1000000`), "PrefetchDegree"},
+		{doc("mono-fixed", `"fixed_access_latency": 1000000000000000000`), "FixedAccessLatency"},
+		{doc("nocstar", `"ptw": {"mode": "fixed", "fixed_latency": 1000000000000000000}`), "PTW.FixedLatency"},
 		{`{"org": "nocstar", "cores": 4, "apps": [{"spec": {"name": "x", "footprint_pages": ` + huge +
 			`, "mem_ref_per_instr": 0.3, "base_cpi": 1}, "threads": 4}]}`, "Apps[0].Spec.FootprintPages"},
 	}

@@ -158,8 +158,8 @@ func deliverTestSystem(t testing.TB, org Org, cores int) (s *System, burst, sing
 	for _, c := range s.cores {
 		for vpn := uint64(0); vpn < 4096; vpn++ {
 			c.l1.Insert(app, vpn, vm.Page4K, vpn)
-			if c.privL2 != nil {
-				c.privL2.Insert(app, vpn, vm.Page4K, vpn)
+			if org == Private {
+				s.ports[c.id].tlb.Insert(app, vpn, vm.Page4K, vpn)
 			}
 		}
 	}

@@ -73,6 +73,12 @@ func (o Org) String() string {
 // between cores.
 func (o Org) IsShared() bool { return o != Private }
 
+// monolithic reports whether the organization is the banked monolithic
+// shared L2 TLB (Fig. 1c) under any of its interconnects.
+func (o Org) monolithic() bool {
+	return o == MonolithicMesh || o == MonolithicSMART || o == MonolithicFixed
+}
+
 // WalkPolicy selects where a page walk triggered by a shared-slice miss
 // executes (Section III-F, Fig. 17).
 type WalkPolicy int

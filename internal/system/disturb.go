@@ -1,7 +1,6 @@
 package system
 
 import (
-	"nocstar/internal/check"
 	"nocstar/internal/engine"
 	"nocstar/internal/tlb"
 	"nocstar/internal/vm"
@@ -103,8 +102,8 @@ func (s *System) stormPromoteDemote(st *storm) {
 	s.eng.ScheduleAct(next, s, opStormPromote, st)
 }
 
-// stormContextSwitch models an x86 context switch under the storm: all
-// shared TLB contents are flushed, as are L1 TLBs and page-walk caches.
+// stormContextSwitch models an x86 context switch under the storm: every
+// L2 TLB array is flushed, as are L1 TLBs and page-walk caches.
 func (s *System) stormContextSwitch() {
 	if s.threadsLive == 0 {
 		return
@@ -115,23 +114,15 @@ func (s *System) stormContextSwitch() {
 	for _, c := range s.cores {
 		c.l1.Flush()
 		c.walker.InvalidatePWC()
-		if c.privL2 != nil {
-			// The private L2 TLB's port performs the flush too: the
-			// private baseline does not get context switches for free
-			// while the shared organizations pay theirs below.
-			c.privL2.Flush()
-			s.chargePrivPort(c, 4)
-		}
 	}
-	if s.mono != nil {
-		s.mono.Flush()
-		for b := range s.bankPortFree {
-			s.chargeBankPort(b, 4)
-		}
+	for _, t := range s.arrays {
+		t.Flush()
 	}
-	for i, sl := range s.slices {
-		sl.Flush()
-		s.chargeSlicePort(i, 4)
+	// Every L2 port performs its share of the flush: the private baseline
+	// does not get context switches for free while the shared
+	// organizations pay theirs.
+	for i := range s.ports {
+		s.chargePort(&s.ports[i], 4)
 	}
 	s.eng.ScheduleAct(engine.Cycle(s.cfg.Storm.ContextSwitchInterval), s, opStormCtxSwitch, nil)
 }
@@ -144,34 +135,43 @@ func (s *System) stormContextSwitch() {
 // TLBs in one burst operation per array and clears its page-walk cache
 // once; in the private organization the core's private L2 TLB applies
 // the burst too. The shared structures are then reached per
-// invalidation: messages are relayed to the owning monolithic bank or
-// home slice either directly from every core (InvLeaders == 0) or via
-// the configured invalidation leaders (Section III-G), and the checker
-// records and verifies each invalidation. Message traffic is charged to
-// the structure ports so it contends with demand lookups. Charges to the
-// same structure (a promotion's 512 base-page entries of one home slice)
-// coalesce into at most a full set-scrub of that structure, the way
+// invalidation: messages are relayed to the port of the owning
+// monolithic bank or home slice either directly from every core
+// (InvLeaders == 0) or via the configured invalidation leaders
+// (Section III-G), and the checker records and verifies each
+// invalidation. A private L2 TLB is a port whose only sender is its own
+// core. Message traffic is charged to the ports so it contends with
+// demand lookups. Charges to the same port (a promotion's 512 base-page
+// entries of one home slice) coalesce into at most a full set-scrub of
+// the port's share of its array plus one message per sender, the way
 // range invalidations work in hardware — so a small slice absorbs a
 // burst far faster than a monolithic bank.
-// It returns the latest cycle any charged port stays busy through.
+// It returns the latest cycle any port charged by the invalidations
+// stays busy through.
 func (s *System) deliverInvalidations(invs []vm.Invalidation) engine.Cycle {
 	if len(invs) == 0 {
 		return s.eng.Now()
 	}
 	s.m.invLat.Observe(uint64(len(invs)))
 
-	// How many relayed messages reach the shared structure per
-	// invalidation, and the relay serialization at leader cores.
+	// How many relayed messages reach a port per invalidation, and the
+	// relay serialization at leader cores, charged to the slice on the
+	// leader's tile in the sliced organizations.
+	private := s.cfg.Org == Private
 	senders := s.cfg.Cores
-	if s.cfg.InvLeaders > 0 && s.cfg.InvLeaders < s.cfg.Cores {
+	switch {
+	case private:
+		senders = 1
+	case s.cfg.InvLeaders > 0 && s.cfg.InvLeaders < s.cfg.Cores:
 		senders = s.cfg.InvLeaders
 		group := (s.cfg.Cores + senders - 1) / senders
-		for l := 0; l < s.cfg.Cores; l += group {
-			s.chargeSlicePortIfAny(l, group)
+		if !s.cfg.Org.monolithic() {
+			for l := 0; l < s.cfg.Cores; l += group {
+				s.chargePort(&s.ports[l], group)
+			}
 		}
 	}
 
-	privCharges := 0
 	for len(invs) > 0 {
 		var b tlb.Burst
 		n := 0
@@ -181,108 +181,50 @@ func (s *System) deliverInvalidations(invs []vm.Invalidation) engine.Cycle {
 		for _, c := range s.cores {
 			c.l1.InvalidateBurst(&b)
 			c.walker.InvalidatePWC()
-			if c.privL2 != nil {
-				c.privL2.InvalidateBurst(&b)
+		}
+		if private {
+			for i := range s.ports {
+				s.ports[i].tlb.InvalidateBurst(&b)
+				s.ports[i].charge += n * senders
 			}
 		}
 		for _, inv := range invs[:n] {
 			if s.check != nil {
 				s.check.Invalidated(inv)
 			}
-			switch {
-			case s.mono != nil:
-				s.mono.Apply(inv)
-				if inv.FullFlush {
-					// The flush scrubs every bank's share of the array,
-					// so every bank's port is busy — mirroring the
-					// sliced branch below, which charges every slice.
-					for bank := range s.bankCharges {
-						s.bankCharges[bank]++
-					}
-					s.m.shootdowns.Add(uint64(s.cfg.Banks))
-					continue
-				}
-				bank := s.bankFor(vm.VirtAddr(inv.VPN << inv.Size.Shift()))
-				s.bankCharges[bank] += senders
-				s.m.shootdowns.Add(uint64(senders))
-				s.checkScrubbed(inv, -1, true)
-			case s.slices != nil:
-				if inv.FullFlush {
-					for i, sl := range s.slices {
-						sl.Apply(inv)
-						s.sliceCharges[i]++
-					}
-					s.m.shootdowns.Add(uint64(len(s.slices)))
-					continue
-				}
-				home := s.homeSlice(vm.VirtAddr(inv.VPN << inv.Size.Shift()))
-				s.slices[home].Apply(inv)
-				s.sliceCharges[home] += senders
-				s.m.shootdowns.Add(uint64(senders))
-				s.checkScrubbed(inv, home, false)
-			default:
-				// Private org: every core's private L2 TLB performed
-				// the invalidation lookup above, occupying its port —
-				// IPI shootdowns are not free on the baseline either.
-				privCharges++
-				s.m.shootdowns.Inc()
-				s.checkScrubbed(inv, -1, false)
+			var home *l2port
+			if !private {
+				home = s.portFor(nil, vm.VirtAddr(inv.VPN<<inv.Size.Shift()))
+				home.tlb.Apply(inv)
+				home.charge += senders
 			}
+			s.m.shootdowns.Add(uint64(senders))
+			s.checkScrubbed(inv, home)
 		}
 		invs = invs[n:]
 	}
 
 	// Apply coalesced charges: a burst costs at most one scrub of the
-	// target structure's sets plus the message delivery itself.
+	// port's sets plus the message delivery itself.
 	horizon := s.eng.Now()
-	for slice, n := range s.sliceCharges {
-		if n == 0 {
+	for i := range s.ports {
+		p := &s.ports[i]
+		if p.charge == 0 {
 			continue
 		}
-		s.sliceCharges[slice] = 0
-		if cap := s.slices[slice].Sets() + senders; n > cap {
-			n = cap
-		}
-		s.chargeSlicePort(slice, n)
-		if s.slicePortFree[slice] > horizon {
-			horizon = s.slicePortFree[slice]
-		}
-	}
-	for bank, n := range s.bankCharges {
-		if n == 0 {
-			continue
-		}
-		s.bankCharges[bank] = 0
-		if cap := s.mono.Sets()/s.cfg.Banks + senders; n > cap {
-			n = cap
-		}
-		s.chargeBankPort(bank, n)
-		if s.bankPortFree[bank] > horizon {
-			horizon = s.bankPortFree[bank]
-		}
-	}
-	if privCharges > 0 {
-		// The same scrub coalescing applies to each private L2 TLB.
-		n := privCharges
-		if cap := s.cores[0].privL2.Sets() + 1; n > cap {
-			n = cap
-		}
-		for _, c := range s.cores {
-			s.chargePrivPort(c, n)
-			if c.privPortFree > horizon {
-				horizon = c.privPortFree
-			}
-		}
+		s.chargePort(p, min(p.charge, s.perPort(p.tlb.Sets())+senders))
+		p.charge = 0
+		horizon = max(horizon, p.free)
 	}
 	return horizon
 }
 
-// checkScrubbed asserts (checker runs only) that after a targeted
-// invalidation no L1 TLB — nor the invalidation's home structure —
-// still serves the scrubbed translation. slice names the home slice
-// (-1: none); bank is true when the monolithic TLB was the target.
-func (s *System) checkScrubbed(inv vm.Invalidation, slice int, bank bool) {
-	if s.check == nil || inv.FullFlush {
+// checkScrubbed asserts (checker runs only) that after an invalidation
+// no L1 TLB — nor the L2 array behind the invalidation's home port, or
+// behind every port when home is nil (each private L2 TLB applied it) —
+// still serves the scrubbed translation.
+func (s *System) checkScrubbed(inv vm.Invalidation, home *l2port) {
+	if s.check == nil {
 		return
 	}
 	for _, c := range s.cores {
@@ -290,63 +232,26 @@ func (s *System) checkScrubbed(inv vm.Invalidation, slice int, bank bool) {
 			s.check.Violatef("core %d L1 TLB still holds ctx=%d vpn=%#x size=%v after invalidation",
 				c.id, inv.Ctx, inv.VPN, inv.Size)
 		}
-		if c.privL2 != nil && c.privL2.Probe(inv.Ctx, inv.VPN, inv.Size) {
-			s.check.Violatef("core %d private L2 TLB still holds ctx=%d vpn=%#x size=%v after invalidation",
-				c.id, inv.Ctx, inv.VPN, inv.Size)
+	}
+	ports := s.ports
+	if home != nil {
+		ports = s.ports[home.idx : home.idx+1]
+	}
+	for _, p := range ports {
+		if p.tlb.Probe(inv.Ctx, inv.VPN, inv.Size) {
+			s.check.Violatef("L2 port %d still holds ctx=%d vpn=%#x size=%v after invalidation",
+				p.idx, inv.Ctx, inv.VPN, inv.Size)
 		}
 	}
-	if bank && s.mono.Probe(inv.Ctx, inv.VPN, inv.Size) {
-		s.check.Violatef("monolithic TLB still holds ctx=%d vpn=%#x size=%v after invalidation",
-			inv.Ctx, inv.VPN, inv.Size)
-	}
-	if slice >= 0 && s.slices[slice].Probe(inv.Ctx, inv.VPN, inv.Size) {
-		s.check.Violatef("slice %d still holds ctx=%d vpn=%#x size=%v after invalidation",
-			slice, inv.Ctx, inv.VPN, inv.Size)
-	}
 }
 
-// chargeSlicePort makes the slice's ports busy for n extra cycles.
-func (s *System) chargeSlicePort(slice, n int) {
-	now := s.eng.Now()
-	if s.slicePortFree[slice] < now {
-		s.slicePortFree[slice] = now
+// chargePort makes p busy for n extra cycles from now on.
+func (s *System) chargePort(p *l2port, n int) {
+	if now := s.eng.Now(); p.free < now {
+		p.free = now
 	}
-	s.slicePortFree[slice] += engine.Cycle(n)
+	p.free += engine.Cycle(n)
 	if s.check != nil {
-		s.check.Port(check.PortSlice, slice, s.slicePortFree[slice])
-	}
-}
-
-// chargeSlicePortIfAny is chargeSlicePort guarded for organizations
-// without slices (leader relay charges only exist there and for banks).
-func (s *System) chargeSlicePortIfAny(slice, n int) {
-	if s.slices == nil || slice >= len(s.slicePortFree) {
-		return
-	}
-	s.chargeSlicePort(slice, n)
-}
-
-// chargeBankPort makes a monolithic bank's port busy for n extra cycles.
-func (s *System) chargeBankPort(bank, n int) {
-	now := s.eng.Now()
-	if s.bankPortFree[bank] < now {
-		s.bankPortFree[bank] = now
-	}
-	s.bankPortFree[bank] += engine.Cycle(n)
-	if s.check != nil {
-		s.check.Port(check.PortBank, bank, s.bankPortFree[bank])
-	}
-}
-
-// chargePrivPort makes a core's private L2 TLB port busy for n extra
-// cycles.
-func (s *System) chargePrivPort(c *core, n int) {
-	now := s.eng.Now()
-	if c.privPortFree < now {
-		c.privPortFree = now
-	}
-	c.privPortFree += engine.Cycle(n)
-	if s.check != nil {
-		s.check.Port(check.PortPriv, c.id, c.privPortFree)
+		s.check.Port(p.idx, p.free)
 	}
 }

@@ -1,43 +1,14 @@
 package system
 
 import (
+	"slices"
 	"testing"
 
 	"nocstar/internal/check"
+	"nocstar/internal/engine"
 	"nocstar/internal/tlb"
 	"nocstar/internal/vm"
 )
-
-// TestMonoFullFlushChargesAllBanks is the regression test for the
-// shootdown cost-model bug where a FullFlush on the monolithic
-// organization charged only bank 0's port: the flush scrubs every bank's
-// share of the array, so every bank must be busy, exactly like the
-// sliced organizations charge every slice.
-func TestMonoFullFlushChargesAllBanks(t *testing.T) {
-	s, err := New(smallConfig(MonolithicMesh))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flush := []vm.Invalidation{{Ctx: 1, FullFlush: true}}
-	monoHorizon := s.deliverInvalidations(flush)
-	for b, free := range s.bankPortFree {
-		if free != 1 {
-			t.Fatalf("bank %d port free = %d after full flush, want 1 (every bank charged once)",
-				b, free)
-		}
-	}
-	// The monolithic horizon now matches the sliced organizations': one
-	// coalesced scrub per bank/slice, regardless of the core count that
-	// used to be charged to bank 0 alone.
-	d, err := New(smallConfig(DistributedMesh))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slicedHorizon := d.deliverInvalidations(flush); monoHorizon != slicedHorizon {
-		t.Fatalf("full-flush horizons diverge: monolithic %d vs sliced %d",
-			monoHorizon, slicedHorizon)
-	}
-}
 
 // TestStormContextSwitchChargesPrivatePorts is the regression test for
 // the storm cost-model bug where a context switch flushed private L2
@@ -51,10 +22,10 @@ func TestStormContextSwitchChargesPrivatePorts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.stormContextSwitch()
-	for _, c := range s.cores {
-		if c.privPortFree != 4 {
+	for _, p := range s.ports {
+		if p.free != 4 {
 			t.Fatalf("core %d private port free = %d after storm context switch, want 4",
-				c.id, c.privPortFree)
+				p.idx, p.free)
 		}
 	}
 	// Shared organizations keep paying the same flush cost.
@@ -65,9 +36,9 @@ func TestStormContextSwitchChargesPrivatePorts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.stormContextSwitch()
-	for b, free := range m.bankPortFree {
-		if free != 4 {
-			t.Fatalf("bank %d port free = %d after storm context switch, want 4", b, free)
+	for _, p := range m.ports {
+		if p.free != 4 {
+			t.Fatalf("bank %d port free = %d after storm context switch, want 4", p.idx, p.free)
 		}
 	}
 }
@@ -121,10 +92,7 @@ func TestBurstScrubsPopulatedArrays(t *testing.T) {
 			keep = append(keep, kept{ctx, vpn, vm.Page4K})
 		}
 		shared := func(vpn uint64) *tlb.TLB {
-			if s.mono != nil {
-				return s.mono
-			}
-			return s.slices[s.homeSlice(vm.VirtAddr(vpn<<vm.Page4K.Shift()))]
+			return s.portFor(nil, vm.VirtAddr(vpn<<vm.Page4K.Shift())).tlb
 		}
 		fill := func(insert func(ctx vm.ContextID, vpn uint64, size vm.PageSize)) {
 			for _, vpn := range inside {
@@ -136,8 +104,9 @@ func TestBurstScrubsPopulatedArrays(t *testing.T) {
 		}
 		for _, c := range s.cores {
 			fill(func(ctx vm.ContextID, vpn uint64, size vm.PageSize) { c.l1.Insert(ctx, vpn, size, vpn) })
-			if c.privL2 != nil {
-				fill(func(ctx vm.ContextID, vpn uint64, size vm.PageSize) { c.privL2.Insert(ctx, vpn, size, vpn) })
+			if org == Private {
+				priv := s.ports[c.id].tlb
+				fill(func(ctx vm.ContextID, vpn uint64, size vm.PageSize) { priv.Insert(ctx, vpn, size, vpn) })
 			}
 		}
 		if org != Private {
@@ -150,8 +119,8 @@ func TestBurstScrubsPopulatedArrays(t *testing.T) {
 			arrays := map[string]interface {
 				Probe(vm.ContextID, uint64, vm.PageSize) bool
 			}{"L1": c.l1}
-			if c.privL2 != nil {
-				arrays["private L2"] = c.privL2
+			if org == Private {
+				arrays["private L2"] = s.ports[c.id].tlb
 			}
 			for name, a := range arrays {
 				for _, vpn := range inside {
@@ -170,8 +139,8 @@ func TestBurstScrubsPopulatedArrays(t *testing.T) {
 				t.Errorf("%v: core %d L1 invalidated 4K/2M/1G = %d/%d/%d, want %d/0/0",
 					org, c.id, s4k.Invalidated, s2m.Invalidated, s1g.Invalidated, len(inside))
 			}
-			if c.privL2 != nil {
-				if n := c.privL2.Stats().Invalidated; n != uint64(len(inside)) {
+			if org == Private {
+				if n := s.ports[c.id].tlb.Stats().Invalidated; n != uint64(len(inside)) {
 					t.Errorf("%v: core %d private L2 invalidated %d, want %d", org, c.id, n, len(inside))
 				}
 			}
@@ -187,8 +156,8 @@ func TestBurstScrubsPopulatedArrays(t *testing.T) {
 					t.Errorf("%v: shared TLB lost %+v outside the burst", org, k)
 				}
 			}
-			if s.mono != nil {
-				if n := s.mono.Stats().Invalidated; n != uint64(len(inside)) {
+			if org == MonolithicMesh {
+				if n := s.arrays[0].Stats().Invalidated; n != uint64(len(inside)) {
 					t.Errorf("%v: monolithic TLB invalidated %d, want %d", org, n, len(inside))
 				}
 			}
@@ -198,6 +167,56 @@ func TestBurstScrubsPopulatedArrays(t *testing.T) {
 		}
 		if st := cfg.Check.Stats(); st.Invalidations != uint64(len(invs)) {
 			t.Fatalf("%v: checker recorded %d invalidations, want %d", org, st.Invalidations, len(invs))
+		}
+	}
+}
+
+// TestShootdownPortChargesPinned pins the coalesced shootdown charge,
+// captured before private L2 TLBs, monolithic banks and slices became
+// one port table: on 16 cores, each port's free horizon, the horizon
+// each delivery returns and the vm.shootdowns count after one 512-page
+// promotion burst and then one single-page invalidation at cycle 0.
+// Every port's charge is capped at its share of its array's sets plus
+// one message per sender; a private L2 TLB hears only its own core.
+func TestShootdownPortChargesPinned(t *testing.T) {
+	private := make([]engine.Cycle, 16)
+	for i := range private {
+		private[i] = 130
+	}
+	cases := []struct {
+		org        Org
+		leaders    int
+		burst, one engine.Cycle // returned horizons
+		shootdowns uint64
+		ports      []engine.Cycle
+	}{
+		{Private, 0, 129, 130, 513, private},
+		{Private, 2, 129, 130, 513, private},
+		{MonolithicMesh, 0, 528, 16, 8208, []engine.Cycle{0, 0, 16, 528}},
+		{MonolithicMesh, 2, 514, 2, 1026, []engine.Cycle{0, 0, 2, 514}},
+		{DistributedMesh, 0, 144, 16, 8208, []engine.Cycle{0, 0, 0, 0, 0, 0, 0, 144, 0, 0, 16, 0, 0, 0, 0, 0}},
+		{DistributedMesh, 2, 130, 2, 1026, []engine.Cycle{16, 0, 0, 0, 0, 0, 0, 130, 16, 0, 2, 0, 0, 0, 0, 0}},
+	}
+	for _, tc := range cases {
+		cfg := smallConfig(tc.org)
+		cfg.Cores = 16
+		cfg.Apps[0].Threads = 16
+		cfg.InvLeaders = tc.leaders
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst := s.deliverInvalidations(promoteBurst(t, vm.ContextID(len(s.apps)+1), 0x7000_0000_0000))
+		va := vm.VirtAddr(0x100_0000_0000)
+		one := s.deliverInvalidations([]vm.Invalidation{{Ctx: 1, VPN: va.VPN(vm.Page4K), Size: vm.Page4K}})
+		ports := make([]engine.Cycle, len(s.ports))
+		for i, p := range s.ports {
+			ports[i] = p.free
+		}
+		if burst != tc.burst || one != tc.one || s.m.shootdowns.Value() != tc.shootdowns || !slices.Equal(ports, tc.ports) {
+			t.Errorf("%v, %d leaders: horizons %d, %d, %d shootdowns, ports %v; want %d, %d, %d, %v",
+				tc.org, tc.leaders, burst, one, s.m.shootdowns.Value(), ports,
+				tc.burst, tc.one, tc.shootdowns, tc.ports)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func TestBankMappingInRange(t *testing.T) {
 	}
 	f := func(vaRaw uint64) bool {
 		b := s.bankFor(vm.VirtAddr(vaRaw))
-		return b >= 0 && b < len(s.bankNodes)
+		return b >= 0 && b < len(s.ports)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -271,11 +271,27 @@ func FuzzUnmarshalConfig(f *testing.F) {
 		`"footprint_pages":0,"shared_frac":0.5`,
 		`"footprint_pages":1024,"shared_frac":-1`,
 		`"footprint_pages":1024,"shared_frac":1.5`,
+		// Spec fields outside their ranges once ran as if valid.
+		`"footprint_pages":1024,"hot_prob":-1`,
+		`"footprint_pages":1024,"zipf_theta":5`,
+		`"footprint_pages":1024,"hot_frac":2`,
+		`"footprint_pages":1024,"superpage_frac":5`,
 	} {
 		f.Add([]byte(`{"org":"nocstar","cores":4,"apps":[{"spec":{"name":"x",` + spec +
 			`,"mem_ref_per_instr":0.3,"base_cpi":1},"threads":4}]}`))
 	}
+	// No references per instruction, or a negative CPI, ran into the
+	// cycle cap.
+	for _, rates := range []string{`"mem_ref_per_instr":0,"base_cpi":1`, `"mem_ref_per_instr":0.3,"base_cpi":-1`} {
+		f.Add([]byte(`{"org":"nocstar","cores":4,"apps":[{"spec":{"name":"x","footprint_pages":1024,` + rates +
+			`},"threads":4}]}`))
+	}
 	f.Add([]byte(`{"org":"nocstar","cores":4,"apps":[{"workload":"gups","threads":4}],"storm":{"promote_demote_interval":1000,"pages":4611686018427387904}}`))
+	// A prefetch degree of 10^6 held a worker for minutes inside one
+	// event; fixed latencies of 10^18 ran to the cycle cap.
+	f.Add([]byte(`{"org":"nocstar","cores":4,"apps":[{"workload":"gups","threads":4}],"prefetch_degree":1000000}`))
+	f.Add([]byte(`{"org":"mono-fixed","cores":4,"fixed_access_latency":1000000000000000000,"apps":[{"workload":"gups","threads":4}]}`))
+	f.Add([]byte(`{"org":"nocstar","cores":4,"ptw":{"mode":"fixed","fixed_latency":1000000000000000000},"apps":[{"workload":"gups","threads":4}]}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := UnmarshalConfig(doc)
 		if err != nil || cfg.Validate() != nil {

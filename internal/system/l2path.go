@@ -1,7 +1,6 @@
 package system
 
 import (
-	"nocstar/internal/check"
 	"nocstar/internal/energy"
 	"nocstar/internal/engine"
 	"nocstar/internal/metrics"
@@ -26,15 +25,16 @@ func (s *System) accessL2(x *xact) {
 	s.outstanding++
 	s.conc.Observe(s.outstanding)
 
-	switch s.cfg.Org {
-	case Private:
-		s.privateAccess(x)
-	case MonolithicMesh, MonolithicSMART, MonolithicFixed:
+	switch {
+	case s.cfg.Org == Private:
+		x.slice = -1
+		s.localAccess(x, s.portFor(th, x.va))
+	case s.cfg.Org.monolithic():
 		s.monoAccess(x)
-	case DistributedMesh, IdealShared:
-		s.distAccess(x)
-	case Nocstar, NocstarIdeal:
+	case s.cfg.Org == Nocstar || s.cfg.Org == NocstarIdeal:
 		s.nocstarAccess(x)
+	default:
+		s.distAccess(x)
 	}
 }
 
@@ -105,22 +105,16 @@ func (s *System) scheduleWalk(c *core, x *xact, op uint8) {
 // the translation, charge the insert message that ships it to the shared
 // structure (off the critical path), and resume the thread.
 func (s *System) localWalked(x *xact) {
-	slice := x.slice
-	if slice < 0 {
-		slice = 0
-	}
-	s.insertTranslation(x.th, x.va, x.res, slice)
-	switch s.cfg.Org {
-	case Private:
+	s.insertTranslation(x.th, x.va, x.res)
+	switch {
+	case s.cfg.Org == Private:
 		// The walked entry stays in the private L2: no message.
-	case MonolithicMesh, MonolithicSMART, MonolithicFixed:
+	case s.cfg.Org.monolithic():
 		s.meter.AddMessage(energy.MonolithicMessage(x.hops, 0)) // insert msg
-	case DistributedMesh, IdealShared:
-		if x.src != x.dst {
-			s.meter.AddMessage(energy.DistributedMessage(x.hops, 0))
-		}
-	case Nocstar, NocstarIdeal:
+	case s.cfg.Org == Nocstar || s.cfg.Org == NocstarIdeal:
 		s.sendInsertMessage(x.src, x.dst)
+	case x.src != x.dst: // distributed or ideal, remote home slice
+		s.meter.AddMessage(energy.DistributedMessage(x.hops, 0))
 	}
 	s.resumeWithWalk(x)
 }
@@ -129,11 +123,7 @@ func (s *System) localWalked(x *xact) {
 // install the translation there, then carry the result back to the
 // requester over the organization's interconnect.
 func (s *System) remoteWalked(x *xact) {
-	slice := x.slice
-	if slice < 0 {
-		slice = 0
-	}
-	s.insertTranslation(x.th, x.va, x.res, slice)
+	s.insertTranslation(x.th, x.va, x.res)
 	switch s.cfg.Org {
 	case Nocstar, NocstarIdeal:
 		x.arrived = arrWalkRemote
@@ -143,17 +133,16 @@ func (s *System) remoteWalked(x *xact) {
 	}
 }
 
-// insertTranslation installs a walked translation into the L2 structure
-// (private L2, monolithic array, or the given slice), plus the ±k
-// prefetch neighbours of Table III. Prefetched translations piggyback on
-// the PTE cache line the walk fetched, so they cost no extra walk; only
-// already-mapped neighbours can be prefetched.
-func (s *System) insertTranslation(th *thread, va vm.VirtAddr, res vm.WalkResult, slice int) {
+// insertTranslation installs a walked translation into the L2 array
+// behind its port (portFor), plus the ±k prefetch neighbours of
+// Table III, each behind its own port. Prefetched translations piggyback
+// on the PTE cache line the walk fetched, so they cost no extra walk;
+// only already-mapped neighbours can be prefetched.
+func (s *System) insertTranslation(th *thread, va vm.VirtAddr, res vm.WalkResult) {
 	a := th.app
 	size := res.Size
 	vpn := va.VPN(size)
-	pfn := uint64(res.PA) >> size.Shift()
-	s.insertOne(th, a, vpn, size, pfn, slice)
+	s.insertOne(th, va, size, uint64(res.PA)>>size.Shift())
 
 	for k := 1; k <= s.cfg.PrefetchDegree; k++ {
 		for _, d := range [2]int64{int64(k), -int64(k)} {
@@ -166,61 +155,54 @@ func (s *System) insertTranslation(th *thread, va vm.VirtAddr, res vm.WalkResult
 			if !ok || nsize != size {
 				continue
 			}
-			ns := slice
-			if s.slices != nil {
-				ns = s.sliceFor(th, nva)
-			}
-			s.insertOne(th, a, nvpn, size, uint64(pa)>>size.Shift(), ns)
+			s.insertOne(th, nva, size, uint64(pa)>>size.Shift())
 			s.m.prefetches.Inc()
 		}
 	}
 }
 
-// insertOne installs one translation into the organization's L2 store.
-func (s *System) insertOne(th *thread, a *app, vpn uint64, size vm.PageSize, pfn uint64, slice int) {
-	switch {
-	case th.core.privL2 != nil:
-		th.core.privL2.Insert(a.as.Ctx, vpn, size, pfn)
-	case s.mono != nil:
-		s.mono.Insert(a.as.Ctx, vpn, size, pfn)
-	case s.slices != nil:
-		s.slices[slice].Insert(a.as.Ctx, vpn, size, pfn)
-	}
+// insertOne installs th's translation of va's page into the array behind
+// va's port.
+func (s *System) insertOne(th *thread, va vm.VirtAddr, size vm.PageSize, pfn uint64) {
+	ctx := th.app.as.Ctx
+	vpn := va.VPN(size)
+	s.portFor(th, va).tlb.Insert(ctx, vpn, size, pfn)
 	if s.check != nil {
-		s.check.Inserted(a.as.Ctx, vpn, size)
+		s.check.Inserted(ctx, vpn, size)
 	}
 }
 
-// ---------------------------------------------------------------------
-// Private L2 TLBs (Fig. 1a) — the baseline.
-
-func (s *System) privateAccess(x *xact) {
-	th := x.th
-	c := th.core
-	x.slice = -1
-	avail := x.start
-	if c.privPortFree > avail {
-		avail = c.privPortFree
-	}
-	c.privPortFree = avail + 1 // pipelined: one lookup starts per cycle
+// probe claims port p for one lookup of va that may begin no earlier
+// than earliest. A lookup holds the port for l2Busy cycles (one for a
+// pipelined private L2 or slice, bankServiceCycles for a monolithic
+// bank) and returns its result l2Lat cycles after it begins.
+func (s *System) probe(p *l2port, a *app, va vm.VirtAddr, earliest engine.Cycle) (doneAt engine.Cycle, e tlb.Entry, hit bool) {
+	avail := max(earliest, p.free)
+	p.free = avail + s.l2Busy
+	e, hit = p.tlb.Lookup(a.as.Ctx, va)
 	if s.check != nil {
-		s.check.Port(check.PortPriv, c.id, c.privPortFree)
-	}
-	lookupDone := avail + engine.Cycle(s.sliceLat)
-
-	e, hit := c.privL2.Lookup(th.app.as.Ctx, x.va)
-	if hit {
-		if s.check != nil {
-			s.check.Served(th.app.as, e.VPN, e.Size, e.PFN)
+		s.check.Port(p.idx, p.free)
+		if hit {
+			s.check.Served(a.as, e.VPN, e.Size, e.PFN)
 		}
+	}
+	return avail + engine.Cycle(s.l2Lat), e, hit
+}
+
+// localAccess is an access that needs no interconnect: a private L2 TLB
+// lookup (Fig. 1a, the baseline), or a NOCSTAR requester's own slice
+// (Fig. 11a "Case 1"). A miss walks at the requester.
+func (s *System) localAccess(x *xact, p *l2port) {
+	doneAt, e, hit := s.probe(p, x.th.app, x.va, x.start)
+	if hit {
 		s.m.l2Hits.Inc()
-		s.noteHit(x, lookupDone)
+		s.noteHit(x, doneAt)
 		x.entry = e
-		s.eng.AtAct(lookupDone, s, opHitDone, x)
+		s.eng.AtAct(doneAt, s, opHitDone, x)
 		return
 	}
 	s.noteMiss(x)
-	s.eng.AtAct(lookupDone, s, opLocalMiss, x)
+	s.eng.AtAct(doneAt, s, opLocalMiss, x)
 }
 
 // ---------------------------------------------------------------------
@@ -229,9 +211,9 @@ func (s *System) privateAccess(x *xact) {
 
 func (s *System) monoAccess(x *xact) {
 	th := x.th
-	bank := s.bankFor(x.va)
+	p := s.portFor(th, x.va)
 	x.slice = -1
-	x.dst = s.bankNodes[bank]
+	x.dst = p.node
 	x.src = th.core.node
 
 	x.hops = s.geo.Hops(x.src, x.dst)
@@ -247,26 +229,8 @@ func (s *System) monoAccess(x *xact) {
 	s.m.netLat.Observe(uint64(2 * x.oneWay))
 	s.m.remote.Inc()
 
-	arrive := x.start + engine.Cycle(x.oneWay)
-	avail := arrive
-	if s.bankPortFree[bank] > avail {
-		avail = s.bankPortFree[bank]
-	}
-	s.bankPortFree[bank] = avail + bankServiceCycles
-	if s.check != nil {
-		s.check.Port(check.PortBank, bank, s.bankPortFree[bank])
-	}
-	lat := s.monoLat
-	if s.cfg.Org == MonolithicFixed {
-		lat = s.cfg.FixedAccessLatency
-	}
-	lookupDone := avail + engine.Cycle(lat)
-
-	e, hit := s.mono.Lookup(th.app.as.Ctx, x.va)
+	lookupDone, e, hit := s.probe(p, th.app, x.va, x.start+engine.Cycle(x.oneWay))
 	if hit {
-		if s.check != nil {
-			s.check.Served(th.app.as, e.VPN, e.Size, e.PFN)
-		}
 		resume := lookupDone + engine.Cycle(x.oneWay)
 		s.m.l2Hits.Inc()
 		s.noteHit(x, resume)
@@ -322,8 +286,7 @@ func (s *System) distAccess(x *xact) {
 		s.m.remote.Inc()
 	}
 
-	arrive := x.start + engine.Cycle(x.oneWay)
-	doneAt, e, hit := s.sliceLookup(th.app, x.va, slice, arrive)
+	doneAt, e, hit := s.probe(&s.ports[slice], th.app, x.va, x.start+engine.Cycle(x.oneWay))
 	if hit {
 		resume := doneAt + engine.Cycle(x.oneWay)
 		s.m.l2Hits.Inc()
@@ -340,25 +303,6 @@ func (s *System) distAccess(x *xact) {
 	}
 	backAt := doneAt + engine.Cycle(x.oneWay)
 	s.eng.AtAct(backAt, s, opLocalMiss, x)
-}
-
-// sliceLookup models the pipelined, ported slice array: a lookup may
-// begin no earlier than `earliest`, one new lookup starts per cycle, and
-// results return after the slice's SRAM latency.
-func (s *System) sliceLookup(a *app, va vm.VirtAddr, slice int, earliest engine.Cycle) (doneAt engine.Cycle, e tlb.Entry, hit bool) {
-	avail := earliest
-	if s.slicePortFree[slice] > avail {
-		avail = s.slicePortFree[slice]
-	}
-	s.slicePortFree[slice] = avail + 1
-	e, hit = s.slices[slice].Lookup(a.as.Ctx, va)
-	if s.check != nil {
-		s.check.Port(check.PortSlice, slice, s.slicePortFree[slice])
-		if hit {
-			s.check.Served(a.as, e.VPN, e.Size, e.PFN)
-		}
-	}
-	return avail + engine.Cycle(s.sliceLat), e, hit
 }
 
 // sliceBegin / sliceEnd maintain the Fig. 6-right per-slice concurrency
@@ -383,19 +327,8 @@ func (s *System) nocstarAccess(x *xact) {
 	x.src = th.core.node
 	x.dst = noc.NodeID(slice)
 	if x.src == x.dst {
-		// Local slice: identical to a private L2 TLB access (Fig. 11a
-		// "Case 1").
 		s.m.localSlice.Inc()
-		doneAt, e, hit := s.sliceLookup(th.app, x.va, slice, x.start)
-		if hit {
-			s.m.l2Hits.Inc()
-			s.noteHit(x, doneAt)
-			x.entry = e
-			s.eng.AtAct(doneAt, s, opHitDone, x)
-			return
-		}
-		s.noteMiss(x)
-		s.eng.AtAct(doneAt, s, opLocalMiss, x)
+		s.localAccess(x, &s.ports[slice])
 		return
 	}
 
@@ -409,7 +342,7 @@ func (s *System) nocstarAccess(x *xact) {
 	if s.cfg.Acquire == noc.RoundTripAcquire {
 		// Hold the path for the whole remote access: request traversal,
 		// estimated queue, lookup, response traversal.
-		hold = engine.Cycle(2*trav+s.sliceLat) + 2
+		hold = engine.Cycle(2*trav+s.l2Lat) + 2
 	}
 	x.hold = hold
 	s.fabric.RequestPathTo(x.src, x.dst, hold, s, grantRequest, x)
@@ -427,7 +360,7 @@ func (s *System) nocstarGranted(x *xact, gotTrav int) {
 		x.relUntil = s.eng.Now() - 1 + x.hold
 	}
 	arrive := s.eng.Now() + engine.Cycle(gotTrav-1)
-	doneAt, e, hit := s.sliceLookup(x.th.app, x.va, x.slice, arrive+1)
+	doneAt, e, hit := s.probe(&s.ports[x.slice], x.th.app, x.va, arrive+1)
 	if hit {
 		s.m.l2Hits.Inc()
 		x.entry = e
@@ -493,7 +426,7 @@ func (s *System) sendInsertMessage(src, dst noc.NodeID) {
 	}
 	s.meter.AddMessage(energy.NocstarMessage(s.geo.Hops(src, dst), 0))
 	// On arrival the slice write port is charged; the grant payload points
-	// into slicePortFree, which is never reallocated after New.
+	// into s.ports, which is never reallocated after New.
 	s.fabric.RequestPathTo(src, dst, s.fabric.HoldCyclesOneWay(src, dst),
-		s, grantInsert, &s.slicePortFree[int(dst)])
+		s, grantInsert, &s.ports[int(dst)])
 }

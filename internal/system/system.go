@@ -19,16 +19,30 @@ import (
 )
 
 // core is one tile: a core with its L1 TLBs, page-table walker, and cache
-// hierarchy, co-located with a shared-TLB slice in distributed designs.
+// hierarchy, co-located with its private L2 TLB or a shared-TLB slice.
 type core struct {
 	id     int
 	node   noc.NodeID
 	l1     *tlb.L1Group
 	walker *ptw.Walker
 	hier   *cache.Hierarchy
-	// privL2 is the per-core private L2 TLB (Private organization only).
-	privL2       *tlb.TLB
-	privPortFree engine.Cycle
+}
+
+// l2port is one port of a last-level TLB array. The organizations of
+// Fig. 1 differ only in where the array sits, how many ports front it
+// and how requests reach it: Private has one port per core's L2 TLB,
+// the monolithic organizations one port per bank over one shared array,
+// and the shared organizations one port per slice. A port is the unit of
+// contention: lookups, insert messages, shootdowns and context-switch
+// flushes all occupy it.
+type l2port struct {
+	tlb  *tlb.TLB     // the array behind the port
+	free engine.Cycle // the port's next free cycle (its horizon)
+	// charge accumulates one shootdown's port charges;
+	// deliverInvalidations zeroes it as it applies it.
+	charge int
+	idx    int        // index in System.ports
+	node   noc.NodeID // the tile the port sits on
 }
 
 // app is one running application.
@@ -87,19 +101,12 @@ type System struct {
 	apps    []*app
 	threads []*thread
 
-	// Shared last-level TLB state.
-	slices        []*tlb.TLB // distributed orgs: one per node
-	slicePortFree []engine.Cycle
-	mono          *tlb.TLB // monolithic orgs
-	bankPortFree  []engine.Cycle
-	bankNodes     []noc.NodeID
-	sliceLat      int // SRAM cycles of a slice / private L2
-	monoLat       int // SRAM cycles of a monolithic bank
-	// sliceCharges and bankCharges accumulate one shootdown's port
-	// charges per slice or bank; deliverInvalidations zeroes each entry
-	// as it applies it.
-	sliceCharges []int
-	bankCharges  []int
+	// Last-level TLB: the ports in index order (core, bank or slice
+	// number), and each distinct array behind them once.
+	ports  []l2port
+	arrays []*tlb.TLB
+	l2Lat  int          // cycles from a port claim to the lookup's result
+	l2Busy engine.Cycle // cycles one lookup holds its port
 
 	fabric *noc.Nocstar
 
@@ -152,7 +159,6 @@ func New(cfg Config) (*System, error) {
 	s.initMetrics()
 
 	sizing := tlb.DefaultL1Sizing().Scale(cfg.L1Scale)
-	s.sliceLat = sram.AccessCycles(cfg.L2EntriesPerCore)
 
 	llc := cache.New(cache.LLCConfig()) // one physical LLC shared chip-wide
 	for i := 0; i < cfg.Cores; i++ {
@@ -166,30 +172,29 @@ func New(cfg Config) (*System, error) {
 		})
 	}
 
-	switch cfg.Org {
-	case Private:
-		for _, c := range s.cores {
-			c.privL2 = tlb.New(tlb.Config{
-				Name:    fmt.Sprintf("privL2-%d", c.id),
-				Entries: cfg.L2EntriesPerCore,
-				Ways:    l2Ways,
-				Sizes:   []vm.PageSize{vm.Page4K, vm.Page2M},
-			})
-		}
-	case MonolithicMesh, MonolithicSMART, MonolithicFixed:
-		total := cfg.L2EntriesPerCore * cfg.Cores
-		s.mono = tlb.New(tlb.Config{
-			Name:    "monolithic",
-			Entries: total,
-			Ways:    l2Ways,
-			Sizes:   []vm.PageSize{vm.Page4K, vm.Page2M},
+	l2 := func(name string, entries int, hash bool) *tlb.TLB {
+		return tlb.New(tlb.Config{
+			Name:      name,
+			Entries:   entries,
+			Ways:      l2Ways,
+			Sizes:     []vm.PageSize{vm.Page4K, vm.Page2M},
+			IndexHash: hash,
 		})
+	}
+	s.l2Lat = sram.AccessCycles(cfg.L2EntriesPerCore)
+	s.l2Busy = 1 // pipelined: one lookup starts per cycle
+	if cfg.Org.monolithic() {
+		total := cfg.L2EntriesPerCore * cfg.Cores
+		mono := l2("monolithic", total, false)
 		// Banking multiplies ports but the monolithic structure is still
 		// one physical array: its lookup latency is the full-capacity
-		// latency (Fig. 4's 16-cycle SRAM for the 32x structure).
-		s.monoLat = sram.AccessCycles(total)
-		s.bankPortFree = make([]engine.Cycle, cfg.Banks)
-		s.bankCharges = make([]int, cfg.Banks)
+		// latency (Fig. 4's 16-cycle SRAM for the 32x structure), or the
+		// forced total access latency of MonolithicFixed.
+		s.l2Lat = sram.AccessCycles(total)
+		if cfg.Org == MonolithicFixed {
+			s.l2Lat = cfg.FixedAccessLatency
+		}
+		s.l2Busy = bankServiceCycles
 		// The monolithic structure sits at one end of the chip: banks
 		// spread along the bottom row (Section II-C2). GridFor pads
 		// non-rectangular core counts, so a bottom-row tile may hold no
@@ -202,32 +207,28 @@ func New(cfg Config) (*System, error) {
 			if int(nd) >= cfg.Cores {
 				nd = noc.NodeID(cfg.Cores - 1)
 			}
-			s.bankNodes = append(s.bankNodes, nd)
+			s.ports = append(s.ports, l2port{tlb: mono, node: nd})
 		}
-	case DistributedMesh, Nocstar, NocstarIdeal, IdealShared:
-		for i := 0; i < cfg.Cores; i++ {
-			s.slices = append(s.slices, tlb.New(tlb.Config{
-				Name:      fmt.Sprintf("slice-%d", i),
-				Entries:   cfg.L2EntriesPerCore,
-				Ways:      l2Ways,
-				Sizes:     []vm.PageSize{vm.Page4K, vm.Page2M},
-				IndexHash: true,
-			}))
+	} else {
+		// One array per tile: the core's private L2 TLB, or its slice of
+		// the shared TLB, whose set index must hash (tlb.Config.IndexHash).
+		for _, c := range s.cores {
+			s.ports = append(s.ports, l2port{tlb: l2(fmt.Sprintf("l2-%d", c.id), cfg.L2EntriesPerCore, cfg.Org.IsShared()), node: c.node})
 		}
-		s.slicePortFree = make([]engine.Cycle, cfg.Cores)
-		s.sliceCharges = make([]int, cfg.Cores)
-		s.sliceOut = make([]int, cfg.Cores)
-		if cfg.Org == Nocstar || cfg.Org == NocstarIdeal {
-			s.fabric = noc.NewNocstar(s.eng, noc.NocstarConfig{
-				Geometry: s.geo,
-				HPCmax:   cfg.HPCmax,
-				Ideal:    cfg.Org == NocstarIdeal,
-			})
-		}
-	default:
-		return nil, fmt.Errorf("system: unknown organization %v", cfg.Org)
 	}
-	if s.fabric != nil {
+	for i := range s.ports {
+		s.ports[i].idx = i
+		if i == 0 || s.ports[i].tlb != s.ports[i-1].tlb {
+			s.arrays = append(s.arrays, s.ports[i].tlb)
+		}
+	}
+	s.sliceOut = make([]int, cfg.Cores)
+	if cfg.Org == Nocstar || cfg.Org == NocstarIdeal {
+		s.fabric = noc.NewNocstar(s.eng, noc.NocstarConfig{
+			Geometry: s.geo,
+			HPCmax:   cfg.HPCmax,
+			Ideal:    cfg.Org == NocstarIdeal,
+		})
 		s.fabric.AttachMetrics(s.reg)
 	}
 
@@ -300,7 +301,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.Check != nil {
 		s.check = cfg.Check
 		s.check.AttachEngine(s.eng)
-		s.check.BindPorts(len(s.slicePortFree), len(s.bankPortFree), cfg.Cores)
+		s.check.BindPorts(len(s.ports))
 		if s.fabric != nil {
 			s.check.AttachFabric(s.fabric)
 		}
@@ -385,15 +386,9 @@ func (s *System) boundaryReset() {
 		c.l1.ResetStats()
 		c.walker.ResetStats()
 		c.hier.ResetStats()
-		if c.privL2 != nil {
-			c.privL2.ResetStats()
-		}
 	}
-	for _, sl := range s.slices {
-		sl.ResetStats()
-	}
-	if s.mono != nil {
-		s.mono.ResetStats()
+	for _, t := range s.arrays {
+		t.ResetStats()
 	}
 	if s.fabric != nil {
 		s.fabric.ResetStats()
@@ -602,11 +597,7 @@ func (s *System) collect() Result {
 // chargeEnergy finalizes the run's energy meter.
 func (s *System) chargeEnergy(r *Result) {
 	s.meter.AddL1Lookups(r.MemRefs)
-	entries := s.cfg.L2EntriesPerCore
-	if s.mono != nil {
-		entries = s.mono.Config().Entries / s.cfg.Banks
-	}
-	s.meter.AddL2Lookups(r.L2Accesses, entries)
+	s.meter.AddL2Lookups(r.L2Accesses, s.perPort(s.arrays[0].Config().Entries))
 	s.meter.AddWalkRefs(r.PTW.MemRefsByLevel)
 	totalEntries := s.cfg.Cores * (s.cfg.L2EntriesPerCore + 100) // + L1 arrays
 	s.meter.AddStatic(r.Cycles, totalEntries)
@@ -672,3 +663,21 @@ func (s *System) homeSlice(va vm.VirtAddr) int {
 func (s *System) bankFor(va vm.VirtAddr) int {
 	return int(mix(uint64(va)>>21) % uint64(s.cfg.Banks))
 }
+
+// portFor returns the L2 port that serves va for th: th's private L2, the
+// bank of va, or the home slice of va (th may be nil outside Private;
+// see sliceFor).
+func (s *System) portFor(th *thread, va vm.VirtAddr) *l2port {
+	switch {
+	case s.cfg.Org == Private:
+		return &s.ports[th.core.id]
+	case s.cfg.Org.monolithic():
+		return &s.ports[s.bankFor(va)]
+	}
+	return &s.ports[s.sliceFor(th, va)]
+}
+
+// perPort returns a per-array quantity (entries, sets) divided among the
+// ports fronting the array: all of it for a private L2 or a slice, one
+// bank's share of the monolithic array.
+func (s *System) perPort(n int) int { return n * len(s.arrays) / len(s.ports) }

@@ -445,9 +445,9 @@ func TestBankNodesWithinCores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b, nd := range s.bankNodes {
-			if int(nd) >= cores {
-				t.Fatalf("cores=%d: bank %d on padded tile %d", cores, b, nd)
+		for b, p := range s.ports {
+			if int(p.node) >= cores {
+				t.Fatalf("cores=%d: bank %d on padded tile %d", cores, b, p.node)
 			}
 		}
 		// The full run exercises the walk path that panicked pre-fix.

@@ -83,8 +83,10 @@ const (
 	// entry count must be a multiple of it.
 	l2Ways = 8
 	// maxBanks bounds Config.Banks at one bank per tile of the largest
-	// chip. A bank costs New 24 bytes (port horizon, charge counter,
-	// node), 96 KiB at the bound. The paper's best settings are 4 and 8.
+	// chip. A bank is one l2port in New's port table: a pointer to the
+	// shared array, the port's free horizon, its shootdown charge, its
+	// index and its node, 40 bytes, so 160 KiB at the bound. The paper's
+	// best settings are 4 and 8.
 	maxBanks = maxCores
 	// maxPWCEntries bounds PTW.PWCEntries. A page-walk-cache entry costs
 	// under 40 bytes (a 16-byte key in the FIFO ring plus its map slot),
@@ -100,6 +102,40 @@ const (
 	// 2 MiB bitmap, and its regions end 2^42 bytes past the storm's base,
 	// far below the TLB keys' VPN field. The storm experiments use 4096.
 	maxStormPages = 1 << 30
+)
+
+// The bounds below keep every accepted config finishing in bounded time.
+const (
+	// maxPrefetchDegree bounds PrefetchDegree. Prefetched translations
+	// ride on the one 64-byte line of eight 8-byte PTEs a walk fetches,
+	// so the neighbours a walk can prefetch for free lie at most 7 PTEs
+	// from the walked one. The prefetch loop runs inside one event, so
+	// an unbounded degree held a worker past its deadline. Table III
+	// uses 0 to 3.
+	maxPrefetchDegree = 7
+	// maxFixedLatency bounds FixedAccessLatency and PTW.FixedLatency. A
+	// cold run makes at least one L2 access and one walk per thread, and
+	// a realistic one thousands; at maxCycles/1024 (about 2·10⁶ cycles)
+	// a thousand serialized accesses still fit in maxCycles, where a
+	// latency near maxCycles could only run into that safety net. Fig. 4
+	// forces 9 to 25 cycles and Table III walks in 10 to 80.
+	maxFixedLatency = int(maxCycles / 1024)
+)
+
+// A thread advances its clock by BaseCPI/MemRefPerInstr cycles per
+// reference and issues InstrPerThread x MemRefPerInstr references. The
+// bounds below keep those finite and in range: the per-reference cost
+// lies in [2^-16, 2^20] cycles, so each maxRefsPerSlice (2^16) slice of
+// references advances the clock by at least one cycle and yields to the
+// engine (and to cancellation), and no single reference jumps past
+// maxCycles (about 2^31); and at most 2^42 x 2^8 = 2^50 references are
+// counted exactly in a float64. The suite issues 0.28 to 0.40
+// references per instruction at a CPI of 1.0 to 1.3.
+const (
+	minMemRefPerInstr = 1.0 / (1 << 10)
+	maxMemRefPerInstr = 1 << 8
+	minBaseCPI        = 1.0 / (1 << 8)
+	maxBaseCPI        = 1 << 10
 )
 
 // minDisturbInterval bounds ShootdownInterval, Storm.ContextSwitchInterval
@@ -178,8 +214,11 @@ func (c Config) Validate() error {
 	case c.Banks > maxBanks:
 		add("Banks", "must be at most %d, got %d", maxBanks, c.Banks)
 	}
-	if c.FixedAccessLatency < 0 {
+	switch {
+	case c.FixedAccessLatency < 0:
 		add("FixedAccessLatency", "must not be negative, got %d", c.FixedAccessLatency)
+	case c.FixedAccessLatency > maxFixedLatency:
+		add("FixedAccessLatency", "must be at most %d cycles, got %d", maxFixedLatency, c.FixedAccessLatency)
 	}
 	if c.Org == MonolithicFixed && c.FixedAccessLatency <= 0 {
 		add("FixedAccessLatency", "required for the monolithic(fixed) organization")
@@ -199,8 +238,11 @@ func (c Config) Validate() error {
 	default:
 		add("PTW.Mode", "unknown walk mode %d", int(c.PTW.Mode))
 	}
-	if c.PTW.FixedLatency < 0 && c.PTW.Mode != ptw.Fixed {
+	switch {
+	case c.PTW.FixedLatency < 0 && c.PTW.Mode != ptw.Fixed:
 		add("PTW.FixedLatency", "must not be negative, got %d", c.PTW.FixedLatency)
+	case c.PTW.FixedLatency > maxFixedLatency:
+		add("PTW.FixedLatency", "must be at most %d cycles, got %d", maxFixedLatency, c.PTW.FixedLatency)
 	}
 	switch {
 	case c.PTW.PWCEntries < 0:
@@ -220,8 +262,11 @@ func (c Config) Validate() error {
 	if c.Policy != WalkAtRequester && c.Policy != WalkAtRemote {
 		add("Policy", "unknown walk policy %d", int(c.Policy))
 	}
-	if c.PrefetchDegree < 0 {
+	switch {
+	case c.PrefetchDegree < 0:
 		add("PrefetchDegree", "must not be negative, got %d", c.PrefetchDegree)
+	case c.PrefetchDegree > maxPrefetchDegree:
+		add("PrefetchDegree", "must be at most %d, got %d", maxPrefetchDegree, c.PrefetchDegree)
 	}
 	if c.InvLeaders < 0 {
 		add("InvLeaders", "must not be negative, got %d", c.InvLeaders)
@@ -267,8 +312,20 @@ func (c Config) Validate() error {
 		case fp > maxFootprintPages:
 			add(fmt.Sprintf("Apps[%d].Spec.FootprintPages", i), "must be at most %d, got %d", maxFootprintPages, fp)
 		}
-		if sf := a.Spec.SharedFrac; !(sf >= 0 && sf <= 1) { // also rejects NaN
-			add(fmt.Sprintf("Apps[%d].Spec.SharedFrac", i), "must lie in [0,1], got %g", sf)
+		within := func(field string, v, lo, hi float64) {
+			if !(v >= lo && v <= hi) { // also rejects NaN
+				add(fmt.Sprintf("Apps[%d].Spec.%s", i, field), "must lie in [%g,%g], got %g", lo, hi, v)
+			}
+		}
+		within("SharedFrac", a.Spec.SharedFrac, 0, 1)
+		within("HotFrac", a.Spec.HotFrac, 0, 1)
+		within("HotProb", a.Spec.HotProb, 0, 1)
+		within("RepeatProb", a.Spec.RepeatProb, 0, 1)
+		within("SuperpageFrac", a.Spec.SuperpageFrac, 0, 1)
+		within("MemRefPerInstr", a.Spec.MemRefPerInstr, minMemRefPerInstr, maxMemRefPerInstr)
+		within("BaseCPI", a.Spec.BaseCPI, minBaseCPI, maxBaseCPI)
+		if z := a.Spec.ZipfTheta; !(z >= 0 && z < 1) { // also rejects NaN
+			add(fmt.Sprintf("Apps[%d].Spec.ZipfTheta", i), "must lie in [0,1), got %g", z)
 		}
 		if a.Streams != nil && len(a.Streams) != a.Threads {
 			add(fmt.Sprintf("Apps[%d].Streams", i), "%d streams for %d threads",

@@ -96,6 +96,25 @@ func TestValidateFields(t *testing.T) {
 		{"negative shared frac", func(c *Config) { c.Apps[0].Spec.SharedFrac = -1 }, "Apps[0].Spec.SharedFrac"},
 		{"shared frac over 1", func(c *Config) { c.Apps[0].Spec.SharedFrac = 1.5 }, "Apps[0].Spec.SharedFrac"},
 		{"nan shared frac", func(c *Config) { c.Apps[0].Spec.SharedFrac = math.NaN() }, "Apps[0].Spec.SharedFrac"},
+		{"nan hot prob", func(c *Config) { c.Apps[0].Spec.HotProb = math.NaN() }, "Apps[0].Spec.HotProb"},
+		{"zipf theta 5", func(c *Config) { c.Apps[0].Spec.ZipfTheta = 5 }, "Apps[0].Spec.ZipfTheta"},
+		{"zipf theta 1", func(c *Config) { c.Apps[0].Spec.ZipfTheta = 1 }, "Apps[0].Spec.ZipfTheta"},
+		{"hot frac 2", func(c *Config) { c.Apps[0].Spec.HotFrac = 2 }, "Apps[0].Spec.HotFrac"},
+		{"negative repeat prob", func(c *Config) { c.Apps[0].Spec.RepeatProb = -0.1 }, "Apps[0].Spec.RepeatProb"},
+		{"superpage frac 5", func(c *Config) { c.Apps[0].Spec.SuperpageFrac = 5 }, "Apps[0].Spec.SuperpageFrac"},
+		{"no refs per instr", func(c *Config) { c.Apps[0].Spec.MemRefPerInstr = 0 }, "Apps[0].Spec.MemRefPerInstr"},
+		{"refs per instr under the bound", func(c *Config) { c.Apps[0].Spec.MemRefPerInstr = minMemRefPerInstr / 2 }, "Apps[0].Spec.MemRefPerInstr"},
+		{"cpi under the bound", func(c *Config) { c.Apps[0].Spec.BaseCPI = minBaseCPI / 2 }, "Apps[0].Spec.BaseCPI"},
+		{"refs per instr past the bound", func(c *Config) { c.Apps[0].Spec.MemRefPerInstr = maxMemRefPerInstr * 2 }, "Apps[0].Spec.MemRefPerInstr"},
+		{"negative cpi", func(c *Config) { c.Apps[0].Spec.BaseCPI = -1 }, "Apps[0].Spec.BaseCPI"},
+		{"infinite cpi", func(c *Config) { c.Apps[0].Spec.BaseCPI = math.Inf(1) }, "Apps[0].Spec.BaseCPI"},
+		{"prefetch 10^6", func(c *Config) { c.PrefetchDegree = 1_000_000 }, "PrefetchDegree"},
+		{"fixed access latency 10^18", func(c *Config) {
+			c.Org, c.FixedAccessLatency = MonolithicFixed, 1_000_000_000_000_000_000
+		}, "FixedAccessLatency"},
+		{"fixed walk latency 10^18", func(c *Config) {
+			c.PTW = ptw.Config{Mode: ptw.Fixed, FixedLatency: 1_000_000_000_000_000_000}
+		}, "PTW.FixedLatency"},
 		{"storm pages 2^62", func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: 1 << 62} }, "Storm.Pages"},
 		{"shootdown every cycle", func(c *Config) { c.ShootdownInterval = 1 }, "ShootdownInterval"},
 		{"shootdown under the floor", func(c *Config) { c.ShootdownInterval = minDisturbInterval - 1 }, "ShootdownInterval"},
@@ -162,6 +181,16 @@ func TestValidateBounds(t *testing.T) {
 			func(c *Config) { c.Apps[0].Spec.FootprintPages = maxFootprintPages + 1 }, true},
 		{"Storm.Pages", func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: maxStormPages} },
 			func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: maxStormPages + 1} }, true},
+		{"PrefetchDegree", func(c *Config) { c.PrefetchDegree = maxPrefetchDegree },
+			func(c *Config) { c.PrefetchDegree = maxPrefetchDegree + 1 }, true},
+		{"FixedAccessLatency", func(c *Config) { c.FixedAccessLatency = maxFixedLatency },
+			func(c *Config) { c.FixedAccessLatency = maxFixedLatency + 1 }, true},
+		{"PTW.FixedLatency", func(c *Config) { c.PTW = ptw.Config{Mode: ptw.Fixed, FixedLatency: maxFixedLatency} },
+			func(c *Config) { c.PTW = ptw.Config{Mode: ptw.Fixed, FixedLatency: maxFixedLatency + 1} }, true},
+		{"Apps[0].Spec.MemRefPerInstr", func(c *Config) { c.Apps[0].Spec.MemRefPerInstr = maxMemRefPerInstr },
+			func(c *Config) { c.Apps[0].Spec.MemRefPerInstr = math.Nextafter(maxMemRefPerInstr, math.Inf(1)) }, true},
+		{"Apps[0].Spec.BaseCPI", func(c *Config) { c.Apps[0].Spec.BaseCPI = maxBaseCPI },
+			func(c *Config) { c.Apps[0].Spec.BaseCPI = math.Nextafter(maxBaseCPI, math.Inf(1)) }, true},
 	}
 	names := func(err error, field string) bool {
 		var ve *ValidationError

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"nocstar/internal/check"
 	"nocstar/internal/engine"
 	"nocstar/internal/noc"
 	"nocstar/internal/tlb"
@@ -150,24 +149,8 @@ func (s *System) PathGranted(op uint8, arg any, traversal int) {
 		}
 		s.nocstarArrived(x, back)
 	case grantInsert:
-		// Insert message arrived: charge the home slice's write port. arg
-		// points into slicePortFree, which is never reallocated after New.
-		p := arg.(*engine.Cycle)
-		if now := s.eng.Now(); *p < now {
-			*p = now
-		}
-		*p++
-		if s.check != nil {
-			// Recover the slice index for the horizon check (the grant
-			// payload is the port pointer; checker-on runs can afford the
-			// scan).
-			for i := range s.slicePortFree {
-				if p == &s.slicePortFree[i] {
-					s.check.Port(check.PortSlice, i, *p)
-					break
-				}
-			}
-		}
+		// Insert message arrived: charge the home slice's write port.
+		s.chargePort(arg.(*l2port), 1)
 	default:
 		panic("system: unknown grant op")
 	}

@@ -163,7 +163,6 @@ func TestBurstAdd(t *testing.T) {
 		page(3, 1024+8, vm.Page2M),   // another page size
 		page(3, 1023, vm.Page4K),     // just below the window
 		page(3, 1024+512, vm.Page4K), // just above the window
-		{Ctx: 3, FullFlush: true},    // a flush beside pages
 	} {
 		if b.Add(inv) {
 			t.Fatalf("burst at %#x took %+v", b.Base, inv)
@@ -171,31 +170,6 @@ func TestBurstAdd(t *testing.T) {
 	}
 	if !b.Add(page(3, 1024+511, vm.Page4K)) || !b.Add(page(3, 1024+7, vm.Page4K)) || b.Pages() != 2 {
 		t.Fatalf("window ends or a repeat page: %d pages", b.Pages())
-	}
-
-	var f Burst
-	if !f.Add(vm.Invalidation{Ctx: 2, FullFlush: true}) || !f.FullFlush || f.Pages() != 0 {
-		t.Fatalf("flush burst: %+v", f)
-	}
-	if f.Add(page(2, 0, vm.Page4K)) || f.Add(vm.Invalidation{Ctx: 2, FullFlush: true}) {
-		t.Fatal("flush burst took a second invalidation")
-	}
-}
-
-func TestInvalidateBurstFullFlush(t *testing.T) {
-	a, c := newSmall(), newSmall()
-	for _, tl := range []*TLB{a, c} {
-		tl.Insert(1, 1, vm.Page4K, 1)
-		tl.Insert(1, 9, vm.Page2M, 2)
-		tl.Insert(2, 3, vm.Page4K, 3)
-	}
-	var b Burst
-	b.Add(vm.Invalidation{Ctx: 1, FullFlush: true})
-	if n, want := a.InvalidateBurst(&b), c.InvalidateContext(1); n != want || n != 2 {
-		t.Fatalf("flush burst removed %d, InvalidateContext %d, want 2", n, want)
-	}
-	if !slices.Equal(a.keys, c.keys) || a.Stats() != c.Stats() {
-		t.Fatal("flush burst and InvalidateContext leave different arrays")
 	}
 }
 

@@ -83,26 +83,15 @@ func (g *L1Group) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uin
 	g.bySize(size).Insert(ctx, vpn, size, pfn)
 }
 
-// Apply executes an invalidation against all three arrays, returning the
-// number of entries removed.
+// Apply executes an invalidation against the array holding its page
+// size, returning the number of entries removed.
 func (g *L1Group) Apply(inv vm.Invalidation) int {
-	if inv.FullFlush {
-		return g.t4k.InvalidateContext(inv.Ctx) +
-			g.t2m.InvalidateContext(inv.Ctx) +
-			g.t1g.InvalidateContext(inv.Ctx)
-	}
 	return g.bySize(inv.Size).Apply(inv)
 }
 
-// InvalidateBurst applies a burst to the array holding its page size, or
-// to all three arrays for a FullFlush burst, returning the number of
-// entries removed.
+// InvalidateBurst applies a burst to the array holding its page size,
+// returning the number of entries removed.
 func (g *L1Group) InvalidateBurst(b *Burst) int {
-	if b.FullFlush {
-		return g.t4k.InvalidateContext(b.Ctx) +
-			g.t2m.InvalidateContext(b.Ctx) +
-			g.t1g.InvalidateContext(b.Ctx)
-	}
 	return g.bySize(b.Size).InvalidateBurst(b)
 }
 

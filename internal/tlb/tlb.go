@@ -272,51 +272,29 @@ func (t *TLB) InvalidatePage(ctx vm.ContextID, vpn uint64, size vm.PageSize) boo
 	return true
 }
 
-// InvalidateContext removes every translation belonging to ctx, returning
-// the number invalidated (an x86 context-switch flush for shared TLBs).
-func (t *TLB) InvalidateContext(ctx vm.ContextID) int {
-	n := 0
-	for i, k := range t.keys {
-		if k != 0 && vm.ContextID(k>>keyCtxLsb) == ctx {
-			t.keys[i] = 0
-			n++
-		}
-	}
-	t.stats.Invalidated += uint64(n)
-	return n
-}
-
 // Burst is a batch of page invalidations delivered together: one context,
 // one page size, and every page inside one aligned window of burstPages
 // pages. At 4 KB that window is a 2 MB region, the shape of a superpage
-// promotion's shootdown. A FullFlush burst instead names every
-// translation of Ctx, like vm.Invalidation's FullFlush. Build one with
-// Add; the zero Burst is empty.
+// promotion's shootdown. Build one with Add; the zero Burst is empty.
 type Burst struct {
-	Ctx       vm.ContextID
-	Size      vm.PageSize
-	Base      uint64                  // first VPN of the window, a multiple of burstPages
-	Mask      [burstPages / 64]uint64 // bit i set: VPN Base+i is invalidated
-	FullFlush bool
+	Ctx  vm.ContextID
+	Size vm.PageSize
+	Base uint64                  // first VPN of the window, a multiple of burstPages
+	Mask [burstPages / 64]uint64 // bit i set: VPN Base+i is invalidated
 }
 
 // burstPages is a Burst's window: the 4 KB pages of one 2 MB superpage.
 const burstPages = 512
 
 // Add folds inv into the burst, reporting false and leaving the burst
-// unchanged when inv does not fit: another context, page size or window,
-// or any FullFlush beside another invalidation. An empty burst takes any
-// invalidation.
+// unchanged when inv does not fit: another context, page size or
+// window. An empty burst takes any invalidation.
 func (b *Burst) Add(inv vm.Invalidation) bool {
 	window := inv.VPN &^ (burstPages - 1)
-	empty := !b.FullFlush && b.Mask == [len(b.Mask)]uint64{}
 	switch {
-	case empty && inv.FullFlush:
-		*b = Burst{Ctx: inv.Ctx, FullFlush: true}
-		return true
-	case empty:
+	case b.Mask == [len(b.Mask)]uint64{}:
 		*b = Burst{Ctx: inv.Ctx, Size: inv.Size, Base: window}
-	case b.FullFlush || inv.FullFlush || inv.Ctx != b.Ctx || inv.Size != b.Size || window != b.Base:
+	case inv.Ctx != b.Ctx || inv.Size != b.Size || window != b.Base:
 		return false
 	}
 	off := inv.VPN - window
@@ -324,8 +302,7 @@ func (b *Burst) Add(inv vm.Invalidation) bool {
 	return true
 }
 
-// Pages reports how many distinct pages the burst names (0 for a
-// FullFlush burst).
+// Pages reports how many distinct pages the burst names.
 func (b *Burst) Pages() int {
 	n := 0
 	for _, w := range b.Mask {
@@ -336,17 +313,14 @@ func (b *Burst) Pages() int {
 
 // InvalidateBurst removes every translation the burst names, returning
 // the number removed. It removes exactly the entries, and counts exactly
-// the Invalidated events, that one InvalidatePage per page would (one
-// InvalidateContext for a FullFlush burst). The array picks the cheaper
+// the Invalidated events, that one InvalidatePage per page would. The
+// array picks the cheaper
 // exact strategy itself: a burst of fewer pages than the array has sets
 // is probed page by page (pages × ways key compares, below one pass),
 // and a larger one is found in a single pass over the packed keys. In
 // that pass a key belongs to the burst when its bits above the window
 // offset equal the window's own key, and its offset's Mask bit is set.
 func (t *TLB) InvalidateBurst(b *Burst) int {
-	if b.FullFlush {
-		return t.InvalidateContext(b.Ctx)
-	}
 	n := 0
 	if uint64(b.Pages()) < t.nsets {
 		for w, word := range b.Mask {
@@ -385,9 +359,6 @@ func (t *TLB) Flush() int {
 // Apply executes a vm.Invalidation against this array, returning the
 // number of entries removed.
 func (t *TLB) Apply(inv vm.Invalidation) int {
-	if inv.FullFlush {
-		return t.InvalidateContext(inv.Ctx)
-	}
 	if t.InvalidatePage(inv.Ctx, inv.VPN, inv.Size) {
 		return 1
 	}

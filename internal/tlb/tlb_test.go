@@ -102,19 +102,6 @@ func TestInsertPrefersInvalidatedWay(t *testing.T) {
 	}
 }
 
-func TestInvalidateContext(t *testing.T) {
-	tl := newSmall()
-	tl.Insert(1, 1, vm.Page4K, 1)
-	tl.Insert(1, 2, vm.Page4K, 2)
-	tl.Insert(2, 3, vm.Page4K, 3)
-	if n := tl.InvalidateContext(1); n != 2 {
-		t.Fatalf("invalidated %d, want 2", n)
-	}
-	if !tl.Probe(2, 3, vm.Page4K) {
-		t.Fatal("other context's entry removed")
-	}
-}
-
 func TestFlushAndOccupancy(t *testing.T) {
 	tl := newSmall()
 	for i := uint64(0); i < 6; i++ {
@@ -139,8 +126,11 @@ func TestApplyInvalidation(t *testing.T) {
 	if n := tl.Apply(vm.Invalidation{Ctx: 4, VPN: 9, Size: vm.Page4K}); n != 1 {
 		t.Fatalf("page apply = %d", n)
 	}
-	if n := tl.Apply(vm.Invalidation{Ctx: 4, FullFlush: true}); n != 1 {
-		t.Fatalf("flush apply = %d", n)
+	if n := tl.Apply(vm.Invalidation{Ctx: 4, VPN: 9, Size: vm.Page4K}); n != 0 {
+		t.Fatalf("repeated page apply = %d", n)
+	}
+	if !tl.Probe(4, 11, vm.Page4K) {
+		t.Fatal("page apply removed a neighbour")
 	}
 }
 
@@ -264,8 +254,8 @@ func TestL1GroupApplyAndFlush(t *testing.T) {
 	if n := g.Apply(vm.Invalidation{Ctx: 1, VPN: 5, Size: vm.Page4K}); n != 1 {
 		t.Fatalf("apply = %d", n)
 	}
-	if n := g.Apply(vm.Invalidation{Ctx: 1, FullFlush: true}); n != 1 {
-		t.Fatalf("flush apply = %d", n)
+	if n := g.Apply(vm.Invalidation{Ctx: 1, VPN: 6, Size: vm.Page2M}); n != 1 {
+		t.Fatalf("2M apply = %d", n)
 	}
 	g.Insert(2, 9, vm.Page4K, 1)
 	g.Flush()

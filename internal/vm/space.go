@@ -72,12 +72,11 @@ func (as *AddressSpace) Translate(va VirtAddr) (PhysAddr, PageSize, bool) {
 }
 
 // Invalidation is one TLB shootdown unit: invalidate a single page of a
-// context, or flush everything for the context (FullFlush).
+// context.
 type Invalidation struct {
-	Ctx       ContextID
-	VPN       uint64 // page number at Size granularity (ignored for FullFlush)
-	Size      PageSize
-	FullFlush bool
+	Ctx  ContextID
+	VPN  uint64 // page number at Size granularity
+	Size PageSize
 }
 
 // Promote2M collapses the 2 MB region containing va into one superpage
@@ -127,11 +126,4 @@ func (as *AddressSpace) Demote2M(va VirtAddr) ([]Invalidation, error) {
 		}
 	}
 	return invs, nil
-}
-
-// FullFlushInvalidation returns the invalidation representing an x86
-// context switch, which flushes all of this context's translations from
-// shared TLB structures.
-func (as *AddressSpace) FullFlushInvalidation() Invalidation {
-	return Invalidation{Ctx: as.Ctx, FullFlush: true}
 }

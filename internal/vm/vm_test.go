@@ -216,7 +216,7 @@ func TestPromote2M(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 10 (one per present PTE)", len(invs))
 	}
 	for _, inv := range invs {
-		if inv.Size != Page4K || inv.Ctx != 7 || inv.FullFlush {
+		if inv.Size != Page4K || inv.Ctx != 7 {
 			t.Fatalf("bad invalidation %+v", inv)
 		}
 	}
@@ -288,14 +288,6 @@ func TestPromoteDemoteInverseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFullFlushInvalidation(t *testing.T) {
-	as := NewAddressSpace(11)
-	inv := as.FullFlushInvalidation()
-	if !inv.FullFlush || inv.Ctx != 11 {
-		t.Fatalf("inv = %+v", inv)
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"nocstar/internal/experiments"
 	"nocstar/internal/system"
 	"nocstar/internal/trace"
+	"nocstar/internal/vm"
 	"nocstar/internal/workload"
 )
 
@@ -141,8 +142,14 @@ func UniformWorkload(name string, pages uint64) WorkloadSpec {
 }
 
 // Stream is a per-thread source of virtual-address references; synthetic
-// generators and trace replayers both implement it.
+// generators and trace replayers both implement it, and so can a type
+// outside this module: NextBatch(buf []VirtAddr) fills buf with the
+// stream's next len(buf) references.
 type Stream = workload.Stream
+
+// VirtAddr is a virtual byte address, the element type of a Stream's
+// batches.
+type VirtAddr = vm.VirtAddr
 
 // Trace is a captured per-thread address trace.
 type Trace = trace.Trace

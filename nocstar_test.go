@@ -63,3 +63,43 @@ func TestExperimentRegistryExposed(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 }
+
+// listStream is a Stream implemented outside the module: it cycles
+// through a fixed list of addresses.
+type listStream struct {
+	addrs []nocstar.VirtAddr
+	next  int
+}
+
+func (s *listStream) NextBatch(buf []nocstar.VirtAddr) {
+	for i := range buf {
+		buf[i] = s.addrs[s.next%len(s.addrs)]
+		s.next++
+	}
+}
+
+// TestExternalStream runs a thread on a Stream built only from the
+// public API and checks it issued every reference of its budget.
+func TestExternalStream(t *testing.T) {
+	spec := nocstar.UniformWorkload("list", 64)
+	addrs := make([]nocstar.VirtAddr, 16)
+	for i := range addrs {
+		addrs[i] = nocstar.VirtAddr(0x100_0000_0000 + uint64(i)*4096)
+	}
+	stream := &listStream{addrs: addrs}
+	const instr = 5000
+	r, err := nocstar.Run(nocstar.Config{
+		Org:            nocstar.Private,
+		Cores:          1,
+		Apps:           []nocstar.App{{Spec: spec, Threads: 1, HammerSlice: nocstar.HammerNone, Streams: []nocstar.Stream{stream}}},
+		InstrPerThread: instr,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(float64(instr) * spec.MemRefPerInstr)
+	if r.MemRefs != want || uint64(stream.next) != want {
+		t.Fatalf("MemRefs = %d, stream issued %d, want %d", r.MemRefs, stream.next, want)
+	}
+}

@@ -51,10 +51,13 @@ race:
 # Short smoke at benchOptions() scale: representative figures plus the
 # engine event-queue microbenchmarks, which schedule typed Actor events
 # the way the simulator does (watch allocs/op: the timing wheel must stay
-# allocation-free in steady state).
+# allocation-free in steady state), the TLB array lookup/insert probes
+# and the page-table descent of an L1 miss (both 0 allocs/op).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig16Left$$|BenchmarkFig11c$$' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkScheduleRun' -benchtime 1s -benchmem ./internal/engine/
+	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkInsert' -benchtime 1s -benchmem ./internal/tlb/
+	$(GO) test -run xxx -bench 'BenchmarkEnsure' -benchtime 1s -benchmem ./internal/vm/
 
 bench-engine:
 	$(GO) test -run xxx -bench . -benchtime 2s -benchmem ./internal/engine/

@@ -349,6 +349,8 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 		{doc("nocstar", `"prefetch_degree": 1000000`), "PrefetchDegree"},
 		{doc("mono-fixed", `"fixed_access_latency": 1000000000000000000`), "FixedAccessLatency"},
 		{doc("nocstar", `"ptw": {"mode": "fixed", "fixed_latency": 1000000000000000000}`), "PTW.FixedLatency"},
+		{doc("nocstar", `"hpc_max": 9223372036854775807`), "HPCmax"},
+		{doc("nocstar", `"inv_leaders": 9223372036854775807`), "InvLeaders"},
 		{`{"org": "nocstar", "cores": 4, "apps": [{"spec": {"name": "x", "footprint_pages": ` + huge +
 			`, "mem_ref_per_instr": 0.3, "base_cpi": 1}, "threads": 4}]}`, "Apps[0].Spec.FootprintPages"},
 	}

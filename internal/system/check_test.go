@@ -75,6 +75,31 @@ func TestCheckedDisturbedRuns(t *testing.T) {
 	}
 }
 
+// TestCheckedShootdownReachesHammeredSlice: an app with HammerSlice >= 0
+// inserts its translations into its hammered slice, not into each
+// address's home slice, so a shootdown of one of its pages must scrub and
+// charge that slice. Delivered to the home slice, the hammered slice kept
+// the stale entry and served it after the invalidation.
+func TestCheckedShootdownReachesHammeredSlice(t *testing.T) {
+	spec, _ := workload.ByName("canneal")
+	cfg := Config{
+		Org:               Nocstar,
+		Cores:             8,
+		Apps:              []App{{Spec: spec, Threads: 8, HammerSlice: 3}},
+		InstrPerThread:    20_000,
+		Seed:              1,
+		ShootdownInterval: 1000,
+		Check:             check.New(),
+	}
+	r := mustRun(t, cfg)
+	if !cfg.Check.Ok() {
+		t.Fatalf("%v (%d more dropped)", cfg.Check.Err(), cfg.Check.Dropped())
+	}
+	if r.Shootdowns == 0 || cfg.Check.Stats().Invalidations == 0 {
+		t.Fatalf("no shootdowns delivered: %d, %+v", r.Shootdowns, cfg.Check.Stats())
+	}
+}
+
 // legacyReleaseConfig is a round-trip NOCSTAR run whose releases arrive
 // late: the hammered slice's port backlog (and the storm's port charges)
 // push lookups far past the conservative hold estimate, so by the time a

@@ -56,13 +56,10 @@ func (s *System) shootdownTick() {
 	reg := a.regions[0] // remap in the shared region: every core caches it
 	idx := s.rng.Uint64n(reg.Pages)
 	va := reg.Base + vm.VirtAddr(workload.PageSlot(idx, reg.Pages)*vm.Page4K.Bytes())
-	s.ensureMapped(a, va) // the OS can remap a not-yet-touched page too
-	_, size, ok := a.as.Translate(va)
-	if ok {
-		s.deliverInvalidations([]vm.Invalidation{
-			{Ctx: a.as.Ctx, VPN: va.VPN(size), Size: size},
-		})
-	}
+	_, size := s.ensureMapped(a, va) // the OS can remap a not-yet-touched page too
+	s.deliverInvalidations([]vm.Invalidation{
+		{Ctx: a.as.Ctx, VPN: va.VPN(size), Size: size},
+	})
 	s.eng.ScheduleAct(engine.Cycle(s.cfg.ShootdownInterval), s, opShootdownTick, nil)
 }
 
@@ -78,9 +75,7 @@ func (s *System) stormPromoteDemote(st *storm) {
 	base := st.base + vm.VirtAddr(idx*vm.Page2M.Bytes())
 	var invs []vm.Invalidation
 	if !st.promoted[idx] {
-		for i := uint64(0); i < 512; i++ {
-			st.as.EnsureMapped(base+vm.VirtAddr(i*vm.Page4K.Bytes()), vm.Page4K)
-		}
+		st.as.EnsureBasePages(base)
 		if got, err := st.as.Promote2M(base); err == nil {
 			invs = got
 			st.promoted[idx] = true
@@ -135,8 +130,9 @@ func (s *System) stormContextSwitch() {
 // TLBs in one burst operation per array and clears its page-walk cache
 // once; in the private organization the core's private L2 TLB applies
 // the burst too. The shared structures are then reached per
-// invalidation: messages are relayed to the port of the owning
-// monolithic bank or home slice either directly from every core
+// invalidation: messages are relayed to the port the owning app's
+// inserts use (sharedPort: the monolithic bank, the home slice, or the
+// app's hammered slice) either directly from every core
 // (InvLeaders == 0) or via the configured invalidation leaders
 // (Section III-G), and the checker records and verifies each
 // invalidation. A private L2 TLB is a port whose only sender is its own
@@ -194,7 +190,7 @@ func (s *System) deliverInvalidations(invs []vm.Invalidation) engine.Cycle {
 			}
 			var home *l2port
 			if !private {
-				home = s.portFor(nil, vm.VirtAddr(inv.VPN<<inv.Size.Shift()))
+				home = s.sharedPort(s.appOf(inv.Ctx), vm.VirtAddr(inv.VPN<<inv.Size.Shift()))
 				home.tlb.Apply(inv)
 				home.charge += senders
 			}

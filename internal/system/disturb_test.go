@@ -92,7 +92,7 @@ func TestBurstScrubsPopulatedArrays(t *testing.T) {
 			keep = append(keep, kept{ctx, vpn, vm.Page4K})
 		}
 		shared := func(vpn uint64) *tlb.TLB {
-			return s.portFor(nil, vm.VirtAddr(vpn<<vm.Page4K.Shift())).tlb
+			return s.sharedPort(nil, vm.VirtAddr(vpn<<vm.Page4K.Shift())).tlb
 		}
 		fill := func(insert func(ctx vm.ContextID, vpn uint64, size vm.PageSize)) {
 			for _, vpn := range inside {

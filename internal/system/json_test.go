@@ -292,6 +292,12 @@ func FuzzUnmarshalConfig(f *testing.F) {
 	f.Add([]byte(`{"org":"nocstar","cores":4,"apps":[{"workload":"gups","threads":4}],"prefetch_degree":1000000}`))
 	f.Add([]byte(`{"org":"mono-fixed","cores":4,"fixed_access_latency":1000000000000000000,"apps":[{"workload":"gups","threads":4}]}`))
 	f.Add([]byte(`{"org":"nocstar","cores":4,"ptw":{"mode":"fixed","fixed_latency":1000000000000000000},"apps":[{"workload":"gups","threads":4}]}`))
+	// The largest HPCmax overflowed the traversal arithmetic and panicked
+	// the run; leader counts past the core count named nothing new.
+	f.Add([]byte(`{"org":"nocstar","cores":16,"hpc_max":9223372036854775807,"apps":[{"workload":"canneal","threads":16}]}`))
+	f.Add([]byte(`{"org":"nocstar","cores":16,"hpc_max":1048576,"apps":[{"workload":"canneal","threads":16}]}`))
+	f.Add([]byte(`{"org":"nocstar","cores":4,"inv_leaders":9223372036854775807,"apps":[{"workload":"gups","threads":4}]}`))
+	f.Add([]byte(`{"org":"nocstar","cores":4,"inv_leaders":4,"apps":[{"workload":"gups","threads":4}]}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := UnmarshalConfig(doc)
 		if err != nil || cfg.Validate() != nil {

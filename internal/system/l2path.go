@@ -63,9 +63,10 @@ func (s *System) finish(x *xact) {
 func (s *System) resumeWithEntry(x *xact) {
 	th := x.th
 	e := x.entry
-	th.core.l1.Insert(th.app.as.Ctx, e.VPN, e.Size, e.PFN)
+	vpn := x.va.VPN(e.Size)
+	th.core.l1.Insert(th.app.as.Ctx, vpn, e.Size, e.PFN)
 	if s.check != nil {
-		s.check.Inserted(th.app.as.Ctx, e.VPN, e.Size)
+		s.check.Inserted(th.app.as.Ctx, vpn, e.Size)
 	}
 	s.finish(x)
 }
@@ -150,9 +151,8 @@ func (s *System) insertTranslation(th *thread, va vm.VirtAddr, res vm.WalkResult
 			nva := vm.VirtAddr(nvpn << size.Shift())
 			// The OS maps whole regions eagerly, so neighbouring PTEs
 			// exist even before the application touches those pages.
-			s.ensureMapped(a, nva)
-			pa, nsize, ok := a.as.Translate(nva)
-			if !ok || nsize != size {
+			pa, nsize := s.ensureMapped(a, nva)
+			if nsize != size {
 				continue
 			}
 			s.insertOne(th, nva, size, uint64(pa)>>size.Shift())
@@ -183,7 +183,7 @@ func (s *System) probe(p *l2port, a *app, va vm.VirtAddr, earliest engine.Cycle)
 	if s.check != nil {
 		s.check.Port(p.idx, p.free)
 		if hit {
-			s.check.Served(a.as, e.VPN, e.Size, e.PFN)
+			s.check.Served(a.as, va.VPN(e.Size), e.Size, e.PFN)
 		}
 	}
 	return avail + engine.Cycle(s.l2Lat), e, hit
@@ -268,7 +268,7 @@ const pollutionLines = 2
 
 func (s *System) distAccess(x *xact) {
 	th := x.th
-	slice := s.sliceFor(th, x.va)
+	slice := s.sliceFor(th.app, x.va)
 	s.sliceBegin(slice)
 	x.slice = slice
 
@@ -320,7 +320,7 @@ func (s *System) sliceEnd(slice int) { s.sliceOut[slice]-- }
 
 func (s *System) nocstarAccess(x *xact) {
 	th := x.th
-	slice := s.sliceFor(th, x.va)
+	slice := s.sliceFor(th.app, x.va)
 	s.sliceBegin(slice)
 	x.slice = slice
 

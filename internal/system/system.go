@@ -110,10 +110,6 @@ type System struct {
 
 	fabric *noc.Nocstar
 
-	// Shootdown plumbing.
-	leaderOf   []int // core -> leader core
-	leaderFree []engine.Cycle
-
 	// Live accounting. The named counters and latency histograms that
 	// used to be loose uint64 fields live in the metrics registry; m
 	// holds their typed handles for direct hot-path increments.
@@ -230,20 +226,6 @@ func New(cfg Config) (*System, error) {
 			Ideal:    cfg.Org == NocstarIdeal,
 		})
 		s.fabric.AttachMetrics(s.reg)
-	}
-
-	// Shootdown invalidation leaders (Section III-G): core i reports to
-	// leader (i / groupSize) * groupSize.
-	s.leaderOf = make([]int, cfg.Cores)
-	s.leaderFree = make([]engine.Cycle, cfg.Cores)
-	group := cfg.Cores
-	if cfg.InvLeaders > 0 && cfg.InvLeaders < cfg.Cores {
-		group = (cfg.Cores + cfg.InvLeaders - 1) / cfg.InvLeaders
-	} else if cfg.InvLeaders == 0 {
-		group = 1 // every core is its own leader (direct sends)
-	}
-	for i := range s.leaderOf {
-		s.leaderOf[i] = (i / group) * group
 	}
 
 	// Applications, address spaces, threads.
@@ -495,7 +477,7 @@ func (s *System) threadLoop(th *thread) {
 		s.m.memRefs.Inc()
 		if e, ok := th.core.l1.Lookup(ctx, va); ok {
 			if s.check != nil {
-				s.check.Served(th.app.as, e.VPN, e.Size, e.PFN)
+				s.check.Served(th.app.as, va.VPN(e.Size), e.Size, e.PFN)
 			}
 			continue
 		}
@@ -604,10 +586,8 @@ func (s *System) chargeEnergy(r *Result) {
 }
 
 // mapSize returns the page size the OS backs va with for this app.
-func (a *app) mapSize(va vm.VirtAddr, thp bool) vm.PageSize {
-	if !thp {
-		return vm.Page4K
-	}
+// Without THP every superLimit is 0, so every page is a base page.
+func (a *app) mapSize(va vm.VirtAddr) vm.PageSize {
 	for i, reg := range a.regions {
 		if va >= reg.Base && va < reg.End() {
 			idx := uint64(va-reg.Base) / vm.Page4K.Bytes()
@@ -620,14 +600,13 @@ func (a *app) mapSize(va vm.VirtAddr, thp bool) vm.PageSize {
 	return vm.Page4K
 }
 
-// ensureMapped demand-maps va at the OS-chosen size, falling back to a
-// base page if a superpage cannot be installed (a conflicting 4 KB
-// mapping already exists in the extent).
-func (s *System) ensureMapped(a *app, va vm.VirtAddr) {
-	a.as.EnsureMapped(va, a.mapSize(va, s.cfg.THP))
-	if _, _, ok := a.as.Translate(va); !ok {
-		a.as.EnsureMapped(va, vm.Page4K)
-	}
+// ensureMapped returns the translation of va, first demand-mapping it at
+// the OS-chosen size (mapSize, consulted only on a miss), falling back
+// to a base page if a superpage cannot be installed (a conflicting 4 KB
+// mapping already exists in the extent). One page-table descent does
+// all of it.
+func (s *System) ensureMapped(a *app, va vm.VirtAddr) (vm.PhysAddr, vm.PageSize) {
+	return a.as.Ensure(va, a.mapSize)
 }
 
 // mix is a 64-bit finalizer used for slice/bank selection so that
@@ -643,12 +622,14 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// sliceFor returns the home slice of va. Selection uses 2 MB-granular
-// address bits so 4 KB and 2 MB translations of the same region share a
-// home and the requester needs no size information.
-func (s *System) sliceFor(th *thread, va vm.VirtAddr) int {
-	if th != nil && th.app.cfg.HammerSlice >= 0 {
-		return th.app.cfg.HammerSlice % s.cfg.Cores
+// sliceFor returns the slice that holds app a's translation of va: its
+// hammered slice when a has one, else the home slice of va. Selection
+// uses 2 MB-granular address bits so 4 KB and 2 MB translations of the
+// same region share a home and the requester needs no size information.
+// a may be nil (no app: the home slice).
+func (s *System) sliceFor(a *app, va vm.VirtAddr) int {
+	if a != nil && a.cfg.HammerSlice >= 0 {
+		return a.cfg.HammerSlice % s.cfg.Cores
 	}
 	return s.homeSlice(va)
 }
@@ -664,17 +645,31 @@ func (s *System) bankFor(va vm.VirtAddr) int {
 	return int(mix(uint64(va)>>21) % uint64(s.cfg.Banks))
 }
 
-// portFor returns the L2 port that serves va for th: th's private L2, the
-// bank of va, or the home slice of va (th may be nil outside Private;
-// see sliceFor).
+// portFor returns the L2 port that serves va for th: th's private L2, or
+// the shared port of th's app (sharedPort).
 func (s *System) portFor(th *thread, va vm.VirtAddr) *l2port {
-	switch {
-	case s.cfg.Org == Private:
+	if s.cfg.Org == Private {
 		return &s.ports[th.core.id]
-	case s.cfg.Org.monolithic():
+	}
+	return s.sharedPort(th.app, va)
+}
+
+// sharedPort returns the port of a shared organization that holds app
+// a's translation of va: the bank of va, or the slice sliceFor picks.
+func (s *System) sharedPort(a *app, va vm.VirtAddr) *l2port {
+	if s.cfg.Org.monolithic() {
 		return &s.ports[s.bankFor(va)]
 	}
-	return &s.ports[s.sliceFor(th, va)]
+	return &s.ports[s.sliceFor(a, va)]
+}
+
+// appOf returns the app running in context ctx, or nil for a context no
+// app runs (the storm's).
+func (s *System) appOf(ctx vm.ContextID) *app {
+	if i := int(ctx) - 1; i >= 0 && i < len(s.apps) {
+		return s.apps[i]
+	}
+	return nil
 }
 
 // perPort returns a per-array quantity (entries, sets) divided among the

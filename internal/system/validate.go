@@ -71,12 +71,12 @@ const (
 	// the thread sum in Validate far from int overflow.
 	maxThreads = maxCores * maxSMT
 	// maxL1Scale bounds Config.L1Scale. The default L1 TLBs hold 100
-	// entries; 16x is 1600 entries of 48 bytes (Entry plus its packed
-	// key), 75 KiB per core, 300 MiB on maxCores. Fig. 6 scales by 0.5x
+	// entries; 16x is 1600 entries of 24 bytes (packed key, frame and LRU
+	// tick), 38 KiB per core, 150 MiB on maxCores. Fig. 6 scales by 0.5x
 	// and 1.5x.
 	maxL1Scale = 16.0
 	// maxL2EntriesPerCore bounds Config.L2EntriesPerCore: 4096 entries of
-	// 48 bytes per core is 768 MiB of slices, private arrays or
+	// 24 bytes per core is 384 MiB of slices, private arrays or
 	// monolithic array on maxCores. The paper's L2 TLB holds 1024.
 	maxL2EntriesPerCore = 4096
 	// l2Ways is the associativity of every L2 TLB array; an array's
@@ -120,6 +120,14 @@ const (
 	// latency near maxCycles could only run into that safety net. Fig. 4
 	// forces 9 to 25 cycles and Table III walks in 10 to 80.
 	maxFixedLatency = int(maxCycles / 1024)
+	// maxHPCmax bounds HPCmax. A NOCSTAR traversal of h hops takes
+	// ceil(h/HPCmax) cycles, computed as (h+HPCmax-1)/HPCmax, so near the
+	// int limit the sum overflows, the traversal comes out negative and
+	// the run panics scheduling an event in the past. The longest XY
+	// route on a maxCores (64 x 64) mesh is 126 hops, so every HPCmax
+	// from 126 up already means one cycle; 2^20 is the value the HPCmax
+	// ablation uses as "unbounded". The paper's fabric covers 16 hops.
+	maxHPCmax = 1 << 20
 )
 
 // A thread advances its clock by BaseCPI/MemRefPerInstr cycles per
@@ -223,8 +231,11 @@ func (c Config) Validate() error {
 	if c.Org == MonolithicFixed && c.FixedAccessLatency <= 0 {
 		add("FixedAccessLatency", "required for the monolithic(fixed) organization")
 	}
-	if c.HPCmax < 0 {
+	switch {
+	case c.HPCmax < 0:
 		add("HPCmax", "must be 0 (default 16) or positive, got %d", c.HPCmax)
+	case c.HPCmax > maxHPCmax:
+		add("HPCmax", "must be at most %d, got %d", maxHPCmax, c.HPCmax)
 	}
 	if c.Acquire != noc.OneWayAcquire && c.Acquire != noc.RoundTripAcquire {
 		add("Acquire", "unknown acquire mode %d", int(c.Acquire))
@@ -268,8 +279,15 @@ func (c Config) Validate() error {
 	case c.PrefetchDegree > maxPrefetchDegree:
 		add("PrefetchDegree", "must be at most %d, got %d", maxPrefetchDegree, c.PrefetchDegree)
 	}
-	if c.InvLeaders < 0 {
+	// Every core can lead at most itself: from Cores leaders up, every
+	// core relays its own invalidations, as with 0 leaders, so a larger
+	// count names no further configuration. The Fig. 16 sweep uses
+	// Cores/8 and Cores/4.
+	switch {
+	case c.InvLeaders < 0:
 		add("InvLeaders", "must not be negative, got %d", c.InvLeaders)
+	case c.Cores > 0 && c.InvLeaders > c.Cores:
+		add("InvLeaders", "must be at most Cores (%d), got %d", c.Cores, c.InvLeaders)
 	}
 	if c.InstrPerThread > maxInstr {
 		add("InstrPerThread", "must be at most %d, got %d", maxInstr, c.InstrPerThread)

@@ -71,6 +71,7 @@ func TestValidateFields(t *testing.T) {
 		{"negative fixed latency", func(c *Config) { c.FixedAccessLatency = -1 }, "FixedAccessLatency"},
 		{"mono-fixed without latency", func(c *Config) { c.Org = MonolithicFixed }, "FixedAccessLatency"},
 		{"negative hpcmax", func(c *Config) { c.HPCmax = -1 }, "HPCmax"},
+		{"hpcmax overflows the traversal", func(c *Config) { c.HPCmax = math.MaxInt }, "HPCmax"},
 		{"bad acquire", func(c *Config) { c.Acquire = 99 }, "Acquire"},
 		{"bad ptw mode", func(c *Config) { c.PTW.Mode = 99 }, "PTW.Mode"},
 		{"fixed ptw without latency", func(c *Config) { c.PTW.Mode = ptw.Fixed }, "PTW.FixedLatency"},
@@ -80,6 +81,7 @@ func TestValidateFields(t *testing.T) {
 		{"bad policy", func(c *Config) { c.Policy = 99 }, "Policy"},
 		{"negative prefetch", func(c *Config) { c.PrefetchDegree = -1 }, "PrefetchDegree"},
 		{"negative leaders", func(c *Config) { c.InvLeaders = -1 }, "InvLeaders"},
+		{"more leaders than cores", func(c *Config) { c.InvLeaders = math.MaxInt }, "InvLeaders"},
 		{"instr over limit", func(c *Config) { c.InstrPerThread = maxInstr + 1 }, "InstrPerThread"},
 		{"instr max uint64", func(c *Config) { c.InstrPerThread = math.MaxUint64 }, "InstrPerThread"},
 		{"warmup over limit", func(c *Config) { c.WarmupInstr = maxInstr + 1 }, "WarmupInstr"},
@@ -181,6 +183,10 @@ func TestValidateBounds(t *testing.T) {
 			func(c *Config) { c.Apps[0].Spec.FootprintPages = maxFootprintPages + 1 }, true},
 		{"Storm.Pages", func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: maxStormPages} },
 			func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: maxStormPages + 1} }, true},
+		{"HPCmax", func(c *Config) { c.HPCmax = maxHPCmax },
+			func(c *Config) { c.HPCmax = maxHPCmax + 1 }, true},
+		{"InvLeaders", func(c *Config) { c.InvLeaders = c.Cores },
+			func(c *Config) { c.InvLeaders = c.Cores + 1 }, true},
 		{"PrefetchDegree", func(c *Config) { c.PrefetchDegree = maxPrefetchDegree },
 			func(c *Config) { c.PrefetchDegree = maxPrefetchDegree + 1 }, true},
 		{"FixedAccessLatency", func(c *Config) { c.FixedAccessLatency = maxFixedLatency },

@@ -12,14 +12,13 @@ import (
 	"nocstar/internal/vm"
 )
 
-// Entry is one TLB entry. Validity lives in the array's packed keys, not
-// here: an Entry whose key is zero is a stale leftover that no scan reads.
+// Entry is the payload of a TLB hit: the frame and the page size it
+// translates at. The context, VPN and validity of an entry live in the
+// array's packed key, so a caller that needs the page number derives it
+// as va.VPN(e.Size).
 type Entry struct {
-	Ctx  vm.ContextID
-	VPN  uint64 // page number at Size granularity
-	Size vm.PageSize
 	PFN  uint64 // physical frame number at Size granularity
-	lru  uint64
+	Size vm.PageSize
 }
 
 // Packed-key layout: the way-match loop — the hottest code in the
@@ -83,19 +82,24 @@ func (s Stats) MissRate() float64 {
 // size, as skewed/unified TLBs do in hardware.
 type TLB struct {
 	cfg Config
-	// entries holds all sets contiguously, set-major: set s spans
-	// entries[s*ways : (s+1)*ways]. One flat array keeps a whole set on
-	// adjacent cache lines and removes the per-set pointer chase of a
-	// slice-of-slices layout — Lookup/Insert are the hottest flat CPU in
-	// the simulator's profile.
-	entries []Entry
-	// keys mirrors entries as a contiguous set-major block of packed
-	// key words: keys[i] is keyFor(entries[i]) or zero when invalid. It
-	// is the only record of validity: the invalidation paths and Flush
-	// zero keys and never touch entries, and every scan (lookup, victim
-	// choice, occupancy) tests keys[i] != 0. A whole 4-way set costs half
-	// a 64-byte line, and entries is only touched on a hit or an insert.
-	keys    []uint64
+	// The entries are three parallel arrays, each holding all sets
+	// contiguously, set-major: set s spans [s*ways, (s+1)*ways) of each.
+	// Flat arrays keep a whole set on adjacent cache lines and remove the
+	// per-set pointer chase of a slice-of-slices layout — Lookup and
+	// Insert are the hottest flat CPU in the simulator's profile — and
+	// splitting the fields lets each scan read only the words it needs.
+	//
+	// keys[i] is way i's packed key (valid bit, size, context, VPN), or
+	// zero when invalid. It is the only record of validity: the
+	// invalidation paths and Flush zero keys and never touch pfn or lru,
+	// and every scan (lookup, victim choice, occupancy) tests
+	// keys[i] != 0. A whole 4-way set costs half a 64-byte line.
+	keys []uint64
+	// pfn[i] is way i's frame number; a lookup reads it only on a hit.
+	pfn []uint64
+	// lru[i] is the tick of way i's last hit or insert; the victim scan
+	// in Insert reads it beside keys.
+	lru     []uint64
 	ways    int
 	nsets   uint64
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0
@@ -124,12 +128,13 @@ func New(cfg Config) *TLB {
 		sizes = []vm.PageSize{vm.Page4K}
 	}
 	t := &TLB{
-		cfg:     cfg,
-		entries: make([]Entry, nsets*ways),
-		keys:    make([]uint64, nsets*ways),
-		ways:    ways,
-		nsets:   uint64(nsets),
-		sizes:   sizes,
+		cfg:   cfg,
+		keys:  make([]uint64, nsets*ways),
+		pfn:   make([]uint64, nsets*ways),
+		lru:   make([]uint64, nsets*ways),
+		ways:  ways,
+		nsets: uint64(nsets),
+		sizes: sizes,
 	}
 	if nsets&(nsets-1) == 0 {
 		t.setMask = uint64(nsets - 1)
@@ -163,14 +168,9 @@ func (t *TLB) setFor(vpn uint64) uint64 {
 	return vpn % t.nsets
 }
 
-// set returns the ways of one set as a sub-slice of the flat array.
-func (t *TLB) set(vpn uint64) []Entry {
-	i := int(t.setFor(vpn)) * t.ways
-	return t.entries[i : i+t.ways]
-}
-
-// findWay scans one set's keys for key and returns the matching way, or
-// -1. At most one way matches (Insert refreshes duplicates in place).
+// findWay scans the packed keys of the set starting at base for key and
+// returns the matching way, or -1; it reads keys only. At most one way
+// matches (Insert refreshes duplicates in place).
 // A branch-free compare-all-then-select variant of this scan (accumulate
 // per-way equality bits into a mask, pick with bits.TrailingZeros64) was
 // benchmarked in BenchmarkLookup* and lost to the early exit on both hit
@@ -188,13 +188,15 @@ func (t *TLB) findWay(base int, key uint64) int {
 }
 
 // Lookup probes the array for the translation of va in context ctx,
-// trying every supported page size. It returns the matching entry.
+// trying every supported page size. It returns the hit's frame and page
+// size.
 //
 // This is the hottest function in the simulator — every memory reference
 // probes three L1 arrays through it — so the findWay scan is repeated
 // inline here: the compiler does not inline functions with loops, and an
 // outlined call per size costs more than the whole scan of a 4-way set,
-// which touches at most two cache lines of packed keys.
+// which touches at most two cache lines of packed keys. A miss reads
+// nothing else; a hit writes one lru word and reads one pfn word.
 func (t *TLB) Lookup(ctx vm.ContextID, va vm.VirtAddr) (Entry, bool) {
 	t.stats.Lookups++
 	t.tick++
@@ -205,10 +207,9 @@ func (t *TLB) Lookup(ctx vm.ContextID, va vm.VirtAddr) (Entry, bool) {
 		keys := t.keys[base : base+t.ways]
 		for w := 0; w < len(keys); w++ {
 			if keys[w] == key {
-				e := &t.entries[base+w]
-				e.lru = t.tick
+				t.lru[base+w] = t.tick
 				t.stats.Hits++
-				return *e, true
+				return Entry{PFN: t.pfn[base+w], Size: size}, true
 			}
 		}
 	}
@@ -225,20 +226,21 @@ func (t *TLB) Probe(ctx vm.ContextID, vpn uint64, size vm.PageSize) bool {
 
 // Insert installs a translation, replacing the set's LRU entry when full.
 // Inserting an already-present translation refreshes it in place. It
-// reports whether a valid entry was evicted.
+// reports whether a valid entry was evicted. The victim is the last
+// invalid way if the set has one, else the valid way with the oldest
+// tick; the scan reads only keys and lru.
 func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64) bool {
 	t.stats.Inserts++
 	t.tick++
 	base := int(t.setFor(vpn)) * t.ways
-	set := t.entries[base : base+t.ways]
 	key := keyFor(ctx, size, vpn)
 	keys := t.keys[base : base+t.ways]
+	lru := t.lru[base : base+len(keys)]
 	victim := 0
-	for i := range set {
+	for i := range keys {
 		if keys[i] == key {
-			e := &set[i]
-			e.PFN = pfn
-			e.lru = t.tick
+			t.pfn[base+i] = pfn
+			lru[i] = t.tick
 			return false
 		}
 		if keys[i] == 0 {
@@ -246,7 +248,7 @@ func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64)
 			// Keep scanning: the entry might exist in a later way.
 			continue
 		}
-		if keys[victim] != 0 && set[i].lru < set[victim].lru {
+		if keys[victim] != 0 && lru[i] < lru[victim] {
 			victim = i
 		}
 	}
@@ -254,8 +256,9 @@ func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64)
 	if evicted {
 		t.stats.Evictions++
 	}
-	set[victim] = Entry{Ctx: ctx, VPN: vpn, Size: size, PFN: pfn, lru: t.tick}
 	keys[victim] = key
+	t.pfn[base+victim] = pfn
+	lru[victim] = t.tick
 	return evicted
 }
 

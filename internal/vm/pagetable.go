@@ -372,36 +372,105 @@ func (pt *PageTable) Walk(va VirtAddr) (WalkResult, bool) {
 	for level := startLevel; level >= 0; level-- {
 		idx := levelIndex(va, level)
 		e := n.get(idx)
-		res.PTEAddrs[res.Levels] = PhysAddr(n.frame*FrameSize + uint64(idx)*pteBytes)
+		res.PTEAddrs[res.Levels] = pteAddr(n, idx)
 		res.Levels++
 		if !e.present() {
 			return res, false
 		}
 		if e.leaf() {
-			size := leafSizeAtLevel(level)
-			res.Size = size
-			res.PA = PhysAddr(e.pfn()<<size.Shift() | uint64(va.Offset(size)))
+			res.PA, res.Size = leafTranslation(va, e, level)
 			return res, true
 		}
 		n = pt.node(n.child(idx))
 		if level == 2 {
-			pt.wcValid = true
-			pt.wcPrefix = uint64(va) >> 30
-			pt.wcNode = n
-			pt.wcAddrs[0] = res.PTEAddrs[0]
-			pt.wcAddrs[1] = res.PTEAddrs[1]
+			pt.cacheWalk(va, n, res.PTEAddrs[0], res.PTEAddrs[1])
 		}
 	}
 	return res, false
 }
 
-// Translate is a convenience wrapper returning just the physical address.
+// cacheWalk records pd as the PD node of va's 1G region, with the PML4
+// and PDPT entry addresses a walk to it reads.
+func (pt *PageTable) cacheWalk(va VirtAddr, pd *ptNode, pml4e, pdpte PhysAddr) {
+	pt.wcValid = true
+	pt.wcPrefix = uint64(va) >> 30
+	pt.wcNode = pd
+	pt.wcAddrs = [2]PhysAddr{pml4e, pdpte}
+}
+
+// pteAddr is the physical address of slot idx of table page n.
+func pteAddr(n *ptNode, idx int) PhysAddr {
+	return PhysAddr(n.frame*FrameSize + uint64(idx)*pteBytes)
+}
+
+// find descends toward va's leaf and stops at the first slot that is a
+// leaf or not present, returning the node holding that slot, the slot's
+// radix level and its PTE. It resumes at and refreshes the walk cache as
+// Walk does, but records no walk trace, so it is the cheaper descent for
+// callers that only need the translation, or the place to map one.
+func (pt *PageTable) find(va VirtAddr) (*ptNode, int, pte) {
+	n, level := pt.node(0), ptLevels-1
+	if pt.wcValid && uint64(va)>>30 == pt.wcPrefix {
+		n, level = pt.wcNode, 1
+	}
+	for ; ; level-- {
+		idx := levelIndex(va, level)
+		e := n.get(idx)
+		if !e.present() || e.leaf() || level == 0 {
+			return n, level, e
+		}
+		next := pt.node(n.child(idx))
+		if level == 2 {
+			pt.cacheWalk(va, next, pteAddr(pt.node(0), levelIndex(va, 3)), pteAddr(n, idx))
+		}
+		n = next
+	}
+}
+
+// linkDown extends the table below the absent slot of node n at level
+// (as find reported it) with fresh table pages down to level target, the
+// way Map builds a missing path, and returns the table page at target.
+// The slots it writes were absent, so no cached walk changes.
+func (pt *PageTable) linkDown(n *ptNode, level int, va VirtAddr, target int) *ptNode {
+	for ; level > target; level-- {
+		idx := levelIndex(va, level)
+		ci := pt.addNode()
+		n.setChild(idx, ci)
+		n.set(idx, ptePresent)
+		n = pt.node(ci)
+	}
+	return n
+}
+
+// mapAt installs va -> pa at size s below the absent slot find reported
+// at node n and level, which must not lie below s's leaf level, and
+// returns the leaf PTE. It leaves the table as Map(va.PageBase(s), pa, s)
+// would.
+func (pt *PageTable) mapAt(n *ptNode, level int, va VirtAddr, pa PhysAddr, s PageSize) pte {
+	target := leafLevel(s)
+	n = pt.linkDown(n, level, va, target)
+	e := makeLeafPTE(uint64(pa) >> s.Shift())
+	n.set(levelIndex(va, target), e)
+	pt.mapped[s]++
+	return e
+}
+
+// leafTranslation is the physical address of va under leaf PTE e at the
+// given radix level, and the page size of that leaf.
+func leafTranslation(va VirtAddr, e pte, level int) (PhysAddr, PageSize) {
+	size := leafSizeAtLevel(level)
+	return PhysAddr(e.pfn()<<size.Shift() | va.Offset(size)), size
+}
+
+// Translate returns the physical address and page size of va's mapping,
+// or ok false when no mapping covers va.
 func (pt *PageTable) Translate(va VirtAddr) (PhysAddr, PageSize, bool) {
-	res, ok := pt.Walk(va)
-	if !ok {
+	_, level, e := pt.find(va)
+	if !e.present() || !e.leaf() {
 		return 0, Page4K, false
 	}
-	return res.PA, res.Size, true
+	pa, size := leafTranslation(va, e, level)
+	return pa, size, true
 }
 
 // DropEmptyPT removes the leaf-level page-table page covering va when it

@@ -40,30 +40,81 @@ func NewAddressSpace(ctx ContextID) *AddressSpace {
 	}
 }
 
+// extent draws the physical backing of a new page of size s: a fresh 4K
+// data frame, or the next 2M or 1G page number of the space's region.
+func (as *AddressSpace) extent(s PageSize) PhysAddr {
+	switch s {
+	case Page2M:
+		as.next2M++
+		return PhysAddr(as.region<<regionShift | flag2M | as.next2M<<21)
+	case Page1G:
+		as.next1G++
+		return PhysAddr(as.region<<regionShift | flag1G | as.next1G<<30)
+	}
+	return PhysAddr(as.frames.Alloc() << 12)
+}
+
 // EnsureMapped demand-maps the page of the given size covering va, if no
 // mapping (of any size) already covers it. It reports whether a new
-// mapping was created.
+// mapping was created: none is when a table of smaller pages already
+// occupies the extent of a superpage s, and the extent drawn for it
+// stays spent.
 func (as *AddressSpace) EnsureMapped(va VirtAddr, s PageSize) bool {
-	if _, _, ok := as.PT.Translate(va); ok {
+	n, level, e := as.PT.find(va)
+	if e.present() && e.leaf() {
 		return false
 	}
-	base := va.PageBase(s)
-	var pa PhysAddr
-	switch {
-	case s == Page4K:
-		pa = PhysAddr(as.frames.Alloc() << 12)
-	case s == Page2M:
-		as.next2M++
-		pa = PhysAddr(as.region<<regionShift | flag2M | as.next2M<<21)
-	case s == Page1G:
-		as.next1G++
-		pa = PhysAddr(as.region<<regionShift | flag1G | as.next1G<<30)
-	}
-	if err := as.PT.Map(base, pa, s); err != nil {
-		// A conflicting larger/smaller mapping raced in; treat as mapped.
+	pa := as.extent(s)
+	if leafLevel(s) > level {
 		return false
 	}
+	as.PT.mapAt(n, level, va, pa, s)
 	return true
+}
+
+// Ensure returns the translation of va, demand-mapping its page first
+// when no mapping covers it: at size size(va), or at 4 KB when a table
+// of base pages already occupies that superpage's extent. It descends
+// the page table once and calls size only on a miss. The frames and
+// superpage numbers it draws are, in order, those EnsureMapped(va,
+// size(va)) draws, followed, when that maps nothing, by those of
+// EnsureMapped(va, Page4K).
+func (as *AddressSpace) Ensure(va VirtAddr, size func(VirtAddr) PageSize) (PhysAddr, PageSize) {
+	n, level, e := as.PT.find(va)
+	if !e.present() || !e.leaf() {
+		s := size(va)
+		pa := as.extent(s)
+		if leafLevel(s) > level {
+			s, pa = Page4K, as.extent(Page4K)
+		}
+		e = as.PT.mapAt(n, level, va, pa, s)
+		level = leafLevel(s)
+	}
+	return leafTranslation(va, e, level)
+}
+
+// EnsureBasePages demand-maps, in address order, every 4 KB page of the
+// 2 MB region containing va that no mapping covers, and returns how many
+// it mapped. It leaves the table and the frame allocator as 512
+// EnsureMapped(page, Page4K) calls would, but descends to the region's
+// leaf table once.
+func (as *AddressSpace) EnsureBasePages(va VirtAddr) int {
+	base := va.PageBase(Page2M)
+	n, level, e := as.PT.find(base)
+	if level > 0 && e.present() && e.leaf() {
+		return 0 // one superpage covers the whole region
+	}
+	leaves := as.PT.linkDown(n, level, base, 0)
+	mapped := 0
+	for idx := 0; idx < ptFanout; idx++ {
+		if leaves.get(idx).present() {
+			continue
+		}
+		leaves.set(idx, makeLeafPTE(uint64(as.extent(Page4K))>>Page4K.Shift()))
+		mapped++
+	}
+	as.PT.mapped[Page4K] += uint64(mapped)
+	return mapped
 }
 
 // Translate walks the page table for va.

@@ -80,13 +80,14 @@ alloc:
 # The invariant-checker gate (internal/check): the checker's own unit and
 # circuit-shadow tests, every organization run under the shadow oracle
 # (including the legacy-release reintroduction), shootdown bursts
-# scrubbing populated arrays, the pinned shootdown port charges, and the
-# fuzz seed corpora of the page-table, checked-system, config-decoding,
+# scrubbing populated arrays, the pinned shootdown port charges, the
+# prefetch neighbours at both ends of the address space, and the fuzz
+# seed corpora of the page-table, checked-system, config-decoding,
 # trace-reading, burst-invalidation and store-blob-adoption fuzzers.
 # Deterministic — `go test` executes fuzz targets over their seeds only.
 check:
 	$(GO) test -count 1 ./internal/check/
-	$(GO) test -count 1 -run 'TestChecked|TestCheckerCatches|TestShootdownPortChargesPinned|TestStormContextSwitch|TestBurstScrubsPopulatedArrays|FuzzCheckedSystem|FuzzUnmarshalConfig' ./internal/system/
+	$(GO) test -count 1 -run 'TestChecked|TestCheckerCatches|TestShootdownPortChargesPinned|TestStormContextSwitch|TestBurstScrubsPopulatedArrays|TestPrefetchAtAddressSpaceEdges|FuzzCheckedSystem|FuzzUnmarshalConfig' ./internal/system/
 	$(GO) test -count 1 -run 'TestInvalidateBurst|TestBurstAdd|FuzzInvalidateBurst' ./internal/tlb/
 	$(GO) test -count 1 -run 'TestPromote2M|FuzzPageTable' ./internal/vm/
 	$(GO) test -count 1 -run 'FuzzTraceRead' ./internal/trace/

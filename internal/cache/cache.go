@@ -253,19 +253,3 @@ func (h *Hierarchy) Pollute(lines int) {
 		c.EvictRandomLines(lines)
 	}
 }
-
-// ResetStats zeroes hit/miss counts without touching contents.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
-
-// ResetStats zeroes the hierarchy's aggregate counters and each level's
-// hit/miss counts. Levels may be shared between hierarchies (the LLC);
-// resetting a shared level twice is harmless.
-func (h *Hierarchy) ResetStats() {
-	h.accesses, h.memFills = 0, 0
-	for i := range h.levelHits {
-		h.levelHits[i] = 0
-	}
-	for _, c := range h.levels {
-		c.ResetStats()
-	}
-}

@@ -58,28 +58,16 @@ type MessageEnergy struct {
 // Total sums the components.
 func (m MessageEnergy) Total() float64 { return m.Link + m.Switch + m.Control + m.SRAM }
 
-// MonolithicMessage returns the energy of a message crossing hops mesh
-// hops to a monolithic shared TLB of totalEntries (per-bank lookup energy
-// is dominated by the huge array).
-func MonolithicMessage(hops, totalEntries int) MessageEnergy {
+// MeshMessage returns the energy of a message crossing hops mesh hops to
+// an array of entries: a distributed slice, or the whole monolithic
+// shared TLB (per-bank lookup energy is dominated by the huge array).
+func MeshMessage(hops, entries int) MessageEnergy {
 	h := float64(hops)
 	return MessageEnergy{
 		Link:    LinkPJPerHop * h,
 		Switch:  RouterSwitchPJPerHop * h,
 		Control: MeshControlPJPerHop * h,
-		SRAM:    sram.AccessEnergyPJ(totalEntries),
-	}
-}
-
-// DistributedMessage returns the energy of a message crossing hops mesh
-// hops to a distributed slice of sliceEntries.
-func DistributedMessage(hops, sliceEntries int) MessageEnergy {
-	h := float64(hops)
-	return MessageEnergy{
-		Link:    LinkPJPerHop * h,
-		Switch:  RouterSwitchPJPerHop * h,
-		Control: MeshControlPJPerHop * h,
-		SRAM:    sram.AccessEnergyPJ(sliceEntries),
+		SRAM:    sram.AccessEnergyPJ(entries),
 	}
 }
 

@@ -10,8 +10,8 @@ func TestFig11bOrdering(t *testing.T) {
 	// NOCSTAR <= Distributed < Monolithic (Fig. 11b); at zero hops the
 	// slice designs coincide (both are just one slice SRAM lookup).
 	for _, hops := range []int{0, 1, 2, 4, 6, 8, 10, 12} {
-		m := MonolithicMessage(hops, 32*1024).Total()
-		d := DistributedMessage(hops, 1024).Total()
+		m := MeshMessage(hops, 32*1024).Total()
+		d := MeshMessage(hops, 1024).Total()
 		n := NocstarMessage(hops, 1024).Total()
 		if !(n <= d && d < m) {
 			t.Fatalf("hops %d: N=%v D=%v M=%v, want N<=D<M", hops, n, d, m)
@@ -26,7 +26,7 @@ func TestNocstarControlCostHigher(t *testing.T) {
 	// The paper: NOCSTAR "has a more expensive control path" than the
 	// distributed mesh, but a cheaper datapath switch.
 	n := NocstarMessage(8, 1024)
-	d := DistributedMessage(8, 1024)
+	d := MeshMessage(8, 1024)
 	if n.Control <= d.Control {
 		t.Fatalf("NOCSTAR control %v not above distributed %v", n.Control, d.Control)
 	}
@@ -39,7 +39,7 @@ func TestNocstarControlCostHigher(t *testing.T) {
 }
 
 func TestSRAMDominatesMonolithic(t *testing.T) {
-	m := MonolithicMessage(4, 64*1024)
+	m := MeshMessage(4, 64*1024)
 	if m.SRAM < m.Link+m.Switch+m.Control {
 		t.Fatalf("monolithic SRAM %v should dominate network %v",
 			m.SRAM, m.Link+m.Switch+m.Control)
@@ -51,9 +51,7 @@ func TestSRAMDominatesMonolithic(t *testing.T) {
 func TestEnergyMonotoneInHops(t *testing.T) {
 	f := func(h uint8) bool {
 		hops := int(h % 30)
-		for _, fn := range []func(int, int) MessageEnergy{
-			MonolithicMessage, DistributedMessage, NocstarMessage,
-		} {
+		for _, fn := range []func(int, int) MessageEnergy{MeshMessage, NocstarMessage} {
 			a, b := fn(hops, 1024).Total(), fn(hops+1, 1024).Total()
 			if a < 0 || b < a {
 				return false

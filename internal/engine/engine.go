@@ -211,10 +211,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending reports how many events are scheduled but not yet executed.
 func (e *Engine) Pending() int { return e.wheelPending + e.overflow.len() + len(e.finalizers) }
 
-// ResetProcessed zeroes the processed-event counter, so a measurement
-// phase that begins mid-run (after a warmup) reports only its own events.
-func (e *Engine) ResetProcessed() { e.processed = 0 }
-
 // insert places an event in the wheel when it is within the horizon, in
 // the overflow heap otherwise.
 func (e *Engine) insert(ev event) {

@@ -32,7 +32,6 @@ func AblationHPC(o Options) HPCResult {
 	for i, hpc := range res.HPC {
 		for _, spec := range o.suite() {
 			cfg := o.baseConfig(system.Nocstar, spec, cores, false)
-			cfg.L2EntriesPerCore = 0
 			cfg.HPCmax = hpc
 			if hpc == 0 {
 				cfg.HPCmax = 1 << 20 // effectively unbounded
@@ -81,9 +80,7 @@ func AblationSpeculation(o Options) SpeculationResult {
 	var runs []trio
 	for _, w := range o.suite() {
 		cfg := o.baseConfig(system.Nocstar, w, cores, false)
-		cfg.L2EntriesPerCore = 0
 		cfg2 := o.baseConfig(system.Nocstar, w, cores, false)
-		cfg2.L2EntriesPerCore = 0
 		cfg2.NoSpeculativeResponse = true
 		runs = append(runs, trio{o.baselineFuture(w, cores, false), o.submit(cfg), o.submit(cfg2)})
 	}

@@ -151,8 +151,8 @@ func Fig11b() Fig11bResult {
 		Energy: map[string][]energy.MessageEnergy{},
 	}
 	for _, h := range res.Hops {
-		res.Energy["M"] = append(res.Energy["M"], energy.MonolithicMessage(h, 32*1024))
-		res.Energy["D"] = append(res.Energy["D"], energy.DistributedMessage(h, 1024))
+		res.Energy["M"] = append(res.Energy["M"], energy.MeshMessage(h, 32*1024))
+		res.Energy["D"] = append(res.Energy["D"], energy.MeshMessage(h, 1024))
 		res.Energy["N"] = append(res.Energy["N"], energy.NocstarMessage(h, 1024))
 	}
 	return res

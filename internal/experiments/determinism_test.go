@@ -85,12 +85,11 @@ func resultDigest(r system.Result) string {
 }
 
 // TestGoldenEventOrder pins the engine's total event order — the exact
-// (cycle, seq) stream — for three NOCSTAR configurations, and their
-// simulated Results. Any scheduling refactor that reorders even one pair
-// of same-cycle events changes the hash. This is deliberately stricter
-// than TestRunDeterminism, which only requires runs to agree with each
-// other. The warmed row covers the inline warmup: its stream includes
-// the warmup's events, its Result only the measured window.
+// (cycle, seq) stream — for NOCSTAR and private configurations, and
+// their simulated Results. Any scheduling refactor that reorders even
+// one pair of same-cycle events changes the hash. This is deliberately
+// stricter than TestRunDeterminism, which only requires runs to agree
+// with each other.
 //
 // The result digests date from the closure-continuation/binary-heap
 // scheduler that predates the typed transaction objects and the timing
@@ -99,8 +98,6 @@ func resultDigest(r system.Result) string {
 // one event per request (oneway 9274 -> 9268 events, remote-walk
 // 9272 -> 9267): the new stream is the old one with each round's retry
 // events replaced by a single batch event, and the results are unchanged.
-// The warmed row was captured later, before the warm-state checkpoint
-// that duplicated the inline warmup was deleted, and held across it.
 func TestGoldenEventOrder(t *testing.T) {
 	spec, _ := workload.ByName("graph500")
 	base := system.Config{
@@ -113,8 +110,6 @@ func TestGoldenEventOrder(t *testing.T) {
 	remote := base
 	remote.Policy = system.WalkAtRemote
 	remote.ShootdownInterval = 5_000
-	warmed := base
-	warmed.WarmupInstr = 3_000
 	// The storm rows run the TLB-storm co-runner beside steady
 	// shootdowns, so promote/demote bursts, context-switch flushes and
 	// their port charges are pinned too.
@@ -136,7 +131,6 @@ func TestGoldenEventOrder(t *testing.T) {
 	}{
 		{"oneway", base, 9268, 0x679f199496bec998, "20b3c313343d6c53"},
 		{"remote-walk", remote, 9267, 0x15b73db1ad755a55, "7c3df9905779b585"},
-		{"warmed", warmed, 17492, 0xf1e192bd350ab763, "f80eedffe191b623"},
 		{"storm-private", stormPriv, 4631, 0x766556bff835d887, "5dd0a06fb8482c50"},
 		{"storm-nocstar", stormNoc, 9241, 0xcf953875816f842c, "e0388b780bba9a65"},
 	}
@@ -145,14 +139,12 @@ func TestGoldenEventOrder(t *testing.T) {
 	}
 
 	// The replay row runs trace replayers instead of generators. The
-	// trace holds 1000 references per thread and the run draws 700
-	// (warmup) plus 1050 (measured), so every stream wraps mid-run, and
-	// the nonzero warmup pins the stream position the measured window
-	// resumes from. Replayers keep a position, so each run gets fresh
-	// ones.
+	// trace holds 1000 references per thread and the run draws 1050, so
+	// every stream wraps mid-run. Replayers keep a position, so each run
+	// gets fresh ones. The row was captured cold before the warmup phase
+	// was deleted, and held across it.
 	tr := trace.Capture(spec, 16, 1000, 11)
 	replay := base
-	replay.WarmupInstr = 2_000
 	replay.Apps = []system.App{{Spec: spec, Threads: 16, HammerSlice: system.HammerNone}}
 	for i := range tr.Threads {
 		r, err := tr.NewReplayer(i)
@@ -161,7 +153,7 @@ func TestGoldenEventOrder(t *testing.T) {
 		}
 		replay.Apps[0].Streams = append(replay.Apps[0].Streams, r)
 	}
-	checkGolden(t, "replay", replay, 12774, 0x78542f6a9c5e6f80, "1293bcc08e672487")
+	checkGolden(t, "replay", replay, 9050, 0x3caf608b52d88f30, "a1fbec74315b0552")
 }
 
 // checkGolden runs cfg under an event-order observer and compares its

@@ -126,7 +126,6 @@ func figPerf(o Options, title string, cores int, thp bool) SpeedupGrid {
 	configs := []string{"Monolithic", "Distributed", "NOCSTAR", "Ideal"}
 	return speedupGrid(o, title, cores, thp, configs, func(name string, cfg *system.Config) {
 		cfg.Org = orgConfigs[name]
-		cfg.L2EntriesPerCore = 0 // re-derive default per org (920 for NOCSTAR)
 	})
 }
 
@@ -161,7 +160,6 @@ func Fig14(o Options) Fig14Result {
 		for _, org := range orgs {
 			for _, spec := range o.suite() {
 				cfg := o.baseConfig(orgConfigs[org], spec, cores, true)
-				cfg.L2EntriesPerCore = 0
 				energyRuns[org] = append(energyRuns[org],
 					enRun{o.baselineFuture(spec, cores, true), o.submit(cfg)})
 			}
@@ -215,6 +213,5 @@ func Fig15(o Options) SpeedupGrid {
 	return speedupGrid(o, "Fig. 15: interconnect decomposition, 32 cores",
 		32, false, configs, func(name string, cfg *system.Config) {
 			cfg.Org = orgs[name]
-			cfg.L2EntriesPerCore = 0
 		})
 }

@@ -75,7 +75,6 @@ func runFocus(o Options, title string, cores []int, variants []string,
 			g.Speedup[c][v] = map[string]float64{}
 			for _, spec := range specs {
 				cfg := o.baseConfig(system.Nocstar, spec, c, false)
-				cfg.L2EntriesPerCore = 0
 				build(v, c, &cfg)
 				cells = append(cells, cell{c, v, spec.Name,
 					o.baselineFuture(spec, c, false), o.submit(cfg)})
@@ -217,7 +216,6 @@ func Table3(o Options) Table3Result {
 			var futs []*runner.Future
 			for _, spec := range o.suite() {
 				cfg := o.baseConfig(org.org, spec, cores, false)
-				cfg.L2EntriesPerCore = 0
 				applyScenario(&cfg, sc.prefetch, sc.smt, sc.ptw, cores)
 				futs = append(futs, o.submit(cfg))
 			}

@@ -64,7 +64,6 @@ func Fig19(o Options) Fig19Result {
 			var quads []quad
 			for _, spec := range o.suite() {
 				cfgA := o.baseConfig(org.org, spec, cores, false)
-				cfgA.L2EntriesPerCore = 0
 
 				// Under the storm, private baselines suffer too: the
 				// comparison is each organization with the storm active
@@ -75,7 +74,6 @@ func Fig19(o Options) Fig19Result {
 				cfgPS.Storm = stormConfig(o.Instr)
 
 				cfgS := o.baseConfig(org.org, spec, cores, false)
-				cfgS.L2EntriesPerCore = 0
 				cfgS.Storm = stormConfig(o.Instr)
 				cfgS.InvLeaders = cores / 8
 

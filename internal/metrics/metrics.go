@@ -247,22 +247,3 @@ func (s Snapshot) Hist(name string) (HistValue, bool) {
 	}
 	return HistValue{}, false
 }
-
-// Reset zeroes every registered metric while keeping the registrations
-// and returned handles valid, so a measurement phase that begins mid-run
-// (after a warmup) reports only its own events. Bounds and names are
-// preserved; only accumulated state clears.
-func (r *Registry) Reset() {
-	for _, c := range r.counters {
-		c.v = 0
-	}
-	for _, c := range r.atomics {
-		c.v.Store(0)
-	}
-	for _, h := range r.hists {
-		for i := range h.counts {
-			h.counts[i] = 0
-		}
-		h.n, h.sum, h.min, h.max = 0, 0, 0, 0
-	}
-}

@@ -512,6 +512,3 @@ func (n *Nocstar) releaseRun(r linkRun, now, until engine.Cycle) {
 		}
 	}
 }
-
-// ResetStats zeroes the accumulated fabric statistics.
-func (n *Nocstar) ResetStats() { n.stats = NocstarStats{} }

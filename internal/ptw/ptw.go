@@ -236,6 +236,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// ResetStats zeroes the accumulated statistics.
-func (w *Walker) ResetStats() { w.stats = Stats{} }

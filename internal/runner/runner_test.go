@@ -24,24 +24,19 @@ func testConfig(instr uint64) system.Config {
 
 // The engine's reproducibility contract must survive the worker pool: a
 // config run directly, run on the pool, and run on the pool again must
-// produce identical Results in every field — cold, and with an inline
-// warmup, at any parallelism.
+// produce identical Results in every field, at any parallelism.
 func TestDeterministicAcrossPool(t *testing.T) {
-	warmed := testConfig(6_000)
-	warmed.WarmupInstr = 4_000
-	for _, cfg := range []system.Config{testConfig(8_000), warmed} {
-		direct, err := system.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 4, 16} {
-			r := New(par)
-			a := r.Submit(cfg).Wait()
-			b := r.Submit(cfg).Wait()
-			if !reflect.DeepEqual(direct, a) || !reflect.DeepEqual(a, b) {
-				t.Fatalf("warmup %d, par %d: pooled run diverged from direct run",
-					cfg.WarmupInstr, par)
-			}
+	cfg := testConfig(8_000)
+	direct, err := system.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4, 16} {
+		r := New(par)
+		a := r.Submit(cfg).Wait()
+		b := r.Submit(cfg).Wait()
+		if !reflect.DeepEqual(direct, a) || !reflect.DeepEqual(a, b) {
+			t.Fatalf("par %d: pooled run diverged from direct run", par)
 		}
 	}
 }

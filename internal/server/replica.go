@@ -164,21 +164,22 @@ func (s *Server) follow(j *job) {
 
 // runLeased runs j under its lease: the previous holder may have
 // published just before letting go, so the store is checked once more;
-// otherwise j executes and its result is published before the lease is
-// released, whatever the outcome. Executing a hash another holder gave
-// up without publishing is a takeover: j followed a lease that went away
-// (followed), or its claim replaced a stale one.
+// otherwise j executes and publishes its result. Whatever the outcome,
+// the lease is released after publishing and before j turns terminal,
+// so a client that sees j finish sees its lease gone. Executing a hash
+// another holder gave up without publishing is a takeover: j followed a
+// lease that went away (followed), or its claim replaced a stale one.
 func (s *Server) runLeased(j *job, lease *store.Lease, followed bool) {
-	defer lease.Release()
-	if res, ok := s.results.Get(j.hash); ok {
-		s.finish(j, stateDone, res, "", true)
-		return
+	res, cached := s.results.Get(j.hash)
+	state, msg := stateDone, ""
+	if !cached {
+		if followed || lease.TookOver() {
+			s.met.takeovers.Inc()
+		}
+		state, res, msg = s.execute(j)
 	}
-	if followed || lease.TookOver() {
-		s.met.takeovers.Inc()
-	}
-	state, res, msg := s.execute(j)
-	s.finish(j, state, res, msg, false)
+	lease.Release()
+	s.finish(j, state, res, msg, cached)
 }
 
 // remoteRun resolves a job ID this server has no record of — minted by

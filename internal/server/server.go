@@ -267,9 +267,10 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs j's config on the pool and returns its terminal outcome.
-// A job whose context died in the queue completes at once as canceled
-// and is not counted as an execution.
+// execute runs j's config on the pool, publishes a done result to the
+// content-addressed store, and returns its terminal outcome. A job whose
+// context died in the queue completes at once as canceled and is not
+// counted as an execution.
 func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
 	if j.ctx.Err() == nil {
 		s.met.executed.Inc()
@@ -284,6 +285,9 @@ func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
 		if merr != nil {
 			return stateFailed, nil, fmt.Sprintf("marshaling result: %v", merr)
 		}
+		if err := s.results.Put(j.hash, b); err != nil {
+			s.met.storeErrors.Inc()
+		}
 		return stateDone, b, ""
 	case errors.Is(err, system.ErrCanceled), errors.Is(err, system.ErrDeadlineExceeded):
 		return stateCanceled, nil, err.Error()
@@ -292,16 +296,11 @@ func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
 	}
 }
 
-// finish moves j to a terminal state: a freshly executed result enters
-// the content-addressed store, j leaves the singleflight registry, and
-// the outcome counters advance. cached marks a result read from the
+// finish moves j to a terminal state: j leaves the singleflight
+// registry, and the outcome counters advance. An executed result is
+// already in the store (execute). cached marks a result read from the
 // store rather than executed.
 func (s *Server) finish(j *job, state jobState, result json.RawMessage, msg string, cached bool) {
-	if state == stateDone && !cached {
-		if err := s.results.Put(j.hash, result); err != nil {
-			s.met.storeErrors.Inc()
-		}
-	}
 	s.unregisterInflight(j)
 	if cached {
 		j.mu.Lock()

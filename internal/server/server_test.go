@@ -325,8 +325,10 @@ func TestValidationErrors(t *testing.T) {
 // TestSubmitRejectsUnbuildableConfig sends documents that once passed
 // validation and then panicked the simulator's constructor or run,
 // wrapped the thread-capacity check, or (a shootdown every cycle) held
-// a worker until its deadline: each must get a 400 invalid_config naming
-// the field, and the server must keep answering.
+// a worker until its deadline, and documents naming a field schema 5
+// removed: each must get a 400 invalid_config naming the field (a
+// validated field in the typed field list, a removed one in the decode
+// message), and the server must keep answering.
 func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 1})
 	ctx := ctxT(t)
@@ -339,7 +341,6 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 		{fmt.Sprintf(`{"org": "nocstar", "cores": 4, "apps": [{"workload": "gups", "threads": %s}, {"workload": "gups", "threads": %s}]}`,
 			huge, huge), "Apps[0].Threads"},
 		{doc("nocstar", `"smt": `+huge), "SMT"},
-		{doc("mono-mesh", `"banks": `+huge), "Banks"},
 		{doc("nocstar", `"ptw": {"pwc_entries": `+huge+`}`), "PTW.PWCEntries"},
 		{doc("distributed", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
 		{doc("mono-mesh", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
@@ -353,6 +354,8 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 		{doc("nocstar", `"inv_leaders": 9223372036854775807`), "InvLeaders"},
 		{`{"org": "nocstar", "cores": 4, "apps": [{"spec": {"name": "x", "footprint_pages": ` + huge +
 			`, "mem_ref_per_instr": 0.3, "base_cpi": 1}, "threads": 4}]}`, "Apps[0].Spec.FootprintPages"},
+		{doc("mono-mesh", `"banks": `+huge), "banks"},
+		{doc("nocstar", `"warmup_instr": 2000`), "warmup_instr"},
 	}
 	for _, tc := range cases {
 		_, err := c.SubmitRunJSON(ctx, []byte(tc.doc))
@@ -361,7 +364,7 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 			!errors.Is(err, client.ErrInvalidConfig) {
 			t.Fatalf("%s: got %v, want a 400 invalid_config", tc.doc, err)
 		}
-		named := false
+		named := strings.Contains(apiErr.Message, `unknown field "`+tc.field+`"`)
 		for _, f := range apiErr.Fields {
 			named = named || f.Field == tc.field
 		}

@@ -147,9 +147,6 @@ type Config struct {
 	// distributed slices (default 1024). NOCSTAR organizations default to
 	// 920 for the paper's area normalization (Table II).
 	L2EntriesPerCore int
-	// Banks is the monolithic bank count (default: 4 up to 32 cores,
-	// 8 at 64+, the paper's best-performing settings).
-	Banks int
 	// FixedAccessLatency forces the MonolithicFixed total access latency.
 	FixedAccessLatency int
 	// HPCmax bounds hops per cycle on the NOCSTAR fabric (default 16).
@@ -175,13 +172,6 @@ type Config struct {
 	Apps []App
 	// InstrPerThread is the instruction budget simulated per thread.
 	InstrPerThread uint64
-	// WarmupInstr, when nonzero, prepends a warmup phase of that many
-	// instructions per thread before measurement begins: the warmup
-	// executes the same workload generators (filling TLBs, page tables,
-	// PTE caches) and then every statistic is reset at the boundary, so
-	// the Result covers only the measured InstrPerThread instructions.
-	// Every run simulates its own warmup; nothing is shared between runs.
-	WarmupInstr uint64
 	// ShootdownInterval, when nonzero, remaps a random page every N
 	// cycles, generating steady shootdown traffic (Fig. 16 right).
 	ShootdownInterval uint64
@@ -217,13 +207,6 @@ func (c Config) Normalized() (Config, error) {
 			c.L2EntriesPerCore = 920 // Table II area normalization
 		} else {
 			c.L2EntriesPerCore = 1024
-		}
-	}
-	if c.Banks <= 0 {
-		if c.Cores >= 64 {
-			c.Banks = 8
-		} else {
-			c.Banks = 4
 		}
 	}
 	if c.HPCmax <= 0 {

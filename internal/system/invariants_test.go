@@ -136,15 +136,15 @@ func TestAreaNormalizedSliceDefault(t *testing.T) {
 }
 
 func TestBankDefaults(t *testing.T) {
-	c, _ := Config{Org: MonolithicMesh, Cores: 32,
-		Apps: []App{{Spec: smallSpec(), Threads: 1}}}.Normalized()
-	if c.Banks != 4 {
-		t.Fatalf("32-core banks = %d, want 4", c.Banks)
-	}
-	c, _ = Config{Org: MonolithicMesh, Cores: 64,
-		Apps: []App{{Spec: smallSpec(), Threads: 1}}}.Normalized()
-	if c.Banks != 8 {
-		t.Fatalf("64-core banks = %d, want 8 (paper's best banking)", c.Banks)
+	for _, tc := range []struct{ cores, banks int }{{32, 4}, {64, 8}} {
+		s, err := New(Config{Org: MonolithicMesh, Cores: tc.cores,
+			Apps: []App{{Spec: smallSpec(), Threads: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.ports) != tc.banks {
+			t.Fatalf("%d-core banks = %d, want %d (paper's best banking)", tc.cores, len(s.ports), tc.banks)
+		}
 	}
 }
 

@@ -34,7 +34,9 @@ import (
 // v4 removed topology, placement, placement_seed and qos_max_ctx_ways:
 // every organization routes the one mesh over address-interleaved
 // slices, and a document naming a removed field is rejected as unknown.
-const ConfigSchemaVersion = 4
+// v5 removed warmup_instr and banks: every run is cold, and the
+// monolithic bank count follows from the core count.
+const ConfigSchemaVersion = 5
 
 // orgTokens are the stable wire names of the organizations.
 var orgTokens = map[Org]string{
@@ -87,7 +89,6 @@ type configJSON struct {
 	SMT                   int        `json:"smt"`
 	L1Scale               float64    `json:"l1_scale"`
 	L2EntriesPerCore      int        `json:"l2_entries_per_core"`
-	Banks                 int        `json:"banks"`
 	FixedAccessLatency    int        `json:"fixed_access_latency"`
 	HPCmax                int        `json:"hpc_max"`
 	Acquire               string     `json:"acquire"`
@@ -99,7 +100,6 @@ type configJSON struct {
 	NoSpeculativeResponse bool       `json:"no_speculative_response"`
 	Apps                  []appJSON  `json:"apps"`
 	InstrPerThread        uint64     `json:"instr_per_thread"`
-	WarmupInstr           uint64     `json:"warmup_instr"`
 	ShootdownInterval     uint64     `json:"shootdown_interval"`
 	Storm                 *stormJSON `json:"storm,omitempty"`
 	Seed                  int64      `json:"seed"`
@@ -182,7 +182,6 @@ func (c Config) MarshalCanonical() ([]byte, error) {
 		SMT:                n.SMT,
 		L1Scale:            n.L1Scale,
 		L2EntriesPerCore:   n.L2EntriesPerCore,
-		Banks:              n.Banks,
 		FixedAccessLatency: n.FixedAccessLatency,
 		HPCmax:             n.HPCmax,
 		Acquire:            acquire,
@@ -199,7 +198,6 @@ func (c Config) MarshalCanonical() ([]byte, error) {
 		THP:                   n.THP,
 		NoSpeculativeResponse: n.NoSpeculativeResponse,
 		InstrPerThread:        n.InstrPerThread,
-		WarmupInstr:           n.WarmupInstr,
 		ShootdownInterval:     n.ShootdownInterval,
 		Seed:                  n.Seed,
 	}
@@ -256,7 +254,6 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		SMT:                   doc.SMT,
 		L1Scale:               doc.L1Scale,
 		L2EntriesPerCore:      doc.L2EntriesPerCore,
-		Banks:                 doc.Banks,
 		FixedAccessLatency:    doc.FixedAccessLatency,
 		HPCmax:                doc.HPCmax,
 		PrefetchDegree:        doc.PrefetchDegree,
@@ -264,7 +261,6 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		THP:                   doc.THP,
 		NoSpeculativeResponse: doc.NoSpeculativeResponse,
 		InstrPerThread:        doc.InstrPerThread,
-		WarmupInstr:           doc.WarmupInstr,
 		ShootdownInterval:     doc.ShootdownInterval,
 		Seed:                  doc.Seed,
 	}

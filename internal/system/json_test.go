@@ -101,7 +101,6 @@ func TestCanonicalDefaultsExplicit(t *testing.T) {
 	explicit.SMT = 1
 	explicit.L1Scale = 1
 	explicit.L2EntriesPerCore = 920 // NOCSTAR Table II default
-	explicit.Banks = 4
 	explicit.HPCmax = 16
 
 	a, err := minimal.MarshalCanonical()
@@ -214,6 +213,10 @@ var unmarshalRejects = []struct {
 	// qos_max_ctx_ways; a document naming one is refused, even at its
 	// old default, rather than silently simulating without it.
 	{"removed fabric field", `{"org": "distributed", "topology": "mesh"}`, `unknown field "topology"`},
+	// Schema 5 dropped warmup_instr (every run is cold) and banks (the
+	// bank count follows from the core count).
+	{"removed warmup field", `{"org": "nocstar", "warmup_instr": 0}`, `unknown field "warmup_instr"`},
+	{"removed banks field", `{"org": "mono-mesh", "banks": 4}`, `unknown field "banks"`},
 }
 
 func TestUnmarshalRejects(t *testing.T) {
@@ -255,11 +258,13 @@ func FuzzUnmarshalConfig(f *testing.F) {
 	for _, tc := range unmarshalRejects {
 		f.Add([]byte(tc.doc))
 	}
-	// The largest uint64 budgets decode; Validate rejects them.
+	// The largest uint64 budget decodes; Validate rejects it. The
+	// warmup_instr budget and the 2^62 banks (which once passed and
+	// panicked New) name fields schema 5 removed; decoding rejects them.
 	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4}],"instr_per_thread":18446744073709551615}`))
 	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4}],"warmup_instr":18446744073709551615}`))
 	// Two apps of 2^62 threads once wrapped the thread sum negative and
-	// passed the capacity check; 2^62 banks once passed and panicked New.
+	// passed the capacity check.
 	f.Add([]byte(`{"org":"private","cores":4,"apps":[{"workload":"gups","threads":4611686018427387904},{"workload":"gups","threads":4611686018427387904}]}`))
 	f.Add([]byte(`{"org":"mono-mesh","cores":4,"banks":4611686018427387904,"apps":[{"workload":"gups","threads":4}]}`))
 	// Footprints of 2^40 and 2^62 pages, a footprint of 0, a shared

@@ -111,11 +111,11 @@ func (s *System) localWalked(x *xact) {
 	case s.cfg.Org == Private:
 		// The walked entry stays in the private L2: no message.
 	case s.cfg.Org.monolithic():
-		s.meter.AddMessage(energy.MonolithicMessage(x.hops, 0)) // insert msg
+		s.meter.AddMessage(energy.MeshMessage(x.hops, 0)) // insert msg
 	case s.cfg.Org == Nocstar || s.cfg.Org == NocstarIdeal:
 		s.sendInsertMessage(x.src, x.dst)
 	case x.src != x.dst: // distributed or ideal, remote home slice
-		s.meter.AddMessage(energy.DistributedMessage(x.hops, 0))
+		s.meter.AddMessage(energy.MeshMessage(x.hops, 0))
 	}
 	s.resumeWithWalk(x)
 }
@@ -138,16 +138,22 @@ func (s *System) remoteWalked(x *xact) {
 // behind its port (portFor), plus the ±k prefetch neighbours of
 // Table III, each behind its own port. Prefetched translations piggyback
 // on the PTE cache line the walk fetched, so they cost no extra walk;
-// only already-mapped neighbours can be prefetched.
+// only already-mapped neighbours can be prefetched. A neighbour past
+// either end of the address space (below page 0, or at or past
+// vm.VPNLimit at its page size) does not exist and is skipped.
 func (s *System) insertTranslation(th *thread, va vm.VirtAddr, res vm.WalkResult) {
 	a := th.app
 	size := res.Size
 	vpn := va.VPN(size)
 	s.insertOne(th, va, size, uint64(res.PA)>>size.Shift())
 
+	limit := vm.VPNLimit >> (size.Shift() - vm.Page4K.Shift())
 	for k := 1; k <= s.cfg.PrefetchDegree; k++ {
-		for _, d := range [2]int64{int64(k), -int64(k)} {
-			nvpn := uint64(int64(vpn) + d)
+		// Below page 0 the subtraction wraps past the limit.
+		for _, nvpn := range [2]uint64{vpn + uint64(k), vpn - uint64(k)} {
+			if nvpn >= limit {
+				continue
+			}
 			nva := vm.VirtAddr(nvpn << size.Shift())
 			// The OS maps whole regions eagerly, so neighbouring PTEs
 			// exist even before the application touches those pages.
@@ -225,7 +231,7 @@ func (s *System) monoAccess(x *xact) {
 	case MonolithicFixed:
 		x.oneWay = 0 // folded into the forced access latency
 	}
-	s.meter.AddMessage(energy.MonolithicMessage(2*x.hops, 0))
+	s.meter.AddMessage(energy.MeshMessage(2*x.hops, 0))
 	s.m.netLat.Observe(uint64(2 * x.oneWay))
 	s.m.remote.Inc()
 
@@ -281,7 +287,7 @@ func (s *System) distAccess(x *xact) {
 	if x.src == x.dst {
 		s.m.localSlice.Inc()
 	} else {
-		s.meter.AddMessage(energy.DistributedMessage(2*x.hops, 0))
+		s.meter.AddMessage(energy.MeshMessage(2*x.hops, 0))
 		s.m.netLat.Observe(uint64(2 * x.oneWay))
 		s.m.remote.Inc()
 	}

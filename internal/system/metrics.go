@@ -123,7 +123,7 @@ func (s *System) noteMiss(x *xact) {
 // drains.
 func (s *System) collectLayerMetrics() {
 	s.m.engEvents.Add(s.eng.Processed())
-	s.m.engCycles.Add(uint64(s.eng.Now() - s.measureStart))
+	s.m.engCycles.Add(uint64(s.eng.Now()))
 	for _, c := range s.cores {
 		w := c.walker.Stats()
 		s.m.ptwQueue.Add(w.QueueCycles)

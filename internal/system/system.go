@@ -55,9 +55,8 @@ type app struct {
 	// OS backs the range with transparent 2 MB pages.
 	superLimit []uint64
 
-	threadsLeft int
-	instrDone   uint64
-	finish      engine.Cycle
+	instrDone uint64
+	finish    engine.Cycle
 }
 
 // thread is one (hyper)thread's execution state.
@@ -82,12 +81,10 @@ type thread struct {
 }
 
 // threadBatchSize is how many references one refill pregenerates.
-// Refills are clamped to refsLeft so the generator never draws past the
-// configured workload length. boundaryReset drops the buffer, so without
-// the clamp the warmup's unused tail would be lost and the measured
-// window would start at addresses that depend on the batch size; with
-// it, the measured window resumes each stream at the reference after the
-// warmup's last.
+// Refills are clamped to refsLeft so a stream is never drawn past the
+// configured workload length: no reference is generated that the run
+// does not consume, and a caller's stream (a trace replayer) is left at
+// the reference after the run's last, whatever the batch size.
 const threadBatchSize = 1024
 
 // System is one configured machine mid-run.
@@ -123,11 +120,6 @@ type System struct {
 	meter       energy.Meter
 
 	threadsLive int
-
-	// measureStart is the engine cycle at which the measurement phase
-	// began: 0 in cold runs, the warmup-drain cycle in warmed runs. All
-	// cycle-denominated Result fields are reported relative to it.
-	measureStart engine.Cycle
 
 	// check is the optional invariant checker (Config.Check). Nil in
 	// normal runs: every hot-path hook guards with one nil test.
@@ -191,14 +183,19 @@ func New(cfg Config) (*System, error) {
 			s.l2Lat = cfg.FixedAccessLatency
 		}
 		s.l2Busy = bankServiceCycles
+		// The paper's best banking: 4 banks below 64 cores, 8 from 64 up.
+		banks := 4
+		if cfg.Cores >= 64 {
+			banks = 8
+		}
 		// The monolithic structure sits at one end of the chip: banks
 		// spread along the bottom row (Section II-C2). GridFor pads
 		// non-rectangular core counts, so a bottom-row tile may hold no
 		// core; clamp each bank to the last real tile — under the
 		// remote-walk policy the bank's node indexes s.cores directly,
 		// and an unclamped padded node is out of range.
-		for b := 0; b < cfg.Banks; b++ {
-			col := (2*b + 1) * s.geo.Cols / (2 * cfg.Banks)
+		for b := 0; b < banks; b++ {
+			col := (2*b + 1) * s.geo.Cols / (2 * banks)
 			nd := s.geo.Node(s.geo.Rows-1, col)
 			if int(nd) >= cfg.Cores {
 				nd = noc.NodeID(cfg.Cores - 1)
@@ -248,7 +245,6 @@ func New(cfg Config) (*System, error) {
 			}
 			a.superLimit = append(a.superLimit, limit)
 		}
-		a.threadsLeft = acfg.Threads
 		s.apps = append(s.apps, a)
 
 		for t := 0; t < acfg.Threads; t++ {
@@ -315,90 +311,9 @@ func (s *System) run() (Result, error) {
 	return s.runCtx(context.Background())
 }
 
+// runCtx runs the configured workload plus any disturbances from a cold
+// machine to completion.
 func (s *System) runCtx(ctx context.Context) (Result, error) {
-	if s.cfg.WarmupInstr > 0 {
-		if err := s.warmup(ctx); err != nil {
-			return Result{}, err
-		}
-	}
-	return s.measured(ctx)
-}
-
-// warmup executes Config.WarmupInstr instructions per thread through the
-// normal execution path — filling TLBs, page tables, PTE caches, and NoC
-// reservation state — then resets every statistic at the boundary so the
-// measurement phase reports only its own events. Disturbances
-// (shootdowns, storms) do not run during warmup; they belong to the
-// measured phase. The generators stop exactly at the warmup's last
-// reference (see threadBatchSize), so the measured window continues each
-// thread's address stream where the warmup left it.
-func (s *System) warmup(ctx context.Context) error {
-	for _, th := range s.threads {
-		refs := uint64(float64(s.cfg.WarmupInstr) * th.app.cfg.Spec.MemRefPerInstr)
-		if refs == 0 {
-			refs = 1
-		}
-		th.refsTotal = refs
-		th.refsLeft = refs
-		s.eng.ScheduleAct(0, s, opThreadLoop, th)
-	}
-	if err := s.advanceCtx(ctx, maxCycles); err != nil {
-		return err
-	}
-	if s.threadsLive > 0 {
-		return fmt.Errorf("system: warmup exceeded %d cycles with %d threads live",
-			maxCycles, s.threadsLive)
-	}
-	s.boundaryReset()
-	return nil
-}
-
-// boundaryReset zeroes every statistic and rearms the threads with their
-// measured workload length, leaving all warm microarchitectural state
-// (TLB contents, page tables, caches, link reservations, RNG positions)
-// intact. The engine clock keeps running monotonically across the
-// boundary; measureStart records where measurement began.
-func (s *System) boundaryReset() {
-	s.eng.ResetProcessed()
-	s.reg.Reset()
-	s.conc = stats.ConcurrencyHist{}
-	s.sliceConc = stats.ConcurrencyHist{}
-	s.meter = energy.Meter{}
-	for _, c := range s.cores {
-		c.l1.ResetStats()
-		c.walker.ResetStats()
-		c.hier.ResetStats()
-	}
-	for _, t := range s.arrays {
-		t.ResetStats()
-	}
-	if s.fabric != nil {
-		s.fabric.ResetStats()
-	}
-	for _, a := range s.apps {
-		a.threadsLeft = a.cfg.Threads
-		a.instrDone = 0
-		a.finish = 0
-	}
-	for _, th := range s.threads {
-		refs := uint64(float64(s.cfg.InstrPerThread) * th.app.cfg.Spec.MemRefPerInstr)
-		if refs == 0 {
-			refs = 1
-		}
-		th.refsTotal = refs
-		th.refsLeft = refs
-		th.carry = 0
-		th.stall = 0
-		th.finished = false
-		th.bufPos, th.bufLen = 0, 0
-	}
-	s.threadsLive = len(s.threads)
-	s.measureStart = s.eng.Now()
-}
-
-// measured runs the measurement phase: the full configured workload plus
-// any disturbances, from the current (cold or warmed) state.
-func (s *System) measured(ctx context.Context) (Result, error) {
 	for _, th := range s.threads {
 		s.eng.ScheduleAct(0, s, opThreadLoop, th)
 	}
@@ -499,7 +414,6 @@ func (s *System) finishThread(th *thread, at engine.Cycle) {
 	th.finished = true
 	s.threadsLive--
 	a := th.app
-	a.threadsLeft--
 	a.instrDone += s.cfg.InstrPerThread
 	if at > a.finish {
 		a.finish = at
@@ -510,17 +424,13 @@ func (s *System) finishThread(th *thread, at engine.Cycle) {
 func (s *System) collect() Result {
 	r := Result{Org: s.cfg.Org}
 	for _, a := range s.apps {
-		finish := engine.Cycle(0)
-		if a.finish > s.measureStart {
-			finish = a.finish - s.measureStart
-		}
 		ar := AppResult{
 			Name:         a.cfg.Spec.Name,
 			Instructions: a.instrDone,
-			FinishCycle:  uint64(finish),
+			FinishCycle:  uint64(a.finish),
 		}
-		if finish > 0 {
-			ar.IPC = float64(a.instrDone) / float64(finish)
+		if a.finish > 0 {
+			ar.IPC = float64(a.instrDone) / float64(a.finish)
 		}
 		r.Apps = append(r.Apps, ar)
 		r.Instructions += a.instrDone
@@ -642,7 +552,7 @@ func (s *System) homeSlice(va vm.VirtAddr) int {
 
 // bankFor returns the monolithic bank of va.
 func (s *System) bankFor(va vm.VirtAddr) int {
-	return int(mix(uint64(va)>>21) % uint64(s.cfg.Banks))
+	return int(mix(uint64(va)>>21) % uint64(len(s.ports)))
 }
 
 // portFor returns the L2 port that serves va for th: th's private L2, or

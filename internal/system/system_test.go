@@ -6,6 +6,8 @@ import (
 	"nocstar/internal/engine"
 	"nocstar/internal/noc"
 	"nocstar/internal/ptw"
+	"nocstar/internal/trace"
+	"nocstar/internal/vm"
 	"nocstar/internal/workload"
 )
 
@@ -187,6 +189,53 @@ func TestPrefetchingInsertsNeighbours(t *testing.T) {
 	base := mustRun(t, smallConfig(Nocstar))
 	if r.MPKI() >= base.MPKI() {
 		t.Fatalf("prefetching did not reduce MPKI: %.3f vs %.3f", r.MPKI(), base.MPKI())
+	}
+}
+
+// TestPrefetchAtAddressSpaceEdges is the regression pin for prefetching
+// past either end of the address space: a replayed page at VPN 0 or at
+// vm.VPNLimit-1 with prefetch degree 1 once wrapped its neighbour below
+// page 0 or past the TLB keys' VPN field and panicked the run. A
+// skipped neighbour is not mapped: the page table ends up holding the
+// replayed pages plus the in-range neighbours of the walked ones, and
+// nothing else. (A page prefetched before its first access hits in the
+// L2 TLB and is never walked.)
+func TestPrefetchAtAddressSpaceEdges(t *testing.T) {
+	spec, _ := workload.ByName("canneal")
+	for _, tc := range []struct {
+		pages  []uint64
+		mapped uint64
+	}{
+		// Walks of 0 and 2 map 0..3; -1 is skipped.
+		{[]uint64{0, 1, 2}, 4},
+		// Walks of 1 and VPNLimit-1 map 0..2 and VPNLimit-2..VPNLimit-1;
+		// VPNLimit is skipped.
+		{[]uint64{1, 2, vm.VPNLimit - 1}, 5},
+	} {
+		tr := trace.Trace{Threads: [][]uint64{tc.pages, tc.pages}}
+		app := App{Spec: spec, Threads: 2, HammerSlice: HammerNone}
+		for i := range tr.Threads {
+			r, err := tr.NewReplayer(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app.Streams = append(app.Streams, r)
+		}
+		s, err := New(Config{Org: Nocstar, Cores: 2, Apps: []App{app},
+			PrefetchDegree: 1, InstrPerThread: 2_000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.run()
+		if err != nil {
+			t.Fatalf("pages %v: %v", tc.pages, err)
+		}
+		if r.Prefetches == 0 {
+			t.Fatalf("pages %v: no in-range neighbour was prefetched", tc.pages)
+		}
+		if got := s.apps[0].as.PT.MappedCount(vm.Page4K); got != tc.mapped {
+			t.Fatalf("pages %v: %d pages mapped, want %d", tc.pages, got, tc.mapped)
+		}
 	}
 }
 
@@ -398,27 +447,6 @@ func TestResultDerivedMetrics(t *testing.T) {
 	r.Apps = []AppResult{{IPC: 3}}
 	if r.SpeedupOver(base) != 2 || r.ThroughputSpeedupOver(base) != 2 || r.WorstAppSpeedupOver(base) != 1.5 {
 		t.Fatal("speedup metrics wrong")
-	}
-}
-
-// warmConfig is smallConfig with a warmup phase attached.
-func warmConfig(org Org) Config {
-	cfg := smallConfig(org)
-	cfg.WarmupInstr = 5_000
-	return cfg
-}
-
-// TestWarmupChangesMeasurement sanity-checks that warmup actually warms:
-// a warmed run must see fewer L2 TLB misses per reference than a cold
-// run of the same measured length.
-func TestWarmupChangesMeasurement(t *testing.T) {
-	cold := mustRun(t, smallConfig(Nocstar))
-	warm := mustRun(t, warmConfig(Nocstar))
-	if warm.MemRefs != cold.MemRefs {
-		t.Fatalf("measured reference counts differ: warm %d cold %d", warm.MemRefs, cold.MemRefs)
-	}
-	if warm.Walks >= cold.Walks {
-		t.Fatalf("warmup did not reduce page walks: warm %d >= cold %d", warm.Walks, cold.Walks)
 	}
 }
 

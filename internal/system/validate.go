@@ -44,9 +44,9 @@ func (e *ValidationError) Error() string {
 // above every core count any experiment uses.
 const maxCores = 4096
 
-// maxInstr bounds Config.InstrPerThread and Config.WarmupInstr. No
-// budget near it can finish: the engine stops every run at maxCycles
-// (2·10⁹), and a thread retires nowhere near 2000 instructions a cycle.
+// maxInstr bounds Config.InstrPerThread. No budget near it can finish:
+// the engine stops every run at maxCycles (2·10⁹), and a thread retires
+// nowhere near 2000 instructions a cycle.
 // A larger budget would only hold a worker until that safety net or a
 // deadline fires, and keeping budgets small keeps the quantities derived
 // from them (references per thread, retired-instruction totals) far from
@@ -82,12 +82,6 @@ const (
 	// l2Ways is the associativity of every L2 TLB array; an array's
 	// entry count must be a multiple of it.
 	l2Ways = 8
-	// maxBanks bounds Config.Banks at one bank per tile of the largest
-	// chip. A bank is one l2port in New's port table: a pointer to the
-	// shared array, the port's free horizon, its shootdown charge, its
-	// index and its node, 40 bytes, so 160 KiB at the bound. The paper's
-	// best settings are 4 and 8.
-	maxBanks = maxCores
 	// maxPWCEntries bounds PTW.PWCEntries. A page-walk-cache entry costs
 	// under 40 bytes (a 16-byte key in the FIFO ring plus its map slot),
 	// so 4096 entries per core stay under 640 MiB on maxCores. The
@@ -154,12 +148,12 @@ const (
 // charges every port 4 cycles. Disturbances that arrive faster than the
 // ports drain push the port horizons out without bound, so the threads
 // never finish and the run holds its worker until maxCycles or its
-// deadline; a shootdown every cycle did exactly that. With the default
-// banking (8 banks from 64 cores up) a maxCores machine relays 4096 / 8 =
+// deadline; a shootdown every cycle did exactly that. With the banking New
+// derives (8 banks from 64 cores up) a maxCores machine relays 4096 / 8 =
 // 512 messages per shootdown to each bank on average, so from 512 cycles
 // up the shootdown stream alone asks no bank for more than one port cycle
-// per cycle. A machine with fewer banks or more senders per bank can
-// still saturate a port; maxCycles and the run's deadline bound those.
+// per cycle. A port with more senders per shootdown can still saturate;
+// maxCycles and the run's deadline bound those.
 // Every experiment, example, benchmark and test uses 1000 cycles or more.
 const minDisturbInterval = 512
 
@@ -176,7 +170,7 @@ const maxFootprintPages = (1 << 38) / vm.FrameSize / workload.SpreadFactor
 
 // Validate checks cfg without running it, returning nil or a
 // *ValidationError listing every invalid field. Zero values that
-// Normalized fills with defaults (SMT, L1Scale, Banks, ...) are valid;
+// Normalized fills with defaults (SMT, L1Scale, HPCmax, ...) are valid;
 // negative values, unknown enum values, impossible thread placements and
 // missing required fields are not. Run and New validate implicitly —
 // this is the front door for callers (drivers, the HTTP service) that
@@ -215,12 +209,6 @@ func (c Config) Validate() error {
 		add("L2EntriesPerCore", "must be at most %d, got %d", maxL2EntriesPerCore, c.L2EntriesPerCore)
 	case c.L2EntriesPerCore%l2Ways != 0:
 		add("L2EntriesPerCore", "must be a multiple of the %d L2 ways, got %d", l2Ways, c.L2EntriesPerCore)
-	}
-	switch {
-	case c.Banks < 0:
-		add("Banks", "must be 0 (default) or positive, got %d", c.Banks)
-	case c.Banks > maxBanks:
-		add("Banks", "must be at most %d, got %d", maxBanks, c.Banks)
 	}
 	switch {
 	case c.FixedAccessLatency < 0:
@@ -291,9 +279,6 @@ func (c Config) Validate() error {
 	}
 	if c.InstrPerThread > maxInstr {
 		add("InstrPerThread", "must be at most %d, got %d", maxInstr, c.InstrPerThread)
-	}
-	if c.WarmupInstr > maxInstr {
-		add("WarmupInstr", "must be at most %d, got %d", maxInstr, c.WarmupInstr)
 	}
 	interval := func(field string, v uint64) {
 		if v != 0 && v < minDisturbInterval {

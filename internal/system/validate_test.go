@@ -40,7 +40,6 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	cfg.SMT = 0
 	cfg.L1Scale = 0
 	cfg.L2EntriesPerCore = 0
-	cfg.Banks = 0
 	cfg.HPCmax = 0
 	cfg.Seed = 0
 	cfg.InstrPerThread = 0
@@ -67,7 +66,6 @@ func TestValidateFields(t *testing.T) {
 		{"l2 entries off the ways", func(c *Config) { c.L2EntriesPerCore = 1001 }, "L2EntriesPerCore"},
 		{"negative l1 scale", func(c *Config) { c.L1Scale = -0.5 }, "L1Scale"},
 		{"negative l2 entries", func(c *Config) { c.L2EntriesPerCore = -1 }, "L2EntriesPerCore"},
-		{"negative banks", func(c *Config) { c.Banks = -4 }, "Banks"},
 		{"negative fixed latency", func(c *Config) { c.FixedAccessLatency = -1 }, "FixedAccessLatency"},
 		{"mono-fixed without latency", func(c *Config) { c.Org = MonolithicFixed }, "FixedAccessLatency"},
 		{"negative hpcmax", func(c *Config) { c.HPCmax = -1 }, "HPCmax"},
@@ -84,8 +82,6 @@ func TestValidateFields(t *testing.T) {
 		{"more leaders than cores", func(c *Config) { c.InvLeaders = math.MaxInt }, "InvLeaders"},
 		{"instr over limit", func(c *Config) { c.InstrPerThread = maxInstr + 1 }, "InstrPerThread"},
 		{"instr max uint64", func(c *Config) { c.InstrPerThread = math.MaxUint64 }, "InstrPerThread"},
-		{"warmup over limit", func(c *Config) { c.WarmupInstr = maxInstr + 1 }, "WarmupInstr"},
-		{"warmup max uint64", func(c *Config) { c.WarmupInstr = math.MaxUint64 }, "WarmupInstr"},
 		{"no apps", func(c *Config) { c.Apps = nil }, "Apps"},
 		{"no threads", func(c *Config) { c.Apps[0].Threads = 0 }, "Apps[0].Threads"},
 		{"stream count mismatch", func(c *Config) {
@@ -173,8 +169,6 @@ func TestValidateBounds(t *testing.T) {
 			func(c *Config) { c.L1Scale = math.Nextafter(maxL1Scale, math.Inf(1)) }, true},
 		{"L2EntriesPerCore", func(c *Config) { c.L2EntriesPerCore = maxL2EntriesPerCore },
 			func(c *Config) { c.L2EntriesPerCore = maxL2EntriesPerCore + 1 }, true},
-		{"Banks", func(c *Config) { c.Org, c.Banks = MonolithicMesh, maxBanks },
-			func(c *Config) { c.Org, c.Banks = MonolithicMesh, maxBanks+1 }, true},
 		{"PTW.PWCEntries", func(c *Config) { c.PTW.PWCEntries = maxPWCEntries },
 			func(c *Config) { c.PTW.PWCEntries = maxPWCEntries + 1 }, true},
 		{"PTW.Walkers", func(c *Config) { c.PTW.Walkers = maxWalkers },
@@ -253,14 +247,13 @@ func TestValidateCoreLimit(t *testing.T) {
 	}
 }
 
-// TestValidateInstrLimit: instruction budgets up to the limit are
+// TestValidateInstrLimit: an instruction budget at the limit is
 // accepted.
 func TestValidateInstrLimit(t *testing.T) {
 	cfg := validCfg()
 	cfg.InstrPerThread = maxInstr
-	cfg.WarmupInstr = maxInstr
 	if err := cfg.Validate(); err != nil {
-		t.Fatalf("budgets at the limit rejected: %v", err)
+		t.Fatalf("budget at the limit rejected: %v", err)
 	}
 }
 

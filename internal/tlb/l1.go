@@ -129,12 +129,5 @@ func (g *L1Group) Stats() (s4k, s2m, s1g Stats) {
 	return g.t4k.Stats(), g.t2m.Stats(), g.t1g.Stats()
 }
 
-// ResetStats zeroes the counters of all three arrays.
-func (g *L1Group) ResetStats() {
-	g.t4k.ResetStats()
-	g.t2m.ResetStats()
-	g.t1g.ResetStats()
-}
-
 // TLB4K exposes the 4K array (used by sizing-sensitivity experiments).
 func (g *L1Group) TLB4K() *TLB { return g.t4k }

@@ -368,11 +368,6 @@ func (t *TLB) Apply(inv vm.Invalidation) int {
 	return 0
 }
 
-// ResetStats zeroes the event counters, so a measurement window that
-// begins mid-run (after a warmup) counts only its own events. Array
-// contents and LRU state are untouched.
-func (t *TLB) ResetStats() { t.stats = Stats{} }
-
 // Occupancy reports the number of valid entries.
 func (t *TLB) Occupancy() int {
 	n := 0

@@ -15,7 +15,7 @@ help:
 	@echo "  alloc        zero-allocation gates for the translation critical path"
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
-	@echo "  smoke        end-to-end smoke: nocstar-exp report, a config document and a trace replay through nocstar-sim"
+	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq, a config document and a trace replay through nocstar-sim"
 	@echo "  serve-smoke  HTTP service smoke: submit/poll/cache/sweep/persistent-store, two replicas over one store"
 	@echo "  shape        the paper's headline claims at reduced scale (NOCSTAR > distributed > private, ideal within 5%)"
 	@echo "  profile      CPU/heap profiles of the Table III sweep"
@@ -102,13 +102,20 @@ fuzz:
 	cd internal/tlb && $(GO) test -fuzz FuzzInvalidateBurst -fuzztime 30s -run FuzzInvalidateBurst .
 	cd internal/server && $(GO) test -fuzz FuzzAdoptBlob -fuzztime 30s -run FuzzAdoptBlob .
 
-# End-to-end smoke of the report pipeline (tiny run, JSON document out)
-# and of the config front door: a 4-core document piped to nocstar-sim,
-# then the same document replaying a captured 4-thread trace.
+# End-to-end smoke of the report pipeline (tiny run, JSON document out,
+# then the README's jq recipe must pull Fig. 12's series out of it; skipped
+# without jq) and of the config front door: a 4-core document piped to
+# nocstar-sim, then the same document replaying a captured 4-thread trace.
 SMOKE_DOC = {"org":"nocstar","cores":4,"apps":[{"workload":"canneal","threads":4}],"instr_per_thread":2000,"seed":1}
+REPORT_JQ = .experiments[] | select(.id == "fig12") | .data.Speedup | tostream | select(length == 2) | flatten | @csv
 
 smoke:
 	$(GO) run ./cmd/nocstar-exp -quiet -instr 2000 -report /tmp/nocstar-report.json fig12
+	@if command -v jq >/dev/null 2>&1; then \
+		jq -r '$(REPORT_JQ)' /tmp/nocstar-report.json | grep -q . || \
+			{ echo "smoke: the README's jq recipe found no fig12 series in the report"; exit 1; }; \
+	else \
+		echo "jq: not installed, skipping the report recipe"; fi
 	$(GO) run ./cmd/nocstar-trace gen -workload canneal -threads 4 -refs 2000 -o /tmp/nocstar-smoke.trc
 	echo '$(SMOKE_DOC)' | $(GO) run ./cmd/nocstar-sim -
 	echo '$(SMOKE_DOC)' | $(GO) run ./cmd/nocstar-sim - /tmp/nocstar-smoke.trc

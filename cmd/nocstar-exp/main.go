@@ -35,7 +35,6 @@ func main() {
 		workloads  = flag.String("workloads", "", "comma-separated workload filter")
 		combos     = flag.Int("combos", 0, "limit Fig. 18 combinations (0 = all 330)")
 		cores      = flag.String("cores", "", "comma-separated core counts for scaling experiments")
-		csvDir     = flag.String("csv", "", "directory to write per-experiment CSV data series")
 		report     = flag.String("report", "", "write a schema-versioned JSON run report to this file")
 		trace      = flag.String("trace", "", "write a Chrome trace_event JSON of one representative run to this file (view in chrome://tracing or ui.perfetto.dev)")
 		parallel   = flag.Int("j", 0, "simulations to run in parallel (0 = GOMAXPROCS); output is byte-identical at any setting")
@@ -128,16 +127,6 @@ func main() {
 			ran = append(ran, experiments.RanExperiment{
 				ID: e.ID, Description: e.Description, Result: res,
 			})
-		}
-		if *csvDir != "" {
-			if c, ok := res.(experiments.CSVer); ok {
-				path := filepath.Join(*csvDir, e.ID+".csv")
-				writeOutput(path, func(w io.Writer) error {
-					_, err := io.WriteString(w, c.CSV())
-					return err
-				})
-				fmt.Printf("[wrote %s]\n\n", path)
-			}
 		}
 	}
 

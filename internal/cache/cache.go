@@ -34,8 +34,6 @@ type Cache struct {
 	sets    [][]line
 	setMask uint64
 	tick    uint64
-
-	hits, misses uint64
 }
 
 // New returns an empty cache. Sets must be a power of two and Ways
@@ -55,9 +53,6 @@ func New(cfg Config) *Cache {
 	return &Cache{cfg: cfg, sets: sets, setMask: uint64(cfg.Sets - 1)}
 }
 
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // index splits a physical address into set index and tag.
 func (c *Cache) index(pa vm.PhysAddr) (uint64, uint64) {
 	lineAddr := uint64(pa) / LineBytes
@@ -73,11 +68,9 @@ func (c *Cache) Lookup(pa vm.PhysAddr) bool {
 		l := &c.sets[set][i]
 		if l.valid && l.tag == tag {
 			l.lru = c.tick
-			c.hits++
 			return true
 		}
 	}
-	c.misses++
 	return false
 }
 
@@ -114,26 +107,13 @@ func (c *Cache) EvictRandomLines(n int) {
 	c.tick += uint64(n)
 }
 
-// Flush invalidates the whole cache.
-func (c *Cache) Flush() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-	}
-}
-
-// Stats reports hits and misses since construction.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
 // Hierarchy is an inclusive multi-level cache backed by memory.
 type Hierarchy struct {
 	levels     []*Cache
 	memLatency int
 
-	accesses  uint64
-	levelHits []uint64
-	memFills  uint64
+	accesses uint64
+	memFills uint64
 }
 
 // NewHierarchy builds a hierarchy from inner to outer level configs.
@@ -143,7 +123,6 @@ func NewHierarchy(memLatency int, cfgs ...Config) *Hierarchy {
 	for _, cfg := range cfgs {
 		h.levels = append(h.levels, New(cfg))
 	}
-	h.levelHits = make([]uint64, len(h.levels))
 	return h
 }
 
@@ -151,9 +130,7 @@ func NewHierarchy(memLatency int, cfgs ...Config) *Hierarchy {
 // may be shared with other hierarchies — the chip's LLC is one physical
 // structure that every core's walker fills and hits.
 func NewHierarchyFromLevels(memLatency int, levels ...*Cache) *Hierarchy {
-	h := &Hierarchy{memLatency: memLatency, levels: levels}
-	h.levelHits = make([]uint64, len(levels))
-	return h
+	return &Hierarchy{memLatency: memLatency, levels: levels}
 }
 
 // DefaultHierarchy returns the paper's Haswell memory system for one core:
@@ -204,7 +181,6 @@ func (h *Hierarchy) Access(pa vm.PhysAddr) (latency int, servedBy int) {
 	h.accesses++
 	for i, c := range h.levels {
 		if c.Lookup(pa) {
-			h.levelHits[i]++
 			// Fill inner levels (they missed).
 			for j := 0; j < i; j++ {
 				h.levels[j].Insert(pa)
@@ -222,24 +198,9 @@ func (h *Hierarchy) Access(pa vm.PhysAddr) (latency int, servedBy int) {
 // Levels reports the number of cache levels.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
-// Level returns the i-th cache (0 = innermost).
-func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
-
-// MemLatency returns the backing-memory latency.
-func (h *Hierarchy) MemLatency() int { return h.memLatency }
-
-// Stats reports total accesses, hits per level, and memory fills.
-func (h *Hierarchy) Stats() (accesses uint64, levelHits []uint64, memFills uint64) {
-	out := make([]uint64, len(h.levelHits))
-	copy(out, h.levelHits)
-	return h.accesses, out, h.memFills
-}
-
-// Flush empties every level.
-func (h *Hierarchy) Flush() {
-	for _, c := range h.levels {
-		c.Flush()
-	}
+// Stats reports total accesses and memory fills.
+func (h *Hierarchy) Stats() (accesses, memFills uint64) {
+	return h.accesses, h.memFills
 }
 
 // Pollute models foreign fills displacing resident lines in the two inner

@@ -501,29 +501,3 @@ func TestAblationSpeculation(t *testing.T) {
 		t.Fatalf("demand setup (%.3f) beat speculative (%.3f)", r.Demand, r.Speculative)
 	}
 }
-
-func TestCSVOutputs(t *testing.T) {
-	o := testOptions()
-	o.Workloads = []string{"olio"}
-	o.Instr = 15_000
-	grid := Fig12(o)
-	csv := grid.CSV()
-	if !strings.HasPrefix(csv, "workload,config,speedup\n") {
-		t.Fatalf("grid CSV header wrong:\n%s", csv)
-	}
-	if !strings.Contains(csv, "olio,NOCSTAR,") {
-		t.Fatal("grid CSV missing data row")
-	}
-	o.Combos = 1
-	f18 := Fig18(o)
-	c18 := f18.CSV()
-	if !strings.Contains(c18, "throughput_NOCSTAR") || len(strings.Split(c18, "\n")) < 3 {
-		t.Fatalf("fig18 CSV malformed:\n%s", c18)
-	}
-	// Every CSVer-implementing result type compiles against the
-	// interface.
-	for _, c := range []CSVer{grid, f18, Fig2Result{}, Fig5Result{}, Fig11cResult{},
-		Fig14Result{}, Fig19Result{}, Table3Result{}, focusGrid{}} {
-		_ = c
-	}
-}

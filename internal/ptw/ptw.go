@@ -128,10 +128,6 @@ func New(cfg Config, hier *cache.Hierarchy) *Walker {
 // Stats returns a copy of the accumulated statistics.
 func (w *Walker) Stats() Stats { return w.stats }
 
-// Hierarchy returns the cache hierarchy PTEs are fetched through (nil in
-// Fixed mode without one).
-func (w *Walker) Hierarchy() *cache.Hierarchy { return w.hier }
-
 // pwcLookup reports whether the upper levels for va are cached, and
 // caches them if not.
 func (w *Walker) pwcLookup(ctx vm.ContextID, va vm.VirtAddr) bool {

@@ -230,6 +230,13 @@ func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key st
 		"nocstar_config", hash,
 		"nocstar_experiment", Experiment(ctx),
 	), func(ctx context.Context) {
+		// A panicking run fails alone: its error names the config, and
+		// the slot and every waiter are released as for any other error.
+		defer func() {
+			if v := recover(); v != nil {
+				c.res, c.err = system.Result{}, fmt.Errorf("run %s panicked: %v", hash, v)
+			}
+		}()
 		c.res, c.err = system.RunContext(ctx, cfg)
 	})
 	r.release()

@@ -2,12 +2,14 @@ package runner
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nocstar/internal/system"
+	"nocstar/internal/vm"
 	"nocstar/internal/workload"
 )
 
@@ -201,5 +203,39 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	ka2, _ := Key(testConfig(1_000))
 	if ka != ka2 {
 		t.Fatal("equal configs produced different keys")
+	}
+}
+
+// panicStream is an address stream whose first batch panics.
+type panicStream struct{}
+
+func (panicStream) NextBatch([]vm.VirtAddr) { panic("stream exploded") }
+
+// TestRunPanicBecomesError: a run that panics completes with an error
+// naming the config and the panic value, and the pool it ran on still
+// serves the next submission.
+func TestRunPanicBecomesError(t *testing.T) {
+	r := New(1)
+	bad := testConfig(1_000)
+	bad.Apps[0].Streams = make([]workload.Stream, bad.Apps[0].Threads)
+	for i := range bad.Apps[0].Streams {
+		bad.Apps[0].Streams[i] = panicStream{}
+	}
+	_, err := r.Submit(bad).Result()
+	if err == nil || !strings.Contains(err.Error(), "unkeyed") || !strings.Contains(err.Error(), "stream exploded") {
+		t.Fatalf("panicking run returned %v, want an error naming unkeyed and the panic value", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Submit(testConfig(1_000)).Result()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after a panic failed: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("pool did not run the next config after a panic")
 	}
 }

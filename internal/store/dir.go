@@ -121,9 +121,6 @@ func OpenDir(dir string, maxEntries int, maxBytes int64) (*Dir, error) {
 	return d, nil
 }
 
-// Path returns the directory backing the store.
-func (d *Dir) Path() string { return d.dir }
-
 func (d *Dir) blobPath(hash string) string {
 	return filepath.Join(d.dir, hash+".json")
 }

@@ -2,12 +2,16 @@ package system
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"nocstar/internal/check"
 	"nocstar/internal/noc"
 	"nocstar/internal/ptw"
 	"nocstar/internal/workload"
@@ -303,6 +307,13 @@ func FuzzUnmarshalConfig(f *testing.F) {
 	f.Add([]byte(`{"org":"nocstar","cores":16,"hpc_max":1048576,"apps":[{"workload":"canneal","threads":16}]}`))
 	f.Add([]byte(`{"org":"nocstar","cores":4,"inv_leaders":9223372036854775807,"apps":[{"workload":"gups","threads":4}]}`))
 	f.Add([]byte(`{"org":"nocstar","cores":4,"inv_leaders":4,"apps":[{"workload":"gups","threads":4}]}`))
+	// Every organization on 8 cores with the golden's features: a hammer
+	// app, remote walks, prefetch, superpages, shootdowns and the storm.
+	for _, org := range OrgTokens() {
+		f.Add([]byte(`{"org":"` + org + `","cores":8,"fixed_access_latency":20,"acquire":"round-trip","policy":"remote","prefetch_degree":2,` +
+			`"inv_leaders":4,"thp":true,"apps":[{"workload":"canneal","threads":6},{"workload":"gups","threads":2,"hammer_slice":5}],` +
+			`"shootdown_interval":20000,"storm":{"context_switch_interval":30000,"promote_demote_interval":10000,"pages":512},"seed":7}`))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := UnmarshalConfig(doc)
 		if err != nil || cfg.Validate() != nil {
@@ -328,5 +339,36 @@ func FuzzUnmarshalConfig(f *testing.F) {
 		if err1 != nil || err2 != nil || h1 != h2 {
 			t.Fatalf("round trip changed the hash (%v, %v):\n%s", err1, err2, canon)
 		}
+		// What New builds, runs to an answer: a short run of a copy
+		// under the checker must neither panic, violate an invariant,
+		// fail, nor overstay its deadline by long.
+		if cfg.Cores <= 8 {
+			fuzzRun(t, cfg, canon)
+		}
 	})
+}
+
+// fuzzRun runs a copy of cfg, capped at 2000 instructions per thread,
+// under the checker with a 2 s deadline. Only the deadline may stop it,
+// and it must return soon after.
+func fuzzRun(t *testing.T, cfg Config, canon []byte) {
+	const instrCap, deadline = 2000, 2 * time.Second
+	run := cfg
+	if run.InstrPerThread == 0 || run.InstrPerThread > instrCap {
+		run.InstrPerThread = instrCap
+	}
+	run.Check = check.New()
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := RunContext(ctx, run)
+	if late := time.Since(start) - deadline; late > deadline {
+		t.Fatalf("run returned %v past its deadline:\n%s", late, canon)
+	}
+	if err != nil && !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("run failed: %v\n%s", err, canon)
+	}
+	if !run.Check.Ok() {
+		t.Fatalf("checker: %v\n%s", run.Check.Err(), canon)
+	}
 }

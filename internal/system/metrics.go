@@ -129,7 +129,7 @@ func (s *System) collectLayerMetrics() {
 		s.m.ptwQueue.Add(w.QueueCycles)
 		s.m.ptwPWCHits.Add(w.PWCHits)
 		s.m.ptwLeafLLC.Add(w.LeafFromLLCOrMem)
-		acc, _, fills := c.hier.Stats()
+		acc, fills := c.hier.Stats()
 		s.m.cacheAccess.Add(acc)
 		s.m.cacheMemFill.Add(fills)
 	}

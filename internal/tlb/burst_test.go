@@ -64,7 +64,7 @@ func burstFill(rng *rand.Rand, tls []*TLB, ctx vm.ContextID, base uint64, n int)
 // checkBurstMatchesPerPage builds two identical arrays of geometry cfg,
 // applies one random burst to the first with InvalidateBurst and the
 // same pages to the second with one InvalidatePage each, and requires
-// identical keys, removal counts and statistics — then identical victims
+// identical keys and removal counts — then identical victims
 // over a following run of inserts.
 func checkBurstMatchesPerPage(t *testing.T, cfg Config, rng *rand.Rand) {
 	t.Helper()
@@ -116,9 +116,6 @@ func checkBurstMatchesPerPage(t *testing.T, cfg Config, rng *rand.Rand) {
 	if !slices.Equal(burst.keys, perPage.keys) {
 		t.Fatalf("%s: arrays differ after a burst of %d pages", cfg.Name, len(pages))
 	}
-	if burst.Stats() != perPage.Stats() {
-		t.Fatalf("%s: stats %+v after burst, %+v per page", cfg.Name, burst.Stats(), perPage.Stats())
-	}
 	for _, vpn := range pages {
 		if burst.Probe(ctx, vpn, size) {
 			t.Fatalf("%s: vpn %#x survived its burst", cfg.Name, vpn)
@@ -135,9 +132,6 @@ func checkBurstMatchesPerPage(t *testing.T, cfg Config, rng *rand.Rand) {
 		if !slices.Equal(burst.keys, perPage.keys) {
 			t.Fatalf("%s: insert %d chose different victims after burst and per page", cfg.Name, i)
 		}
-	}
-	if burst.Stats() != perPage.Stats() {
-		t.Fatalf("%s: stats diverge after refill: %+v vs %+v", cfg.Name, burst.Stats(), perPage.Stats())
 	}
 }
 

@@ -96,7 +96,7 @@ func (g *L1Group) InvalidateBurst(b *Burst) int {
 }
 
 // Probe reports whether the group holds the translation, without
-// touching LRU state or statistics (used by invariant checking to
+// touching LRU state (used by invariant checking to
 // assert delivered shootdowns really removed their target).
 func (g *L1Group) Probe(ctx vm.ContextID, vpn uint64, size vm.PageSize) bool {
 	return g.bySize(size).Probe(ctx, vpn, size)
@@ -121,13 +121,3 @@ func (g *L1Group) bySize(s vm.PageSize) *TLB {
 	}
 	panic("tlb: invalid page size")
 }
-
-// Stats sums lookup statistics across the three arrays. A miss in the
-// group is counted once per constituent array, so MissRate on the sum is
-// not meaningful; use GroupStats for per-access accounting.
-func (g *L1Group) Stats() (s4k, s2m, s1g Stats) {
-	return g.t4k.Stats(), g.t2m.Stats(), g.t1g.Stats()
-}
-
-// TLB4K exposes the 4K array (used by sizing-sensitivity experiments).
-func (g *L1Group) TLB4K() *TLB { return g.t4k }

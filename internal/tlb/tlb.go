@@ -58,24 +58,6 @@ type Config struct {
 	IndexHash bool
 }
 
-// Stats counts TLB events since construction.
-type Stats struct {
-	Lookups     uint64
-	Hits        uint64
-	Misses      uint64
-	Inserts     uint64
-	Evictions   uint64
-	Invalidated uint64
-}
-
-// MissRate returns misses/lookups, or 0 with no lookups.
-func (s Stats) MissRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Lookups)
-}
-
 // TLB is a set-associative translation array. Entries of different page
 // sizes coexist in the same physical array (Haswell's unified L2 TLB holds
 // 4K and 2M translations concurrently); lookups probe once per supported
@@ -104,7 +86,6 @@ type TLB struct {
 	nsets   uint64
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0
 	tick    uint64
-	stats   Stats
 	sizes   []vm.PageSize
 }
 
@@ -147,12 +128,6 @@ func (t *TLB) Config() Config { return t.cfg }
 
 // Sets reports the number of sets.
 func (t *TLB) Sets() int { return int(t.nsets) }
-
-// Ways reports the effective associativity.
-func (t *TLB) Ways() int { return t.ways }
-
-// Stats returns a copy of the event counters.
-func (t *TLB) Stats() Stats { return t.stats }
 
 // setFor returns the set index for a page number. The paper's design uses
 // simple modulo indexing on low-order VPN bits (Section III-E); with
@@ -198,7 +173,6 @@ func (t *TLB) findWay(base int, key uint64) int {
 // which touches at most two cache lines of packed keys. A miss reads
 // nothing else; a hit writes one lru word and reads one pfn word.
 func (t *TLB) Lookup(ctx vm.ContextID, va vm.VirtAddr) (Entry, bool) {
-	t.stats.Lookups++
 	t.tick++
 	for _, size := range t.sizes {
 		vpn := va.VPN(size)
@@ -208,17 +182,15 @@ func (t *TLB) Lookup(ctx vm.ContextID, va vm.VirtAddr) (Entry, bool) {
 		for w := 0; w < len(keys); w++ {
 			if keys[w] == key {
 				t.lru[base+w] = t.tick
-				t.stats.Hits++
 				return Entry{PFN: t.pfn[base+w], Size: size}, true
 			}
 		}
 	}
-	t.stats.Misses++
 	return Entry{}, false
 }
 
 // Probe reports whether the translation is present without touching LRU
-// state or counting statistics (used by invariants and shootdown checks).
+// state (used by invariants and shootdown checks).
 func (t *TLB) Probe(ctx vm.ContextID, vpn uint64, size vm.PageSize) bool {
 	base := int(t.setFor(vpn)) * t.ways
 	return t.findWay(base, keyFor(ctx, size, vpn)) >= 0
@@ -230,7 +202,6 @@ func (t *TLB) Probe(ctx vm.ContextID, vpn uint64, size vm.PageSize) bool {
 // invalid way if the set has one, else the valid way with the oldest
 // tick; the scan reads only keys and lru.
 func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64) bool {
-	t.stats.Inserts++
 	t.tick++
 	base := int(t.setFor(vpn)) * t.ways
 	key := keyFor(ctx, size, vpn)
@@ -253,9 +224,6 @@ func (t *TLB) Insert(ctx vm.ContextID, vpn uint64, size vm.PageSize, pfn uint64)
 		}
 	}
 	evicted := keys[victim] != 0
-	if evicted {
-		t.stats.Evictions++
-	}
 	keys[victim] = key
 	t.pfn[base+victim] = pfn
 	lru[victim] = t.tick
@@ -271,7 +239,6 @@ func (t *TLB) InvalidatePage(ctx vm.ContextID, vpn uint64, size vm.PageSize) boo
 		return false
 	}
 	t.keys[base+w] = 0
-	t.stats.Invalidated++
 	return true
 }
 
@@ -315,10 +282,9 @@ func (b *Burst) Pages() int {
 }
 
 // InvalidateBurst removes every translation the burst names, returning
-// the number removed. It removes exactly the entries, and counts exactly
-// the Invalidated events, that one InvalidatePage per page would. The
-// array picks the cheaper
-// exact strategy itself: a burst of fewer pages than the array has sets
+// the number removed. It removes exactly the entries that one
+// InvalidatePage per page would. The array picks the cheaper exact
+// strategy itself: a burst of fewer pages than the array has sets
 // is probed page by page (pages × ways key compares, below one pass),
 // and a larger one is found in a single pass over the packed keys. In
 // that pass a key belongs to the burst when its bits above the window
@@ -347,7 +313,6 @@ func (t *TLB) InvalidateBurst(b *Burst) int {
 			n++
 		}
 	}
-	t.stats.Invalidated += uint64(n)
 	return n
 }
 
@@ -355,7 +320,6 @@ func (t *TLB) InvalidateBurst(b *Burst) int {
 func (t *TLB) Flush() int {
 	n := t.Occupancy()
 	clear(t.keys)
-	t.stats.Invalidated += uint64(n)
 	return n
 }
 

@@ -12,7 +12,7 @@ help:
 	@echo "  race         full test suite under the race detector"
 	@echo "  bench        short performance smoke benchmarks"
 	@echo "  perfbench    the benchmark module's own tests, including its committed result digests"
-	@echo "  alloc        zero-allocation gates for the translation critical path"
+	@echo "  alloc        zero-allocation gates for the translation critical path, and set-up allocation bounds for caches and system.New"
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
 	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq, a config document and a trace replay through nocstar-sim"
@@ -73,17 +73,23 @@ perfbench:
 # The allocation-regression gate: the steady-state translation critical
 # path (NoC request/grant round trip, and the full system access path)
 # and shootdown delivery must stay at exactly zero heap allocations.
+# Set-up is bounded too: a cache is its header and one set-major slice of
+# lines whatever its geometry (the 8 MB LLC included), a walker view
+# allocates only its own L2 and the hierarchy, and a 32-core NOCSTAR
+# system.New stays under 2000 allocations.
 alloc:
 	$(GO) test -run 'TestRequestPathAllocFree' -count 1 -v ./internal/noc/
-	$(GO) test -run 'TestAccessL2AllocFree|TestDeliverInvalidationsAllocFree' -count 1 -v ./internal/system/
+	$(GO) test -run 'TestAccessL2AllocFree|TestDeliverInvalidationsAllocFree|TestNewAllocs' -count 1 -v ./internal/system/
+	$(GO) test -run 'TestNewAllocs' -count 1 -v ./internal/cache/
 
 # The invariant-checker gate (internal/check): the checker's own unit and
 # circuit-shadow tests, every organization run under the shadow oracle
 # (including the legacy-release reintroduction), shootdown bursts
 # scrubbing populated arrays, the pinned shootdown port charges, the
-# prefetch neighbours at both ends of the address space, and the fuzz
-# seed corpora of the page-table, checked-system, config-decoding,
-# trace-reading, burst-invalidation and store-blob-adoption fuzzers.
+# prefetch neighbours at both ends of the address space, the set-major
+# caches against their per-set reference, and the fuzz seed corpora of
+# the page-table, checked-system, config-decoding, trace-reading,
+# burst-invalidation, cache-reference and store-blob-adoption fuzzers.
 # Deterministic — `go test` executes fuzz targets over their seeds only.
 check:
 	$(GO) test -count 1 ./internal/check/
@@ -91,6 +97,7 @@ check:
 	$(GO) test -count 1 -run 'TestInvalidateBurst|TestBurstAdd|FuzzInvalidateBurst' ./internal/tlb/
 	$(GO) test -count 1 -run 'TestPromote2M|FuzzPageTable' ./internal/vm/
 	$(GO) test -count 1 -run 'FuzzTraceRead' ./internal/trace/
+	$(GO) test -count 1 -run 'TestCacheMatchesReference|FuzzCacheMatchesReference' ./internal/cache/
 	$(GO) test -count 1 -run 'FuzzAdoptBlob' ./internal/server/
 
 # Open-ended randomized checking (not part of ci): grow the fuzz corpora.
@@ -100,6 +107,7 @@ fuzz:
 	cd internal/system && $(GO) test -fuzz FuzzUnmarshalConfig -fuzztime 30s -run FuzzUnmarshalConfig .
 	cd internal/trace && $(GO) test -fuzz FuzzTraceRead -fuzztime 30s -run FuzzTraceRead .
 	cd internal/tlb && $(GO) test -fuzz FuzzInvalidateBurst -fuzztime 30s -run FuzzInvalidateBurst .
+	cd internal/cache && $(GO) test -fuzz FuzzCacheMatchesReference -fuzztime 30s -run FuzzCacheMatchesReference .
 	cd internal/server && $(GO) test -fuzz FuzzAdoptBlob -fuzztime 30s -run FuzzAdoptBlob .
 
 # End-to-end smoke of the report pipeline (tiny run, JSON document out,

@@ -28,10 +28,12 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is a single set-associative level.
+// Cache is a single set-associative level. Its lines are one set-major
+// slice: set s is lines[s*Ways : (s+1)*Ways], so they are one
+// allocation however many sets there are.
 type Cache struct {
 	cfg     Config
-	sets    [][]line
+	lines   []line
 	setMask uint64
 	tick    uint64
 }
@@ -46,11 +48,13 @@ func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic("cache: Ways must be positive")
 	}
-	sets := make([][]line, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(cfg.Sets - 1)}
+	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways), setMask: uint64(cfg.Sets - 1)}
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	w := uint64(c.cfg.Ways)
+	return c.lines[s*w : (s+1)*w]
 }
 
 // index splits a physical address into set index and tag.
@@ -62,10 +66,11 @@ func (c *Cache) index(pa vm.PhysAddr) (uint64, uint64) {
 // Lookup probes the cache without modifying contents except LRU state.
 // It reports whether the line is present.
 func (c *Cache) Lookup(pa vm.PhysAddr) bool {
-	set, tag := c.index(pa)
+	s, tag := c.index(pa)
 	c.tick++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	set := c.set(s)
+	for i := range set {
+		l := &set[i]
 		if l.valid && l.tag == tag {
 			l.lru = c.tick
 			return true
@@ -76,11 +81,12 @@ func (c *Cache) Lookup(pa vm.PhysAddr) bool {
 
 // Insert fills the line for pa, evicting the set's LRU way if needed.
 func (c *Cache) Insert(pa vm.PhysAddr) {
-	set, tag := c.index(pa)
+	s, tag := c.index(pa)
 	c.tick++
+	set := c.set(s)
 	victim := 0
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
+	for i := range set {
+		l := &set[i]
 		if l.valid && l.tag == tag {
 			l.lru = c.tick
 			return
@@ -89,11 +95,11 @@ func (c *Cache) Insert(pa vm.PhysAddr) {
 			victim = i
 			break
 		}
-		if c.sets[set][i].lru < c.sets[set][victim].lru {
+		if l.lru < set[victim].lru {
 			victim = i
 		}
 	}
-	c.sets[set][victim] = line{valid: true, tag: tag, lru: c.tick}
+	set[victim] = line{valid: true, tag: tag, lru: c.tick}
 }
 
 // EvictRandomLines invalidates up to n lines starting from a deterministic
@@ -102,7 +108,7 @@ func (c *Cache) EvictRandomLines(n int) {
 	for i := 0; i < n; i++ {
 		set := (c.tick + uint64(i)) & c.setMask
 		way := int(c.tick+uint64(i)) % c.cfg.Ways
-		c.sets[set][way].valid = false
+		c.set(set)[way].valid = false
 	}
 	c.tick += uint64(n)
 }

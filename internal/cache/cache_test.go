@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -185,5 +186,28 @@ func TestHierarchyLatencyDomainProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var (
+	cacheSink *Cache
+	hierSink  *Hierarchy
+)
+
+// TestNewAllocs pins the set-major layout: a cache is its header and one
+// slice of lines whatever its geometry, so the chip's 8192-set LLC makes
+// as many allocations as a one-line cache, and one core's walker view
+// over the shared LLC allocates only its own L2 (header and lines) and
+// the hierarchy (struct and level slice).
+func TestNewAllocs(t *testing.T) {
+	runtime.GC() // a collection starting mid-count can add the runtime's own allocations
+	tiny := testing.AllocsPerRun(20, func() { cacheSink = New(Config{Name: "t", Sets: 1, Ways: 1}) })
+	llc := testing.AllocsPerRun(20, func() { cacheSink = New(LLCConfig()) })
+	if llc != 2 || tiny != 2 {
+		t.Fatalf("New allocates %.0f times for the LLC and %.0f for one line, want 2 (the Cache and its lines)", llc, tiny)
+	}
+	shared := New(LLCConfig())
+	if got := testing.AllocsPerRun(5, func() { hierSink = WalkerHierarchyWithLLC(shared) }); got != 4 {
+		t.Fatalf("WalkerHierarchyWithLLC allocates %.0f times, want 4 (its L2 and the hierarchy)", got)
 	}
 }

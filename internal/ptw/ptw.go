@@ -225,10 +225,3 @@ func (w *Walker) variableLatency(ctx vm.ContextID, va vm.VirtAddr, res vm.WalkRe
 	}
 	return total
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -200,3 +200,29 @@ func BenchmarkDeliverBurst(b *testing.B) {
 		})
 	}
 }
+
+// TestNewAllocs bounds the set-up of a 32-core NOCSTAR chip: the shared
+// 8 MB LLC and every walker L2 are one slice of lines each; a slice per
+// set would put this near 9800.
+func TestNewAllocs(t *testing.T) {
+	spec, ok := workload.ByName("gups")
+	if !ok {
+		t.Fatal("no gups workload")
+	}
+	cfg := Config{
+		Org:            Nocstar,
+		Cores:          32,
+		Apps:           []App{{Spec: spec, Threads: 32}},
+		InstrPerThread: 10_000,
+		Seed:           1,
+	}
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg >= 2000 {
+		t.Fatalf("32-core New makes %.0f allocations, want under 2000", avg)
+	}
+	t.Logf("32-core New: %.0f allocations", avg)
+}

@@ -354,15 +354,6 @@ func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
 	return out, sc.Err()
 }
 
-// Metric scrapes one sample from /metrics; absent names return 0.
-func (c *Client) Metric(ctx context.Context, name string) (float64, error) {
-	all, err := c.Metrics(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return all[name], nil
-}
-
 // runQuery renders submission options as a query string.
 func runQuery(opts []RunOption) string {
 	if len(opts) == 0 {

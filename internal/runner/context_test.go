@@ -32,7 +32,7 @@ func smallCfg(seed int64) system.Config {
 
 // TestSubmitContextCancel cancels an effectively endless run submitted
 // through the pool and checks the future resolves promptly with the
-// typed error — the path the HTTP service's DELETE handler exercises.
+// typed error.
 func TestSubmitContextCancel(t *testing.T) {
 	cfg := smallCfg(1)
 	cfg.InstrPerThread = 1 << 40

@@ -181,11 +181,10 @@ func (r *Runner) Run(cfg system.Config) system.Result {
 
 func (r *Runner) submit(ctx context.Context, cfg system.Config, cache bool) *Future {
 	if ctx != nil && ctx.Err() != nil {
-		// Dead on arrival (e.g. a service job canceled while it waited in
-		// the queue): complete immediately with the typed error instead of
-		// occupying a worker slot — and, crucially, without registering an
-		// in-flight call that a live identical submission could join and
-		// inherit the cancellation from.
+		// Dead on arrival: complete immediately with the typed error
+		// instead of occupying a worker slot — and, crucially, without
+		// registering an in-flight call that a live identical submission
+		// could join and inherit the cancellation from.
 		c := &call{done: make(chan struct{}), err: ctxSentinel(ctx.Err())}
 		close(c.done)
 		return &Future{c: c}
@@ -218,27 +217,7 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config, cache bool) *Fut
 
 func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key string, cache bool) {
 	r.acquire()
-	// Label the execution for CPU profiles: pprof samples taken while
-	// this run executes carry the config's identity and the experiment
-	// that submitted it, so a sweep profile decomposes by figure and by
-	// config rather than blurring every simulation together.
-	hash, err := cfg.CanonicalHash()
-	if err != nil {
-		hash = "unkeyed"
-	}
-	pprof.Do(ctx, pprof.Labels(
-		"nocstar_config", hash,
-		"nocstar_experiment", Experiment(ctx),
-	), func(ctx context.Context) {
-		// A panicking run fails alone: its error names the config, and
-		// the slot and every waiter are released as for any other error.
-		defer func() {
-			if v := recover(); v != nil {
-				c.res, c.err = system.Result{}, fmt.Errorf("run %s panicked: %v", hash, v)
-			}
-		}()
-		c.res, c.err = system.RunContext(ctx, cfg)
-	})
+	c.res, c.err = Execute(ctx, cfg)
 	r.release()
 	if c.err == nil {
 		r.memRefs.Add(c.res.MemRefs)
@@ -253,6 +232,35 @@ func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key st
 	}
 	close(c.done)
 	r.completed.Add(1)
+}
+
+// Execute runs one config on the calling goroutine: the pool's workers
+// and the HTTP service's workers both run every simulation through it.
+// A context already dead returns its typed sentinel without building a
+// system. The run carries pprof labels naming its config and the
+// experiment that submitted it, so a sweep profile decomposes by figure
+// and by config rather than blurring every simulation together. A
+// panicking run fails alone, with an error naming its config.
+func Execute(ctx context.Context, cfg system.Config) (res system.Result, err error) {
+	if ctx.Err() != nil {
+		return system.Result{}, ctxSentinel(ctx.Err())
+	}
+	hash, herr := cfg.CanonicalHash()
+	if herr != nil {
+		hash = "unkeyed"
+	}
+	pprof.Do(ctx, pprof.Labels(
+		"nocstar_config", hash,
+		"nocstar_experiment", Experiment(ctx),
+	), func(ctx context.Context) {
+		defer func() {
+			if v := recover(); v != nil {
+				res, err = system.Result{}, fmt.Errorf("run %s panicked: %v", hash, v)
+			}
+		}()
+		res, err = system.RunContext(ctx, cfg)
+	})
+	return res, err
 }
 
 // ctxSentinel maps a context error onto the system package's typed

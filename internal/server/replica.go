@@ -94,8 +94,8 @@ func (s *Server) renewLoop() {
 
 // runJob handles one dequeued job. A job already terminal — canceled
 // while it waited in the queue — is only deregistered, never executed:
-// its context is dead, and running it would park a stale singleflight
-// call in the runner that a fresh resubmission could join. Otherwise
+// its context is dead and its canceled outcome already set, so there
+// is nothing to run and no outcome to count. Otherwise
 // the job claims its hash: won, it runs here; held by another replica,
 // it becomes a follower and frees the worker.
 func (s *Server) runJob(j *job) {

@@ -2,9 +2,10 @@
 // the "simulation as a service" front door. A daemon accepts simulation
 // jobs (POST /v1/runs with a JSON Config, or POST /v1/sweeps with an
 // array of them), validates them with typed field errors, canonically
-// hashes them, and executes them on a bounded worker pool that reuses
-// internal/runner's singleflight machinery; a content-addressed result
-// store keyed on the canonical config hash serves repeated sweeps —
+// hashes them, and executes them on a bounded pool of workers, each
+// running one config at a time through runner.Execute; identical live
+// submissions share one job, and a content-addressed result store
+// keyed on the canonical config hash serves repeated sweeps —
 // from memory, and optionally from a persistent directory, so results
 // survive restarts. Results served over HTTP are byte-identical to a
 // direct in-process system.Run of the same Config.
@@ -126,7 +127,6 @@ type serverMetrics struct {
 // Handler on an http.Server, and stop with Shutdown.
 type Server struct {
 	opts Options
-	pool *runner.Runner
 	mux  *http.ServeMux
 
 	// epochToken identifies this process incarnation; every job ID
@@ -166,7 +166,6 @@ func New(opts Options) (*Server, error) {
 	reg := metrics.NewRegistry()
 	s := &Server{
 		opts:       opts,
-		pool:       runner.New(opts.Workers),
 		epochToken: strconv.FormatInt(time.Now().UnixNano(), 36),
 		queue:      make(chan *job, opts.QueueDepth),
 		jobs:       map[string]*job{},
@@ -267,16 +266,16 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs j's config on the pool, publishes a done result to the
-// content-addressed store, and returns its terminal outcome. A job whose
-// context died in the queue completes at once as canceled and is not
-// counted as an execution.
+// execute runs j's config on the calling worker, publishes a done
+// result to the content-addressed store, and returns its terminal
+// outcome. A job whose context died in the queue completes at once as
+// canceled and is not counted as an execution.
 func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
 	if j.ctx.Err() == nil {
 		s.met.executed.Inc()
 	}
 	s.running.Add(1)
-	res, err := s.pool.SubmitContext(j.ctx, j.cfg).Result()
+	res, err := runner.Execute(j.ctx, j.cfg)
 	s.running.Add(-1)
 	j.cancel() // release the deadline timer
 	switch {
@@ -497,34 +496,39 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 	return body, true
 }
 
+// decodeConfig unmarshals, validates and canonically hashes one
+// submitted config. A rejected config counts in server.runs.invalid
+// and is answered with a 400 invalid_config envelope — carrying the
+// validator's per-field diagnoses when it produced them — whose message
+// starts with prefix; ok is then false.
+func (s *Server) decodeConfig(w http.ResponseWriter, raw []byte, prefix string) (cfg system.Config, hash string, ok bool) {
+	cfg, err := system.UnmarshalConfig(raw)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err == nil {
+		hash, err = cfg.CanonicalHash()
+	}
+	if err == nil {
+		return cfg, hash, true
+	}
+	s.met.invalid.Inc()
+	msg, fields := err.Error(), []system.FieldError(nil)
+	var ve *system.ValidationError
+	if errors.As(err, &ve) {
+		msg, fields = "invalid config", ve.Fields
+	}
+	writeErrorFields(w, http.StatusBadRequest, codeInvalidConfig, prefix+msg, fields)
+	return system.Config{}, "", false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r, maxConfigBytes)
 	if !ok {
 		return
 	}
-	cfg, err := system.UnmarshalConfig(body)
-	if err != nil {
-		s.met.invalid.Inc()
-		writeError(w, http.StatusBadRequest, codeInvalidConfig, err.Error())
-		return
-	}
-	if err := cfg.Validate(); err != nil {
-		s.met.invalid.Inc()
-		msg := "invalid config"
-		var fields []system.FieldError
-		var ve *system.ValidationError
-		if errors.As(err, &ve) {
-			fields = ve.Fields
-		} else {
-			msg = err.Error()
-		}
-		writeErrorFields(w, http.StatusBadRequest, codeInvalidConfig, msg, fields)
-		return
-	}
-	hash, err := cfg.CanonicalHash()
-	if err != nil {
-		s.met.invalid.Inc()
-		writeError(w, http.StatusBadRequest, codeInvalidConfig, err.Error())
+	cfg, hash, ok := s.decodeConfig(w, body, "")
+	if !ok {
 		return
 	}
 	timeout, err := s.parseTimeout(r)
@@ -732,15 +736,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	snap := s.reg.Snapshot()
-	if err := snap.WriteProm(w, "nocstar"); err != nil {
-		return
-	}
-	// The shared pool's own counters, for dedup observability.
-	p := s.pool.Progress()
-	fmt.Fprintf(w, "# TYPE nocstar_pool_submitted counter\nnocstar_pool_submitted %d\n", p.Submitted)
-	fmt.Fprintf(w, "# TYPE nocstar_pool_completed counter\nnocstar_pool_completed %d\n", p.Completed)
-	fmt.Fprintf(w, "# TYPE nocstar_pool_deduped counter\nnocstar_pool_deduped %d\n", p.Deduped)
+	s.reg.Snapshot().WriteProm(w, "nocstar")
 }
 
 // writeJSON writes a JSON response with the given status. No indenting:

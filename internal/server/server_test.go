@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,6 +124,9 @@ func TestSubmitPollByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(again.Result, want) {
 		t.Fatal("cached result differs from direct run")
+	}
+	if runs, err := c.ListRuns(ctx); err != nil || len(runs) != 2 {
+		t.Fatalf("runs list: %d entries, %v; want the run and its cache hit", len(runs), err)
 	}
 
 	// The typed decode round-trips too.
@@ -541,6 +546,43 @@ func TestCancelQueuedThenResubmit(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterCancelRuns: a config resubmitted right after its
+// running job is canceled gets a run of its own on the free worker. It
+// must not join the canceled run while that run is still stopping and
+// end canceled with it.
+func TestResubmitAfterCancelRuns(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 2})
+	ctx := ctxT(t)
+	body := []byte(`{
+		"schema": 1, "org": "nocstar", "cores": 8,
+		"apps": [{"workload": "gups", "threads": 8}],
+		"instr_per_thread": 1000000, "seed": 22
+	}`)
+
+	first, err := c.SubmitRunJSON(ctx, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the run to start", func() bool {
+		st, err := c.GetRun(ctx, first.ID)
+		return err == nil && st.State == client.StateRunning
+	})
+	time.Sleep(100 * time.Millisecond) // let the run get under way
+	mustCancel(t, c, first.ID)
+
+	again, err := c.SubmitRunJSON(ctx, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, again.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != client.StateDone {
+		t.Fatalf("resubmitted run ended %s: %s", final.State, final.Error)
+	}
+}
+
 // TestTerminalJobHistoryBounded is the regression test for unbounded
 // registry growth: under sweep-replay traffic (every cache hit used to
 // register a job forever), the registry must stay within the terminal
@@ -709,6 +751,9 @@ func TestRestartSurvival(t *testing.T) {
 	defer cancel()
 	if err := srv1.Shutdown(sctx); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, hashOf(t, body)+".json")); err != nil {
+		t.Fatalf("store directory holds no blob for the run: %v", err)
 	}
 
 	// "Restart": a fresh server over the same store directory.

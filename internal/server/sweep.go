@@ -90,32 +90,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("config[%d]: %d bytes exceeds the %d-byte per-config limit", i, len(raw), maxConfigBytes))
 			return
 		}
-		cfg, err := system.UnmarshalConfig(raw)
-		if err != nil {
-			s.met.invalid.Inc()
-			writeError(w, http.StatusBadRequest, codeInvalidConfig, fmt.Sprintf("config[%d]: %v", i, err))
+		if cfgs[i], hashes[i], ok = s.decodeConfig(w, raw, fmt.Sprintf("config[%d]: ", i)); !ok {
 			return
 		}
-		if err := cfg.Validate(); err != nil {
-			s.met.invalid.Inc()
-			msg := fmt.Sprintf("config[%d]: invalid", i)
-			var fields []system.FieldError
-			var ve *system.ValidationError
-			if errors.As(err, &ve) {
-				fields = ve.Fields
-			} else {
-				msg = fmt.Sprintf("config[%d]: %v", i, err)
-			}
-			writeErrorFields(w, http.StatusBadRequest, codeInvalidConfig, msg, fields)
-			return
-		}
-		hash, err := cfg.CanonicalHash()
-		if err != nil {
-			s.met.invalid.Inc()
-			writeError(w, http.StatusBadRequest, codeInvalidConfig, fmt.Sprintf("config[%d]: %v", i, err))
-			return
-		}
-		cfgs[i], hashes[i] = cfg, hash
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {

@@ -29,10 +29,14 @@ var ConcurrencyBuckets = []struct {
 }
 
 // ConcurrencyHist counts, for every observed access, how many accesses
-// (including itself) were outstanding at the instant it began.
+// (including itself) were outstanding at the instant it began. Its
+// fields are exported so a Result carrying it round-trips through JSON.
 type ConcurrencyHist struct {
-	counts [9]uint64
-	total  uint64
+	// Counts holds the observations per bucket, in ConcurrencyBuckets
+	// order.
+	Counts [9]uint64
+	// Total is the number of observations.
+	Total uint64
 }
 
 // Observe records an access that began while n accesses (including itself,
@@ -43,35 +47,32 @@ func (h *ConcurrencyHist) Observe(n int) {
 	}
 	for i, b := range ConcurrencyBuckets {
 		if n >= b.Lo && (b.Hi < 0 || n <= b.Hi) {
-			h.counts[i]++
-			h.total++
+			h.Counts[i]++
+			h.Total++
 			return
 		}
 	}
 }
 
-// Total reports the number of observations.
-func (h *ConcurrencyHist) Total() uint64 { return h.total }
-
 // Fractions returns the per-bucket fraction of observations, in
 // ConcurrencyBuckets order. All zeros when nothing was observed.
 func (h *ConcurrencyHist) Fractions() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
+	out := make([]float64, len(h.Counts))
+	if h.Total == 0 {
 		return out
 	}
-	for i, c := range h.counts {
-		out[i] = float64(c) / float64(h.total)
+	for i, c := range h.Counts {
+		out[i] = float64(c) / float64(h.Total)
 	}
 	return out
 }
 
 // Merge adds the observations of other into h.
 func (h *ConcurrencyHist) Merge(other *ConcurrencyHist) {
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
+	for i := range h.Counts {
+		h.Counts[i] += other.Counts[i]
 	}
-	h.total += other.total
+	h.Total += other.Total
 }
 
 // Mean64 returns the arithmetic mean of vs, or 0 for empty input.

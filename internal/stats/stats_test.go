@@ -37,8 +37,8 @@ func TestConcurrencyHistFractions(t *testing.T) {
 	if math.Abs(f[0]-0.6) > 1e-9 || math.Abs(f[1]-0.3) > 1e-9 || math.Abs(f[8]-0.1) > 1e-9 {
 		t.Fatalf("fractions = %v", f)
 	}
-	if h.Total() != 100 {
-		t.Fatalf("total = %d", h.Total())
+	if h.Total != 100 {
+		t.Fatalf("total = %d", h.Total)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestConcurrencyHistMerge(t *testing.T) {
 	b.Observe(2)
 	b.Observe(6)
 	a.Merge(&b)
-	if a.Total() != 3 {
-		t.Fatalf("merged total = %d", a.Total())
+	if a.Total != 3 {
+		t.Fatalf("merged total = %d", a.Total)
 	}
 	f := a.Fractions()
 	if math.Abs(f[0]-1.0/3) > 1e-9 || math.Abs(f[1]-1.0/3) > 1e-9 || math.Abs(f[2]-1.0/3) > 1e-9 {

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"encoding/json"
 	"testing"
 
 	"nocstar/internal/engine"
@@ -352,7 +353,7 @@ func TestSliceHammer(t *testing.T) {
 		Seed:           3,
 	}
 	r := mustRun(t, cfg)
-	if r.SliceConc.Total() == 0 {
+	if r.SliceConc.Total == 0 {
 		t.Fatal("no per-slice concurrency recorded")
 	}
 	// The hammered slice sees heavy concurrency: the top buckets of the
@@ -365,11 +366,26 @@ func TestSliceHammer(t *testing.T) {
 
 func TestConcurrencyHistogramPopulated(t *testing.T) {
 	r := mustRun(t, smallConfig(Nocstar))
-	if r.Conc.Total() != r.L2Accesses {
-		t.Fatalf("concurrency observations %d != accesses %d", r.Conc.Total(), r.L2Accesses)
+	if r.Conc.Total != r.L2Accesses {
+		t.Fatalf("concurrency observations %d != accesses %d", r.Conc.Total, r.L2Accesses)
 	}
-	if r.SliceConc.Total() != r.L2Accesses {
-		t.Fatalf("slice concurrency observations %d != accesses %d", r.SliceConc.Total(), r.L2Accesses)
+	if r.SliceConc.Total != r.L2Accesses {
+		t.Fatalf("slice concurrency observations %d != accesses %d", r.SliceConc.Total, r.L2Accesses)
+	}
+
+	// Both histograms survive a JSON round trip, as every Result served
+	// over HTTP or read back from the store does.
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Result
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Conc != r.Conc || back.SliceConc != r.SliceConc {
+		t.Fatalf("histograms lost in JSON: conc %+v -> %+v, slice %+v -> %+v",
+			r.Conc, back.Conc, r.SliceConc, back.SliceConc)
 	}
 }
 

@@ -16,7 +16,7 @@ help:
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
 	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq, a config document and a trace replay through nocstar-sim"
-	@echo "  serve-smoke  the server's e2e tests: submit/poll/cache/sweep/restart/read endpoints, two replicas over one store"
+	@echo "  serve-smoke  the server's e2e tests: submit/poll/events/cache/sweep/restart/read endpoints, two replicas over one store"
 	@echo "  shape        the paper's headline claims at reduced scale (NOCSTAR > distributed > private, ideal within 5%)"
 	@echo "  profile      CPU/heap profiles of the Table III sweep"
 	@echo "  ci           build fmt vet staticcheck race bench perfbench alloc check shape smoke serve-smoke"
@@ -131,11 +131,12 @@ smoke:
 # End-to-end smoke of the HTTP service: the server's own e2e tests,
 # driven through the public client over loopback listeners. A run's
 # result is byte-identical to a direct in-process Run and a resubmission
-# is a cache hit; a sweep streams over SSE and replays from the store;
+# is a cache hit; a run's event stream carries its status frames to a
+# terminal one; a sweep streams over SSE and replays from the store;
 # the persistent store survives a restart; the read endpoints answer;
 # a resubmission right after a cancel runs; two replicas over one store
 # run a config once, and killing the lease holder hands it to the other.
-SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestReadEndpoints|TestResubmitAfterCancelRuns|TestTwoNodeProxy|TestKillOwnerMidSweep|TestLeaseTakeoverAfterCrash
+SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestEvents|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestReadEndpoints|TestResubmitAfterCancelRuns|TestTwoNodeProxy|TestKillOwnerMidSweep|TestLeaseTakeoverAfterCrash
 
 serve-smoke:
 	$(GO) test -count 1 -run '^($(SERVE_SMOKE_TESTS))$$' ./internal/server/

@@ -2,7 +2,9 @@
 // It covers every /v1 endpoint — run submission and tracking, streamed
 // sweeps, workload and experiment catalogs — with contexts plumbed
 // through and the server's unified error envelope decoded into
-// errors.Is-able typed errors.
+// errors.Is-able typed errors. Its document types (RunStatus,
+// SweepResult, SweepSummary, Health, ExperimentInfo) are the wire
+// format itself: the server encodes these same types.
 //
 // Quick start:
 //
@@ -38,8 +40,11 @@ import (
 type Client struct {
 	base string
 	http *http.Client
-	poll time.Duration
 }
+
+// pollInterval is the status-poll cadence Wait falls back to when the
+// event stream is unavailable.
+const pollInterval = 50 * time.Millisecond
 
 // Option customizes a Client.
 type Option func(*Client)
@@ -52,22 +57,11 @@ func WithHTTPClient(h *http.Client) Option {
 	return func(c *Client) { c.http = h }
 }
 
-// WithPollInterval sets the status-poll cadence Wait falls back to
-// when the event stream is unavailable (default 50ms).
-func WithPollInterval(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.poll = d
-		}
-	}
-}
-
 // New builds a client for the node (or load balancer) at baseURL.
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
 		base: strings.TrimRight(strings.TrimSpace(baseURL), "/"),
 		http: &http.Client{},
-		poll: 50 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(c)
@@ -78,7 +72,8 @@ func New(baseURL string, opts ...Option) *Client {
 // BaseURL returns the base URL the client targets.
 func (c *Client) BaseURL() string { return c.base }
 
-// Run states, mirroring the server's job lifecycle.
+// Run states: the job lifecycle is queued -> running -> done | failed |
+// canceled, and a run served from the store is born done.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -87,7 +82,10 @@ const (
 	StateCanceled = "canceled"
 )
 
-// RunStatus is one run's wire status.
+// RunStatus is one run's wire status: the body of POST /v1/runs and
+// GET /v1/runs/{id}. Without its result it is also the body of DELETE
+// /v1/runs/{id}, each element of GET /v1/runs, and each "state" frame
+// of GET /v1/runs/{id}/events.
 type RunStatus struct {
 	// ID is the run ID, resolvable on any replica sharing the store.
 	ID string `json:"id"`
@@ -252,7 +250,7 @@ func (c *Client) waitPoll(ctx context.Context, id string) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(c.poll):
+		case <-time.After(pollInterval):
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"nocstar/internal/energy"
 	"nocstar/internal/noc"
-	"nocstar/internal/runner"
 	"nocstar/internal/sram"
 	"nocstar/internal/stats"
 )
@@ -75,8 +74,7 @@ type Fig11aResult struct {
 
 // Fig11a computes total access latency (SRAM lookup + network) per hop
 // count for the monolithic, distributed, and NOCSTAR (HPCmax 4/8/16)
-// designs at the 32-core scale. The per-design series are independent, so
-// they fan out on the shared pool and join in design order.
+// designs at the 32-core scale.
 func Fig11a() Fig11aResult {
 	res := Fig11aResult{
 		Hops:    []int{0, 1, 2, 4, 6, 8, 10, 12},
@@ -102,16 +100,13 @@ func Fig11a() Fig11aResult {
 			return sliceSRAM + 1 + ns.TraversalCycles(h) // setup + traversal
 		}})
 	}
-	series := runner.Map(runner.Default(), designs, func(d design) []int {
-		out := make([]int, 0, len(res.Hops))
+	for _, d := range designs {
+		series := make([]int, 0, len(res.Hops))
 		for _, h := range res.Hops {
-			out = append(out, d.f(h))
+			series = append(series, d.f(h))
 		}
-		return out
-	})
-	for i, d := range designs {
 		res.Designs = append(res.Designs, d.name)
-		res.Latency[d.name] = series[i]
+		res.Latency[d.name] = series
 	}
 	return res
 }

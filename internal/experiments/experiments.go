@@ -123,12 +123,6 @@ func (o Options) baselineFuture(spec workload.Spec, cores int, thp bool) *runner
 	return o.pool().SubmitCachedContext(o.ctx(), o.baseConfig(system.Private, spec, cores, thp))
 }
 
-// privateBaseline is baselineFuture for call sites that need the result
-// immediately.
-func (o Options) privateBaseline(spec workload.Spec, cores int, thp bool) system.Result {
-	return o.baselineFuture(spec, cores, thp).Wait()
-}
-
 // sortedKeys returns map keys in sorted order for deterministic output.
 func sortedKeys[K ~string, V any](m map[K]V) []K {
 	out := make([]K, 0, len(m))

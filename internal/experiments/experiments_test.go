@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"nocstar/internal/runner"
 )
 
 // testOptions shrinks runs for test speed while keeping enough work for
@@ -265,6 +267,26 @@ func TestFig14Scaling(t *testing.T) {
 	// NOCSTAR's advantage grows with core count.
 	if get(64, "NOCSTAR").Avg <= get(16, "NOCSTAR").Avg {
 		t.Fatal("NOCSTAR speedup did not grow with cores")
+	}
+}
+
+// TestFig14RunsEachConfigOnce: Fig. 14 reads each (cores, org,
+// workload) run for both its speedup and its energy saved, so the pool
+// executes one private baseline per workload and core count plus one
+// run per organization, and nothing twice. The seed is used by no other
+// test, so no baseline is memoized beforehand.
+func TestFig14RunsEachConfigOnce(t *testing.T) {
+	o := Options{Instr: 5_000, Seed: 14, Workloads: []string{"canneal", "gups"}, CoreCounts: []int{16}}
+	before := runner.Default().Progress().Submitted
+	r := Fig14(o)
+	got := runner.Default().Progress().Submitted - before
+	const orgs = 3
+	want := uint64(len(o.CoreCounts) * len(o.Workloads) * (1 + orgs))
+	if got != want {
+		t.Fatalf("Fig. 14 executed %d runs, want %d (a baseline and %d orgs per workload)", got, want, orgs)
+	}
+	if len(r.Rows) != orgs {
+		t.Fatalf("rows = %d, want %d", len(r.Rows), orgs)
 	}
 }
 

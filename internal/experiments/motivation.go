@@ -233,12 +233,3 @@ func toIfaces(ss []string) []interface{} {
 	}
 	return out
 }
-
-// workloadNames lists the selected suite's names.
-func workloadNames(o Options) []string {
-	var out []string
-	for _, s := range o.suite() {
-		out = append(out, s.Name)
-	}
-	return out
-}

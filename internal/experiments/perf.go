@@ -48,15 +48,6 @@ func (g SpeedupGrid) Average(config string) float64 {
 	return stats.Mean64(vs)
 }
 
-// MinMax returns the extremes of one configuration column.
-func (g SpeedupGrid) MinMax(config string) (lo, hi float64) {
-	var vs []float64
-	for _, w := range g.Workloads {
-		vs = append(vs, g.Speedup[w][config])
-	}
-	return stats.MinMax(vs)
-}
-
 // speedupGrid runs each (workload, config) pair against the memoized
 // private baseline. All runs are submitted to the pool up front and
 // joined in submission order, so the grid is identical to the serial
@@ -146,36 +137,38 @@ type Fig14Result struct {
 	Rows []Fig14Row
 }
 
-// Fig14 runs the sweep.
+// Fig14 runs the sweep. Each (cores, org, workload) run is submitted
+// once, with its memoized private baseline, and yields both its speedup
+// and its translation energy saved.
 func Fig14(o Options) Fig14Result {
-	var res Fig14Result
 	orgs := []string{"Monolithic", "Distributed", "NOCSTAR"}
+	type cell struct {
+		baseline, run *runner.Future
+	}
+	// Submit every run before joining any.
+	cells := map[int]map[string][]cell{}
 	for _, cores := range o.coreCounts() {
-		grids := figPerf(o, "", cores, true)
-		// Submit every energy run of this core count before joining any.
-		type enRun struct {
-			baseline, run *runner.Future
-		}
-		energyRuns := map[string][]enRun{}
-		for _, org := range orgs {
-			for _, spec := range o.suite() {
-				cfg := o.baseConfig(orgConfigs[org], spec, cores, true)
-				energyRuns[org] = append(energyRuns[org],
-					enRun{o.baselineFuture(spec, cores, true), o.submit(cfg)})
+		cells[cores] = map[string][]cell{}
+		for _, spec := range o.suite() {
+			priv := o.baselineFuture(spec, cores, true)
+			for _, org := range orgs {
+				cells[cores][org] = append(cells[cores][org],
+					cell{priv, o.submit(o.baseConfig(orgConfigs[org], spec, cores, true))})
 			}
 		}
+	}
+	var res Fig14Result
+	for _, cores := range o.coreCounts() {
 		for _, org := range orgs {
-			lo, hi := grids.MinMax(org)
-			row := Fig14Row{Cores: cores, Org: org, Min: lo, Avg: grids.Average(org), Max: hi}
-			// Energy: average percent saved across the suite.
-			var saved []float64
-			for _, er := range energyRuns[org] {
-				priv := er.baseline.Wait()
-				r := er.run.Wait()
+			var speedups, saved []float64
+			for _, c := range cells[cores][org] {
+				priv, r := c.baseline.Wait(), c.run.Wait()
+				speedups = append(speedups, r.SpeedupOver(priv))
 				saved = append(saved, energy.PercentSaved(&r.Energy, &priv.Energy))
 			}
-			row.EnergySaved = stats.Mean64(saved)
-			res.Rows = append(res.Rows, row)
+			lo, hi := stats.MinMax(speedups)
+			res.Rows = append(res.Rows, Fig14Row{Cores: cores, Org: org,
+				Min: lo, Avg: stats.Mean64(speedups), Max: hi, EnergySaved: stats.Mean64(saved)})
 		}
 	}
 	return res

@@ -84,24 +84,6 @@ func Registry() []Entry {
 	return entries
 }
 
-// Description is the marshalable summary of one registry entry, the
-// document GET /v1/experiments serves.
-type Description struct {
-	ID          string `json:"id"`
-	Description string `json:"description"`
-}
-
-// Describe lists every experiment's ID and description in registry
-// order.
-func Describe() []Description {
-	reg := Registry()
-	out := make([]Description, len(reg))
-	for i, e := range reg {
-		out[i] = Description{ID: e.ID, Description: e.Description}
-	}
-	return out
-}
-
 // Lookup finds an experiment by ID.
 func Lookup(id string) (Entry, error) {
 	for _, e := range Registry() {

@@ -108,8 +108,10 @@ type EnergyReport struct {
 // BuildReport assembles the report for one invocation: the experiments
 // that ran, plus one NOCSTAR probe (and its memoized private baseline)
 // per selected workload at the smallest configured core count. Probe runs
-// go through the shared pool, so they execute concurrently and dedupe
-// against runs the experiments already performed.
+// go through the shared pool, so they execute concurrently. Only the
+// memoized baselines reuse runs the experiments already performed: a
+// NOCSTAR probe joins an identical run only while that run is in flight,
+// so one an experiment finished earlier executes again.
 func BuildReport(o Options, ran []RanExperiment) *RunReport {
 	rep := &RunReport{
 		Schema: ReportSchemaVersion,

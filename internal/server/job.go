@@ -3,44 +3,23 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"strings"
+	"slices"
 	"sync"
 
+	"nocstar/client"
 	"nocstar/internal/system"
 )
 
-// jobState is one station of the job lifecycle:
+// job is one accepted simulation request. Its record is its wire
+// status: the lifecycle
 //
 //	queued -> running -> done | failed | canceled
 //
-// Cache-served jobs are born done (Cached set). State only ever moves
-// forward; done/failed/canceled are terminal.
-type jobState string
-
-const (
-	stateQueued   jobState = "queued"
-	stateRunning  jobState = "running"
-	stateDone     jobState = "done"
-	stateFailed   jobState = "failed"
-	stateCanceled jobState = "canceled"
-)
-
-func (s jobState) terminal() bool {
-	return s == stateDone || s == stateFailed || s == stateCanceled
-}
-
-// jobEvent is one SSE progress message.
-type jobEvent struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
-}
-
-// job is one accepted simulation request.
+// runs through st.State (client.State*). Cache-served jobs are born
+// done (Cached set). State only ever moves forward; done, failed and
+// canceled are terminal.
 type job struct {
-	id   string
-	hash string
-	cfg  system.Config
+	cfg system.Config
 
 	// ctx governs the execution (server base context plus the request's
 	// deadline); cancel releases it and is also the DELETE handler's
@@ -50,83 +29,60 @@ type job struct {
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
 
-	mu     sync.Mutex
-	state  jobState
-	cached bool
-	errMsg string
-	// result holds json.Marshal(system.Result) for done jobs — the exact
-	// bytes a direct in-process Run of the same Config marshals to, and
-	// what the LRU cache stores.
-	result json.RawMessage
-	subs   []chan jobEvent
-}
-
-// runStatus is the wire form of a job, served by POST /v1/runs and
-// GET /v1/runs/{id}. Result embeds the marshaled Result verbatim
-// (json.RawMessage), preserving byte identity with a direct Run.
-type runStatus struct {
-	ID         string          `json:"id"`
-	State      string          `json:"state"`
-	ConfigHash string          `json:"config_hash"`
-	Node       string          `json:"node,omitempty"`
-	Cached     bool            `json:"cached,omitempty"`
-	Deduped    bool            `json:"deduped,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
+	mu sync.Mutex
+	// st is the job's status, guarded by mu. Its ID, ConfigHash and Node
+	// are fixed at construction, so they may be read without mu. A done
+	// job's Result holds json.Marshal(system.Result) — the exact bytes a
+	// direct in-process Run of the same Config marshals to, and what the
+	// result store holds.
+	st   client.RunStatus
+	subs []chan client.RunStatus
 }
 
 // status snapshots the job for a response. withResult false elides the
-// (large) result payload, for listings.
-func (j *job) status(withResult bool) runStatus {
+// (large) result payload, for listings and event frames.
+func (j *job) status(withResult bool) client.RunStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	epoch, _, _ := strings.Cut(j.id, "-") // the minting incarnation heads the ID
-	st := runStatus{
-		ID:         j.id,
-		State:      string(j.state),
-		ConfigHash: j.hash,
-		Node:       epoch,
-		Cached:     j.cached,
-		Error:      j.errMsg,
-	}
-	if withResult {
-		st.Result = j.result
+	return j.snapshotLocked(withResult)
+}
+
+// snapshotLocked is status for a caller holding j.mu.
+func (j *job) snapshotLocked(withResult bool) client.RunStatus {
+	st := j.st
+	if !withResult {
+		st.Result = nil
 	}
 	return st
 }
 
-// terminal reports whether the job has reached a terminal state.
+// terminal reports whether the job has reached a terminal state. It
+// hands Terminal only the state: pruneLocked asks every retained job on
+// each registration, and Terminal's value receiver would otherwise copy
+// the whole status each time.
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state.terminal()
-}
-
-// event snapshots the job as an SSE progress message.
-func (j *job) event() jobEvent {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return jobEvent{ID: j.id, State: string(j.state), Error: j.errMsg}
+	return client.RunStatus{State: j.st.State}.Terminal()
 }
 
 // setState advances the lifecycle and notifies subscribers. result and
 // errMsg apply to terminal states; done is closed on the first terminal
 // transition. Calls after a terminal state are ignored (a DELETE racing
 // completion must not resurrect the job).
-func (j *job) setState(state jobState, result json.RawMessage, errMsg string) {
+func (j *job) setState(state string, result json.RawMessage, errMsg string) {
 	j.mu.Lock()
-	if j.state.terminal() {
+	if j.st.Terminal() {
 		j.mu.Unlock()
 		return
 	}
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	ev := jobEvent{ID: j.id, State: string(state), Error: errMsg}
-	subs := make([]chan jobEvent, len(j.subs))
-	copy(subs, j.subs)
+	j.st.State = state
+	j.st.Result = result
+	j.st.Error = errMsg
+	ev := j.snapshotLocked(false)
+	subs := slices.Clone(j.subs)
 	j.mu.Unlock()
-	if state.terminal() {
+	if ev.Terminal() {
 		close(j.done)
 	}
 	for _, ch := range subs {
@@ -138,18 +94,17 @@ func (j *job) setState(state jobState, result json.RawMessage, errMsg string) {
 }
 
 // subscribe registers an SSE listener and returns its channel plus the
-// current state to replay first.
-func (j *job) subscribe() (chan jobEvent, jobEvent) {
-	ch := make(chan jobEvent, 8)
+// current status to replay first.
+func (j *job) subscribe() (chan client.RunStatus, client.RunStatus) {
+	ch := make(chan client.RunStatus, 8)
 	j.mu.Lock()
-	cur := jobEvent{ID: j.id, State: string(j.state), Error: j.errMsg}
+	defer j.mu.Unlock()
 	j.subs = append(j.subs, ch)
-	j.mu.Unlock()
-	return ch, cur
+	return ch, j.snapshotLocked(false)
 }
 
 // unsubscribe removes an SSE listener.
-func (j *job) unsubscribe(ch chan jobEvent) {
+func (j *job) unsubscribe(ch chan client.RunStatus) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i, c := range j.subs {

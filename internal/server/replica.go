@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"nocstar/client"
 	"nocstar/internal/metrics"
 	"nocstar/internal/store"
 	"nocstar/internal/system"
@@ -103,11 +104,11 @@ func (s *Server) runJob(j *job) {
 		s.unregisterInflight(j)
 		return
 	}
-	j.setState(stateRunning, nil, "")
+	j.setState(client.StateRunning, nil, "")
 	var lease *store.Lease
 	var err error
 	if s.dir != nil && j.ctx.Err() == nil {
-		lease, err = s.dir.Claim(j.hash)
+		lease, err = s.dir.Claim(j.st.ConfigHash)
 	}
 	switch {
 	case errors.Is(err, store.ErrLeased):
@@ -143,15 +144,15 @@ func (s *Server) follow(j *job) {
 			if errors.Is(j.ctx.Err(), context.DeadlineExceeded) {
 				msg = system.ErrDeadlineExceeded.Error()
 			}
-			s.finish(j, stateCanceled, nil, msg, false)
+			s.finish(j, client.StateCanceled, nil, msg, false)
 			return
 		case <-t.C:
 		}
-		if res, ok := s.results.Get(j.hash); ok {
-			s.finish(j, stateDone, res, "", true)
+		if res, ok := s.results.Get(j.st.ConfigHash); ok {
+			s.finish(j, client.StateDone, res, "", true)
 			return
 		}
-		lease, err := s.dir.Claim(j.hash)
+		lease, err := s.dir.Claim(j.st.ConfigHash)
 		if err == nil {
 			s.runLeased(j, lease, true)
 			return
@@ -170,8 +171,8 @@ func (s *Server) follow(j *job) {
 // another holder gave up without publishing is a takeover: j followed a
 // lease that went away (followed), or its claim replaced a stale one.
 func (s *Server) runLeased(j *job, lease *store.Lease, followed bool) {
-	res, cached := s.results.Get(j.hash)
-	state, msg := stateDone, ""
+	res, cached := s.results.Get(j.st.ConfigHash)
+	state, msg := client.StateDone, ""
 	if !cached {
 		if followed || lease.TookOver() {
 			s.met.takeovers.Inc()
@@ -207,8 +208,13 @@ func (s *Server) remoteRun(id string) (hash string, result json.RawMessage, runn
 
 // storedStatus is the terminal status a stored result stands in for:
 // the run is done, served from the store, under the caller's job ID.
-func storedStatus(id, hash string, result json.RawMessage) runStatus {
-	return runStatus{ID: id, State: string(stateDone), ConfigHash: hash, Cached: true, Result: result}
+func storedStatus(id, hash string, result json.RawMessage) client.RunStatus {
+	return client.RunStatus{ID: id, State: client.StateDone, ConfigHash: hash, Cached: true, Result: result}
+}
+
+// leasedStatus is the status of a run some replica holds the lease of.
+func leasedStatus(id, hash string) client.RunStatus {
+	return client.RunStatus{ID: id, State: client.StateRunning, ConfigHash: hash}
 }
 
 func notFound(w http.ResponseWriter, id string) {
@@ -222,7 +228,7 @@ func (s *Server) resolveRemoteGet(w http.ResponseWriter, id string) {
 	case !ok:
 		notFound(w, id)
 	case running:
-		writeJSON(w, http.StatusOK, runStatus{ID: id, State: string(stateRunning), ConfigHash: hash})
+		writeJSON(w, http.StatusOK, leasedStatus(id, hash))
 	default:
 		writeJSON(w, http.StatusOK, storedStatus(id, hash, res))
 	}
@@ -234,7 +240,7 @@ func (s *Server) resolveRemoteGet(w http.ResponseWriter, id string) {
 // is asked to stop through the store; the holder cancels it on its next
 // renewal pass, so the answer is 202 with the run still running.
 func (s *Server) resolveRemoteCancel(w http.ResponseWriter, id string) {
-	hash, res, running, ok := s.remoteRun(id)
+	hash, _, running, ok := s.remoteRun(id)
 	switch {
 	case !ok:
 		notFound(w, id)
@@ -244,11 +250,9 @@ func (s *Server) resolveRemoteCancel(w http.ResponseWriter, id string) {
 			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusAccepted, runStatus{ID: id, State: string(stateRunning), ConfigHash: hash})
+		writeJSON(w, http.StatusAccepted, leasedStatus(id, hash))
 	default:
-		st := storedStatus(id, hash, res)
-		st.Result = nil
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, storedStatus(id, hash, nil))
 	}
 }
 
@@ -256,9 +260,10 @@ func (s *Server) resolveRemoteCancel(w http.ResponseWriter, id string) {
 // the registry: a stored result emits its single terminal frame; a
 // leased run emits a running frame and then polls until the result is
 // stored. If the lease ends with nothing stored the stream closes
-// without a terminal frame, and the run resolves as not found.
+// without a terminal frame, and the run resolves as not found. Each
+// frame is the status GET /v1/runs/{id} answers, without its result.
 func (s *Server) resolveRemoteEvents(w http.ResponseWriter, r *http.Request, id string) {
-	_, _, running, ok := s.remoteRun(id)
+	hash, _, running, ok := s.remoteRun(id)
 	if !ok {
 		notFound(w, id)
 		return
@@ -271,7 +276,7 @@ func (s *Server) resolveRemoteEvents(w http.ResponseWriter, r *http.Request, id 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	if running {
-		if writeEvent(w, jobEvent{ID: id, State: string(stateRunning)}) != nil {
+		if writeSSE(w, "state", leasedStatus(id, hash)) != nil {
 			return
 		}
 		flusher.Flush()
@@ -288,6 +293,6 @@ func (s *Server) resolveRemoteEvents(w http.ResponseWriter, r *http.Request, id 
 			return
 		}
 	}
-	writeEvent(w, jobEvent{ID: id, State: string(stateDone)})
+	writeSSE(w, "state", storedStatus(id, hash, nil))
 	flusher.Flush()
 }

@@ -32,6 +32,12 @@
 // exporting the internal/metrics counters in Prometheus text format.
 // Every non-2xx response uses the unified error envelope (see
 // errors.go).
+//
+// The wire documents are the public nocstar/client package's types: a
+// run is a client.RunStatus (a job's record is its status), a sweep
+// streams client.SweepResult frames and a client.SweepSummary, and the
+// read endpoints answer client.Health and client.ExperimentInfo. The
+// error envelope is the only document this package declares.
 package server
 
 import (
@@ -48,6 +54,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nocstar/client"
 	"nocstar/internal/experiments"
 	"nocstar/internal/metrics"
 	"nocstar/internal/runner"
@@ -270,7 +277,7 @@ func (s *Server) worker() {
 // result to the content-addressed store, and returns its terminal
 // outcome. A job whose context died in the queue completes at once as
 // canceled and is not counted as an execution.
-func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
+func (s *Server) execute(j *job) (string, json.RawMessage, string) {
 	if j.ctx.Err() == nil {
 		s.met.executed.Inc()
 	}
@@ -282,16 +289,16 @@ func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
 	case err == nil:
 		b, merr := json.Marshal(res)
 		if merr != nil {
-			return stateFailed, nil, fmt.Sprintf("marshaling result: %v", merr)
+			return client.StateFailed, nil, fmt.Sprintf("marshaling result: %v", merr)
 		}
-		if err := s.results.Put(j.hash, b); err != nil {
+		if err := s.results.Put(j.st.ConfigHash, b); err != nil {
 			s.met.storeErrors.Inc()
 		}
-		return stateDone, b, ""
+		return client.StateDone, b, ""
 	case errors.Is(err, system.ErrCanceled), errors.Is(err, system.ErrDeadlineExceeded):
-		return stateCanceled, nil, err.Error()
+		return client.StateCanceled, nil, err.Error()
 	default:
-		return stateFailed, nil, err.Error()
+		return client.StateFailed, nil, err.Error()
 	}
 }
 
@@ -299,18 +306,18 @@ func (s *Server) execute(j *job) (jobState, json.RawMessage, string) {
 // registry, and the outcome counters advance. An executed result is
 // already in the store (execute). cached marks a result read from the
 // store rather than executed.
-func (s *Server) finish(j *job, state jobState, result json.RawMessage, msg string, cached bool) {
+func (s *Server) finish(j *job, state string, result json.RawMessage, msg string, cached bool) {
 	s.unregisterInflight(j)
 	if cached {
 		j.mu.Lock()
-		j.cached = true
+		j.st.Cached = true
 		j.mu.Unlock()
 	}
 	j.setState(state, result, msg)
 	switch state {
-	case stateDone:
+	case client.StateDone:
 		s.met.completed.Inc()
-	case stateCanceled:
+	case client.StateCanceled:
 		s.met.canceledRun.Inc()
 	default:
 		s.met.failed.Inc()
@@ -321,8 +328,8 @@ func (s *Server) finish(j *job, state jobState, result json.RawMessage, msg stri
 // still the registered entry for its hash.
 func (s *Server) unregisterInflight(j *job) {
 	s.mu.Lock()
-	if s.inflight[j.hash] == j {
-		delete(s.inflight, j.hash)
+	if s.inflight[j.st.ConfigHash] == j {
+		delete(s.inflight, j.st.ConfigHash)
 	}
 	s.mu.Unlock()
 }
@@ -336,11 +343,14 @@ func (s *Server) unregisterInflight(j *job) {
 // hash rides along, any replica sharing the store can resolve the ID.
 func (s *Server) newJob(hash string, cfg system.Config, timeout time.Duration) *job {
 	j := &job{
-		id:    fmt.Sprintf("%s-%06d-%s", s.epochToken, s.seq.Add(1), hash),
-		hash:  hash,
-		cfg:   cfg,
-		done:  make(chan struct{}),
-		state: stateQueued,
+		cfg:  cfg,
+		done: make(chan struct{}),
+		st: client.RunStatus{
+			ID:         fmt.Sprintf("%s-%06d-%s", s.epochToken, s.seq.Add(1), hash),
+			State:      client.StateQueued,
+			ConfigHash: hash,
+			Node:       s.epochToken,
+		},
 	}
 	if timeout > 0 {
 		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, timeout)
@@ -415,9 +425,9 @@ func (s *Server) acquire(cfg system.Config, hash string, timeout time.Duration) 
 	// is resolved by the singleflight check below.
 	if cached, ok := s.results.Get(hash); ok {
 		j := s.newJob(hash, cfg, 0)
-		j.state = stateDone
-		j.cached = true
-		j.result = cached
+		j.st.State = client.StateDone
+		j.st.Cached = true
+		j.st.Result = cached
 		close(j.done)
 		j.cancel()
 		s.mu.Lock()
@@ -556,7 +566,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		st.Deduped = true
 		writeJSON(w, http.StatusAccepted, st)
 	default:
-		w.Header().Set("Location", "/v1/runs/"+j.id)
+		w.Header().Set("Location", "/v1/runs/"+j.st.ID)
 		writeJSON(w, http.StatusAccepted, j.status(false))
 	}
 }
@@ -564,8 +574,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // registerLocked records a job in the ID index and prunes the terminal
 // history. Caller holds s.mu.
 func (s *Server) registerLocked(j *job) {
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs[j.st.ID] = j
+	s.order = append(s.order, j.st.ID)
 	s.pruneLocked()
 }
 
@@ -614,7 +624,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	out := make([]runStatus, 0, len(s.order))
+	out := make([]client.RunStatus, 0, len(s.order))
 	for _, id := range s.order {
 		out = append(out, s.jobs[id].status(false))
 	}
@@ -642,7 +652,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // canceled.
 func (s *Server) cancelJob(j *job) {
 	j.cancel()
-	j.setState(stateCanceled, nil, "canceled by request")
+	j.setState(client.StateCanceled, nil, "canceled by request")
 	s.unregisterInflight(j)
 }
 
@@ -664,25 +674,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	ch, cur := j.subscribe()
 	defer j.unsubscribe(ch)
-	if writeEvent(w, cur) != nil {
+	if writeSSE(w, "state", cur) != nil {
 		return
 	}
 	flusher.Flush()
-	if jobState(cur.State).terminal() {
+	if cur.Terminal() {
 		return
 	}
 	for {
 		select {
 		case ev := <-ch:
-			if writeEvent(w, ev) != nil {
+			if writeSSE(w, "state", ev) != nil {
 				return
 			}
 			flusher.Flush()
-			if jobState(ev.State).terminal() {
+			if ev.Terminal() {
 				return
 			}
 		case <-j.done:
-			writeEvent(w, j.event())
+			writeSSE(w, "state", j.status(false))
 			flusher.Flush()
 			return
 		case <-r.Context().Done():
@@ -691,23 +701,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeEvent emits one SSE frame, reporting marshal and write failures
-// so callers terminate the stream instead of silently dropping frames.
-func writeEvent(w io.Writer, ev jobEvent) error {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("marshaling event: %w", err)
-	}
-	_, err = fmt.Fprintf(w, "event: state\ndata: %s\n\n", b)
-	return err
-}
-
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, workload.Suite())
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, experiments.Describe())
+	reg := experiments.Registry()
+	out := make([]client.ExperimentInfo, len(reg))
+	for i, e := range reg {
+		out[i] = client.ExperimentInfo{ID: e.ID, Description: e.Description}
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -721,16 +725,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// health check too, or load balancers keep routing to it.
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
-		"status":    status,
-		"workers":   s.opts.Workers,
-		"running":   s.running.Load(),
-		"queued":    len(s.queue),
-		"queue_cap": s.opts.QueueDepth,
-		"jobs":      jobs,
-		"cached":    s.results.Len(),
-		"node":      s.epochToken, // the older name of "epoch", kept for clients
-		"epoch":     s.epochToken,
+	writeJSON(w, code, client.Health{
+		Status:   status,
+		Workers:  s.opts.Workers,
+		Running:  s.running.Load(),
+		Queued:   len(s.queue),
+		QueueCap: s.opts.QueueDepth,
+		Jobs:     jobs,
+		Cached:   s.results.Len(),
+		Node:     s.epochToken,
+		Epoch:    s.epochToken,
 	})
 }
 

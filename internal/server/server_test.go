@@ -422,9 +422,12 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
-// TestEvents checks Wait's SSE path follows a live run to its terminal
+// TestEvents reads a live run's SSE stream directly — every "state"
+// frame is the run's status without its result, and the last is
+// terminal — then checks Wait's SSE path follows the run to its terminal
 // state (the client prefers the event stream and only falls back to
-// polling when streaming is unavailable).
+// polling when streaming is unavailable, so Wait alone cannot catch a
+// broken stream).
 func TestEvents(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 1})
 	ctx := ctxT(t)
@@ -432,6 +435,38 @@ func TestEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL()+"/v1/runs/"+st.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("event stream: status %d, %v", resp.StatusCode, err)
+	}
+	var frames []client.RunStatus
+	for _, frame := range strings.Split(strings.TrimSpace(string(raw)), "\n\n") {
+		event, data, ok := strings.Cut(frame, "\n")
+		if !ok || event != "event: state" || !strings.HasPrefix(data, "data: ") {
+			t.Fatalf("malformed frame %q", frame)
+		}
+		var ev client.RunStatus
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(data, "data: ")), &ev); err != nil {
+			t.Fatalf("frame %q: %v", frame, err)
+		}
+		if ev.ID != st.ID || ev.ConfigHash != st.ConfigHash || ev.Result != nil {
+			t.Fatalf("frame %+v, want run %s with config hash %s and no result", ev, st.ID, st.ConfigHash)
+		}
+		frames = append(frames, ev)
+	}
+	if last := frames[len(frames)-1]; !last.Terminal() {
+		t.Fatalf("stream ended in state %s, want a terminal state", last.State)
+	}
+
 	final, err := c.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -947,7 +982,8 @@ func TestSweepBodyTooLarge(t *testing.T) {
 	padded := `{"schema": 1` + strings.Repeat(" ", maxConfigBytes) + `}`
 	_, err := c.SweepJSON(ctx, []byte("["+smallConfig(96)+","+padded+"]"), nil)
 	var apiErr *client.APIError
-	if !errors.Is(err, client.ErrBadRequest) || !errors.As(err, &apiErr) || !strings.Contains(apiErr.Message, "config[1]") {
-		t.Fatalf("oversized sweep element: %v, want bad_request naming config[1]", err)
+	if !errors.Is(err, client.ErrBadRequest) || !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest ||
+		!strings.Contains(apiErr.Message, "config[1]") {
+		t.Fatalf("oversized sweep element: %v, want 400 bad_request naming config[1]", err)
 	}
 }

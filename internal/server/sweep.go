@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"nocstar/client"
 	"nocstar/internal/system"
 )
 
@@ -23,7 +24,9 @@ import (
 // it first, and the others follow. Results stream back as SSE "result"
 // events in completion order, each embedding the raw marshaled Result —
 // byte-identical to a direct system.Run — and a terminal "summary"
-// event closes the stream.
+// event closes the stream. Its Unsubmitted count is the configs never
+// acquired: the server began draining, or the client went away,
+// mid-sweep.
 
 // maxSweepConfigs bounds one sweep request; larger design spaces are
 // split by the client.
@@ -31,30 +34,6 @@ const maxSweepConfigs = 4096
 
 // maxSweepBytes bounds the body of one sweep request.
 const maxSweepBytes = 64 << 20
-
-// sweepResult is one SSE "result" frame: the terminal status of the
-// sweep element at Index.
-type sweepResult struct {
-	Index      int             `json:"index"`
-	ID         string          `json:"id"`
-	ConfigHash string          `json:"config_hash"`
-	State      string          `json:"state"`
-	Cached     bool            `json:"cached,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-}
-
-// sweepSummary is the terminal SSE "summary" frame.
-type sweepSummary struct {
-	Total     int `json:"total"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Canceled  int `json:"canceled"`
-	CacheHits int `json:"cache_hits"`
-	// Unsubmitted counts configs never acquired: the server began
-	// draining, or the client went away, mid-sweep.
-	Unsubmitted int `json:"unsubmitted,omitempty"`
-}
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r, maxSweepBytes)
@@ -112,7 +91,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// slot frees) rather than failing the sweep; draining or a gone
 	// client abandons the remainder.
 	jobs := make([]*job, len(cfgs))
-	summary := sweepSummary{Total: len(cfgs)}
+	summary := client.SweepSummary{Total: len(cfgs)}
 acquire:
 	for i := range cfgs {
 		for {
@@ -159,15 +138,15 @@ stream:
 		select {
 		case i := <-completed:
 			st := jobs[i].status(true)
-			switch jobState(st.State) {
-			case stateDone:
+			switch st.State {
+			case client.StateDone:
 				summary.Done++
-			case stateCanceled:
+			case client.StateCanceled:
 				summary.Canceled++
 			default:
 				summary.Failed++
 			}
-			ev := sweepResult{
+			ev := client.SweepResult{
 				Index:      i,
 				ID:         st.ID,
 				ConfigHash: st.ConfigHash,
@@ -188,8 +167,9 @@ stream:
 	flusher.Flush()
 }
 
-// writeSSE emits one named SSE frame, reporting marshal and write
-// failures so the stream terminates instead of silently dropping data.
+// writeSSE emits one named SSE frame — a run's "state", or a sweep's
+// "result" or "summary" — reporting marshal and write failures so the
+// stream terminates instead of silently dropping data.
 func writeSSE(w io.Writer, event string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {

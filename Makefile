@@ -12,7 +12,7 @@ help:
 	@echo "  race         full test suite under the race detector"
 	@echo "  bench        short performance smoke benchmarks"
 	@echo "  perfbench    the benchmark module's own tests, including its committed result digests"
-	@echo "  alloc        zero-allocation gates for the translation critical path, and set-up allocation bounds for caches and system.New"
+	@echo "  alloc        zero-allocation gates for the translation critical path, and set-up allocation bounds for engines, caches and system.New"
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
 	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq, a config document and a trace replay through nocstar-sim"
@@ -50,8 +50,9 @@ race:
 
 # Short smoke at benchOptions() scale: representative figures plus the
 # engine event-queue microbenchmarks, which schedule typed Actor events
-# the way the simulator does (watch allocs/op: the timing wheel must stay
-# allocation-free in steady state), the TLB array lookup/insert probes
+# the way the simulator does, from a few to about 1024 events per cycle
+# (watch allocs/op: the timing wheel must stay allocation-free in steady
+# state), the TLB array lookup/insert probes
 # and the page-table descent of an L1 miss (both 0 allocs/op).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig16Left$$|BenchmarkFig11c$$' -benchtime 1x -benchmem .
@@ -75,9 +76,11 @@ perfbench:
 # and shootdown delivery must stay at exactly zero heap allocations.
 # Set-up is bounded too: a cache is its header and one set-major slice of
 # lines whatever its geometry (the 8 MB LLC included), a walker view
-# allocates only its own L2 and the hierarchy, and a 32-core NOCSTAR
-# system.New stays under 2000 allocations.
+# allocates only its own L2 and the hierarchy, a 32-core NOCSTAR
+# system.New stays under 2000 allocations, and an engine is its header
+# and its bucket array (wheel chunks are taken as events arrive).
 alloc:
+	$(GO) test -run 'TestNewAllocs' -count 1 -v ./internal/engine/
 	$(GO) test -run 'TestRequestPathAllocFree' -count 1 -v ./internal/noc/
 	$(GO) test -run 'TestAccessL2AllocFree|TestDeliverInvalidationsAllocFree|TestNewAllocs' -count 1 -v ./internal/system/
 	$(GO) test -run 'TestNewAllocs' -count 1 -v ./internal/cache/

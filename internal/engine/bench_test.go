@@ -28,11 +28,10 @@ func (h *holdActor) Act(uint8, any) {
 	h.e.ScheduleAct(h.next(h.r), h, 0, nil)
 }
 
-func benchmarkScheduleRun(b *testing.B, next func(*Rand) Cycle) {
+func benchmarkScheduleRun(b *testing.B, width int, next func(*Rand) Cycle) {
 	b.ReportAllocs()
 	e := New()
 	h := &holdActor{e: e, r: NewRand(1), n: b.N, next: next}
-	width := benchHoldWidth
 	if width > b.N {
 		width = b.N
 	}
@@ -44,18 +43,25 @@ func benchmarkScheduleRun(b *testing.B, next func(*Rand) Cycle) {
 
 func BenchmarkScheduleRun(b *testing.B) {
 	b.Run("uniform", func(b *testing.B) {
-		benchmarkScheduleRun(b, func(r *Rand) Cycle {
+		benchmarkScheduleRun(b, benchHoldWidth, func(r *Rand) Cycle {
 			return Cycle(1 + r.Intn(1000))
 		})
 	})
 	b.Run("skewed", func(b *testing.B) {
-		benchmarkScheduleRun(b, func(r *Rand) Cycle {
+		benchmarkScheduleRun(b, benchHoldWidth, func(r *Rand) Cycle {
 			// 90% of events land within the next few cycles; the rest
 			// model far-future timeouts.
 			if r.Float64() < 0.9 {
 				return Cycle(r.Intn(4))
 			}
 			return Cycle(1 + r.Intn(5000))
+		})
+	})
+	b.Run("wide", func(b *testing.B) {
+		// About 1024 events per cycle, as a 1024-core fabric keeps in
+		// flight: delays 1-300 average 150.5 cycles.
+		benchmarkScheduleRun(b, 1024*150, func(r *Rand) Cycle {
+			return Cycle(1 + r.Intn(300))
 		})
 	})
 }

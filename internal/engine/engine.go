@@ -131,6 +131,27 @@ const (
 	wheelMask = wheelSize - 1
 )
 
+// chunkEvents is how many events one wheel chunk holds. A bucket with
+// any pending event holds at least one whole chunk, so the size trades
+// the memory of sparse buckets (every one of them a full chunk) against
+// how often a busy bucket links a new one.
+const chunkEvents = 8
+
+// chunk is a fixed-size run of one bucket's events in seq order. Chunks
+// are pooled per engine: a bucket takes one from the free list when its
+// tail is full, and gives all of them back once it drains.
+type chunk struct {
+	ev   [chunkEvents]event
+	n    int // events written to ev
+	next *chunk
+}
+
+// bucket is one cycle's FIFO of events: a linked list of chunks, empty
+// when head is nil.
+type bucket struct {
+	head, tail *chunk
+}
+
 // Engine is a discrete-event simulator clock. The zero value is not ready
 // for use; call New.
 //
@@ -144,16 +165,22 @@ const (
 // wait in an overflow min-heap and migrate into the wheel as the clock
 // advances, before any newer (higher-seq) event can be appended behind
 // them, so the total order is preserved.
+//
+// Buckets hold their events in pooled chunks, so the wheel's memory
+// follows the events pending at once rather than every bucket's busiest
+// cycle, and the steady state allocates nothing.
 type Engine struct {
 	now Cycle
 	seq uint64
 	// wheel[c&wheelMask] holds the events of cycle c, for c in
-	// [now, now+wheelSize), in seq order. Buckets keep their capacity
-	// across laps, so the steady state allocates nothing.
-	wheel        [][]event
+	// [now, now+wheelSize), in seq order.
+	wheel        []bucket
 	wheelPending int
-	overflow     eventQueue // events at now+wheelSize or later
-	finalizers   []event    // end-of-cycle actions for the current cycle
+	// free is the LIFO list of drained chunks: the next append reuses
+	// the chunk drained last, still warm in the host cache.
+	free       *chunk
+	overflow   eventQueue // events at now+wheelSize or later
+	finalizers []event    // end-of-cycle actions for the current cycle
 	// finalizerFree is the drained finalizer buffer from the previous
 	// phase, recycled so a steady stream of AtEndOfCycle registrations
 	// (one per NoC arbitration round) reallocates nothing.
@@ -183,23 +210,9 @@ func (e *Engine) SetCheck(fn func(when Cycle, seq uint64)) {
 	e.check = fn
 }
 
-// wheelBucketCap is the initial per-bucket capacity. Buckets are carved
-// from one shared slab in New: profiles showed bucket append-growth was
-// the single largest allocation-count source in a sweep (a few small
-// grow-copies for nearly every bucket of every engine). Most buckets
-// never hold more than a couple of events at once, so a small carved
-// capacity absorbs almost all inserts; the rare busy bucket spills to a
-// normally-grown slice and keeps it across laps.
-const wheelBucketCap = 4
-
 // New returns an engine with the clock at cycle 0 and no pending events.
 func New() *Engine {
-	e := &Engine{wheel: make([][]event, wheelSize)}
-	slab := make([]event, wheelSize*wheelBucketCap)
-	for i := range e.wheel {
-		e.wheel[i] = slab[i*wheelBucketCap : i*wheelBucketCap : (i+1)*wheelBucketCap]
-	}
-	return e
+	return &Engine{wheel: make([]bucket, wheelSize)}
 }
 
 // Now reports the current cycle.
@@ -215,12 +228,36 @@ func (e *Engine) Pending() int { return e.wheelPending + e.overflow.len() + len(
 // the overflow heap otherwise.
 func (e *Engine) insert(ev event) {
 	if ev.when < e.now+wheelSize {
-		b := int(ev.when) & wheelMask
-		e.wheel[b] = append(e.wheel[b], ev)
-		e.wheelPending++
+		e.push(ev)
 		return
 	}
 	e.overflow.push(ev)
+}
+
+// push appends ev to its wheel bucket, linking a chunk from the free list
+// (or a new one) when the bucket's tail chunk is full.
+func (e *Engine) push(ev event) {
+	b := &e.wheel[int(ev.when)&wheelMask]
+	t := b.tail
+	if t == nil || t.n == chunkEvents {
+		c := e.free
+		if c != nil {
+			e.free = c.next
+			c.next = nil
+		} else {
+			c = new(chunk)
+		}
+		if t == nil {
+			b.head = c
+		} else {
+			t.next = c
+		}
+		b.tail = c
+		t = c
+	}
+	t.ev[t.n] = ev
+	t.n++
+	e.wheelPending++
 }
 
 // drainOverflow migrates every overflow event that has come within the
@@ -233,10 +270,7 @@ func (e *Engine) insert(ev event) {
 func (e *Engine) drainOverflow() {
 	limit := e.now + wheelSize
 	for e.overflow.len() > 0 && e.overflow.head().when < limit {
-		ev := e.overflow.pop()
-		b := int(ev.when) & wheelMask
-		e.wheel[b] = append(e.wheel[b], ev)
-		e.wheelPending++
+		e.push(e.overflow.pop())
 	}
 }
 
@@ -247,7 +281,7 @@ func (e *Engine) nextEventCycle() (Cycle, bool) {
 		// earlier than the overflow heap's horizon is in the wheel, so the
 		// first populated bucket from now is the global minimum.
 		for c := e.now; ; c++ {
-			if len(e.wheel[int(c)&wheelMask]) > 0 {
+			if e.wheel[int(c)&wheelMask].head != nil {
 				return c, true
 			}
 		}
@@ -303,30 +337,37 @@ func (e *Engine) step() bool {
 	for {
 		ran := false
 		// The current bucket is in seq order; events executed here may
-		// append same-cycle events behind the cursor, so the length is
-		// re-read every iteration.
-		for i := 0; i < len(e.wheel[bi]); i++ {
-			ev := e.wheel[bi][i]
-			e.wheelPending--
-			e.processed++
-			if e.observe != nil {
-				e.observe(e.now, ev.seq)
+		// append same-cycle events behind the cursor, to the chunk being
+		// read or to a new one linked after it, so both the chunk's count
+		// and its successor are re-read as the drain goes.
+		b := &e.wheel[bi]
+		for c := b.head; c != nil; c = b.head {
+			for i := 0; i < c.n; i++ {
+				ev := &c.ev[i]
+				e.wheelPending--
+				e.processed++
+				if e.observe != nil {
+					e.observe(e.now, ev.seq)
+				}
+				if e.check != nil {
+					e.check(e.now, ev.seq)
+				}
+				ev.actor.Act(ev.op, ev.arg)
+				ran = true
 			}
-			if e.check != nil {
-				e.check(e.now, ev.seq)
-			}
-			ev.actor.Act(ev.op, ev.arg)
-			ran = true
-		}
-		if len(e.wheel[bi]) > 0 {
-			// Truncate without zeroing: the stale events beyond the new
-			// length keep their payloads reachable, but those are the
+			// Return the drained chunk without zeroing it: the stale
+			// events keep their payloads reachable, but those are the
 			// model's own long-lived actors and free-listed transaction
-			// objects, so nothing leaks — and skipping the clear removes a
-			// bulk memclr plus its pointer write barriers from the hottest
-			// loop in the simulator. Capacity stays bounded by the busiest
-			// cycle the bucket has ever seen.
-			e.wheel[bi] = e.wheel[bi][:0]
+			// objects, so nothing leaks — and skipping the clear keeps a
+			// bulk memclr and its pointer write barriers out of the
+			// hottest loop in the simulator.
+			b.head = c.next
+			if b.head == nil {
+				b.tail = nil
+			}
+			c.n = 0
+			c.next = e.free
+			e.free = c
 		}
 		if len(e.finalizers) > 0 {
 			// Swap in the recycled buffer before running: finalizers may

@@ -325,3 +325,82 @@ func TestEventOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// chunksHeld counts the wheel chunks an engine holds: those linked into
+// buckets plus those on the free list.
+func chunksHeld(e *Engine) (held, nonEmpty int) {
+	for c := e.free; c != nil; c = c.next {
+		held++
+	}
+	for _, b := range e.wheel {
+		if b.head != nil {
+			nonEmpty++
+		}
+		for c := b.head; c != nil; c = c.next {
+			held++
+		}
+	}
+	return held, nonEmpty
+}
+
+// trickle reschedules itself one cycle ahead until n reaches zero,
+// checking the engine's chunk count against bound every 64 events.
+type trickle struct {
+	t     *testing.T
+	e     *Engine
+	n     int
+	bound int
+}
+
+func (tr *trickle) Act(uint8, any) {
+	if tr.n%64 == 0 {
+		if held, _ := chunksHeld(tr.e); held > tr.bound {
+			tr.t.Fatalf("cycle %d: %d chunks held, bound %d", tr.e.Now(), held, tr.bound)
+		}
+	}
+	if tr.n--; tr.n > 0 {
+		tr.e.ScheduleAct(1, tr, 0, nil)
+	}
+}
+
+// The wheel's memory follows the events pending at once, not every
+// bucket's busiest cycle: after a 10k-event burst into one cycle, a
+// one-event-per-cycle trickle over three laps of the wheel reuses the
+// burst's chunks instead of growing every bucket it passes.
+func TestWheelMemoryFollowsPending(t *testing.T) {
+	const burst = 10_000
+	const burstChunks = (burst + chunkEvents - 1) / chunkEvents
+	e := New()
+	idle := fn(func() {})
+	for i := 0; i < burst; i++ {
+		e.ScheduleAct(5, idle, 0, nil)
+	}
+	if held, nonEmpty := chunksHeld(e); held != burstChunks || nonEmpty != 1 {
+		t.Fatalf("after the burst: %d chunks in %d buckets, want %d in 1", held, nonEmpty, burstChunks)
+	}
+	e.Run()
+	// Peak pending events over the chunk size, plus one partial chunk
+	// for each bucket non-empty at once (the burst's, then the trickle's
+	// current and next cycles).
+	bound := burst/chunkEvents + 2
+	tr := &trickle{t: t, e: e, n: 3 * wheelSize, bound: bound}
+	e.ScheduleAct(1, tr, 0, nil)
+	e.Run()
+	if tr.n != 0 {
+		t.Fatalf("trickle stopped with %d events left", tr.n)
+	}
+	// Every chunk the trickle used came from the burst's, so it
+	// allocated none and dropped none.
+	held, nonEmpty := chunksHeld(e)
+	if held != burstChunks || nonEmpty != 0 {
+		t.Fatalf("after the trickle: %d chunks in %d buckets, want %d, all free", held, nonEmpty, burstChunks)
+	}
+}
+
+// New allocates the Engine and its bucket array, nothing more: chunks
+// are taken as events arrive.
+func TestNewAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(20, func() { New() }); n > 2 {
+		t.Fatalf("New: %v allocations, want at most 2", n)
+	}
+}

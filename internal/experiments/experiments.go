@@ -116,11 +116,28 @@ func (o Options) submit(cfg system.Config) *runner.Future {
 	return o.pool().SubmitContext(o.ctx(), cfg)
 }
 
+// submitShared is submit through the pool's memo cache, for runs that
+// more than one part of an invocation needs: the completed result is
+// kept, so a later identical submission reuses it instead of running
+// again.
+func (o Options) submitShared(cfg system.Config) *runner.Future {
+	return o.pool().SubmitCachedContext(o.ctx(), cfg)
+}
+
 // baselineFuture schedules (or retrieves the memoized) private-L2-TLB run
-// every speedup is measured against. The pool's memo cache replaces the
-// old package-level baselineCache map, which had no synchronization.
+// every speedup is measured against.
 func (o Options) baselineFuture(spec workload.Spec, cores int, thp bool) *runner.Future {
-	return o.pool().SubmitCachedContext(o.ctx(), o.baseConfig(system.Private, spec, cores, thp))
+	return o.submitShared(o.baseConfig(system.Private, spec, cores, thp))
+}
+
+// probeCores is the core count of the report's NOCSTAR probes.
+func (o Options) probeCores() int { return o.coreCounts()[0] }
+
+// probeFuture schedules (or retrieves the memoized) NOCSTAR run with
+// 4 KB pages at the probe core count: the report's probe of spec, which
+// Fig. 12 also runs at the default core counts.
+func (o Options) probeFuture(spec workload.Spec) *runner.Future {
+	return o.submitShared(o.baseConfig(system.Nocstar, spec, o.probeCores(), false))
 }
 
 // sortedKeys returns map keys in sorted order for deterministic output.

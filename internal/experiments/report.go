@@ -7,7 +7,6 @@ import (
 	"nocstar/internal/metrics"
 	"nocstar/internal/ptw"
 	"nocstar/internal/runner"
-	"nocstar/internal/system"
 	"nocstar/internal/workload"
 )
 
@@ -106,12 +105,11 @@ type EnergyReport struct {
 }
 
 // BuildReport assembles the report for one invocation: the experiments
-// that ran, plus one NOCSTAR probe (and its memoized private baseline)
-// per selected workload at the smallest configured core count. Probe runs
-// go through the shared pool, so they execute concurrently. Only the
-// memoized baselines reuse runs the experiments already performed: a
-// NOCSTAR probe joins an identical run only while that run is in flight,
-// so one an experiment finished earlier executes again.
+// that ran, plus one NOCSTAR probe and its private baseline per selected
+// workload at the first configured core count. Both go through the
+// shared pool's memo, so they execute concurrently, and a probe or
+// baseline an experiment already ran (Fig. 12's NOCSTAR column is the
+// probe at the default core counts) is reused, not run again.
 func BuildReport(o Options, ran []RanExperiment) *RunReport {
 	rep := &RunReport{
 		Schema: ReportSchemaVersion,
@@ -135,7 +133,7 @@ func BuildReport(o Options, ran []RanExperiment) *RunReport {
 		})
 	}
 
-	cores := o.coreCounts()[0]
+	cores := o.probeCores()
 	type probeRuns struct {
 		spec      workload.Spec
 		noc, base *runner.Future
@@ -144,7 +142,7 @@ func BuildReport(o Options, ran []RanExperiment) *RunReport {
 	for _, spec := range o.suite() {
 		probes = append(probes, probeRuns{
 			spec: spec,
-			noc:  o.submit(o.baseConfig(system.Nocstar, spec, cores, false)),
+			noc:  o.probeFuture(spec),
 			base: o.baselineFuture(spec, cores, false),
 		})
 	}

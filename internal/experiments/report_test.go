@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"nocstar/internal/runner"
 )
 
 // reportOptions is a deliberately tiny scale: one workload, one core
@@ -34,6 +36,35 @@ func buildReportJSON(t *testing.T, parallelism int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestReportReusesFig12Runs: the report's probes are Fig. 12's NOCSTAR
+// runs and its private baselines, so after Fig. 12 the report executes
+// nothing. The seed is used by no other test, so nothing is memoized
+// beforehand.
+func TestReportReusesFig12Runs(t *testing.T) {
+	o := Options{Instr: 5_000, Seed: 30, Workloads: []string{"canneal", "gups"}, CoreCounts: []int{16}}
+	before := runner.Default().Progress().Submitted
+	r := Fig12(o)
+	fig12 := runner.Default().Progress().Submitted - before
+	const orgs = 4
+	if want := uint64(len(o.Workloads) * (1 + orgs)); fig12 != want {
+		t.Fatalf("Fig. 12 executed %d runs, want %d (a baseline and %d orgs per workload)", fig12, want, orgs)
+	}
+	rep := BuildReport(o, []RanExperiment{{ID: "fig12", Result: r}})
+	if got := runner.Default().Progress().Submitted - before - fig12; got != 0 {
+		t.Fatalf("the report executed %d runs after Fig. 12, want 0", got)
+	}
+	if len(rep.Probes) != len(o.Workloads) {
+		t.Fatalf("probes = %d, want %d", len(rep.Probes), len(o.Workloads))
+	}
+	for i, p := range rep.Probes {
+		w := o.Workloads[i]
+		if p.Workload != w || p.SpeedupVsPrivate != r.Speedup[w]["NOCSTAR"] {
+			t.Fatalf("probe %d: %s speedup %v, Fig. 12 has %s %v",
+				i, p.Workload, p.SpeedupVsPrivate, w, r.Speedup[w]["NOCSTAR"])
+		}
+	}
 }
 
 // TestReportSchema is the golden-schema test: a -report document must

@@ -1,6 +1,10 @@
 package noc
 
 import (
+	"cmp"
+	"math"
+	"slices"
+
 	"nocstar/internal/engine"
 	"nocstar/internal/metrics"
 )
@@ -122,7 +126,10 @@ type setupReq struct {
 	route    xyRoute
 	hold     engine.Cycle // cycles the links stay reserved once granted
 	firstTry engine.Cycle
-	prio     int // rotating static priority, computed per arbitration round
+	// key orders the request in its arbitration round: its rotating
+	// static priority above its enqueue index within the round, so keys
+	// are unique and sorting by key is the stable sort by priority.
+	key uint64
 
 	h   GrantHandler
 	op  uint8
@@ -158,12 +165,17 @@ type Nocstar struct {
 	coords []gridPos // coords[node] is the node's (row, col) in geo
 	// reservedUntil[l] is the last cycle link l is held through.
 	reservedUntil []engine.Cycle
-	pending       []*setupReq
-	pendingFree   []*setupReq // drained pending buffer, recycled
-	arbScheduled  bool
-	free          *setupReq
-	batchFree     *retryBatch
-	stats         NocstarStats
+	// A round's requests arrive as new requests and as the retry batches
+	// of earlier rounds, each list in enqueue order; order is the buffer
+	// the two merge into, in arbitration order.
+	arrivals     []*setupReq
+	retries      []*setupReq
+	order        []*setupReq
+	enqueued     uint64 // requests enqueued in the current round
+	arbScheduled bool
+	free         *setupReq
+	batchFree    *retryBatch
+	stats        NocstarStats
 
 	// Optional observability, attached before the run starts. All are
 	// nil-checked on the hot path; detached costs one branch.
@@ -291,7 +303,7 @@ func (n *Nocstar) RequestPathTo(src, dst NodeID, hold engine.Cycle, h GrantHandl
 	}
 	*req = setupReq{src: src, dst: dst, route: n.route(src, dst), hold: hold,
 		firstTry: n.eng.Now(), h: h, op: op, arg: arg}
-	n.enqueue(req)
+	n.arrivals = n.enqueue(n.arrivals, req)
 }
 
 // freeReq recycles a request whose grant has been delivered.
@@ -300,13 +312,16 @@ func (n *Nocstar) freeReq(req *setupReq) {
 	n.free = req
 }
 
-// enqueue adds a request to this cycle's arbitration round.
-func (n *Nocstar) enqueue(req *setupReq) {
-	n.pending = append(n.pending, req)
+// enqueue adds a request to this cycle's arbitration round, appending it
+// to list, and returns the list.
+func (n *Nocstar) enqueue(list []*setupReq, req *setupReq) []*setupReq {
+	req.key = n.enqueued
+	n.enqueued++
 	if !n.arbScheduled {
 		n.arbScheduled = true
 		n.eng.AtEndOfCycle(n, nocOpArbitrate, nil)
 	}
+	return append(list, req)
 }
 
 // Act dispatches the fabric's own typed events.
@@ -315,7 +330,7 @@ func (n *Nocstar) Act(op uint8, arg any) {
 	case nocOpRetry:
 		b := arg.(*retryBatch)
 		for _, req := range b.reqs {
-			n.enqueue(req)
+			n.retries = n.enqueue(n.retries, req)
 		}
 		b.reqs = b.reqs[:0]
 		b.next = n.batchFree
@@ -332,27 +347,24 @@ func (n *Nocstar) Act(op uint8, arg any) {
 	}
 }
 
-// priority returns the rotating static priority of a source node: lower
-// is better. The rotation shifts the favoured node round-robin every
-// PriorityRotationPeriod cycles, which guarantees starvation freedom.
-func (n *Nocstar) priority(src NodeID, now engine.Cycle) int {
-	nodes := n.geo.Nodes()
-	rot := int(now/PriorityRotationPeriod) % nodes
-	return (int(src) - rot + nodes) % nodes
-}
-
 // arbitrate resolves every setup request issued in the current cycle.
-// Requests are considered in static-priority order; a request wins only
-// if every link of its path is free for its entire hold window. Losers
-// retry next cycle.
+// Requests are considered in static-priority order, ties in enqueue
+// order; a request wins only if every link of its path is free for its
+// entire hold window. Losers retry next cycle. The static priority of a
+// source node is its distance, lower is better, from a favoured node
+// that rotates round-robin every PriorityRotationPeriod cycles, which
+// guarantees starvation freedom.
 //
 // The round's losers travel to the next cycle together, in one retry
 // event, rather than one event each. That is exact — every grant and
 // every statistic is what per-request retry events would produce —
-// because a retry does nothing but append its request to n.pending, and
-// the only events this round schedules between its retries are grant
-// deliveries, whose continuations in the simulator never request a path
-// synchronously (System.PathGranted only schedules events). So the batch
+// because a retry does nothing but re-enqueue its request, and the only
+// events this round schedules between its retries are grant deliveries,
+// whose continuations in the simulator never request a path
+// synchronously, nor register a finalizer that does (System.PathGranted
+// only schedules events; such a finalizer would run ahead of or behind
+// this fabric's next arbitration depending on where the first retry
+// enqueued). So the batch
 // re-enqueues the losers in arbitration order at the same place in the
 // next cycle's enqueue order as the individual retries held: after every
 // enqueue by events scheduled before this round, and before every
@@ -362,34 +374,52 @@ func (n *Nocstar) priority(src NodeID, now engine.Cycle) int {
 // engine sees one event per denying round instead of one per denial,
 // which keeps host time and wheel-bucket memory independent of how many
 // requests are waiting.
+//
+// A batch leaves in arbitration order, so unless the priorities rotated
+// in between, or two rounds' batches landed in one cycle, the retries
+// already arrive sorted by key. Only the new arrivals need sorting, and
+// the two lists merge in one pass.
 func (n *Nocstar) arbitrate() {
 	n.arbScheduled = false
-	reqs := n.pending
-	// Swap in the recycled buffer: retries issued below are events for
-	// the next cycle, so nothing appends to n.pending while reqs drains,
-	// but a second arbitration round within this cycle may.
-	n.pending = n.pendingFree[:0]
 	now := n.eng.Now()
-
-	// Stable insertion sort by rotating priority. Equivalent ordering to
-	// sort.SliceStable, without the per-call closure and interface-header
-	// allocations; rounds are small (tens of requests), where insertion
-	// sort also wins outright.
-	for i := range reqs {
-		reqs[i].prio = n.priority(reqs[i].src, now)
-	}
-	for i := 1; i < len(reqs); i++ {
-		req := reqs[i]
+	nodes := n.geo.Nodes()
+	rot := int(now/PriorityRotationPeriod) % nodes
+	setKeys(n.arrivals, rot, nodes)
+	setKeys(n.retries, rot, nodes)
+	// Rounds bring few new requests (tens), where insertion sort wins
+	// outright.
+	a := n.arrivals
+	for i := 1; i < len(a); i++ {
+		req := a[i]
 		j := i - 1
-		for j >= 0 && reqs[j].prio > req.prio {
-			reqs[j+1] = reqs[j]
+		for j >= 0 && a[j].key > req.key {
+			a[j+1] = a[j]
 			j--
 		}
-		reqs[j+1] = req
+		a[j+1] = req
 	}
+	r := n.retries
+	if !slices.IsSortedFunc(r, byKey) {
+		slices.SortFunc(r, byKey)
+	}
+	order := n.order[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(r) {
+		if a[i].key < r[j].key {
+			order = append(order, a[i])
+			i++
+		} else {
+			order = append(order, r[j])
+			j++
+		}
+	}
+	order = append(append(order, a[i:]...), r[j:]...)
+	// Granting only schedules events, so nothing enqueues while the
+	// round resolves; a later round this cycle starts from empty lists.
+	n.arrivals, n.retries, n.enqueued = a[:0], r[:0], 0
 
 	var denied *retryBatch
-	for _, req := range reqs {
+	for _, req := range order {
 		n.stats.SetupAttempts++
 		if n.granted(req, now) {
 			continue
@@ -410,8 +440,23 @@ func (n *Nocstar) arbitrate() {
 	if denied != nil {
 		n.eng.ScheduleAct(1, n, nocOpRetry, denied)
 	}
-	n.pendingFree = reqs[:0]
+	n.order = order[:0]
 }
+
+// setKeys puts each request's static priority under rotation offset rot
+// above its enqueue index.
+func setKeys(reqs []*setupReq, rot, nodes int) {
+	for _, req := range reqs {
+		prio := int(req.src) - rot
+		if prio < 0 {
+			prio += nodes
+		}
+		req.key = uint64(prio)<<32 | req.key&math.MaxUint32
+	}
+}
+
+// byKey orders requests by arbitration key.
+func byKey(x, y *setupReq) int { return cmp.Compare(x.key, y.key) }
 
 // runFree reports whether no link of r is held after cycle now.
 func (n *Nocstar) runFree(r linkRun, now engine.Cycle) bool {

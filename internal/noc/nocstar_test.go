@@ -613,15 +613,21 @@ type diffTraffic struct {
 	rate    float64
 	stop    engine.Cycle
 	granted []engine.Cycle // by message id
+	// At cycle burstAt every node also requests burst paths at once, so
+	// sources hold several waiting requests; bursts keeps them.
+	burstAt engine.Cycle
+	burst   int
+	bursts  []*diffMsg
 }
 
 const (
 	trafficTick uint8 = iota
 	trafficReply
 	trafficRelease
+	trafficLate
 )
 
-func (d *diffTraffic) request(src, dst NodeID, isReply bool) {
+func (d *diffTraffic) request(src, dst NodeID, isReply bool) *diffMsg {
 	m := &diffMsg{id: len(d.granted), src: src, dst: dst, hold: d.fab.HoldCyclesOneWay(src, dst)}
 	d.granted = append(d.granted, 0)
 	switch d.rng.Intn(3) {
@@ -632,6 +638,16 @@ func (d *diffTraffic) request(src, dst NodeID, isReply bool) {
 		m.reply = !isReply
 	}
 	d.fab.RequestPathTo(src, dst, m.hold, d, 0, m)
+	return m
+}
+
+// randomDst draws a node other than src.
+func (d *diffTraffic) randomDst(src NodeID) NodeID {
+	dst := NodeID(d.rng.Intn(d.nodes - 1))
+	if dst >= src {
+		dst++
+	}
+	return dst
 }
 
 func (d *diffTraffic) Act(op uint8, arg any) {
@@ -642,14 +658,33 @@ func (d *diffTraffic) Act(op uint8, arg any) {
 				continue
 			}
 			src := NodeID(node)
-			dst := NodeID(d.rng.Intn(d.nodes - 1))
-			if dst >= src {
-				dst++
-			}
-			d.request(src, dst, false)
+			d.request(src, d.randomDst(src), false)
 		}
+		if d.burst > 0 && d.eng.Now() == d.burstAt {
+			for node := 0; node < d.nodes; node++ {
+				src := NodeID(node)
+				for k := 0; k < d.burst; k++ {
+					d.bursts = append(d.bursts, d.request(src, d.randomDst(src), true))
+				}
+			}
+		}
+		// Late requests come from an end-of-cycle finalizer. When this
+		// tick requested, the fabric's arbitration finalizer is already
+		// registered, so the late requests open a second round in the
+		// cycle, whose losers reach the next cycle as a second retry
+		// batch. The tick is each cycle's first event in both fabrics,
+		// so the rounds split the same way in both.
+		d.eng.AtEndOfCycle(d, trafficLate, nil)
 		if d.eng.Now() < d.stop {
 			d.eng.ScheduleAct(1, d, trafficTick, nil)
+		}
+	case trafficLate:
+		for node := 0; node < d.nodes; node++ {
+			if d.rng.Float64() >= d.rate/2 {
+				continue
+			}
+			src := NodeID(node)
+			d.request(src, d.randomDst(src), false)
 		}
 	case trafficReply:
 		m := arg.(*diffMsg)
@@ -677,50 +712,96 @@ func (d *diffTraffic) PathGranted(op uint8, arg any, traversal int) {
 }
 
 func runDiffTraffic(fab func(*engine.Engine) diffFabric, nodes int, rate float64, cycles engine.Cycle, seed int64) *diffTraffic {
+	return runDiffBurst(fab, nodes, rate, cycles, seed, 0, 0)
+}
+
+// runDiffBurst is runDiffTraffic with burst extra requests from every
+// node at cycle burstAt.
+func runDiffBurst(fab func(*engine.Engine) diffFabric, nodes int, rate float64, cycles engine.Cycle, seed int64, burstAt engine.Cycle, burst int) *diffTraffic {
 	eng := engine.New()
-	d := &diffTraffic{eng: eng, fab: fab(eng), rng: engine.NewRand(seed), nodes: nodes, rate: rate, stop: cycles}
+	d := &diffTraffic{eng: eng, fab: fab(eng), rng: engine.NewRand(seed), nodes: nodes, rate: rate, stop: cycles,
+		burstAt: burstAt, burst: burst}
 	eng.ScheduleAct(1, d, trafficTick, nil)
 	eng.Run()
 	return d
 }
 
+// sameGrants fails the test unless got granted every message in the
+// same cycle as want and ends with the same statistics.
+func sameGrants(t *testing.T, name string, got, want *diffTraffic) {
+	t.Helper()
+	if len(got.granted) != len(want.granted) {
+		t.Fatalf("%s: %d messages, oracle %d", name, len(got.granted), len(want.granted))
+	}
+	for id := range want.granted {
+		if got.granted[id] != want.granted[id] {
+			t.Fatalf("%s: message %d granted at cycle %d, oracle %d",
+				name, id, got.granted[id], want.granted[id])
+		}
+	}
+	if gs, ws := got.fab.Stats(), want.fab.Stats(); gs != ws {
+		t.Fatalf("%s: stats %+v, oracle %+v", name, gs, ws)
+	}
+}
+
 // TestBatchedRetriesMatchPerRequest is the differential test of retry
-// batching: under random traffic with round-trip releases and grant
-// continuations that request again one cycle later, the fabric grants
-// every message in the same cycle, and ends with the same statistics,
-// as the per-request-retry oracle.
+// batching and of the merged arbitration order: under random traffic
+// with round-trip releases, grant continuations that request again one
+// cycle later, and late requests from an end-of-cycle finalizer (two
+// arbitration rounds, so two retry batches next cycle), the fabric
+// grants every
+// message in the same cycle, and ends with the same statistics, as the
+// per-request-retry oracle, which sorts every round anew.
 func TestBatchedRetriesMatchPerRequest(t *testing.T) {
 	// Each case injects about this many messages; at 16 nodes and the
 	// lowest rate that runs past a priority rotation.
 	const injected = 1500
+	nocstar := func(g Geometry) func(*engine.Engine) diffFabric {
+		return func(eng *engine.Engine) diffFabric { return NewNocstar(eng, NocstarConfig{Geometry: g, HPCmax: 4}) }
+	}
+	oracle := func(g Geometry) func(*engine.Engine) diffFabric {
+		return func(eng *engine.Engine) diffFabric { return newRefFabric(eng, g, 4) }
+	}
 	for _, nodes := range []int{16, 64, 256} {
 		g := GridFor(nodes)
 		for _, rate := range []float64{0.05, 0.15, 0.4} {
 			cycles := engine.Cycle(injected / (float64(nodes) * rate))
 			for seed := int64(1); seed <= 3; seed++ {
-				got := runDiffTraffic(func(eng *engine.Engine) diffFabric {
-					return NewNocstar(eng, NocstarConfig{Geometry: g, HPCmax: 4})
-				}, nodes, rate, cycles, seed)
-				want := runDiffTraffic(func(eng *engine.Engine) diffFabric {
-					return newRefFabric(eng, g, 4)
-				}, nodes, rate, cycles, seed)
+				got := runDiffTraffic(nocstar(g), nodes, rate, cycles, seed)
+				want := runDiffTraffic(oracle(g), nodes, rate, cycles, seed)
 				name := fmt.Sprintf("%d nodes, rate %.2f, seed %d", nodes, rate, seed)
-				if len(got.granted) != len(want.granted) {
-					t.Fatalf("%s: %d messages, oracle %d", name, len(got.granted), len(want.granted))
-				}
-				for id := range want.granted {
-					if got.granted[id] != want.granted[id] {
-						t.Fatalf("%s: message %d granted at cycle %d, oracle %d",
-							name, id, got.granted[id], want.granted[id])
-					}
-				}
-				gs, ws := got.fab.Stats(), want.fab.Stats()
-				if gs != ws {
-					t.Fatalf("%s: stats %+v, oracle %+v", name, gs, ws)
-				}
+				sameGrants(t, name, got, want)
+				ws := want.fab.Stats()
 				if rate == 0.4 && (ws.Retries == 0 || ws.Releases == 0 || ws.ForeignLinks == 0) {
 					t.Fatalf("%s: traffic too light to exercise retries and releases: %+v", name, ws)
 				}
+			}
+		}
+		// A burst of four requests from every node just before a
+		// priority rotation leaves sources with several requests still
+		// waiting when the priorities rotate under them.
+		const burstAt = PriorityRotationPeriod - 3
+		for seed := int64(1); seed <= 2; seed++ {
+			got := runDiffBurst(nocstar(g), nodes, 0.05, PriorityRotationPeriod+20, seed, burstAt, 4)
+			want := runDiffBurst(oracle(g), nodes, 0.05, PriorityRotationPeriod+20, seed, burstAt, 4)
+			name := fmt.Sprintf("%d nodes, burst across the rotation, seed %d", nodes, seed)
+			sameGrants(t, name, got, want)
+			waiting := make(map[NodeID]int)
+			for _, m := range want.bursts {
+				// Granted after the round at the rotation cycle: it was
+				// still waiting when the priorities rotated.
+				if want.granted[m.id] > PriorityRotationPeriod {
+					waiting[m.src]++
+				}
+			}
+			several := 0
+			for _, n := range waiting {
+				if n >= 2 {
+					several++
+				}
+			}
+			if several == 0 {
+				t.Fatalf("%s: no source had several requests waiting across the rotation", name)
 			}
 		}
 	}

@@ -84,8 +84,10 @@ type thread struct {
 // Refills are clamped to refsLeft so a stream is never drawn past the
 // configured workload length: no reference is generated that the run
 // does not consume, and a caller's stream (a trace replayer) is left at
-// the reference after the run's last, whatever the batch size.
-const threadBatchSize = 1024
+// the reference after the run's last, whatever the batch size. At 256
+// references (2 KiB) a refill's call is still spread over hundreds of
+// references, and a 1024-core system's buffers take 2 MiB, not 8.
+const threadBatchSize = 256
 
 // System is one configured machine mid-run.
 type System struct {

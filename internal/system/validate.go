@@ -61,9 +61,9 @@ const maxInstr uint64 = 1 << 42
 // each is derived from the memory that field makes New allocate on a
 // maxCores (4096-core) machine.
 const (
-	// maxSMT bounds Config.SMT. Each hardware thread owns an 8 KiB
+	// maxSMT bounds Config.SMT. Each hardware thread owns a 2 KiB
 	// reference buffer (threadBatchSize 8-byte addresses), so
-	// maxCores x 8 threads hold 256 MiB of buffers. The paper's cores
+	// maxCores x 8 threads hold 64 MiB of buffers. The paper's cores
 	// run 2-way SMT.
 	maxSMT = 8
 	// maxThreads bounds App.Threads: no valid machine has more hardware

@@ -85,8 +85,8 @@ func resultDigest(r system.Result) string {
 }
 
 // TestGoldenEventOrder pins the engine's total event order — the exact
-// (cycle, seq) stream — for NOCSTAR and private configurations, and
-// their simulated Results. Any scheduling refactor that reorders even
+// (cycle, seq) stream — for NOCSTAR, private, monolithic and
+// distributed configurations, and their simulated Results. Any scheduling refactor that reorders even
 // one pair of same-cycle events changes the hash. This is deliberately
 // stricter than TestRunDeterminism, which only requires runs to agree
 // with each other.
@@ -136,6 +136,42 @@ func TestGoldenEventOrder(t *testing.T) {
 	}
 	for _, g := range golden {
 		checkGolden(t, g.name, g.cfg, g.events, g.hash, g.result)
+	}
+
+	// The mesh rows pin the monolithic and distributed legs under both
+	// walk policies, with a prefetch neighbour and steady shootdowns. No
+	// registered experiment walks at the remote slice or bank of these
+	// organizations. The rows were captured before the organizations'
+	// separate access functions were merged into one mesh leg.
+	mesh := func(org system.Org, p system.WalkPolicy) system.Config {
+		c := base
+		c.Org = org
+		c.Policy = p
+		c.PrefetchDegree = 1
+		c.ShootdownInterval = 5_000
+		if org == system.MonolithicFixed {
+			c.FixedAccessLatency = 16
+		}
+		return c
+	}
+	meshGolden := []struct {
+		name   string
+		org    system.Org
+		policy system.WalkPolicy
+		events int
+		hash   uint64
+		result string
+	}{
+		{"mono-mesh/request", system.MonolithicMesh, system.WalkAtRequester, 3682, 0x48ed175e7daad766, "cca173d8508161ed"},
+		{"mono-mesh/remote", system.MonolithicMesh, system.WalkAtRemote, 4350, 0x96aa47f35f35e176, "2ff460c77c11a3e5"},
+		{"mono-SMART/remote", system.MonolithicSMART, system.WalkAtRemote, 4354, 0xf357805366de8ebc, "4b457e591fdae342"},
+		{"mono-fixed/remote", system.MonolithicFixed, system.WalkAtRemote, 4350, 0x5b91bedc05e67b85, "9247217a914b41e3"},
+		{"distributed/request", system.DistributedMesh, system.WalkAtRequester, 3668, 0x931ddae55365e8ab, "f40585486f539ff4"},
+		{"distributed/remote", system.DistributedMesh, system.WalkAtRemote, 4289, 0xa88cbe2750304b85, "0fff35049a7666ad"},
+		{"ideal/remote", system.IdealShared, system.WalkAtRemote, 4290, 0xa37d1cf47033c127, "ed17cb0c97f6bc4a"},
+	}
+	for _, g := range meshGolden {
+		checkGolden(t, g.name, mesh(g.org, g.policy), g.events, g.hash, g.result)
 	}
 
 	// The replay row runs trace replayers instead of generators. The

@@ -81,6 +81,29 @@ func (o Options) focusSuite() []workload.Spec {
 	return out
 }
 
+// namedOrg is an organization under the label a figure prints for it.
+type namedOrg struct {
+	name string
+	org  system.Org
+}
+
+// sharedOrgs are the three shared organizations the evaluation compares
+// with the private baseline, in the order the figures list them.
+var sharedOrgs = []namedOrg{
+	{"Monolithic", system.MonolithicMesh},
+	{"Distributed", system.DistributedMesh},
+	{"NOCSTAR", system.Nocstar},
+}
+
+// orgNames returns the labels of orgs, in order.
+func orgNames(orgs []namedOrg) []string {
+	names := make([]string, len(orgs))
+	for i, org := range orgs {
+		names[i] = org.name
+	}
+	return names
+}
+
 // baseConfig builds the standard single-application configuration: one
 // thread per core running spec.
 func (o Options) baseConfig(org system.Org, spec workload.Spec, cores int, thp bool) system.Config {

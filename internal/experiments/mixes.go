@@ -30,13 +30,6 @@ type Fig18Result struct {
 	Orgs   []string
 }
 
-// fig18Orgs are the organizations Fig. 18 plots.
-var fig18Orgs = map[string]system.Org{
-	"Monolithic":  system.MonolithicMesh,
-	"Distributed": system.DistributedMesh,
-	"NOCSTAR":     system.Nocstar,
-}
-
 // Fig18 evaluates the C(11,4) = 330 combinations (or the first
 // o.Combos of them in deterministic order). Each application runs eight
 // threads, using all 32 cores.
@@ -46,13 +39,13 @@ func Fig18(o Options) Fig18Result {
 	if o.Combos > 0 && o.Combos < len(combos) {
 		combos = combos[:o.Combos]
 	}
-	res := Fig18Result{Orgs: []string{"Monolithic", "Distributed", "NOCSTAR"}}
+	res := Fig18Result{Orgs: orgNames(sharedOrgs)}
 	// Submit every combination's private and shared runs up front, then
 	// join in the deterministic combination order.
 	type comboRuns struct {
 		names []string
 		priv  *runner.Future
-		orgs  []*runner.Future // indexed like res.Orgs
+		orgs  []*runner.Future // indexed like sharedOrgs
 	}
 	var pending []comboRuns
 	for _, idx := range combos {
@@ -72,8 +65,8 @@ func Fig18(o Options) Fig18Result {
 			}
 		}
 		cr := comboRuns{names: names, priv: o.submit(mkConfig(system.Private))}
-		for _, name := range res.Orgs {
-			cr.orgs = append(cr.orgs, o.submit(mkConfig(fig18Orgs[name])))
+		for _, org := range sharedOrgs {
+			cr.orgs = append(cr.orgs, o.submit(mkConfig(org.org)))
 		}
 		pending = append(pending, cr)
 	}

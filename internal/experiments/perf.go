@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+
 	"nocstar/internal/energy"
 	"nocstar/internal/runner"
 	"nocstar/internal/stats"
@@ -49,12 +51,13 @@ func (g SpeedupGrid) Average(config string) float64 {
 }
 
 // speedupGrid runs each (workload, config) pair against the memoized
-// private baseline. A NOCSTAR cell at the report's probe core count with
-// 4 KB pages is memoized too, for the report to reuse. All runs are
-// submitted to the pool up front and joined in submission order, so the
-// grid is identical to the serial path at any parallelism.
+// private baseline; build sets up configs[i]. A NOCSTAR cell at the
+// report's probe core count with 4 KB pages is memoized too, for the
+// report to reuse. All runs are submitted to the pool up front and
+// joined in submission order, so the grid is identical to the serial
+// path at any parallelism.
 func speedupGrid(o Options, title string, cores int, thp bool,
-	configs []string, build func(name string, cfg *system.Config)) SpeedupGrid {
+	configs []string, build func(i int, cfg *system.Config)) SpeedupGrid {
 	g := SpeedupGrid{
 		Title:   title,
 		Configs: configs,
@@ -69,9 +72,9 @@ func speedupGrid(o Options, title string, cores int, thp bool,
 		g.Workloads = append(g.Workloads, spec.Name)
 		g.Speedup[spec.Name] = map[string]float64{}
 		priv := o.baselineFuture(spec, cores, thp)
-		for _, name := range configs {
+		for i, name := range configs {
 			cfg := o.baseConfig(system.Private, spec, cores, thp)
-			build(name, &cfg)
+			build(i, &cfg)
 			var run *runner.Future
 			if cfg.Org == system.Nocstar && !thp && cores == o.probeCores() {
 				// The report's probe of this workload runs it again.
@@ -94,21 +97,16 @@ func speedupGrid(o Options, title string, cores int, thp bool,
 
 // Fig4 reproduces the Section II-D motivation study.
 func Fig4(o Options) SpeedupGrid {
-	configs := []string{"Shared(25-cc)", "Shared(16-cc)", "Shared(11-cc)", "Shared(9-cc)"}
-	lats := map[string]int{"Shared(25-cc)": 25, "Shared(16-cc)": 16, "Shared(11-cc)": 11, "Shared(9-cc)": 9}
+	lats := []int{25, 16, 11, 9}
+	var configs []string
+	for _, l := range lats {
+		configs = append(configs, fmt.Sprintf("Shared(%d-cc)", l))
+	}
 	return speedupGrid(o, "Fig. 4: monolithic shared TLB speedup vs forced access latency (32 cores)",
-		32, false, configs, func(name string, cfg *system.Config) {
+		32, false, configs, func(i int, cfg *system.Config) {
 			cfg.Org = system.MonolithicFixed
-			cfg.FixedAccessLatency = lats[name]
+			cfg.FixedAccessLatency = lats[i]
 		})
-}
-
-// orgConfigs is the Fig. 12/13 configuration set.
-var orgConfigs = map[string]system.Org{
-	"Monolithic":  system.MonolithicMesh,
-	"Distributed": system.DistributedMesh,
-	"NOCSTAR":     system.Nocstar,
-	"Ideal":       system.IdealShared,
 }
 
 // Fig12 — speedups at 16 cores with only 4 KB pages.
@@ -121,10 +119,12 @@ func Fig13(o Options) SpeedupGrid {
 	return figPerf(o, "Fig. 13: speedups, 16 cores, transparent superpages", 16, true)
 }
 
+// figPerf is the Fig. 12/13 grid: the shared organizations and the
+// zero-interconnect ideal.
 func figPerf(o Options, title string, cores int, thp bool) SpeedupGrid {
-	configs := []string{"Monolithic", "Distributed", "NOCSTAR", "Ideal"}
-	return speedupGrid(o, title, cores, thp, configs, func(name string, cfg *system.Config) {
-		cfg.Org = orgConfigs[name]
+	orgs := append(slices.Clip(sharedOrgs), namedOrg{"Ideal", system.IdealShared})
+	return speedupGrid(o, title, cores, thp, orgNames(orgs), func(i int, cfg *system.Config) {
+		cfg.Org = orgs[i].org
 	})
 }
 
@@ -149,7 +149,6 @@ type Fig14Result struct {
 // once, with its memoized private baseline, and yields both its speedup
 // and its translation energy saved.
 func Fig14(o Options) Fig14Result {
-	orgs := []string{"Monolithic", "Distributed", "NOCSTAR"}
 	type cell struct {
 		baseline, run *runner.Future
 	}
@@ -159,23 +158,23 @@ func Fig14(o Options) Fig14Result {
 		cells[cores] = map[string][]cell{}
 		for _, spec := range o.suite() {
 			priv := o.baselineFuture(spec, cores, true)
-			for _, org := range orgs {
-				cells[cores][org] = append(cells[cores][org],
-					cell{priv, o.submit(o.baseConfig(orgConfigs[org], spec, cores, true))})
+			for _, org := range sharedOrgs {
+				cells[cores][org.name] = append(cells[cores][org.name],
+					cell{priv, o.submit(o.baseConfig(org.org, spec, cores, true))})
 			}
 		}
 	}
 	var res Fig14Result
 	for _, cores := range o.coreCounts() {
-		for _, org := range orgs {
+		for _, org := range sharedOrgs {
 			var speedups, saved []float64
-			for _, c := range cells[cores][org] {
+			for _, c := range cells[cores][org.name] {
 				priv, r := c.baseline.Wait(), c.run.Wait()
 				speedups = append(speedups, r.SpeedupOver(priv))
 				saved = append(saved, energy.PercentSaved(&r.Energy, &priv.Energy))
 			}
 			lo, hi := stats.MinMax(speedups)
-			res.Rows = append(res.Rows, Fig14Row{Cores: cores, Org: org,
+			res.Rows = append(res.Rows, Fig14Row{Cores: cores, Org: org.name,
 				Min: lo, Avg: stats.Mean64(speedups), Max: hi, EnergySaved: stats.Mean64(saved)})
 		}
 	}
@@ -202,17 +201,16 @@ func (r Fig14Result) Render() string {
 
 // Fig15 runs the interconnect decomposition.
 func Fig15(o Options) SpeedupGrid {
-	configs := []string{"Mono(mesh)", "Mono(SMART)", "Distributed", "NOCSTAR", "NOCSTAR(ideal)", "Ideal"}
-	orgs := map[string]system.Org{
-		"Mono(mesh)":     system.MonolithicMesh,
-		"Mono(SMART)":    system.MonolithicSMART,
-		"Distributed":    system.DistributedMesh,
-		"NOCSTAR":        system.Nocstar,
-		"NOCSTAR(ideal)": system.NocstarIdeal,
-		"Ideal":          system.IdealShared,
+	orgs := []namedOrg{
+		{"Mono(mesh)", system.MonolithicMesh},
+		{"Mono(SMART)", system.MonolithicSMART},
+		{"Distributed", system.DistributedMesh},
+		{"NOCSTAR", system.Nocstar},
+		{"NOCSTAR(ideal)", system.NocstarIdeal},
+		{"Ideal", system.IdealShared},
 	}
 	return speedupGrid(o, "Fig. 15: interconnect decomposition, 32 cores",
-		32, false, configs, func(name string, cfg *system.Config) {
-			cfg.Org = orgs[name]
+		32, false, orgNames(orgs), func(i int, cfg *system.Config) {
+			cfg.Org = orgs[i].org
 		})
 }

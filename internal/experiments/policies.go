@@ -188,14 +188,6 @@ var table3Scenarios = []struct {
 func Table3(o Options) Table3Result {
 	var res Table3Result
 	const cores = 32
-	orgs := []struct {
-		name string
-		org  system.Org
-	}{
-		{"Monolithic", system.MonolithicMesh},
-		{"Distributed", system.DistributedMesh},
-		{"NOCSTAR", system.Nocstar},
-	}
 	// Submit every scenario's baselines and organization runs before
 	// joining any: scenario baselines and shared-org runs are mutually
 	// independent.
@@ -212,7 +204,7 @@ func Table3(o Options) Table3Result {
 			applyScenario(&cfg, sc.prefetch, sc.smt, sc.ptw, cores)
 			sr.baselines[spec.Name] = o.submit(cfg)
 		}
-		for _, org := range orgs {
+		for _, org := range sharedOrgs {
 			var futs []*runner.Future
 			for _, spec := range o.suite() {
 				cfg := o.baseConfig(org.org, spec, cores, false)
@@ -225,7 +217,7 @@ func Table3(o Options) Table3Result {
 	}
 	for si, sc := range table3Scenarios {
 		sr := pending[si]
-		for oi, org := range orgs {
+		for oi, org := range sharedOrgs {
 			var vs []float64
 			for wi, spec := range o.suite() {
 				base := sr.baselines[spec.Name].Wait()

@@ -157,22 +157,14 @@ func SliceHammer(o Options) SliceHammerResult {
 			Seed:           o.Seed,
 		}
 	}
-	orgs := []struct {
-		name string
-		org  system.Org
-	}{
-		{"Monolithic", system.MonolithicMesh},
-		{"Distributed", system.DistributedMesh},
-		{"NOCSTAR", system.Nocstar},
-	}
 	privF := o.submit(mkConfig(system.Private))
-	futs := make([]*runner.Future, len(orgs))
-	for i, org := range orgs {
+	futs := make([]*runner.Future, len(sharedOrgs))
+	for i, org := range sharedOrgs {
 		futs[i] = o.submit(mkConfig(org.org))
 	}
 	priv := privF.Wait()
 	res := SliceHammerResult{Cores: cores, Victim: map[string]float64{}}
-	for i, org := range orgs {
+	for i, org := range sharedOrgs {
 		r := futs[i].Wait()
 		res.Victim[org.name] = r.Apps[0].IPC / priv.Apps[0].IPC
 	}

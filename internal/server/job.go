@@ -57,9 +57,8 @@ func (j *job) snapshotLocked(withResult bool) client.RunStatus {
 }
 
 // terminal reports whether the job has reached a terminal state. It
-// hands Terminal only the state: pruneLocked asks every retained job on
-// each registration, and Terminal's value receiver would otherwise copy
-// the whole status each time.
+// hands Terminal only the state: Terminal's value receiver would
+// otherwise copy the whole status each time.
 func (j *job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -68,13 +67,14 @@ func (j *job) terminal() bool {
 
 // setState advances the lifecycle and notifies subscribers. result and
 // errMsg apply to terminal states; done is closed on the first terminal
-// transition. Calls after a terminal state are ignored (a DELETE racing
-// completion must not resurrect the job).
-func (j *job) setState(state string, result json.RawMessage, errMsg string) {
+// transition, and setState reports whether this call made it. Calls
+// after a terminal state are ignored (a DELETE racing completion must not
+// resurrect the job).
+func (j *job) setState(state string, result json.RawMessage, errMsg string) bool {
 	j.mu.Lock()
 	if j.st.Terminal() {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	j.st.State = state
 	j.st.Result = result
@@ -91,6 +91,7 @@ func (j *job) setState(state string, result json.RawMessage, errMsg string) {
 		default: // slow subscriber: it will catch the terminal state via done
 		}
 	}
+	return ev.Terminal()
 }
 
 // subscribe registers an SSE listener and returns its channel plus the

@@ -150,6 +150,7 @@ type Server struct {
 	draining bool
 	jobs     map[string]*job
 	order    []string        // job IDs in submission order, for listing
+	terminal int             // jobs in order that have turned terminal
 	inflight map[string]*job // canonical hash -> live (non-terminal) job
 	results  store.Store
 	// dir is the shared directory tier, which also holds the leases;
@@ -313,7 +314,9 @@ func (s *Server) finish(j *job, state string, result json.RawMessage, msg string
 		j.st.Cached = true
 		j.mu.Unlock()
 	}
-	j.setState(state, result, msg)
+	if j.setState(state, result, msg) {
+		s.countTerminal()
+	}
 	switch state {
 	case client.StateDone:
 		s.met.completed.Inc()
@@ -322,6 +325,13 @@ func (s *Server) finish(j *job, state string, result json.RawMessage, msg string
 	default:
 		s.met.failed.Inc()
 	}
+}
+
+// countTerminal counts one registered job turned terminal.
+func (s *Server) countTerminal() {
+	s.mu.Lock()
+	s.terminal++
+	s.mu.Unlock()
 }
 
 // unregisterInflight removes j from the singleflight registry if it is
@@ -431,6 +441,7 @@ func (s *Server) acquire(cfg system.Config, hash string, timeout time.Duration) 
 		close(j.done)
 		j.cancel()
 		s.mu.Lock()
+		s.terminal++
 		s.registerLocked(j)
 		s.mu.Unlock()
 		s.met.cacheHits.Inc()
@@ -582,28 +593,30 @@ func (s *Server) registerLocked(j *job) {
 // pruneLocked evicts the oldest terminal jobs beyond Options.JobHistory
 // so sweep-replay traffic (every cache hit registers a born-done job)
 // cannot grow the registry without bound. Live jobs are never evicted.
+// The walk starts at the oldest job and stops once enough are gone.
 // Caller holds s.mu.
+//
+// s.terminal may trail the terminal jobs in s.order but never exceeds
+// them: a job is counted after its transition, under s.mu, and a job
+// pruned in between is uncounted before it is counted.
 func (s *Server) pruneLocked() {
-	terminal := 0
-	for _, id := range s.order {
-		if s.jobs[id].terminal() {
-			terminal++
-		}
-	}
-	excess := terminal - s.opts.JobHistory
+	excess := s.terminal - s.opts.JobHistory
 	if excess <= 0 {
 		return
 	}
 	kept := s.order[:0]
-	for _, id := range s.order {
-		if excess > 0 && s.jobs[id].terminal() {
+	i := 0
+	for ; excess > 0 && i < len(s.order); i++ {
+		id := s.order[i]
+		if s.jobs[id].terminal() {
 			delete(s.jobs, id)
+			s.terminal--
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
-	s.order = kept
+	s.order = append(kept, s.order[i:]...)
 }
 
 func (s *Server) lookup(id string) (*job, bool) {
@@ -652,7 +665,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // canceled.
 func (s *Server) cancelJob(j *job) {
 	j.cancel()
-	j.setState(client.StateCanceled, nil, "canceled by request")
+	if j.setState(client.StateCanceled, nil, "canceled by request") {
+		s.countTerminal()
+	}
 	s.unregisterInflight(j)
 }
 

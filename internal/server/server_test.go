@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -652,6 +653,63 @@ func TestTerminalJobHistoryBounded(t *testing.T) {
 	}
 	if jobs == 0 {
 		t.Fatal("history pruned everything")
+	}
+}
+
+// TestHistoryKeepsOlderLiveJob: a live job registered before the
+// terminal jobs that fill the history is never evicted; the terminal
+// jobs around it are, oldest first, and once it ends it is counted and
+// pruned like the rest.
+func TestHistoryKeepsOlderLiveJob(t *testing.T) {
+	const histCap = 4
+	srv, c := newTestServer(t, Options{Workers: 1, JobHistory: histCap})
+	ctx := ctxT(t)
+	small := []byte(smallConfig(31))
+
+	first, err := c.SubmitRunJSON(ctx, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, first.ID); err != nil || final.State != client.StateDone {
+		t.Fatalf("run: %v %+v", err, final)
+	}
+	live, err := c.SubmitRunJSON(ctx, []byte(endlessConfig(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits []string
+	for i := 0; i < 3*histCap; i++ {
+		hit, err := c.SubmitRunJSON(ctx, small)
+		if err != nil || !hit.Cached {
+			t.Fatalf("submission %d: %v cached=%v", i, err, hit.Cached)
+		}
+		hits = append(hits, hit.ID)
+	}
+
+	srv.mu.Lock()
+	_, liveKept := srv.jobs[live.ID]
+	_, firstKept := srv.jobs[first.ID]
+	want := append([]string{live.ID}, hits[len(hits)-histCap:]...)
+	order, terminal := slices.Clone(srv.order), srv.terminal
+	srv.mu.Unlock()
+	if !liveKept || firstKept {
+		t.Fatalf("live job kept %v, oldest terminal job kept %v; want true, false", liveKept, firstKept)
+	}
+	if !slices.Equal(order, want) || terminal != histCap {
+		t.Fatalf("order %v with %d terminal, want %v with %d", order, terminal, want, histCap)
+	}
+
+	mustCancel(t, c, live.ID)
+	if _, err := c.SubmitRunJSON(ctx, small); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	_, liveKept = srv.jobs[live.ID]
+	jobs, terminal := len(srv.jobs), srv.terminal
+	srv.mu.Unlock()
+	if liveKept || jobs != histCap || terminal != histCap {
+		t.Fatalf("after cancel: live job kept %v, %d jobs, %d terminal; want false, %d, %d",
+			liveKept, jobs, terminal, histCap, histCap)
 	}
 }
 

@@ -28,11 +28,12 @@ func (r *ringStream) NextBatch(buf []vm.VirtAddr) {
 	}
 }
 
-// allocTestSystem builds a running NOCSTAR system in steady state: thread
-// loops started (as run() does) and warmed far enough that every page of
-// every ring is mapped (including prefetch neighbours), all free lists
-// are populated, and the engine's timing wheel has completed a full lap.
-func allocTestSystem(t testing.TB) (*System, *engine.Cycle) {
+// allocTestSystem builds a running system of org under walk policy p in
+// steady state: thread loops started (as run() does) and warmed far
+// enough that every page of every ring is mapped (including prefetch
+// neighbours), all free lists are populated, and the engine's timing
+// wheel has completed a full lap.
+func allocTestSystem(t testing.TB, org Org, p WalkPolicy) (*System, *engine.Cycle) {
 	t.Helper()
 	const threads = 8
 	spec := workload.Spec{
@@ -49,7 +50,8 @@ func allocTestSystem(t testing.TB) (*System, *engine.Cycle) {
 		})
 	}
 	cfg := Config{
-		Org:            Nocstar,
+		Org:            org,
+		Policy:         p,
 		Cores:          threads,
 		Apps:           []App{app},
 		InstrPerThread: 1 << 40, // never finishes during the test
@@ -64,10 +66,9 @@ func allocTestSystem(t testing.TB) (*System, *engine.Cycle) {
 	}
 	s.startDisturbances()
 	// The long warmup matters: beyond mapping every page and filling the
-	// free lists, each of the engine's 8192 wheel buckets must see its
-	// steady-state maximum event count so bucket capacities stop growing.
-	// Empirically the last append-growth happens before cycle 8M with this
-	// workload; 10M leaves margin.
+	// transaction free list, the engine's chunk free list must grow to
+	// the most events the run ever holds pending, so no later burst takes
+	// a fresh chunk from the heap. 10M cycles leaves wide margin.
 	limit := engine.Cycle(10_000_000)
 	s.eng.RunUntil(limit)
 	if s.m.walks.Value() == 0 || s.m.l2Misses.Value() == 0 || s.m.remote.Value() == 0 {
@@ -77,17 +78,30 @@ func allocTestSystem(t testing.TB) (*System, *engine.Cycle) {
 	return s, &limit
 }
 
-// TestAccessL2AllocFree pins the tentpole property end to end: a warm
-// system advances — thread issue, L1 miss, NOCSTAR path setup, slice
-// lookup, page walk, resume — without a single heap allocation.
+// TestAccessL2AllocFree pins the property end to end: a warm system
+// advances — thread issue, L1 miss, NOCSTAR path setup or mesh round
+// trip, slice or bank lookup, page walk at the requester or the remote
+// owner, resume — without a single heap allocation, on each leg of the
+// access path.
 func TestAccessL2AllocFree(t *testing.T) {
-	s, limit := allocTestSystem(t)
-	avg := testing.AllocsPerRun(10, func() {
-		*limit += 20_000
-		s.eng.RunUntil(*limit)
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state translation path allocates: %.1f allocs per 20k cycles, want 0", avg)
+	for _, c := range []struct {
+		org    Org
+		policy WalkPolicy
+	}{
+		{Nocstar, WalkAtRequester},
+		{MonolithicMesh, WalkAtRemote},
+		{DistributedMesh, WalkAtRequester},
+	} {
+		t.Run(c.org.String()+"/"+c.policy.String(), func(t *testing.T) {
+			s, limit := allocTestSystem(t, c.org, c.policy)
+			avg := testing.AllocsPerRun(10, func() {
+				*limit += 20_000
+				s.eng.RunUntil(*limit)
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state translation path allocates: %.1f allocs per 20k cycles, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -96,7 +110,7 @@ func TestAccessL2AllocFree(t *testing.T) {
 // and an open window appends into preallocated storage — neither may
 // allocate. (The metrics registry is always attached: New registers it.)
 func TestAccessL2AllocFreeWithTracer(t *testing.T) {
-	s, limit := allocTestSystem(t)
+	s, limit := allocTestSystem(t, Nocstar, WalkAtRequester)
 	s.SetTracer(metrics.NewTracer(1 << 16))
 	avg := testing.AllocsPerRun(10, func() {
 		*limit += 20_000
@@ -113,7 +127,7 @@ func TestAccessL2AllocFreeWithTracer(t *testing.T) {
 // sits outside the event loop and must not put the critical path back
 // on the heap.
 func TestAccessL2AllocFreeWithContext(t *testing.T) {
-	s, limit := allocTestSystem(t)
+	s, limit := allocTestSystem(t, Nocstar, WalkAtRequester)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	var ctxErr error
@@ -134,7 +148,7 @@ func TestAccessL2AllocFreeWithContext(t *testing.T) {
 // BenchmarkAccessL2 measures steady-state simulation throughput of the
 // full translation critical path, in wall time per simulated cycle.
 func BenchmarkAccessL2(b *testing.B) {
-	s, limit := allocTestSystem(b)
+	s, limit := allocTestSystem(b, Nocstar, WalkAtRequester)
 	b.ReportAllocs()
 	b.ResetTimer()
 	*limit += engine.Cycle(b.N)

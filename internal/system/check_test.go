@@ -17,30 +17,39 @@ func checkedConfig(org Org) Config {
 
 // TestCheckedRunAllOrgs runs every organization — covering all four
 // Table III interconnect variants (mesh and SMART monolithic, mesh
-// distributed, NOCSTAR) plus the baselines and ideals — under the shadow
-// oracle and asserts zero violations, real checking coverage, and that
+// distributed, NOCSTAR) plus the forced-latency monolithic bank, the
+// baselines and the ideals — under the shadow oracle, once per walk
+// policy, and asserts zero violations, real checking coverage, and that
 // attaching the checker does not perturb the simulated timing.
 func TestCheckedRunAllOrgs(t *testing.T) {
-	for _, org := range []Org{Private, MonolithicMesh, MonolithicSMART,
-		DistributedMesh, Nocstar, NocstarIdeal, IdealShared} {
-		cfg := checkedConfig(org)
-		r := mustRun(t, cfg)
-		ck := cfg.Check
-		if !ck.Ok() {
-			t.Fatalf("%v: %v (%d more dropped)", org, ck.Err(), ck.Dropped())
-		}
-		st := ck.Stats()
-		if st.Translations == 0 || st.Walks == 0 || st.Inserts == 0 ||
-			st.Events == 0 || st.Ports == 0 {
-			t.Fatalf("%v: oracle checked nothing: %+v", org, st)
-		}
-		if org == Nocstar && st.Grants == 0 {
-			t.Fatalf("%v: no circuit grants shadowed", org)
-		}
-		plain := mustRun(t, smallConfig(org))
-		if r.Cycles != plain.Cycles || r.L2Accesses != plain.L2Accesses {
-			t.Fatalf("%v: checker perturbed the run: %d/%d cycles, %d/%d accesses",
-				org, r.Cycles, plain.Cycles, r.L2Accesses, plain.L2Accesses)
+	for _, policy := range []WalkPolicy{WalkAtRequester, WalkAtRemote} {
+		for _, org := range []Org{Private, MonolithicMesh, MonolithicSMART, MonolithicFixed,
+			DistributedMesh, Nocstar, NocstarIdeal, IdealShared} {
+			plainCfg := smallConfig(org)
+			plainCfg.Policy = policy
+			if org == MonolithicFixed {
+				plainCfg.FixedAccessLatency = 16
+			}
+			cfg := plainCfg
+			cfg.Check = check.New()
+			r := mustRun(t, cfg)
+			ck := cfg.Check
+			if !ck.Ok() {
+				t.Fatalf("%v/%v: %v (%d more dropped)", org, policy, ck.Err(), ck.Dropped())
+			}
+			st := ck.Stats()
+			if st.Translations == 0 || st.Walks == 0 || st.Inserts == 0 ||
+				st.Events == 0 || st.Ports == 0 {
+				t.Fatalf("%v/%v: oracle checked nothing: %+v", org, policy, st)
+			}
+			if org == Nocstar && st.Grants == 0 {
+				t.Fatalf("%v/%v: no circuit grants shadowed", org, policy)
+			}
+			plain := mustRun(t, plainCfg)
+			if r.Cycles != plain.Cycles || r.L2Accesses != plain.L2Accesses {
+				t.Fatalf("%v/%v: checker perturbed the run: %d/%d cycles, %d/%d accesses",
+					org, policy, r.Cycles, plain.Cycles, r.L2Accesses, plain.L2Accesses)
+			}
 		}
 	}
 }

@@ -79,6 +79,10 @@ func (o Org) monolithic() bool {
 	return o == MonolithicMesh || o == MonolithicSMART || o == MonolithicFixed
 }
 
+// sliced reports whether the organization is a shared L2 TLB split into
+// one slice per tile: distributed, ideal or NOCSTAR.
+func (o Org) sliced() bool { return o.IsShared() && !o.monolithic() }
+
 // WalkPolicy selects where a page walk triggered by a shared-slice miss
 // executes (Section III-F, Fig. 17).
 type WalkPolicy int

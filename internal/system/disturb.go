@@ -161,7 +161,7 @@ func (s *System) deliverInvalidations(invs []vm.Invalidation) engine.Cycle {
 	case s.cfg.InvLeaders > 0 && s.cfg.InvLeaders < s.cfg.Cores:
 		senders = s.cfg.InvLeaders
 		group := (s.cfg.Cores + senders - 1) / senders
-		if !s.cfg.Org.monolithic() {
+		if s.cfg.Org.sliced() {
 			for l := 0; l < s.cfg.Cores; l += group {
 				s.chargePort(&s.ports[l], group)
 			}

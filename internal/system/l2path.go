@@ -12,6 +12,9 @@ import (
 // accessL2 is the entry point of the last-level TLB access path: the
 // thread has missed its L1 TLB and stalls until the translation returns
 // (address translation is on the critical path of every L1 cache access).
+// It is the one place that picks a leg for the request: localAccess when
+// the array is on the requester's own tile, nocstarAccess over the
+// circuit-switched fabric, meshAccess otherwise.
 //
 // The thread resumes at finish(); the *access* — the Fig. 5/6
 // "outstanding shared L2 TLB access" window — ends at endAccess, when the
@@ -25,16 +28,25 @@ func (s *System) accessL2(x *xact) {
 	s.outstanding++
 	s.conc.Observe(s.outstanding)
 
+	p := s.portFor(th, x.va)
+	x.src, x.dst, x.slice = th.core.node, p.node, -1
+	if s.cfg.Org.sliced() {
+		x.slice = p.idx
+		s.sliceBegin(x.slice)
+		if x.src == x.dst {
+			s.m.localSlice.Inc()
+		}
+	}
 	switch {
-	case s.cfg.Org == Private:
-		x.slice = -1
-		s.localAccess(x, s.portFor(th, x.va))
-	case s.cfg.Org.monolithic():
-		s.monoAccess(x)
-	case s.cfg.Org == Nocstar || s.cfg.Org == NocstarIdeal:
+	case x.src == x.dst && !s.cfg.Org.monolithic():
+		s.localAccess(x, p)
+	case s.fabric != nil:
 		s.nocstarAccess(x)
 	default:
-		s.distAccess(x)
+		// A monolithic bank takes the mesh leg even from its own tile:
+		// it counts as a remote access and, under WalkAtRemote, walks at
+		// the bank's core.
+		s.meshAccess(x, p)
 	}
 }
 
@@ -103,18 +115,16 @@ func (s *System) scheduleWalk(c *core, x *xact, op uint8) {
 }
 
 // localWalked completes a walk performed at the requesting core: install
-// the translation, charge the insert message that ships it to the shared
-// structure (off the critical path), and resume the thread.
+// the translation, charge the insert message that ships it to a remote
+// slice or bank (off the critical path), and resume the thread.
 func (s *System) localWalked(x *xact) {
 	s.insertTranslation(x.th, x.va, x.res)
 	switch {
-	case s.cfg.Org == Private:
-		// The walked entry stays in the private L2: no message.
-	case s.cfg.Org.monolithic():
-		s.meter.AddMessage(energy.MeshMessage(x.hops, 0)) // insert msg
-	case s.cfg.Org == Nocstar || s.cfg.Org == NocstarIdeal:
+	case x.src == x.dst:
+		// The array is on the requester's tile: no message.
+	case s.fabric != nil:
 		s.sendInsertMessage(x.src, x.dst)
-	case x.src != x.dst: // distributed or ideal, remote home slice
+	default:
 		s.meter.AddMessage(energy.MeshMessage(x.hops, 0))
 	}
 	s.resumeWithWalk(x)
@@ -125,13 +135,12 @@ func (s *System) localWalked(x *xact) {
 // requester over the organization's interconnect.
 func (s *System) remoteWalked(x *xact) {
 	s.insertTranslation(x.th, x.va, x.res)
-	switch s.cfg.Org {
-	case Nocstar, NocstarIdeal:
-		x.arrived = arrWalkRemote
+	if s.fabric != nil {
+		x.arrived = opEndResumeWalk
 		s.sendNocstarResponse(x, s.eng.Now())
-	default:
-		s.eng.ScheduleAct(engine.Cycle(x.oneWay), s, opEndResumeWalk, x)
+		return
 	}
+	s.eng.ScheduleAct(engine.Cycle(x.oneWay), s, opEndResumeWalk, x)
 }
 
 // insertTranslation installs a walked translation into the L2 array
@@ -196,64 +205,72 @@ func (s *System) probe(p *l2port, a *app, va vm.VirtAddr, earliest engine.Cycle)
 }
 
 // localAccess is an access that needs no interconnect: a private L2 TLB
-// lookup (Fig. 1a, the baseline), or a NOCSTAR requester's own slice
-// (Fig. 11a "Case 1"). A miss walks at the requester.
+// lookup (Fig. 1a, the baseline), or a distributed, ideal or NOCSTAR
+// requester's own slice (Fig. 11a "Case 1"). A miss walks at the
+// requester.
 func (s *System) localAccess(x *xact, p *l2port) {
 	doneAt, e, hit := s.probe(p, x.th.app, x.va, x.start)
 	if hit {
-		s.m.l2Hits.Inc()
-		s.noteHit(x, doneAt)
-		x.entry = e
-		s.eng.AtAct(doneAt, s, opHitDone, x)
+		s.hitAt(x, e, doneAt)
 		return
 	}
 	s.noteMiss(x)
 	s.eng.AtAct(doneAt, s, opLocalMiss, x)
 }
 
+// hitAt schedules the end of a hit whose entry e reaches the requester
+// at back.
+func (s *System) hitAt(x *xact, e tlb.Entry, back engine.Cycle) {
+	s.m.l2Hits.Inc()
+	s.noteHit(x, back)
+	x.entry = e
+	s.eng.AtAct(back, s, opHitDone, x)
+}
+
 // ---------------------------------------------------------------------
-// Monolithic banked shared L2 TLB (Fig. 1c) over mesh / SMART / a forced
-// flat latency (Fig. 4).
+// The contention-free round trip: a monolithic banked shared L2 TLB
+// (Fig. 1c) over mesh / SMART / a forced flat latency (Fig. 4), or a
+// remote distributed slice over a multi-hop mesh (Fig. 1d), or the
+// zero-interconnect-latency "ideal" reference.
 
-func (s *System) monoAccess(x *xact) {
-	th := x.th
-	p := s.portFor(th, x.va)
-	x.slice = -1
-	x.dst = p.node
-	x.src = th.core.node
-
+// meshAccess carries the request to port p and the result or miss
+// message back, each way taking meshLatency of the hops between them. A
+// miss under WalkAtRemote walks at the port's core instead; otherwise the
+// requester walks and an insert message flows back (off the critical
+// path).
+func (s *System) meshAccess(x *xact, p *l2port) {
 	x.hops = s.geo.Hops(x.src, x.dst)
-	switch s.cfg.Org {
-	case MonolithicMesh:
-		x.oneWay = noc.MeshLatency(x.hops)
-	case MonolithicSMART:
-		x.oneWay = noc.SMARTLatency(x.hops)
-	case MonolithicFixed:
-		x.oneWay = 0 // folded into the forced access latency
-	}
+	x.oneWay = s.meshLatency(x.hops)
 	s.meter.AddMessage(energy.MeshMessage(2*x.hops, 0))
 	s.m.netLat.Observe(uint64(2 * x.oneWay))
 	s.m.remote.Inc()
 
-	lookupDone, e, hit := s.probe(p, th.app, x.va, x.start+engine.Cycle(x.oneWay))
+	doneAt, e, hit := s.probe(p, x.th.app, x.va, x.start+engine.Cycle(x.oneWay))
+	back := doneAt + engine.Cycle(x.oneWay)
 	if hit {
-		resume := lookupDone + engine.Cycle(x.oneWay)
-		s.m.l2Hits.Inc()
-		s.noteHit(x, resume)
-		x.entry = e
-		s.eng.AtAct(resume, s, opHitDone, x)
+		s.hitAt(x, e, back)
 		return
 	}
 	s.noteMiss(x)
 	if s.cfg.Policy == WalkAtRemote {
-		x.wcore = s.cores[int(x.dst)]
-		s.eng.AtAct(lookupDone, s, opRemoteWalkStart, x)
+		s.eng.AtAct(doneAt, s, opRemoteWalkStart, x)
 		return
 	}
-	// Walk at requester: miss message returns, requester walks, then an
-	// insert message flows back (off the critical path).
-	backAt := lookupDone + engine.Cycle(x.oneWay)
-	s.eng.AtAct(backAt, s, opLocalMiss, x)
+	s.eng.AtAct(back, s, opLocalMiss, x)
+}
+
+// meshLatency is the one-way latency of an h-hop message on the
+// organization's contention-free interconnect.
+func (s *System) meshLatency(h int) int {
+	switch s.cfg.Org {
+	case MonolithicMesh, DistributedMesh:
+		return noc.MeshLatency(h)
+	case MonolithicSMART:
+		return noc.SMARTLatency(h)
+	}
+	// MonolithicFixed folds the interconnect into its forced access
+	// latency; IdealShared has none.
+	return 0
 }
 
 // bankServiceCycles is the initiation interval of one monolithic bank: a
@@ -268,49 +285,6 @@ const bankServiceCycles = 8
 // steady pressure, not a flush).
 const pollutionLines = 2
 
-// ---------------------------------------------------------------------
-// Distributed shared slices over a multi-hop mesh (Fig. 1d), and the
-// zero-interconnect-latency "ideal" reference.
-
-func (s *System) distAccess(x *xact) {
-	th := x.th
-	slice := s.sliceFor(th.app, x.va)
-	s.sliceBegin(slice)
-	x.slice = slice
-
-	x.src = th.core.node
-	x.dst = noc.NodeID(slice)
-	x.hops = s.geo.Hops(x.src, x.dst)
-	if s.cfg.Org == DistributedMesh {
-		x.oneWay = noc.MeshLatency(x.hops)
-	}
-	if x.src == x.dst {
-		s.m.localSlice.Inc()
-	} else {
-		s.meter.AddMessage(energy.MeshMessage(2*x.hops, 0))
-		s.m.netLat.Observe(uint64(2 * x.oneWay))
-		s.m.remote.Inc()
-	}
-
-	doneAt, e, hit := s.probe(&s.ports[slice], th.app, x.va, x.start+engine.Cycle(x.oneWay))
-	if hit {
-		resume := doneAt + engine.Cycle(x.oneWay)
-		s.m.l2Hits.Inc()
-		s.noteHit(x, resume)
-		x.entry = e
-		s.eng.AtAct(resume, s, opHitDone, x)
-		return
-	}
-	s.noteMiss(x)
-	if s.cfg.Policy == WalkAtRemote && x.src != x.dst {
-		x.wcore = s.cores[slice]
-		s.eng.AtAct(doneAt, s, opRemoteWalkStart, x)
-		return
-	}
-	backAt := doneAt + engine.Cycle(x.oneWay)
-	s.eng.AtAct(backAt, s, opLocalMiss, x)
-}
-
 // sliceBegin / sliceEnd maintain the Fig. 6-right per-slice concurrency
 // histogram.
 func (s *System) sliceBegin(slice int) {
@@ -324,20 +298,8 @@ func (s *System) sliceEnd(slice int) { s.sliceOut[slice]-- }
 // NOCSTAR: distributed slices over the latchless circuit-switched fabric
 // (Section III; timeline of Fig. 10).
 
+// nocstarAccess requests a circuit to the remote slice x.slice.
 func (s *System) nocstarAccess(x *xact) {
-	th := x.th
-	slice := s.sliceFor(th.app, x.va)
-	s.sliceBegin(slice)
-	x.slice = slice
-
-	x.src = th.core.node
-	x.dst = noc.NodeID(slice)
-	if x.src == x.dst {
-		s.m.localSlice.Inc()
-		s.localAccess(x, &s.ports[slice])
-		return
-	}
-
 	s.m.remote.Inc()
 	// NOCSTAR routes the mesh grid structurally (per-link XY circuits).
 	x.hops = s.geo.Hops(x.src, x.dst)
@@ -370,18 +332,17 @@ func (s *System) nocstarGranted(x *xact, gotTrav int) {
 	if hit {
 		s.m.l2Hits.Inc()
 		x.entry = e
-		x.arrived = arrHit
+		x.arrived = opHitDone
 		s.sendNocstarResponse(x, doneAt)
 		return
 	}
 	s.noteMiss(x)
 	if s.cfg.Policy == WalkAtRemote {
-		x.wcore = s.cores[x.slice]
 		s.eng.AtAct(doneAt, s, opRemoteWalkStart, x)
 		return
 	}
 	// Walk at requester: the miss message is the response.
-	x.arrived = arrMiss
+	x.arrived = opLocalMiss
 	s.sendNocstarResponse(x, doneAt)
 }
 
@@ -410,26 +371,18 @@ func (s *System) sendNocstarResponse(x *xact, readyAt engine.Cycle) {
 	s.eng.AtAct(issueAt, s, opNocRespIssue, x)
 }
 
-// nocstarArrived schedules the requester-side continuation for a response
-// landing at cycle back.
+// nocstarArrived schedules the requester-side continuation x.arrived for
+// a response landing at cycle back.
 func (s *System) nocstarArrived(x *xact, back engine.Cycle) {
-	switch x.arrived {
-	case arrHit:
+	if x.arrived == opHitDone {
 		s.noteHit(x, back)
-		s.eng.AtAct(back, s, opHitDone, x)
-	case arrMiss:
-		s.eng.AtAct(back, s, opLocalMiss, x)
-	case arrWalkRemote:
-		s.eng.AtAct(back, s, opEndResumeWalk, x)
 	}
+	s.eng.AtAct(back, s, x.arrived, x)
 }
 
 // sendInsertMessage ships a walked translation to its home slice, off the
 // thread's critical path: the message still occupies real links.
 func (s *System) sendInsertMessage(src, dst noc.NodeID) {
-	if src == dst {
-		return
-	}
 	s.meter.AddMessage(energy.NocstarMessage(s.geo.Hops(src, dst), 0))
 	// On arrival the slice write port is charged; the grant payload points
 	// into s.ports, which is never reallocated after New.

@@ -7,27 +7,27 @@ import (
 	"nocstar/internal/vm"
 )
 
-// xact is one in-flight L2 TLB translation: the state a closure chain used
-// to capture, flattened into a typed object recycled through the System's
+// xact is one in-flight L2 TLB translation, recycled through the System's
 // free list. A thread has at most one outstanding translation, so one xact
 // carries the whole thread-issue → L2/NoC → walk → resume sequence; the
 // continuation to run next is selected by the op code of the event (or
-// grant) that delivers it, not by which closure was captured.
+// grant) that delivers it.
 type xact struct {
 	th    *thread
 	va    vm.VirtAddr
 	start engine.Cycle
 	slice int // home slice, or -1 for organizations without slice tracking
 
-	src, dst noc.NodeID
-	oneWay   int // mesh/SMART one-way latency (monolithic and distributed)
+	src, dst noc.NodeID // requester's tile, and the tile of its L2 port
+	oneWay   int        // one-way latency of the mesh leg (meshAccess)
 	hops     int
-	wcore    *core // remote walking core (WalkAtRemote)
 
 	entry   tlb.Entry     // hit payload
 	res     vm.WalkResult // walk payload
 	readyAt engine.Cycle  // NOCSTAR response payload-ready cycle
-	arrived uint8         // arr* selector: what to do when the response lands
+	// arrived is the op to run at the requester when a NOCSTAR response
+	// lands: opHitDone, opLocalMiss or opEndResumeWalk.
+	arrived uint8
 
 	// Round-trip path bookkeeping: the requested hold, and the grant's
 	// reservation window (reservedUntil value) so the early release frees
@@ -38,15 +38,14 @@ type xact struct {
 	next *xact
 }
 
-// System operation codes (engine.Actor). Each op is the body of what was a
-// scheduled closure; comments give the continuation it replaces.
+// System operation codes (engine.Actor).
 const (
 	opThreadLoop      uint8 = iota // run threadLoop(arg.(*thread))
 	opAccessL2                     // start the L2 access path for an xact
 	opHitDone                      // end the access window, resume with x.entry
 	opLocalMiss                    // end the access window, walk at the requester
 	opLocalWalked                  // requester walk done: insert + resume
-	opRemoteWalkStart              // pollute the remote core, start its walk
+	opRemoteWalkStart              // pollute the port's core, start its walk
 	opRemoteWalked                 // remote walk done: insert + return result
 	opEndResumeWalk                // end the access window, resume with x.res
 	opNocRespIssue                 // arbitrate the speculative NOCSTAR response
@@ -61,14 +60,6 @@ const (
 	grantRequest  uint8 = iota // request path granted: lookup at the slice
 	grantResponse              // response path granted: deliver to requester
 	grantInsert                // insert message arrived: charge the slice port
-)
-
-// arrived selectors: the continuation scheduled when a NOCSTAR response
-// lands back at the requester.
-const (
-	arrHit        uint8 = iota // schedule opHitDone
-	arrMiss                    // schedule opLocalMiss (walk at requester)
-	arrWalkRemote              // schedule opEndResumeWalk (walk already done)
 )
 
 // getXact pops a zeroed transaction from the free list.
@@ -117,8 +108,9 @@ func (s *System) Act(op uint8, arg any) {
 	case opLocalWalked:
 		s.localWalked(x)
 	case opRemoteWalkStart:
-		x.wcore.hier.Pollute(pollutionLines)
-		s.scheduleWalk(x.wcore, x, opRemoteWalked)
+		c := s.cores[x.dst]
+		c.hier.Pollute(pollutionLines)
+		s.scheduleWalk(c, x, opRemoteWalked)
 	case opRemoteWalked:
 		s.remoteWalked(x)
 	case opEndResumeWalk:

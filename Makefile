@@ -10,7 +10,7 @@ help:
 	@echo "  build        compile all packages"
 	@echo "  test         run the full test suite"
 	@echo "  race         full test suite under the race detector"
-	@echo "  bench        short performance smoke benchmarks"
+	@echo "  bench        short performance smoke benchmarks: figures, engine queue, TLB probes, page walks, serve cache hits"
 	@echo "  perfbench    the benchmark module's own tests, including its committed result digests"
 	@echo "  alloc        zero-allocation gates for the translation critical path, and set-up allocation bounds for engines, caches and system.New"
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
@@ -53,12 +53,15 @@ race:
 # the way the simulator does, from a few to about 1024 events per cycle
 # (watch allocs/op: the timing wheel must stay allocation-free in steady
 # state), the TLB array lookup/insert probes
-# and the page-table descent of an L1 miss (both 0 allocs/op).
+# and the page-table descent of an L1 miss (both 0 allocs/op), and the
+# serve tier's cache-hit round trip through nocstar/client over 256
+# stored configs (ns/op and allocs/op of one hit, both ends).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig12$$|BenchmarkFig16Left$$|BenchmarkFig11c$$' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkScheduleRun' -benchtime 1s -benchmem ./internal/engine/
 	$(GO) test -run xxx -bench 'BenchmarkLookup|BenchmarkInsert' -benchtime 1s -benchmem ./internal/tlb/
 	$(GO) test -run xxx -bench 'BenchmarkEnsure' -benchtime 1s -benchmem ./internal/vm/
+	$(GO) test -run xxx -bench 'BenchmarkSubmitCacheHit' -benchtime 1s -benchmem ./internal/server/
 
 bench-engine:
 	$(GO) test -run xxx -bench . -benchtime 2s -benchmem ./internal/engine/
@@ -138,8 +141,10 @@ smoke:
 # terminal one; a sweep streams over SSE and replays from the store;
 # the persistent store survives a restart; the read endpoints answer;
 # a resubmission right after a cancel runs; two replicas over one store
-# run a config once, and killing the lease holder hands it to the other.
-SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestEvents|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestReadEndpoints|TestResubmitAfterCancelRuns|TestTwoNodeProxy|TestKillOwnerMidSweep|TestLeaseTakeoverAfterCrash
+# run a config once, and killing the lease holder hands it to the other;
+# a canonical body served from the memory tier answers what the full
+# path answers, and spliced status bodies are the encoder's bytes.
+SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestEvents|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestReadEndpoints|TestResubmitAfterCancelRuns|TestTwoNodeProxy|TestKillOwnerMidSweep|TestLeaseTakeoverAfterCrash|TestCanonicalBodyFastPath|TestStatusBodiesMatchEncoder
 
 serve-smoke:
 	$(GO) test -count 1 -run '^($(SERVE_SMOKE_TESTS))$$' ./internal/server/

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	nocstar-serve -addr :8080 -workers 8 -cache 256
+//	nocstar-serve -addr :8080 -workers 8 -cache 8192
 //	nocstar-serve -addr :8080 -store-dir /var/lib/nocstar/results
 //	nocstar-serve -addr :8081 -store-dir /mnt/shared/nocstar   # one of N replicas
 //
@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"nocstar/internal/server"
+	"nocstar/internal/store"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "bounded submission queue depth (full queue returns 429)")
-		cache        = flag.Int("cache", 128, "in-memory result-cache entries, keyed on canonical config hash")
+		cache        = flag.Int("cache", store.DefaultMemoryEntries, "in-memory result-cache entries, keyed on canonical config hash (at most 64 MiB of results whatever the count)")
 		storeDir     = flag.String("store-dir", "", "persistent content-addressed result store directory (survives restarts; replicas sharing it run each config once)")
 		storeEntries = flag.Int("store-max-entries", 0, "persistent store entry bound (0 = 4096)")
 		storeBytes   = flag.Int64("store-max-bytes", 0, "persistent store payload-byte bound (0 = unbounded)")

@@ -137,6 +137,14 @@ type setupReq struct {
 
 	traversal int // datapath cycles, filled at grant time
 	next      *setupReq
+
+	// The denial memo: the reservation of the link that last denied the
+	// request, and the fabric's release generation at that moment. While
+	// the generation is unchanged that link stays held through at least
+	// blockedUntil (see granted), so re-checks before then deny without
+	// scanning the path.
+	blockedUntil engine.Cycle
+	blockedGen   uint64
 }
 
 // retryBatch carries one arbitration round's denied requests, in
@@ -176,6 +184,9 @@ type Nocstar struct {
 	free         *setupReq
 	batchFree    *retryBatch
 	stats        NocstarStats
+	// releaseGen counts Release calls that freed a held link: the only
+	// way a link's reservation moves backwards.
+	releaseGen uint64
 
 	// Optional observability, attached before the run starts. All are
 	// nil-checked on the hot path; detached costs one branch.
@@ -458,14 +469,15 @@ func setKeys(reqs []*setupReq, rot, nodes int) {
 // byKey orders requests by arbitration key.
 func byKey(x, y *setupReq) int { return cmp.Compare(x.key, y.key) }
 
-// runFree reports whether no link of r is held after cycle now.
-func (n *Nocstar) runFree(r linkRun, now engine.Cycle) bool {
+// heldPast returns the reservation of the first link of r held after
+// cycle now, or 0 when every link of r is free.
+func (n *Nocstar) heldPast(r linkRun, now engine.Cycle) engine.Cycle {
 	for i, l := int32(0), r.first; i < r.n; i, l = i+1, l+r.stride {
-		if n.reservedUntil[l] > now {
-			return false
+		if u := n.reservedUntil[l]; u > now {
+			return u
 		}
 	}
-	return true
+	return 0
 }
 
 // reserve holds every link of r through cycle until.
@@ -477,10 +489,25 @@ func (n *Nocstar) reserve(r linkRun, until engine.Cycle) {
 
 // granted attempts to reserve the request's links for [now+1, now+hold].
 // On success it schedules the grant delivery for the next cycle.
+//
+// A denial is memoized exactly. Without a Release, a link's reservation
+// never decreases: reserve sets now+hold only on links free through
+// now. So while no Release has freed a link since the denial, the link
+// that denied the request is still held through its reservation then,
+// and before that cycle the request is denied again without a scan.
+// Arbitration order and every statistic are unchanged.
 func (n *Nocstar) granted(req *setupReq, now engine.Cycle) bool {
 	if !n.cfg.Ideal {
+		if now < req.blockedUntil && req.blockedGen == n.releaseGen {
+			return false
+		}
 		r := req.route
-		if !n.runFree(r.x, now) || !n.runFree(r.y, now) {
+		u := n.heldPast(r.x, now)
+		if u == 0 {
+			u = n.heldPast(r.y, now)
+		}
+		if u != 0 {
+			req.blockedUntil, req.blockedGen = u, n.releaseGen
 			return false
 		}
 		until := now + req.hold
@@ -549,7 +576,10 @@ func (n *Nocstar) releaseRun(r linkRun, now, until engine.Cycle) {
 		case n.legacyRelease || n.reservedUntil[l] == until:
 			// The legacy arm is the PR 3 bug: rewind whatever is held,
 			// even a later grant's reservation on a shared segment.
+			// Either way a reservation moves backwards, so every denial
+			// memo is void.
 			n.reservedUntil[l] = now
+			n.releaseGen++
 			n.stats.ReleasedLinks++
 		default:
 			// A later grant owns this link now.

@@ -275,6 +275,65 @@ func TestLateReleaseDoesNotClobber(t *testing.T) {
 	}
 }
 
+// TestDenialMemoWakesOnRelease pins the exactness of the denial memo
+// (see granted) against the refFabric oracle, which scans every path
+// on every attempt. Round-trip holder A reserves 0->3 through cycle
+// 1001; B (1->3) and D (2->3) are denied on its links and memoize that
+// reservation. An unrelated release that frees a link elsewhere must
+// not wake them early, and A's early release at cycle 40 must: both
+// contend for the freed links at the end of cycle 40, and the loser
+// follows the winner's one-cycle hold. With the legacy release, a late
+// release that rewinds a later grant's links wakes its waiter too.
+func TestDenialMemoWakesOnRelease(t *testing.T) {
+	scenario := func(eng *engine.Engine, fab diffFabric) map[string]engine.Cycle {
+		grants := map[string]engine.Cycle{}
+		req := func(name string, at engine.Cycle, src, dst NodeID, hold engine.Cycle) {
+			after(eng, at, func() {
+				fab.RequestPathTo(src, dst, hold, onGrant(func(int) { grants[name] = eng.Now() }), 0, nil)
+			})
+		}
+		req("A", 1, 0, 3, 1000) // reserved through 1001
+		req("C", 2, 4, 7, 100)  // row 1, disjoint: reserved through 102
+		req("B", 3, 1, 3, 1)
+		req("D", 20, 2, 3, 1)
+		after(eng, 10, func() { fab.Release(4, 7, 102) }) // frees C's links only
+		after(eng, 40, func() { fab.Release(0, 3, 1001) })
+		eng.Run()
+		return grants
+	}
+	eng := engine.New()
+	ns := NewNocstar(eng, NocstarConfig{Geometry: GridFor(16), HPCmax: 4})
+	got := scenario(eng, ns)
+	eng = engine.New()
+	ref := newRefFabric(eng, GridFor(16), 4)
+	want := scenario(eng, ref)
+	for _, name := range []string{"A", "B", "C", "D"} {
+		if got[name] != want[name] {
+			t.Fatalf("%s granted at cycle %d, oracle %d (all: %v, oracle %v)", name, got[name], want[name], got, want)
+		}
+	}
+	if got["B"] != 41 && got["D"] != 41 || got["B"] == got["D"] {
+		t.Fatalf("B at %d and D at %d: one must win right after the release at 40", got["B"], got["D"])
+	}
+	if gs, ws := ns.Stats(), ref.Stats(); gs != ws {
+		t.Fatalf("stats %+v, oracle %+v", gs, ws)
+	}
+
+	// The legacy arm frees too: W waits on B's reservation (through 42),
+	// and A's late release at 30 rewinds it, so W is granted at 31.
+	eng, ns = newFabric(t, 16, 16, false)
+	ns.SetLegacyReleaseForTest(true)
+	after(eng, 1, func() { request(ns, 0, 3, 20, func(int) {}) })  // A: through 21
+	after(eng, 22, func() { request(ns, 0, 3, 20, func(int) {}) }) // B: through 42
+	var w engine.Cycle
+	after(eng, 25, func() { request(ns, 0, 3, 1, func(int) { w = eng.Now() }) })
+	after(eng, 30, func() { ns.Release(0, 3, 21) })
+	eng.Run()
+	if w != 31 {
+		t.Fatalf("waiter granted at %d after the legacy rewind at 30, want 31", w)
+	}
+}
+
 func TestPriorityRotationPreventsStarvation(t *testing.T) {
 	// Node 0 (statically favoured at rotation 0) floods the fabric with
 	// back-to-back requests over the same path; node 1's overlapping

@@ -19,6 +19,8 @@ import (
 // done (Cached set). State only ever moves forward; done, failed and
 // canceled are terminal.
 type job struct {
+	// cfg is the config the job runs; only execute reads it. A job born
+	// done from a held result (see heldResult) carries the zero Config.
 	cfg system.Config
 
 	// ctx governs the execution (server base context plus the request's

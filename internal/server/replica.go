@@ -30,19 +30,20 @@ const renewInterval = time.Second
 const pollInterval = 50 * time.Millisecond
 
 // openResults builds the result store Options describe: a memory tier,
-// over a directory tier when StoreDir is set. Blobs read from the
+// over a directory tier when StoreDir is set. It returns the store and
+// both of its tiers (dir is nil without StoreDir). Blobs read from the
 // directory come from outside this process (a previous incarnation,
 // another replica, anything with write access to the volume), so the
-// directory serves a blob only once it decodes as a system.Result; a
-// blob that does not counts in storeErrors and is a miss.
-func openResults(opts Options, storeErrors *metrics.AtomicCounter) (store.Store, *store.Dir, error) {
+// directory serves a blob only once validResult accepts it; a blob
+// that it refuses counts in storeErrors and is a miss.
+func openResults(opts Options, storeErrors *metrics.AtomicCounter) (store.Store, *store.Memory, *store.Dir, error) {
 	mem := store.NewMemory(opts.CacheEntries)
 	if opts.StoreDir == "" {
-		return mem, nil, nil
+		return mem, mem, nil, nil
 	}
 	dir, err := store.OpenDir(opts.StoreDir, opts.StoreMaxEntries, opts.StoreMaxBytes)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	dir.SetCheck(func(blob []byte) bool {
 		if validResult(blob) {
@@ -51,11 +52,16 @@ func openResults(opts Options, storeErrors *metrics.AtomicCounter) (store.Store,
 		storeErrors.Inc()
 		return false
 	})
-	return store.Tiered(mem, dir), dir, nil
+	return store.Tiered(mem, dir), mem, dir, nil
 }
 
 // validResult reports whether blob is exactly one JSON system.Result
-// object: no unknown fields, no null, nothing after it.
+// object — no unknown fields, no null, nothing after it — in
+// encoding/json's compact, HTML-escaped form: json.Marshal of it as a
+// json.RawMessage reproduces it byte for byte. The server splices
+// results into its responses as they are stored (appendWithResult),
+// which matches json.Marshal's output only for blobs in that form, the
+// form json.Marshal(system.Result) always has.
 func validResult(blob []byte) bool {
 	dec := json.NewDecoder(bytes.NewReader(blob))
 	dec.DisallowUnknownFields()
@@ -63,7 +69,11 @@ func validResult(blob []byte) bool {
 	if err := dec.Decode(&res); err != nil || res == nil {
 		return false
 	}
-	return len(bytes.TrimSpace(blob[dec.InputOffset():])) == 0
+	if len(bytes.TrimSpace(blob[dec.InputOffset():])) != 0 {
+		return false
+	}
+	canon, err := json.Marshal(json.RawMessage(blob))
+	return err == nil && bytes.Equal(canon, blob)
 }
 
 // renewLoop keeps this replica's leases live until the server stops,
@@ -228,9 +238,9 @@ func (s *Server) resolveRemoteGet(w http.ResponseWriter, id string) {
 	case !ok:
 		notFound(w, id)
 	case running:
-		writeJSON(w, http.StatusOK, leasedStatus(id, hash))
+		writeStatus(w, http.StatusOK, leasedStatus(id, hash))
 	default:
-		writeJSON(w, http.StatusOK, storedStatus(id, hash, res))
+		writeStatus(w, http.StatusOK, storedStatus(id, hash, res))
 	}
 }
 

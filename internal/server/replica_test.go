@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -479,9 +480,13 @@ func TestRemoteCancel(t *testing.T) {
 
 // FuzzAdoptBlob drops arbitrary bytes into a store directory as a
 // result blob and reads them through the server's store path: they are
-// served only if they decode as a Result (and then byte for byte),
-// every refusal is counted, and a later Put of a real result replaces
-// a refused blob.
+// served only if they decode as a Result (and then byte for byte), a
+// served blob spliced into a status and a sweep frame gives the bytes
+// encoding/json gives, every refusal is counted, and a later Put of a
+// real result replaces a refused blob. A good blob padded with
+// whitespace, and one with a raw '<' in a string (json.Marshal writes
+// \u003c), decode as Results but are refused: spliced as they are,
+// they would not match.
 func FuzzAdoptBlob(f *testing.F) {
 	cfg, err := system.UnmarshalConfig([]byte(cfgWith(1, 500)))
 	if err != nil {
@@ -495,10 +500,18 @@ func FuzzAdoptBlob(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	padded := append(append([]byte(" \n"), good...), "\t\n"...)
+	rawLT := bytes.Replace(good, []byte(`"Name":"gups"`), []byte(`"Name":"<gups>"`), 1)
+	for _, refused := range [][]byte{padded, rawLT} {
+		var r *system.Result
+		if bytes.Equal(refused, good) || json.Unmarshal(refused, &r) != nil || r == nil || validResult(refused) {
+			f.Fatalf("seed %.40q must decode as a Result and still be refused", refused)
+		}
+	}
 	for _, seed := range [][]byte{
 		good, good[:len(good)/2], append(append([]byte{}, good...), '}'), append(append([]byte{}, good...), good...),
 		[]byte("null"), []byte("{}"), []byte(`{"Cycles":1}`), []byte(`{"Cycles":-1}`), []byte(`{"Bogus":1}`),
-		[]byte("[]"), []byte(" "), nil, []byte("\xff\xfe"),
+		[]byte("[]"), []byte(" "), nil, []byte("\xff\xfe"), padded, rawLT,
 	} {
 		f.Add(seed)
 	}
@@ -509,7 +522,7 @@ func FuzzAdoptBlob(f *testing.F) {
 			t.Fatal(err)
 		}
 		errs := metrics.NewRegistry().AtomicCounter("store.errors")
-		results, _, err := openResults(Options{StoreDir: dir}, errs)
+		results, _, _, err := openResults(Options{StoreDir: dir}, errs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -522,6 +535,20 @@ func FuzzAdoptBlob(f *testing.F) {
 			if !bytes.Equal(served, blob) || errs.Value() != 0 {
 				t.Fatalf("served blob altered or counted as an error (%d)", errs.Value())
 			}
+			st := storedStatus("x-1-"+hash, hash, served)
+			sr := client.SweepResult{ID: st.ID, ConfigHash: hash, State: st.State, Cached: true}
+			rec := httptest.NewRecorder()
+			writeStatus(rec, http.StatusOK, st)
+			var want bytes.Buffer
+			json.NewEncoder(&want).Encode(st)
+			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Fatal("spliced status differs from the encoder's")
+			}
+			spliced, err := appendWithResult(nil, sr, served)
+			sr.Result = served
+			if wantFrame, merr := json.Marshal(sr); err != nil || merr != nil || !bytes.Equal(spliced, wantFrame) {
+				t.Fatalf("spliced sweep result differs from json.Marshal's (%v, %v)", err, merr)
+			}
 			return
 		}
 		if errs.Value() != 1 {
@@ -530,7 +557,7 @@ func FuzzAdoptBlob(f *testing.F) {
 		if err := results.Put(hash, good); err != nil {
 			t.Fatal(err)
 		}
-		reopened, _, err := openResults(Options{StoreDir: dir}, errs)
+		reopened, _, _, err := openResults(Options{StoreDir: dir}, errs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,12 +42,15 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,7 +75,8 @@ type Options struct {
 	// queue rejects submissions with 429 (<= 0 selects 64).
 	QueueDepth int
 	// CacheEntries bounds the in-memory tier of the result store
-	// (<= 0 selects 128).
+	// (<= 0 selects store.DefaultMemoryEntries). The tier also holds at
+	// most store.MemoryMaxBytes of results.
 	CacheEntries int
 	// StoreDir, when non-empty, backs the in-memory cache with a
 	// persistent content-addressed store: one <hash>.json blob per
@@ -104,7 +108,7 @@ func (o Options) normalized() Options {
 		o.QueueDepth = 64
 	}
 	if o.CacheEntries <= 0 {
-		o.CacheEntries = 128
+		o.CacheEntries = store.DefaultMemoryEntries
 	}
 	if o.JobHistory <= 0 {
 		o.JobHistory = 512
@@ -153,6 +157,9 @@ type Server struct {
 	terminal int             // jobs in order that have turned terminal
 	inflight map[string]*job // canonical hash -> live (non-terminal) job
 	results  store.Store
+	// mem is the memory tier of results, the only tier the
+	// canonical-body fast path reads (see heldResult).
+	mem *store.Memory
 	// dir is the shared directory tier, which also holds the leases;
 	// nil for a memory-only server.
 	dir *store.Dir
@@ -197,11 +204,11 @@ func New(opts Options) (*Server, error) {
 			takeovers:    reg.AtomicCounter("server.lease.takeovers"),
 		},
 	}
-	results, dir, err := openResults(opts, s.met.storeErrors)
+	results, mem, dir, err := openResults(opts, s.met.storeErrors)
 	if err != nil {
 		return nil, err
 	}
-	s.results, s.dir = results, dir
+	s.results, s.mem, s.dir = results, mem, dir
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.routes()
 	s.wg.Add(opts.Workers)
@@ -418,9 +425,11 @@ const (
 // acquire resolves a validated config to a job: a store hit is born
 // done, an identical live job is joined, and otherwise a fresh job
 // enters the bounded queue (whether it runs here or follows another
-// replica's run is decided when a worker dequeues it). The returned
-// errors are errDraining and errQueueFull.
-func (s *Server) acquire(cfg system.Config, hash string, timeout time.Duration) (*job, acquisition, error) {
+// replica's run is decided when a worker dequeues it). held, when
+// non-nil, is the config's result already read by heldResult: the job
+// is born done with it, and cfg, then the zero Config, is never read.
+// The returned errors are errDraining and errQueueFull.
+func (s *Server) acquire(cfg system.Config, hash string, held []byte, timeout time.Duration) (*job, acquisition, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -433,7 +442,11 @@ func (s *Server) acquire(cfg system.Config, hash string, timeout time.Duration) 
 	// served as a job born in the done state. The store read happens
 	// outside s.mu (it may touch disk); a racing identical submission
 	// is resolved by the singleflight check below.
-	if cached, ok := s.results.Get(hash); ok {
+	cached, ok := held, held != nil
+	if !ok {
+		cached, ok = s.results.Get(hash)
+	}
+	if ok {
 		j := s.newJob(hash, cfg, 0)
 		j.st.State = client.StateDone
 		j.st.Cached = true
@@ -517,6 +530,26 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte,
 	return body, true
 }
 
+// heldResult is the canonical-body fast path: it returns the result of
+// the config whose canonical encoding is body, when the memory tier
+// holds it. The client sends MarshalCanonical(cfg), and the store keys
+// a result by sha256(MarshalCanonical(cfg)), so when the memory tier
+// holds sha256(body), body is the canonical encoding of a config whose
+// result is stored. Decoding, validating and re-hashing body would
+// then yield that same hash, and the full path would serve exactly the
+// blob held here — under the store's rule that a blob named H is the
+// result of the config whose canonical hash is H. Only the memory tier
+// is read, never the disk: its blobs were computed by this process or
+// passed the directory tier's adoption check. A hand-written or
+// otherwise non-canonical body misses, as does a config not held, and
+// takes the full path.
+func (s *Server) heldResult(body []byte) (hash string, blob []byte, ok bool) {
+	sum := sha256.Sum256(body)
+	hash = hex.EncodeToString(sum[:])
+	blob, ok = s.mem.Get(hash)
+	return hash, blob, ok
+}
+
 // decodeConfig unmarshals, validates and canonically hashes one
 // submitted config. A rejected config counts in server.runs.invalid
 // and is answered with a 400 invalid_config envelope — carrying the
@@ -548,9 +581,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	cfg, hash, ok := s.decodeConfig(w, body, "")
+	var cfg system.Config
+	hash, held, ok := s.heldResult(body)
 	if !ok {
-		return
+		if cfg, hash, ok = s.decodeConfig(w, body, ""); !ok {
+			return
+		}
 	}
 	timeout, err := s.parseTimeout(r)
 	if err != nil {
@@ -558,7 +594,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	j, how, err := s.acquire(cfg, hash, timeout)
+	j, how, err := s.acquire(cfg, hash, held, timeout)
 	switch {
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is shutting down")
@@ -571,14 +607,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	switch how {
 	case acqCached:
-		writeJSON(w, http.StatusOK, j.status(true))
+		writeStatus(w, http.StatusOK, j.status(true))
 	case acqJoined:
 		st := j.status(false)
 		st.Deduped = true
-		writeJSON(w, http.StatusAccepted, st)
+		writeStatus(w, http.StatusAccepted, st)
 	default:
 		w.Header().Set("Location", "/v1/runs/"+j.st.ID)
-		writeJSON(w, http.StatusAccepted, j.status(false))
+		writeStatus(w, http.StatusAccepted, j.status(false))
 	}
 }
 
@@ -629,7 +665,7 @@ func (s *Server) lookup(id string) (*job, bool) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if j, ok := s.lookup(id); ok {
-		writeJSON(w, http.StatusOK, j.status(true))
+		writeStatus(w, http.StatusOK, j.status(true))
 		return
 	}
 	s.resolveRemoteGet(w, id)
@@ -765,4 +801,45 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeStatus writes a run's status as a JSON response: the bytes
+// writeJSON would write, with the result copied once instead of
+// re-scanned (see appendWithResult).
+func writeStatus(w http.ResponseWriter, status int, st client.RunStatus) {
+	result := st.Result
+	st.Result = nil
+	b, err := appendWithResult(nil, st, result)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(append(b, '\n'))
+}
+
+// appendWithResult appends to dst the JSON encoding of doc — a
+// client.RunStatus or client.SweepResult whose own Result is nil — with
+// result spliced in as its "result" field. Both types declare Result
+// last and omitempty, so json.Marshal of the document with Result set
+// writes the same bytes, provided result is already in encoding/json's
+// compact, HTML-escaped form: Marshal re-compacts a json.RawMessage,
+// which leaves such bytes as they are. Every result the server holds
+// is: it marshals its own as json.Marshal(system.Result), and the
+// directory tier adopts a blob only if it is (validResult).
+func appendWithResult(dst []byte, doc any, result json.RawMessage) ([]byte, error) {
+	b, err := json.Marshal(doc)
+	if err != nil {
+		return dst, err
+	}
+	if len(result) == 0 {
+		return append(dst, b...), nil
+	}
+	const field = `,"result":`
+	dst = slices.Grow(dst, len(b)+len(field)+len(result)+2)
+	dst = append(dst, b[:len(b)-1]...)
+	dst = append(dst, field...)
+	dst = append(dst, result...)
+	return append(dst, '}'), nil
 }

@@ -60,14 +60,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validate the whole batch before committing the response status:
-	// SSE cannot report a 400 once streaming has begun.
+	// SSE cannot report a 400 once streaming has begun. An element
+	// whose result the memory tier holds skips validation (heldResult),
+	// and its blob stays held until its job is born done with it: were
+	// it looked up again at acquire, an eviction in between would leave
+	// a job to run with no config.
 	cfgs := make([]system.Config, len(raws))
 	hashes := make([]string, len(raws))
+	held := make([][]byte, len(raws))
 	for i, raw := range raws {
 		if len(raw) > maxConfigBytes {
 			writeError(w, http.StatusBadRequest, codeBadRequest,
 				fmt.Sprintf("config[%d]: %d bytes exceeds the %d-byte per-config limit", i, len(raw), maxConfigBytes))
 			return
+		}
+		if hashes[i], held[i], ok = s.heldResult(raw); ok {
+			continue
 		}
 		if cfgs[i], hashes[i], ok = s.decodeConfig(w, raw, fmt.Sprintf("config[%d]: ", i)); !ok {
 			return
@@ -95,7 +103,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 acquire:
 	for i := range cfgs {
 		for {
-			j, how, err := s.acquire(cfgs[i], hashes[i], timeout)
+			j, how, err := s.acquire(cfgs[i], hashes[i], held[i], timeout)
 			switch {
 			case err == nil:
 				jobs[i] = j
@@ -153,9 +161,8 @@ stream:
 				State:      st.State,
 				Cached:     st.Cached,
 				Error:      st.Error,
-				Result:     st.Result,
 			}
-			if writeSSE(w, "result", ev) != nil {
+			if writeResultFrame(w, ev, st.Result) != nil {
 				return
 			}
 			flusher.Flush()
@@ -168,13 +175,25 @@ stream:
 }
 
 // writeSSE emits one named SSE frame — a run's "state", or a sweep's
-// "result" or "summary" — reporting marshal and write failures so the
-// stream terminates instead of silently dropping data.
+// "summary" — reporting marshal and write failures so the stream
+// terminates instead of silently dropping data.
 func writeSSE(w io.Writer, event string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("marshaling %s event: %w", event, err)
 	}
 	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
+	return err
+}
+
+// writeResultFrame emits a sweep's "result" frame for ev, whose own
+// Result is nil, with result spliced in: the frame writeSSE would emit
+// for ev with Result set (see appendWithResult).
+func writeResultFrame(w io.Writer, ev client.SweepResult, result json.RawMessage) error {
+	b, err := appendWithResult([]byte("event: result\ndata: "), ev, result)
+	if err != nil {
+		return fmt.Errorf("marshaling result event: %w", err)
+	}
+	_, err = w.Write(append(b, "\n\n"...))
 	return err
 }

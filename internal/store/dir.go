@@ -66,6 +66,19 @@ const maxBlobBytes = 8 << 20
 // non-positive entry cap.
 const DefaultDirEntries = 4096
 
+// DefaultMemoryEntries is the serve tier's default memory-tier
+// capacity: as many entries as a directory store holds by default. An
+// LRU under a cyclic scan of more keys than its capacity never hits, so
+// a smaller memory tier would send every replay of a sweep larger than
+// it to disk.
+const DefaultMemoryEntries = DefaultDirEntries
+
+// MemoryMaxBytes bounds a Memory's payload whatever its entry capacity:
+// a few thousand blobs of up to maxBlobBytes each could otherwise pin
+// gigabytes. A typical Result blob is a few kilobytes, so the entry
+// capacity binds first.
+const MemoryMaxBytes = 64 << 20
+
 // OpenDir opens (creating if needed) a directory store bounded to
 // maxEntries blobs (<= 0 selects DefaultDirEntries) and maxBytes total
 // payload (<= 0 leaves size unbounded). Existing blobs are indexed by
@@ -154,7 +167,7 @@ func (d *Dir) Get(hash string) ([]byte, bool) {
 	if !validHash(hash) {
 		return nil, false
 	}
-	b, mtime, ok := readBlob(d.blobPath(hash))
+	b, mtime, ok := readBlobFile(d.blobPath(hash))
 	if ok && d.check != nil && !d.passed(hash, len(b), mtime) {
 		ok = d.check(b)
 	}
@@ -195,6 +208,10 @@ func (d *Dir) passed(hash string, size int, mtime int64) bool {
 	ent := el.Value.(*dirEntry)
 	return ent.checked && ent.size == int64(size) && ent.mtime == mtime
 }
+
+// readBlobFile is the blob read Get makes; tests wrap it to count disk
+// reads.
+var readBlobFile = readBlob
 
 // readBlob reads one blob file and its mtime. A file larger than
 // maxBlobBytes is not read.

@@ -5,13 +5,16 @@ import (
 	"sync"
 )
 
-// Memory is a fixed-capacity least-recently-used in-process store. It
+// Memory is a bounded least-recently-used in-process store. It
 // amortizes the repeated-query pattern of paper sweeps: re-submitting a
 // config already simulated serves the cached bytes instead of
-// re-running. A capacity <= 0 disables the store (every Get misses).
+// re-running. It holds at most its capacity in entries and
+// MemoryMaxBytes in payload, whichever binds first. A capacity <= 0
+// disables the store (every Get misses).
 type Memory struct {
 	mu    sync.Mutex
 	cap   int
+	bytes int64
 	order *list.List // front = most recently used
 	items map[string]*list.Element
 }
@@ -21,7 +24,8 @@ type memEntry struct {
 	val []byte
 }
 
-// NewMemory returns an LRU store bounded to capacity entries.
+// NewMemory returns an LRU store bounded to capacity entries and
+// MemoryMaxBytes of payload.
 func NewMemory(capacity int) *Memory {
 	return &Memory{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
 }
@@ -41,8 +45,9 @@ func (c *Memory) Get(key string) ([]byte, bool) {
 	return el.Value.(*memEntry).val, true
 }
 
-// Put inserts or refreshes a value, evicting the least recently used
-// entry when over capacity. It never fails.
+// Put inserts or refreshes a value, evicting least recently used
+// entries while over either bound. A single value larger than the byte
+// bound is kept, as in Dir. It never fails.
 func (c *Memory) Put(key string, val []byte) error {
 	if c.cap <= 0 {
 		return nil
@@ -50,15 +55,20 @@ func (c *Memory) Put(key string, val []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*memEntry).val = val
+		ent := el.Value.(*memEntry)
+		c.bytes += int64(len(val) - len(ent.val))
+		ent.val = val
 		c.order.MoveToFront(el)
-		return nil
+	} else {
+		c.items[key] = c.order.PushFront(&memEntry{key: key, val: val})
+		c.bytes += int64(len(val))
 	}
-	c.items[key] = c.order.PushFront(&memEntry{key: key, val: val})
-	if c.order.Len() > c.cap {
+	for c.order.Len() > c.cap || c.bytes > MemoryMaxBytes && c.order.Len() > 1 {
 		last := c.order.Back()
+		ent := last.Value.(*memEntry)
 		c.order.Remove(last)
-		delete(c.items, last.Value.(*memEntry).key)
+		delete(c.items, ent.key)
+		c.bytes -= int64(len(ent.val))
 	}
 	return nil
 }

@@ -179,3 +179,77 @@ func TestTieredPromotion(t *testing.T) {
 		t.Fatal("back-tier hit not promoted")
 	}
 }
+
+// TestSweepReplayStaysInMemory replays 300 stored keys cyclically
+// twice through the serve tier's default memory tier over a directory:
+// the first pass reads every blob from disk, the second none. An LRU
+// under a cyclic scan of more keys than its capacity never hits, so at
+// 128 entries the second pass would read all 300 again.
+func TestSweepReplayStaysInMemory(t *testing.T) {
+	const keys = 300
+	d, err := OpenDir(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < keys; i++ {
+		if err := d.Put(hashN(i), []byte(fmt.Sprintf(`{"r":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads := 0
+	defer func(read func(string) ([]byte, int64, bool)) { readBlobFile = read }(readBlobFile)
+	read := readBlobFile
+	readBlobFile = func(path string) ([]byte, int64, bool) {
+		reads++
+		return read(path)
+	}
+	st := Tiered(NewMemory(DefaultMemoryEntries), d)
+	for pass, want := range []int{keys, 0} {
+		reads = 0
+		for i := 0; i < keys; i++ {
+			if b, ok := st.Get(hashN(i)); !ok || string(b) != fmt.Sprintf(`{"r":%d}`, i) {
+				t.Fatalf("pass %d key %d: %q %v", pass, i, b, ok)
+			}
+		}
+		if reads != want {
+			t.Fatalf("pass %d read %d blobs from disk, want %d", pass, reads, want)
+		}
+	}
+}
+
+// TestMemoryByteCeiling: a memory tier with room for many more entries
+// evicts by payload bytes once they pass MemoryMaxBytes, least recently
+// used first, and keeps a lone value larger than the ceiling.
+func TestMemoryByteCeiling(t *testing.T) {
+	const blob = 1 << 20 // entries share one backing array
+	val := make([]byte, blob)
+	m := NewMemory(DefaultMemoryEntries)
+	n := MemoryMaxBytes / blob
+	for i := 0; i < n; i++ {
+		m.Put(hashN(i), val)
+	}
+	if m.Len() != n || m.bytes != MemoryMaxBytes {
+		t.Fatalf("at the ceiling: len %d bytes %d, want %d/%d", m.Len(), m.bytes, n, MemoryMaxBytes)
+	}
+	m.Get(hashN(0)) // 0 is now the most recently used; 1 the least
+	m.Put(hashN(n), val[:blob/2])
+	if _, ok := m.Get(hashN(1)); ok {
+		t.Fatal("least recently used entry survived the byte ceiling")
+	}
+	if _, ok := m.Get(hashN(0)); !ok {
+		t.Fatal("recently used entry evicted")
+	}
+	if m.Len() != n || m.bytes != MemoryMaxBytes-blob/2 {
+		t.Fatalf("after eviction: len %d bytes %d, want %d/%d", m.Len(), m.bytes, n, MemoryMaxBytes-blob/2)
+	}
+	// Refreshing an entry with a larger value evicts by the difference.
+	m.Put(hashN(n), val)
+	if m.Len() != n || m.bytes != MemoryMaxBytes {
+		t.Fatalf("after refresh: len %d bytes %d, want %d/%d", m.Len(), m.bytes, n, MemoryMaxBytes)
+	}
+	big := make([]byte, MemoryMaxBytes+1)
+	m.Put(hashN(n+1), big)
+	if _, ok := m.Get(hashN(n + 1)); !ok || m.Len() != 1 {
+		t.Fatalf("oversized value: len %d, want it kept alone", m.Len())
+	}
+}

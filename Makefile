@@ -16,7 +16,7 @@ help:
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
 	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq, a config document and a trace replay through nocstar-sim"
-	@echo "  serve-smoke  the server's e2e tests: submit/poll/events/cache/sweep/restart/read endpoints, two replicas over one store"
+	@echo "  serve-smoke  the server's e2e tests: submit/poll/events/cache/sweep/restart/read endpoints, two replicas over one store, refused configs"
 	@echo "  shape        the paper's headline claims at reduced scale (NOCSTAR > distributed > private, ideal within 5%)"
 	@echo "  profile      CPU/heap profiles of the Table III sweep"
 	@echo "  ci           build fmt vet staticcheck race bench perfbench alloc check shape smoke serve-smoke"
@@ -143,8 +143,9 @@ smoke:
 # a resubmission right after a cancel runs; two replicas over one store
 # run a config once, and killing the lease holder hands it to the other;
 # a canonical body served from the memory tier answers what the full
-# path answers, and spliced status bodies are the encoder's bytes.
-SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestEvents|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestReadEndpoints|TestResubmitAfterCancelRuns|TestTwoNodeProxy|TestKillOwnerMidSweep|TestLeaseTakeoverAfterCrash|TestCanonicalBodyFastPath|TestStatusBodiesMatchEncoder
+# path answers, and spliced status bodies are the encoder's bytes; an
+# unbuildable config, or one naming a removed field, gets a 400.
+SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestEvents|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestReadEndpoints|TestResubmitAfterCancelRuns|TestTwoNodeProxy|TestKillOwnerMidSweep|TestLeaseTakeoverAfterCrash|TestCanonicalBodyFastPath|TestStatusBodiesMatchEncoder|TestSubmitRejectsUnbuildableConfig
 
 serve-smoke:
 	$(GO) test -count 1 -run '^($(SERVE_SMOKE_TESTS))$$' ./internal/server/

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	nocstar-serve -addr :8080 -workers 8 -cache 8192
+//	nocstar-serve -addr :8080 -workers 8 -store-max-entries 8192
 //	nocstar-serve -addr :8080 -store-dir /var/lib/nocstar/results
 //	nocstar-serve -addr :8081 -store-dir /mnt/shared/nocstar   # one of N replicas
 //
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"nocstar/internal/server"
-	"nocstar/internal/store"
 )
 
 func main() {
@@ -51,9 +50,8 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "bounded submission queue depth (full queue returns 429)")
-		cache        = flag.Int("cache", store.DefaultMemoryEntries, "in-memory result-cache entries, keyed on canonical config hash (at most 64 MiB of results whatever the count)")
 		storeDir     = flag.String("store-dir", "", "persistent content-addressed result store directory (survives restarts; replicas sharing it run each config once)")
-		storeEntries = flag.Int("store-max-entries", 0, "persistent store entry bound (0 = 4096)")
+		storeEntries = flag.Int("store-max-entries", 0, "result entry bound of the memory tier and of the persistent store (0 = 4096)")
 		storeBytes   = flag.Int64("store-max-bytes", 0, "persistent store payload-byte bound (0 = unbounded)")
 		history      = flag.Int("job-history", 0, "terminal jobs retained in the run registry (0 = 512)")
 		maxRun       = flag.Duration("max-run", 0, "wall-clock cap on every run; 0 means uncapped")
@@ -64,7 +62,6 @@ func main() {
 	srv, err := server.New(server.Options{
 		Workers:         *workers,
 		QueueDepth:      *queue,
-		CacheEntries:    *cache,
 		StoreDir:        *storeDir,
 		StoreMaxEntries: *storeEntries,
 		StoreMaxBytes:   *storeBytes,

@@ -70,7 +70,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if cfg.Org != system.Private {
 		bcfg := cfg
 		bcfg.Org = system.Private
-		bcfg.L2EntriesPerCore = 0
 		if tr != nil {
 			// Fresh replayers: the run above left its streams mid-trace.
 			app := cfg.Apps[0]

@@ -177,6 +177,8 @@ func TestRejects(t *testing.T) {
 		name, doc, trace, msg string
 	}{
 		{"unknown field", `{"org": "nocstar", "coars": 4}`, "", `unknown field "coars"`},
+		{"removed l2 size", `{"org": "nocstar", "cores": 4, "l2_entries_per_core": 920,
+			"apps": [{"workload": "gups", "threads": 4}]}`, "", `unknown field "l2_entries_per_core"`},
 		{"invalid field", `{"org": "nocstar", "cores": 0, "apps": [{"workload": "gups", "threads": 4}]}`,
 			"", "Cores: must be positive"},
 		{"footprint 2^62", `{"org": "nocstar", "cores": 4, "apps": [{"spec": {"name": "x", "footprint_pages": ` + huge +

@@ -30,28 +30,26 @@ const (
 type Config struct {
 	Mode         Mode
 	FixedLatency int // used when Mode == Fixed
-	// PWCEntries sizes the page-walk cache. 0 disables it in a walker
-	// built directly with New; inside a system.Config, Normalized fills
-	// a Variable-mode 0 with the default 32, so there the cache is
-	// always on.
-	PWCEntries int
-	// Overhead is the fixed per-walk cost in Variable mode beyond the PTE
-	// fetches themselves: miss-handler dispatch, walker occupancy, the
-	// TLB fill, and the pipeline restart after the translation stall.
-	Overhead int
-	// Walkers is the number of concurrent page walks the unit supports
-	// (Haswell-class MMUs have two); additional walks queue. 0 means 2.
-	Walkers int
 }
 
-// DefaultOverhead is the Variable-mode per-walk fixed cost.
-const DefaultOverhead = 15
+// The walker's geometry is the paper's Haswell-class MMU, which no
+// experiment varies.
+const (
+	// pwcEntries sizes a Variable-mode walker's page-walk cache.
+	pwcEntries = 32
+	// walkOverhead is the fixed per-walk cost in Variable mode beyond the
+	// PTE fetches themselves: miss-handler dispatch, walker occupancy,
+	// the TLB fill, and the pipeline restart after the translation stall.
+	walkOverhead = 15
+	// walkSlots is the number of concurrent page walks the unit
+	// supports; additional walks queue.
+	walkSlots = 2
+)
 
 // DefaultConfig returns the realistic configuration: variable latency
-// with a 32-entry page-walk cache, the default per-walk overhead, and
-// two concurrent walkers.
+// through the cache hierarchy and the page-walk cache.
 func DefaultConfig() Config {
-	return Config{Mode: Variable, PWCEntries: 32, Overhead: DefaultOverhead, Walkers: 2}
+	return Config{Mode: Variable}
 }
 
 // Stats aggregates walker behaviour.
@@ -93,34 +91,30 @@ type pwcKey struct {
 	prefix uint64 // va >> 30
 }
 
-// Walker performs page-table walks for one core. It serves one walk at a
-// time; concurrent requests queue (the paper's remote-walk policy
+// Walker performs page-table walks for one core. It serves walkSlots
+// walks at a time; further requests queue (the paper's remote-walk policy
 // discussion notes walker congestion as the key risk).
 type Walker struct {
 	cfg   Config
 	hier  *cache.Hierarchy
-	slots []engine.Cycle // per-concurrent-walk busy-until times
+	slots [walkSlots]engine.Cycle // per-concurrent-walk busy-until times
 
-	pwc      map[pwcKey]struct{}
-	pwcOrder []pwcKey // FIFO eviction ring
+	pwc      map[pwcKey]struct{} // nil in Fixed mode
+	pwcOrder [pwcEntries]pwcKey  // FIFO eviction ring
 	pwcNext  int
 
 	stats Stats
 }
 
 // New returns a walker that fetches PTEs through hier. hier must be
-// non-nil in Variable mode.
+// non-nil in Variable mode, where the walker has its page-walk cache.
 func New(cfg Config, hier *cache.Hierarchy) *Walker {
-	if cfg.Mode == Variable && hier == nil {
-		panic("ptw: Variable mode requires a cache hierarchy")
-	}
-	if cfg.Walkers <= 0 {
-		cfg.Walkers = 2
-	}
-	w := &Walker{cfg: cfg, hier: hier, slots: make([]engine.Cycle, cfg.Walkers)}
-	if cfg.PWCEntries > 0 {
-		w.pwc = make(map[pwcKey]struct{}, cfg.PWCEntries)
-		w.pwcOrder = make([]pwcKey, cfg.PWCEntries)
+	w := &Walker{cfg: cfg, hier: hier}
+	if cfg.Mode == Variable {
+		if hier == nil {
+			panic("ptw: Variable mode requires a cache hierarchy")
+		}
+		w.pwc = make(map[pwcKey]struct{}, pwcEntries)
 	}
 	return w
 }
@@ -144,7 +138,7 @@ func (w *Walker) pwcLookup(ctx vm.ContextID, va vm.VirtAddr) bool {
 		delete(w.pwc, old)
 	}
 	w.pwcOrder[w.pwcNext] = key
-	w.pwcNext = (w.pwcNext + 1) % len(w.pwcOrder)
+	w.pwcNext = (w.pwcNext + 1) % pwcEntries
 	w.pwc[key] = struct{}{}
 	return false
 }
@@ -156,7 +150,7 @@ func (w *Walker) InvalidatePWC() {
 		return
 	}
 	clear(w.pwc)
-	clear(w.pwcOrder)
+	w.pwcOrder = [pwcEntries]pwcKey{}
 }
 
 // Walk performs the page-table walk for va in space as, starting at
@@ -186,7 +180,7 @@ func (w *Walker) Walk(now engine.Cycle, as *vm.AddressSpace, va vm.VirtAddr) (to
 	case Fixed:
 		walk = w.cfg.FixedLatency
 	case Variable:
-		walk = w.cfg.Overhead + w.variableLatency(as.Ctx, va, res)
+		walk = walkOverhead + w.variableLatency(as.Ctx, va, res)
 	}
 
 	w.stats.Walks++

@@ -41,19 +41,23 @@ func TestVariableModeRequiresHierarchy(t *testing.T) {
 
 func TestVariableColdVsWarm(t *testing.T) {
 	as := space(t)
-	w := New(Config{Mode: Variable}, cache.DefaultHierarchy()) // no PWC
+	w := New(Config{Mode: Variable}, cache.DefaultHierarchy())
 	cold, _, ok := w.Walk(0, as, 0x1000)
 	if !ok {
 		t.Fatal("walk failed")
 	}
-	// Cold 4-level walk: 4 memory fetches at 200 each.
-	if cold != 800 {
-		t.Fatalf("cold walk = %d, want 800", cold)
+	// Cold 4-level walk: 4 memory fetches at 200 each, plus the overhead.
+	if cold != 800+walkOverhead {
+		t.Fatalf("cold walk = %d, want %d", cold, 800+walkOverhead)
 	}
 	warm, _, _ := w.Walk(engine.Cycle(cold), as, 0x1000)
-	// All four PTE lines now in L1: 4 x 4 cycles.
-	if warm != 16 {
-		t.Fatalf("warm walk = %d, want 16", warm)
+	// The PWC holds the upper two levels; the PD and PT lines are in L1:
+	// 2 x 4 cycles, plus the overhead.
+	if warm != 8+walkOverhead {
+		t.Fatalf("warm walk = %d, want %d", warm, 8+walkOverhead)
+	}
+	if w.Stats().PWCHits != 1 {
+		t.Fatalf("PWC hits = %d, want 1", w.Stats().PWCHits)
 	}
 }
 
@@ -61,8 +65,8 @@ func TestPWCSkipsUpperLevels(t *testing.T) {
 	as := space(t)
 	w := New(DefaultConfig(), cache.DefaultHierarchy())
 	first, _, _ := w.Walk(0, as, 0x1000) // PWC miss: 4 levels + overhead
-	if first != 800+DefaultOverhead {
-		t.Fatalf("first walk = %d, want %d", first, 800+DefaultOverhead)
+	if first != 800+walkOverhead {
+		t.Fatalf("first walk = %d, want %d", first, 800+walkOverhead)
 	}
 	// Map a second page in the same 1GB region; its upper levels are PWC
 	// hits, so only PD + PT are fetched.
@@ -81,15 +85,16 @@ func TestPWCSkipsUpperLevels(t *testing.T) {
 
 func TestQueueingSerializesWalks(t *testing.T) {
 	as := space(t)
-	w := New(Config{Mode: Fixed, FixedLatency: 30, Walkers: 1}, nil)
-	lat1, _, _ := w.Walk(100, as, 0x1000)
-	lat2, _, _ := w.Walk(110, as, 0x1000)
-	if lat1 != 30 {
-		t.Fatalf("first walk = %d", lat1)
+	w := New(Config{Mode: Fixed, FixedLatency: 30}, nil)
+	for range walkSlots {
+		if lat, _, _ := w.Walk(100, as, 0x1000); lat != 30 {
+			t.Fatalf("walk into a free slot = %d, want 30", lat)
+		}
 	}
-	// Second arrives 10 cycles in: waits 20, then 30 of service.
-	if lat2 != 50 {
-		t.Fatalf("queued walk = %d, want 50", lat2)
+	// Every slot is busy until 130: a walk arriving at 110 waits 20,
+	// then takes 30 of service.
+	if lat, _, _ := w.Walk(110, as, 0x1000); lat != 50 {
+		t.Fatalf("queued walk = %d, want 50", lat)
 	}
 	if w.Stats().QueueCycles != 20 {
 		t.Fatalf("queue cycles = %d", w.Stats().QueueCycles)
@@ -98,7 +103,7 @@ func TestQueueingSerializesWalks(t *testing.T) {
 
 func TestTwoWalkersOverlap(t *testing.T) {
 	as := space(t)
-	w := New(Config{Mode: Fixed, FixedLatency: 30, Walkers: 2}, nil)
+	w := New(Config{Mode: Fixed, FixedLatency: 30}, nil)
 	lat1, _, _ := w.Walk(100, as, 0x1000)
 	lat2, _, _ := w.Walk(110, as, 0x1000) // second slot: no queueing
 	lat3, _, _ := w.Walk(112, as, 0x1000) // both busy: queues behind slot 0
@@ -150,11 +155,12 @@ func TestInvalidatePWC(t *testing.T) {
 
 func TestPWCFIFOEviction(t *testing.T) {
 	as := vm.NewAddressSpace(4)
-	w := New(Config{Mode: Variable, PWCEntries: 2}, cache.DefaultHierarchy())
-	vas := []vm.VirtAddr{0, 1 << 30, 2 << 30}
-	for _, va := range vas {
+	w := New(Config{Mode: Variable}, cache.DefaultHierarchy())
+	// One region more than the PWC holds, each 1 GB apart.
+	for i := range pwcEntries + 1 {
+		va := vm.VirtAddr(i) << 30
 		as.EnsureMapped(va, vm.Page4K)
-		w.Walk(0, as, va) // three distinct regions through a 2-entry PWC
+		w.Walk(0, as, va)
 	}
 	// Region 0 was evicted; walking it again is a PWC miss.
 	before := w.Stats().PWCHits
@@ -162,8 +168,8 @@ func TestPWCFIFOEviction(t *testing.T) {
 	if w.Stats().PWCHits != before {
 		t.Fatal("evicted PWC entry hit")
 	}
-	// Region 2 is still resident.
-	w.Walk(20000, as, 2<<30)
+	// The last region is still resident.
+	w.Walk(20000, as, vm.VirtAddr(pwcEntries)<<30)
 	if w.Stats().PWCHits != before+1 {
 		t.Fatal("resident PWC entry missed")
 	}

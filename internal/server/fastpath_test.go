@@ -197,6 +197,32 @@ func TestCanonicalBodyFastPath(t *testing.T) {
 
 	t.Run("sweep element evicted", sweepHeldAcrossEviction)
 
+	t.Run("delete cached run", func(t *testing.T) {
+		// A job born done has no execution context; DELETE leaves it
+		// done and answers 200 with its status.
+		_, body := post(t, ts.URL, "", canon)
+		var st client.RunStatus
+		if err := json.Unmarshal(body, &st); err != nil || !st.Cached {
+			t.Fatalf("cache hit: %v %s", err, body)
+		}
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+st.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var del client.RunStatus
+		if err := json.NewDecoder(resp.Body).Decode(&del); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || del.ID != st.ID || del.State != client.StateDone {
+			t.Fatalf("DELETE of a cached run: %d %+v, want 200 and done", resp.StatusCode, del)
+		}
+	})
+
 	t.Run("timeout then draining", func(t *testing.T) {
 		if code, _ := post(t, ts.URL, "?timeout=soon", canon); code != http.StatusBadRequest {
 			t.Fatalf("malformed timeout on the fast path: %d, want 400", code)
@@ -224,7 +250,7 @@ func TestCanonicalBodyFastPath(t *testing.T) {
 // result is in no tier, so a second lookup would miss and queue a job
 // with no config to run.
 func sweepHeldAcrossEviction(t *testing.T) {
-	srv, c := newTestServer(t, Options{Workers: 1, CacheEntries: 1, StoreDir: t.TempDir()})
+	srv, c := newTestServer(t, Options{Workers: 1, StoreMaxEntries: 1, StoreDir: t.TempDir()})
 	ctx := ctxT(t)
 	onDisk, inMemory := smallConfig(120), smallConfig(121)
 	blobDisk, blobMem := directBytes(t, onDisk), directBytes(t, inMemory)

@@ -25,7 +25,7 @@ type job struct {
 
 	// ctx governs the execution (server base context plus the request's
 	// deadline); cancel releases it and is also the DELETE handler's
-	// lever.
+	// lever. Both are nil for a job born done, which never executes.
 	ctx    context.Context
 	cancel context.CancelFunc
 	// done closes when the job reaches a terminal state.

@@ -37,7 +37,7 @@ const pollInterval = 50 * time.Millisecond
 // directory serves a blob only once validResult accepts it; a blob
 // that it refuses counts in storeErrors and is a miss.
 func openResults(opts Options, storeErrors *metrics.AtomicCounter) (store.Store, *store.Memory, *store.Dir, error) {
-	mem := store.NewMemory(opts.CacheEntries)
+	mem := store.NewMemory(opts.StoreMaxEntries)
 	if opts.StoreDir == "" {
 		return mem, mem, nil, nil
 	}

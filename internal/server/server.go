@@ -74,17 +74,17 @@ type Options struct {
 	// QueueDepth bounds jobs accepted but not yet executing; a full
 	// queue rejects submissions with 429 (<= 0 selects 64).
 	QueueDepth int
-	// CacheEntries bounds the in-memory tier of the result store
-	// (<= 0 selects store.DefaultMemoryEntries). The tier also holds at
-	// most store.MemoryMaxBytes of results.
-	CacheEntries int
 	// StoreDir, when non-empty, backs the in-memory cache with a
 	// persistent content-addressed store: one <hash>.json blob per
 	// result, written atomically. Results survive restarts, and
 	// replicas pointed at one directory share results and leases.
 	StoreDir string
-	// StoreMaxEntries bounds the directory store
-	// (<= 0 selects store.DefaultDirEntries).
+	// StoreMaxEntries bounds both tiers of the result store: the
+	// in-memory tier, which also holds at most store.MemoryMaxBytes of
+	// results, and the directory store (<= 0 selects
+	// store.DefaultDirEntries). An LRU scanned cyclically by more keys
+	// than it holds never hits, so a memory tier smaller than the
+	// directory would send every replay of a larger sweep to disk.
 	StoreMaxEntries int
 	// StoreMaxBytes bounds the directory store's payload bytes
 	// (<= 0 leaves it unbounded).
@@ -107,8 +107,8 @@ func (o Options) normalized() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = store.DefaultMemoryEntries
+	if o.StoreMaxEntries <= 0 {
+		o.StoreMaxEntries = store.DefaultDirEntries
 	}
 	if o.JobHistory <= 0 {
 		o.JobHistory = 512
@@ -351,15 +351,15 @@ func (s *Server) unregisterInflight(j *job) {
 	s.mu.Unlock()
 }
 
-// newJob constructs a job (not yet registered) with its execution
-// context. IDs have the form
+// newJob constructs a job (not yet registered) without an execution
+// context, which only a queued job needs. IDs have the form
 //
 //	<epoch36>-<seq>-<canonical hash>
 //
 // so the minting incarnation is visible and, because the full canonical
 // hash rides along, any replica sharing the store can resolve the ID.
-func (s *Server) newJob(hash string, cfg system.Config, timeout time.Duration) *job {
-	j := &job{
+func (s *Server) newJob(hash string, cfg system.Config) *job {
+	return &job{
 		cfg:  cfg,
 		done: make(chan struct{}),
 		st: client.RunStatus{
@@ -369,12 +369,6 @@ func (s *Server) newJob(hash string, cfg system.Config, timeout time.Duration) *
 			Node:       s.epochToken,
 		},
 	}
-	if timeout > 0 {
-		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, timeout)
-	} else {
-		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
-	}
-	return j
 }
 
 // parseJobID returns the canonical hash a job ID embeds. It rejects
@@ -447,12 +441,11 @@ func (s *Server) acquire(cfg system.Config, hash string, held []byte, timeout ti
 		cached, ok = s.results.Get(hash)
 	}
 	if ok {
-		j := s.newJob(hash, cfg, 0)
+		j := s.newJob(hash, cfg)
 		j.st.State = client.StateDone
 		j.st.Cached = true
 		j.st.Result = cached
 		close(j.done)
-		j.cancel()
 		s.mu.Lock()
 		s.terminal++
 		s.registerLocked(j)
@@ -472,7 +465,12 @@ func (s *Server) acquire(cfg system.Config, hash string, held []byte, timeout ti
 		s.met.deduped.Inc()
 		return live, acqJoined, nil
 	}
-	j := s.newJob(hash, cfg, timeout)
+	j := s.newJob(hash, cfg)
+	if timeout > 0 {
+		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, timeout)
+	} else {
+		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
+	}
 	select {
 	case s.queue <- j:
 	default:
@@ -700,7 +698,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // be deduped onto a dead job and see "canceled" for a run it never
 // canceled.
 func (s *Server) cancelJob(j *job) {
-	j.cancel()
+	if j.cancel != nil { // a job born done has nothing to cancel
+		j.cancel()
+	}
 	if j.setState(client.StateCanceled, nil, "canceled by request") {
 		s.countTerminal()
 	}

@@ -332,7 +332,7 @@ func TestValidationErrors(t *testing.T) {
 // validation and then panicked the simulator's constructor or run,
 // wrapped the thread-capacity check, or (a shootdown every cycle) held
 // a worker until its deadline, and documents naming a field schema 5
-// removed: each must get a 400 invalid_config naming the field (a
+// or 6 removed: each must get a 400 invalid_config naming the field (a
 // validated field in the typed field list, a removed one in the decode
 // message), and the server must keep answering.
 func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
@@ -347,9 +347,11 @@ func TestSubmitRejectsUnbuildableConfig(t *testing.T) {
 		{fmt.Sprintf(`{"org": "nocstar", "cores": 4, "apps": [{"workload": "gups", "threads": %s}, {"workload": "gups", "threads": %s}]}`,
 			huge, huge), "Apps[0].Threads"},
 		{doc("nocstar", `"smt": `+huge), "SMT"},
-		{doc("nocstar", `"ptw": {"pwc_entries": `+huge+`}`), "PTW.PWCEntries"},
-		{doc("distributed", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
-		{doc("mono-mesh", `"l2_entries_per_core": `+huge), "L2EntriesPerCore"},
+		{doc("nocstar", `"ptw": {"pwc_entries": `+huge+`}`), "pwc_entries"},
+		{doc("nocstar", `"ptw": {"walkers": `+huge+`}`), "walkers"},
+		{doc("nocstar", `"ptw": {"overhead": 15}`), "overhead"},
+		{doc("distributed", `"l2_entries_per_core": `+huge), "l2_entries_per_core"},
+		{doc("mono-mesh", `"l2_entries_per_core": `+huge), "l2_entries_per_core"},
 		{doc("nocstar", `"l1_scale": 1e30`), "L1Scale"},
 		{doc("nocstar", `"storm": {"promote_demote_interval": 1000, "pages": `+huge+`}`), "Storm.Pages"},
 		{doc("nocstar", `"shootdown_interval": 1`), "ShootdownInterval"},

@@ -66,13 +66,6 @@ const maxBlobBytes = 8 << 20
 // non-positive entry cap.
 const DefaultDirEntries = 4096
 
-// DefaultMemoryEntries is the serve tier's default memory-tier
-// capacity: as many entries as a directory store holds by default. An
-// LRU under a cyclic scan of more keys than its capacity never hits, so
-// a smaller memory tier would send every replay of a sweep larger than
-// it to disk.
-const DefaultMemoryEntries = DefaultDirEntries
-
 // MemoryMaxBytes bounds a Memory's payload whatever its entry capacity:
 // a few thousand blobs of up to maxBlobBytes each could otherwise pin
 // gigabytes. A typical Result blob is a few kilobytes, so the entry

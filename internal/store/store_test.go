@@ -203,7 +203,7 @@ func TestSweepReplayStaysInMemory(t *testing.T) {
 		reads++
 		return read(path)
 	}
-	st := Tiered(NewMemory(DefaultMemoryEntries), d)
+	st := Tiered(NewMemory(DefaultDirEntries), d)
 	for pass, want := range []int{keys, 0} {
 		reads = 0
 		for i := 0; i < keys; i++ {
@@ -223,7 +223,7 @@ func TestSweepReplayStaysInMemory(t *testing.T) {
 func TestMemoryByteCeiling(t *testing.T) {
 	const blob = 1 << 20 // entries share one backing array
 	val := make([]byte, blob)
-	m := NewMemory(DefaultMemoryEntries)
+	m := NewMemory(DefaultDirEntries)
 	n := MemoryMaxBytes / blob
 	for i := 0; i < n; i++ {
 		m.Put(hashN(i), val)

@@ -83,6 +83,20 @@ func (o Org) monolithic() bool {
 // one slice per tile: distributed, ideal or NOCSTAR.
 func (o Org) sliced() bool { return o.IsShared() && !o.monolithic() }
 
+// l2EntriesPerCore is the L2 TLB capacity per core: the private L2 TLB,
+// the core's share of the monolithic array, or its slice. NOCSTAR slices
+// hold 920 entries for the paper's area normalization (Table II); every
+// other organization holds 1024.
+func (o Org) l2EntriesPerCore() int {
+	if o == Nocstar || o == NocstarIdeal {
+		return 920
+	}
+	return 1024
+}
+
+// l2Ways is the associativity of every L2 TLB array.
+const l2Ways = 8
+
 // WalkPolicy selects where a page walk triggered by a shared-slice miss
 // executes (Section III-F, Fig. 17).
 type WalkPolicy int
@@ -147,10 +161,6 @@ type Config struct {
 	SMT int
 	// L1Scale scales the per-core L1 TLB sizes (Fig. 6's 0.5x and 1.5x).
 	L1Scale float64
-	// L2EntriesPerCore sizes the private L2 TLBs / monolithic share /
-	// distributed slices (default 1024). NOCSTAR organizations default to
-	// 920 for the paper's area normalization (Table II).
-	L2EntriesPerCore int
 	// FixedAccessLatency forces the MonolithicFixed total access latency.
 	FixedAccessLatency int
 	// HPCmax bounds hops per cycle on the NOCSTAR fabric (default 16).
@@ -206,32 +216,13 @@ func (c Config) Normalized() (Config, error) {
 	if c.L1Scale <= 0 {
 		c.L1Scale = 1
 	}
-	if c.L2EntriesPerCore <= 0 {
-		if c.Org == Nocstar || c.Org == NocstarIdeal {
-			c.L2EntriesPerCore = 920 // Table II area normalization
-		} else {
-			c.L2EntriesPerCore = 1024
-		}
-	}
 	if c.HPCmax <= 0 {
 		c.HPCmax = 16
 	}
 	if c.PTW.Mode == ptw.Variable {
-		// Each zero field takes its default, so a partial block keeps
-		// what it sets and an all-zero block is ptw.DefaultConfig().
 		// FixedLatency means nothing here and is cleared, so configs
 		// that walk alike hash alike.
-		d := ptw.DefaultConfig()
 		c.PTW.FixedLatency = 0
-		if c.PTW.PWCEntries == 0 {
-			c.PTW.PWCEntries = d.PWCEntries
-		}
-		if c.PTW.Overhead == 0 {
-			c.PTW.Overhead = d.Overhead
-		}
-		if c.PTW.Walkers == 0 {
-			c.PTW.Walkers = d.Walkers
-		}
 	}
 	if c.InstrPerThread == 0 {
 		c.InstrPerThread = 200_000

@@ -122,16 +122,25 @@ func TestNocstarIdealNoContention(t *testing.T) {
 }
 
 func TestAreaNormalizedSliceDefault(t *testing.T) {
-	cfg, err := smallConfig(Nocstar).Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.L2EntriesPerCore != 920 {
-		t.Fatalf("NOCSTAR default slice = %d entries, want the paper's 920", cfg.L2EntriesPerCore)
-	}
-	cfg2, _ := smallConfig(Private).Normalized()
-	if cfg2.L2EntriesPerCore != 1024 {
-		t.Fatalf("private default = %d entries, want 1024", cfg2.L2EntriesPerCore)
+	for _, tc := range []struct {
+		org     Org
+		entries int // per array
+	}{
+		{Nocstar, 920}, // Table II area normalization
+		{NocstarIdeal, 920},
+		{DistributedMesh, 1024},
+		{Private, 1024},
+		{MonolithicMesh, 8 * 1024}, // one array of the 8 cores' shares
+	} {
+		s, err := New(smallConfig(tc.org))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range s.arrays {
+			if got := a.Config().Entries; got != tc.entries {
+				t.Fatalf("%v: L2 array of %d entries, want %d", tc.org, got, tc.entries)
+			}
+		}
 	}
 }
 

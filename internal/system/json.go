@@ -36,7 +36,10 @@ import (
 // slices, and a document naming a removed field is rejected as unknown.
 // v5 removed warmup_instr and banks: every run is cold, and the
 // monolithic bank count follows from the core count.
-const ConfigSchemaVersion = 5
+// v6 removed l2_entries_per_core and ptw's pwc_entries, overhead and
+// walkers: the L2 size follows from the organization, and every walker
+// has the paper's geometry.
+const ConfigSchemaVersion = 6
 
 // orgTokens are the stable wire names of the organizations.
 var orgTokens = map[Org]string{
@@ -88,7 +91,6 @@ type configJSON struct {
 	Cores                 int        `json:"cores"`
 	SMT                   int        `json:"smt"`
 	L1Scale               float64    `json:"l1_scale"`
-	L2EntriesPerCore      int        `json:"l2_entries_per_core"`
 	FixedAccessLatency    int        `json:"fixed_access_latency"`
 	HPCmax                int        `json:"hpc_max"`
 	Acquire               string     `json:"acquire"`
@@ -108,9 +110,6 @@ type configJSON struct {
 type ptwJSON struct {
 	Mode         string `json:"mode"`
 	FixedLatency int    `json:"fixed_latency"`
-	PWCEntries   int    `json:"pwc_entries"`
-	Overhead     int    `json:"overhead"`
-	Walkers      int    `json:"walkers"`
 }
 
 // appJSON carries either a full generative Spec or, on input only, the
@@ -181,16 +180,12 @@ func (c Config) MarshalCanonical() ([]byte, error) {
 		Cores:              n.Cores,
 		SMT:                n.SMT,
 		L1Scale:            n.L1Scale,
-		L2EntriesPerCore:   n.L2EntriesPerCore,
 		FixedAccessLatency: n.FixedAccessLatency,
 		HPCmax:             n.HPCmax,
 		Acquire:            acquire,
 		PTW: ptwJSON{
 			Mode:         mode,
 			FixedLatency: n.PTW.FixedLatency,
-			PWCEntries:   n.PTW.PWCEntries,
-			Overhead:     n.PTW.Overhead,
-			Walkers:      n.PTW.Walkers,
 		},
 		Policy:                policy,
 		PrefetchDegree:        n.PrefetchDegree,
@@ -253,7 +248,6 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		Cores:                 doc.Cores,
 		SMT:                   doc.SMT,
 		L1Scale:               doc.L1Scale,
-		L2EntriesPerCore:      doc.L2EntriesPerCore,
 		FixedAccessLatency:    doc.FixedAccessLatency,
 		HPCmax:                doc.HPCmax,
 		PrefetchDegree:        doc.PrefetchDegree,
@@ -288,12 +282,7 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		return Config{}, fmt.Errorf("system: unknown walk policy %q (have %s, %s)",
 			doc.Policy, policyRequestToken, policyRemoteToken)
 	}
-	cfg.PTW = ptw.Config{
-		FixedLatency: doc.PTW.FixedLatency,
-		PWCEntries:   doc.PTW.PWCEntries,
-		Overhead:     doc.PTW.Overhead,
-		Walkers:      doc.PTW.Walkers,
-	}
+	cfg.PTW = ptw.Config{FixedLatency: doc.PTW.FixedLatency}
 	switch doc.PTW.Mode {
 	case "", ptwVariableToken:
 	case ptwFixedToken:

@@ -13,7 +13,6 @@ import (
 
 	"nocstar/internal/check"
 	"nocstar/internal/noc"
-	"nocstar/internal/ptw"
 	"nocstar/internal/workload"
 )
 
@@ -104,7 +103,6 @@ func TestCanonicalDefaultsExplicit(t *testing.T) {
 	explicit := minimal
 	explicit.SMT = 1
 	explicit.L1Scale = 1
-	explicit.L2EntriesPerCore = 920 // NOCSTAR Table II default
 	explicit.HPCmax = 16
 
 	a, err := minimal.MarshalCanonical()
@@ -172,29 +170,28 @@ func TestUnmarshalWorkloadShorthand(t *testing.T) {
 }
 
 // TestPartialPTWBlock pins what a partial Variable-mode PTW block means:
-// the fields it sets are kept and each zero field takes its default, so
-// {"walkers": 4} walks with 4 walkers, not the default block's 2.
+// a fixed latency is cleared, so it hashes like the empty block. The
+// geometry keys schema 6 removed are refused (unmarshalRejects).
 func TestPartialPTWBlock(t *testing.T) {
-	cfg, err := UnmarshalConfig([]byte(`{
-		"org": "nocstar", "cores": 4,
-		"apps": [{"workload": "gups", "threads": 4}],
-		"ptw": {"walkers": 4}
-	}`))
-	if err != nil {
-		t.Fatal(err)
+	doc := func(ptwBlock string) string {
+		return `{"org": "nocstar", "cores": 4,
+			"apps": [{"workload": "gups", "threads": 4}],
+			"ptw": ` + ptwBlock + `}`
 	}
-	n, err := cfg.Normalized()
-	if err != nil {
-		t.Fatal(err)
+	hash := func(d string) string {
+		t.Helper()
+		cfg, err := UnmarshalConfig([]byte(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := cfg.CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	want := ptw.Config{Mode: ptw.Variable, PWCEntries: 32, Overhead: 15, Walkers: 4}
-	if n.PTW != want {
-		t.Fatalf("normalized PTW = %+v, want %+v", n.PTW, want)
-	}
-	// An all-zero block is still the default block.
-	cfg.PTW = ptw.Config{}
-	if n, _ = cfg.Normalized(); n.PTW != ptw.DefaultConfig() {
-		t.Fatalf("all-zero PTW normalized to %+v, want %+v", n.PTW, ptw.DefaultConfig())
+	if a, b := hash(doc(`{"fixed_latency": 40}`)), hash(doc(`{}`)); a != b {
+		t.Fatalf("variable block with a fixed latency hashes %s, empty block %s", a, b)
 	}
 }
 
@@ -221,6 +218,12 @@ var unmarshalRejects = []struct {
 	// bank count follows from the core count).
 	{"removed warmup field", `{"org": "nocstar", "warmup_instr": 0}`, `unknown field "warmup_instr"`},
 	{"removed banks field", `{"org": "mono-mesh", "banks": 4}`, `unknown field "banks"`},
+	// Schema 6 dropped l2_entries_per_core (the size follows from the
+	// organization) and the walker's geometry.
+	{"removed l2 entries field", `{"org": "nocstar", "l2_entries_per_core": 920}`, `unknown field "l2_entries_per_core"`},
+	{"removed pwc entries field", `{"ptw": {"pwc_entries": 32}}`, `unknown field "pwc_entries"`},
+	{"removed overhead field", `{"ptw": {"overhead": 15}}`, `unknown field "overhead"`},
+	{"removed walkers field", `{"ptw": {"walkers": 2}}`, `unknown field "walkers"`},
 }
 
 func TestUnmarshalRejects(t *testing.T) {

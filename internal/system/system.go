@@ -171,10 +171,11 @@ func New(cfg Config) (*System, error) {
 			IndexHash: hash,
 		})
 	}
-	s.l2Lat = sram.AccessCycles(cfg.L2EntriesPerCore)
+	perCore := cfg.Org.l2EntriesPerCore()
+	s.l2Lat = sram.AccessCycles(perCore)
 	s.l2Busy = 1 // pipelined: one lookup starts per cycle
 	if cfg.Org.monolithic() {
-		total := cfg.L2EntriesPerCore * cfg.Cores
+		total := perCore * cfg.Cores
 		mono := l2("monolithic", total, false)
 		// Banking multiplies ports but the monolithic structure is still
 		// one physical array: its lookup latency is the full-capacity
@@ -208,7 +209,7 @@ func New(cfg Config) (*System, error) {
 		// One array per tile: the core's private L2 TLB, or its slice of
 		// the shared TLB, whose set index must hash (tlb.Config.IndexHash).
 		for _, c := range s.cores {
-			s.ports = append(s.ports, l2port{tlb: l2(fmt.Sprintf("l2-%d", c.id), cfg.L2EntriesPerCore, cfg.Org.IsShared()), node: c.node})
+			s.ports = append(s.ports, l2port{tlb: l2(fmt.Sprintf("l2-%d", c.id), perCore, cfg.Org.IsShared()), node: c.node})
 		}
 	}
 	for i := range s.ports {
@@ -493,7 +494,7 @@ func (s *System) chargeEnergy(r *Result) {
 	s.meter.AddL1Lookups(r.MemRefs)
 	s.meter.AddL2Lookups(r.L2Accesses, s.perPort(s.arrays[0].Config().Entries))
 	s.meter.AddWalkRefs(r.PTW.MemRefsByLevel)
-	totalEntries := s.cfg.Cores * (s.cfg.L2EntriesPerCore + 100) // + L1 arrays
+	totalEntries := s.cfg.Cores * (s.cfg.Org.l2EntriesPerCore() + 100) // + L1 arrays
 	s.meter.AddStatic(r.Cycles, totalEntries)
 }
 

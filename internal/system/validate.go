@@ -75,22 +75,6 @@ const (
 	// tick), 38 KiB per core, 150 MiB on maxCores. Fig. 6 scales by 0.5x
 	// and 1.5x.
 	maxL1Scale = 16.0
-	// maxL2EntriesPerCore bounds Config.L2EntriesPerCore: 4096 entries of
-	// 24 bytes per core is 384 MiB of slices, private arrays or
-	// monolithic array on maxCores. The paper's L2 TLB holds 1024.
-	maxL2EntriesPerCore = 4096
-	// l2Ways is the associativity of every L2 TLB array; an array's
-	// entry count must be a multiple of it.
-	l2Ways = 8
-	// maxPWCEntries bounds PTW.PWCEntries. A page-walk-cache entry costs
-	// under 40 bytes (a 16-byte key in the FIFO ring plus its map slot),
-	// so 4096 entries per core stay under 640 MiB on maxCores. The
-	// paper's walker caches 32.
-	maxPWCEntries = 4096
-	// maxWalkers bounds PTW.Walkers: a walker slot is one 8-byte busy
-	// horizon, 32 MiB for 1024 slots per core on maxCores. The paper's
-	// cores walk 2 at a time.
-	maxWalkers = 1024
 	// maxStormPages bounds Storm.Pages. The storm keeps one bool of
 	// promotion state per 2 MB region (512 pages), so 2^30 pages cost a
 	// 2 MiB bitmap, and its regions end 2^42 bytes past the storm's base,
@@ -203,14 +187,6 @@ func (c Config) Validate() error {
 		add("L1Scale", "must be at most %g, got %g", maxL1Scale, c.L1Scale)
 	}
 	switch {
-	case c.L2EntriesPerCore < 0:
-		add("L2EntriesPerCore", "must be 0 (default) or positive, got %d", c.L2EntriesPerCore)
-	case c.L2EntriesPerCore > maxL2EntriesPerCore:
-		add("L2EntriesPerCore", "must be at most %d, got %d", maxL2EntriesPerCore, c.L2EntriesPerCore)
-	case c.L2EntriesPerCore%l2Ways != 0:
-		add("L2EntriesPerCore", "must be a multiple of the %d L2 ways, got %d", l2Ways, c.L2EntriesPerCore)
-	}
-	switch {
 	case c.FixedAccessLatency < 0:
 		add("FixedAccessLatency", "must not be negative, got %d", c.FixedAccessLatency)
 	case c.FixedAccessLatency > maxFixedLatency:
@@ -242,21 +218,6 @@ func (c Config) Validate() error {
 		add("PTW.FixedLatency", "must not be negative, got %d", c.PTW.FixedLatency)
 	case c.PTW.FixedLatency > maxFixedLatency:
 		add("PTW.FixedLatency", "must be at most %d cycles, got %d", maxFixedLatency, c.PTW.FixedLatency)
-	}
-	switch {
-	case c.PTW.PWCEntries < 0:
-		add("PTW.PWCEntries", "must not be negative, got %d", c.PTW.PWCEntries)
-	case c.PTW.PWCEntries > maxPWCEntries:
-		add("PTW.PWCEntries", "must be at most %d, got %d", maxPWCEntries, c.PTW.PWCEntries)
-	}
-	if c.PTW.Overhead < 0 {
-		add("PTW.Overhead", "must not be negative, got %d", c.PTW.Overhead)
-	}
-	switch {
-	case c.PTW.Walkers < 0:
-		add("PTW.Walkers", "must be 0 (default 2) or positive, got %d", c.PTW.Walkers)
-	case c.PTW.Walkers > maxWalkers:
-		add("PTW.Walkers", "must be at most %d, got %d", maxWalkers, c.PTW.Walkers)
 	}
 	if c.Policy != WalkAtRequester && c.Policy != WalkAtRemote {
 		add("Policy", "unknown walk policy %d", int(c.Policy))

@@ -39,7 +39,6 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	cfg := validCfg()
 	cfg.SMT = 0
 	cfg.L1Scale = 0
-	cfg.L2EntriesPerCore = 0
 	cfg.HPCmax = 0
 	cfg.Seed = 0
 	cfg.InstrPerThread = 0
@@ -63,9 +62,7 @@ func TestValidateFields(t *testing.T) {
 		{"negative smt", func(c *Config) { c.SMT = -2 }, "SMT"},
 		{"smt wraps the capacity", func(c *Config) { c.SMT = 1 << 62 }, "SMT"},
 		{"nan l1 scale", func(c *Config) { c.L1Scale = math.NaN() }, "L1Scale"},
-		{"l2 entries off the ways", func(c *Config) { c.L2EntriesPerCore = 1001 }, "L2EntriesPerCore"},
 		{"negative l1 scale", func(c *Config) { c.L1Scale = -0.5 }, "L1Scale"},
-		{"negative l2 entries", func(c *Config) { c.L2EntriesPerCore = -1 }, "L2EntriesPerCore"},
 		{"negative fixed latency", func(c *Config) { c.FixedAccessLatency = -1 }, "FixedAccessLatency"},
 		{"mono-fixed without latency", func(c *Config) { c.Org = MonolithicFixed }, "FixedAccessLatency"},
 		{"negative hpcmax", func(c *Config) { c.HPCmax = -1 }, "HPCmax"},
@@ -73,9 +70,6 @@ func TestValidateFields(t *testing.T) {
 		{"bad acquire", func(c *Config) { c.Acquire = 99 }, "Acquire"},
 		{"bad ptw mode", func(c *Config) { c.PTW.Mode = 99 }, "PTW.Mode"},
 		{"fixed ptw without latency", func(c *Config) { c.PTW.Mode = ptw.Fixed }, "PTW.FixedLatency"},
-		{"negative pwc", func(c *Config) { c.PTW.PWCEntries = -1 }, "PTW.PWCEntries"},
-		{"negative overhead", func(c *Config) { c.PTW.Overhead = -1 }, "PTW.Overhead"},
-		{"negative walkers", func(c *Config) { c.PTW.Walkers = -1 }, "PTW.Walkers"},
 		{"bad policy", func(c *Config) { c.Policy = 99 }, "Policy"},
 		{"negative prefetch", func(c *Config) { c.PrefetchDegree = -1 }, "PrefetchDegree"},
 		{"negative leaders", func(c *Config) { c.InvLeaders = -1 }, "InvLeaders"},
@@ -167,12 +161,6 @@ func TestValidateBounds(t *testing.T) {
 			func(c *Config) { c.Apps[0].Threads = maxThreads + 1 }, false},
 		{"L1Scale", func(c *Config) { c.L1Scale = maxL1Scale },
 			func(c *Config) { c.L1Scale = math.Nextafter(maxL1Scale, math.Inf(1)) }, true},
-		{"L2EntriesPerCore", func(c *Config) { c.L2EntriesPerCore = maxL2EntriesPerCore },
-			func(c *Config) { c.L2EntriesPerCore = maxL2EntriesPerCore + 1 }, true},
-		{"PTW.PWCEntries", func(c *Config) { c.PTW.PWCEntries = maxPWCEntries },
-			func(c *Config) { c.PTW.PWCEntries = maxPWCEntries + 1 }, true},
-		{"PTW.Walkers", func(c *Config) { c.PTW.Walkers = maxWalkers },
-			func(c *Config) { c.PTW.Walkers = maxWalkers + 1 }, true},
 		{"Apps[0].Spec.FootprintPages", func(c *Config) { c.Apps[0].Spec.FootprintPages = maxFootprintPages },
 			func(c *Config) { c.Apps[0].Spec.FootprintPages = maxFootprintPages + 1 }, true},
 		{"Storm.Pages", func(c *Config) { c.Storm = &StormConfig{PromoteDemoteInterval: 1000, Pages: maxStormPages} },

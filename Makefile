@@ -15,7 +15,7 @@ help:
 	@echo "  alloc        zero-allocation gates for the translation critical path, and set-up allocation bounds for engines, caches and system.New"
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
-	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq, a config document and a trace replay through nocstar-sim"
+	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq and its -trace checked, a config document and a trace replay through nocstar-sim"
 	@echo "  serve-smoke  the server's e2e tests: submit/poll/events/cache/sweep/restart/read endpoints, two replicas over one store, refused configs"
 	@echo "  shape        the paper's headline claims at reduced scale (NOCSTAR > distributed > private, ideal within 5%)"
 	@echo "  profile      CPU/heap profiles of the Table III sweep"
@@ -117,19 +117,23 @@ fuzz:
 	cd internal/server && $(GO) test -fuzz FuzzAdoptBlob -fuzztime 30s -run FuzzAdoptBlob .
 
 # End-to-end smoke of the report pipeline (tiny run, JSON document out,
-# then the README's jq recipe must pull Fig. 12's series out of it; skipped
-# without jq) and of the config front door: a 4-core document piped to
-# nocstar-sim, then the same document replaying a captured 4-thread trace.
+# then the README's jq recipe must pull Fig. 12's series out of it), of
+# -trace (its Chrome trace must hold a non-empty traceEvents array; both
+# jq checks are skipped without jq) and of the config front door: a
+# 4-core document piped to nocstar-sim, then the same document replaying
+# a captured 4-thread trace.
 SMOKE_DOC = {"org":"nocstar","cores":4,"apps":[{"workload":"canneal","threads":4}],"instr_per_thread":2000,"seed":1}
 REPORT_JQ = .experiments[] | select(.id == "fig12") | .data.Speedup | tostream | select(length == 2) | flatten | @csv
 
 smoke:
-	$(GO) run ./cmd/nocstar-exp -quiet -instr 2000 -report /tmp/nocstar-report.json fig12
+	$(GO) run ./cmd/nocstar-exp -quiet -instr 2000 -report /tmp/nocstar-report.json -trace /tmp/nocstar-smoke-trace.json fig12
 	@if command -v jq >/dev/null 2>&1; then \
 		jq -r '$(REPORT_JQ)' /tmp/nocstar-report.json | grep -q . || \
 			{ echo "smoke: the README's jq recipe found no fig12 series in the report"; exit 1; }; \
+		jq -e '.traceEvents | length > 0' /tmp/nocstar-smoke-trace.json >/dev/null || \
+			{ echo "smoke: -trace wrote no traceEvents"; exit 1; }; \
 	else \
-		echo "jq: not installed, skipping the report recipe"; fi
+		echo "jq: not installed, skipping the report recipe and the trace check"; fi
 	$(GO) run ./cmd/nocstar-trace gen -workload canneal -threads 4 -refs 2000 -o /tmp/nocstar-smoke.trc
 	echo '$(SMOKE_DOC)' | $(GO) run ./cmd/nocstar-sim -
 	echo '$(SMOKE_DOC)' | $(GO) run ./cmd/nocstar-sim - /tmp/nocstar-smoke.trc
@@ -159,10 +163,12 @@ shape:
 
 # CPU and heap profiles of the heavyweight Table III sweep, written to
 # ./profiles/ for `go tool pprof` (see EXPERIMENTS.md "Allocation-free
-# critical path" for the recorded baselines).
+# critical path" for the recorded baselines). One iteration: every run is
+# memoized for the life of the process, so a second sweep would execute
+# nothing and only dilute the profile.
 profile:
 	mkdir -p profiles
-	$(GO) test -run xxx -bench 'BenchmarkTable3$$' -benchtime 2x \
+	$(GO) test -run xxx -bench 'BenchmarkTable3$$' -benchtime 1x \
 		-cpuprofile profiles/cpu.out -memprofile profiles/mem.out \
 		-o profiles/nocstar.test .
 	@echo "inspect with: go tool pprof -top profiles/nocstar.test profiles/cpu.out"

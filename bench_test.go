@@ -6,6 +6,11 @@ package nocstar_test
 // `go test -bench=. -benchmem` doubles as a smoke reproduction of the
 // whole evaluation. For publication-scale numbers use cmd/nocstar-exp
 // with the default options (see EXPERIMENTS.md).
+//
+// Every run is memoized for the life of the process, so a figure
+// benchmark executes only the runs its process has not already run:
+// configurations an earlier benchmark shared, and every iteration after
+// the first, are memo hits. Time a figure alone at -benchtime 1x.
 
 import (
 	"testing"

@@ -291,7 +291,9 @@ type Health struct {
 }
 
 // Health fetches the node's health document. A draining node answers
-// 503; the document is still returned alongside the typed error.
+// 503 with a document whose status is "draining"; the document is
+// returned alongside an error matching ErrDraining. Any other non-200
+// answer decodes to an *APIError as every other call's does.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
 	if err != nil {
@@ -307,13 +309,16 @@ func (c *Client) Health(ctx context.Context) (Health, error) {
 		return Health{}, err
 	}
 	var h Health
-	if jerr := json.Unmarshal(raw, &h); jerr != nil {
-		return Health{}, fmt.Errorf("nocstar: decoding health: %w", jerr)
-	}
-	if resp.StatusCode != http.StatusOK {
+	switch {
+	case resp.StatusCode == http.StatusOK:
+		if jerr := json.Unmarshal(raw, &h); jerr != nil {
+			return Health{}, fmt.Errorf("nocstar: decoding health: %w", jerr)
+		}
+		return h, nil
+	case resp.StatusCode == http.StatusServiceUnavailable && json.Unmarshal(raw, &h) == nil && h.Status == "draining":
 		return h, &APIError{Status: resp.StatusCode, Code: "draining", Message: "server is draining"}
 	}
-	return h, nil
+	return Health{}, bodyError(resp, raw)
 }
 
 // Metrics scrapes /metrics and returns every sample by name (Prometheus

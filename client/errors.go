@@ -94,6 +94,11 @@ type errorEnvelope struct {
 // typed error with the raw body as the message.
 func decodeError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	return bodyError(resp, raw)
+}
+
+// bodyError is decodeError over a body already read.
+func bodyError(resp *http.Response, raw []byte) error {
 	apiErr := &APIError{Status: resp.StatusCode}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {

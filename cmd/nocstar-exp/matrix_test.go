@@ -11,10 +11,11 @@ import (
 
 // TestReportJobsMatrix is the end-to-end determinism gate: it builds the
 // nocstar-exp binary and runs the same invocation at -j 1, 2 and 4, and
-// every run must write a byte-identical, non-empty -report JSON. fig12
-// runs every organization side by side and divides by the memoized
-// private baseline, so scheduling order, dedup and memoization are all
-// exercised.
+// every run must write a byte-identical, non-empty -report JSON. Each
+// invocation is its own process, so each executes every run afresh.
+// fig12 runs every organization side by side and divides by the private
+// baseline, and the report's probe and its baseline are fig12's runs,
+// so scheduling order and the memo's hits are all exercised.
 func TestReportJobsMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the nocstar-exp binary")

@@ -214,10 +214,23 @@ func checkGolden(t *testing.T, name string, cfg system.Config, events int, hash 
 	}
 }
 
+// onFreshPool runs fn with every driver submitting to a new pool, so
+// each run fn submits executes there whatever the shared pool already
+// memoized, and returns the new pool's counters.
+func onFreshPool(fn func()) runner.Progress {
+	saved := defaultPool
+	r := runner.New(0)
+	defaultPool = func() *runner.Runner { return r }
+	defer func() { defaultPool = saved }()
+	fn()
+	return r.Progress()
+}
+
 // Two full drivers rendered at -j 1 and at -j 6 must produce identical
 // bytes (the acceptance contract for every driver; Fig. 12 exercises the
 // speedup-grid path and Fig. 16 left the focus-grid path, which between
-// them cover the baseline cache, in-flight dedup, and ordered joins).
+// them cover shared baselines, in-flight dedup, and ordered joins). Each
+// side runs on its own fresh pool, so both execute every run.
 func TestRenderDeterministicAcrossParallelism(t *testing.T) {
 	base := Options{
 		Instr:      15_000,
@@ -225,20 +238,35 @@ func TestRenderDeterministicAcrossParallelism(t *testing.T) {
 		Workloads:  []string{"canneal", "gups"},
 		CoreCounts: []int{16, 32},
 	}
-	serial := base
-	serial.Parallelism = 1
-	par := base
-	par.Parallelism = 6
-
-	if a, b := Fig12(serial).Render(), Fig12(par).Render(); a != b {
-		t.Fatalf("Fig12 output differs between -j 1 and -j 6:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+	type side struct {
+		fig12, fig16l, fig18 string
 	}
-	if a, b := Fig16Left(serial).Render(), Fig16Left(par).Render(); a != b {
-		t.Fatalf("Fig16Left output differs between -j 1 and -j 6:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+	render := func(j int) side {
+		o := base
+		o.Parallelism = j
+		var s side
+		p := onFreshPool(func() {
+			s.fig12, s.fig16l = Fig12(o).Render(), Fig16Left(o).Render()
+		})
+		// Fig. 12: a baseline and 4 orgs per workload at 16 cores.
+		// Fig. 16 left: 2 variants per workload at 16 and 32 cores and
+		// the 32-core baselines, less the variant that is Fig. 12's
+		// NOCSTAR run.
+		if p.Submitted != 18 {
+			t.Fatalf("-j %d executed %d Fig. 12 + Fig. 16 left runs, want 18", j, p.Submitted)
+		}
+		o.Combos = 3
+		onFreshPool(func() { s.fig18 = Fig18(o).Render() })
+		return s
 	}
-	serial.Combos = 3
-	par.Combos = 3
-	if a, b := Fig18(serial).Render(), Fig18(par).Render(); a != b {
-		t.Fatalf("Fig18 output differs between -j 1 and -j 6:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+	serial, par := render(1), render(6)
+	for _, c := range []struct{ name, a, b string }{
+		{"Fig12", serial.fig12, par.fig12},
+		{"Fig16Left", serial.fig16l, par.fig16l},
+		{"Fig18", serial.fig18, par.fig18},
+	} {
+		if c.a != c.b {
+			t.Fatalf("%s output differs between -j 1 and -j 6:\n--- serial ---\n%s\n--- parallel ---\n%s", c.name, c.a, c.b)
+		}
 	}
 }

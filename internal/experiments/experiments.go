@@ -117,11 +117,13 @@ func (o Options) baseConfig(org system.Org, spec workload.Spec, cores int, thp b
 	}
 }
 
-// pool returns the process-wide runner resized to o.Parallelism. All
-// drivers submit their runs through it: identical in-flight configs are
-// deduplicated, and private baselines are memoized across experiments.
+// defaultPool returns the runner every driver submits through. Tests
+// that compare two executions of one figure give each side a fresh pool.
+var defaultPool = runner.Default
+
+// pool returns the shared runner resized to o.Parallelism.
 func (o Options) pool() *runner.Runner {
-	r := runner.Default()
+	r := defaultPool()
 	r.SetParallelism(o.Parallelism)
 	return r
 }
@@ -134,33 +136,19 @@ func (o Options) ctx() context.Context {
 	return runner.WithExperiment(context.Background(), o.Experiment)
 }
 
-// submit schedules a config on the pool.
+// submit schedules cfg on the pool through its memo, the one way a driver
+// runs a simulation. The figures vary one knob at a time from one default
+// machine, so they share configurations (Fig. 5's runs are Fig. 15's
+// NOCSTAR column, the report's probes are Fig. 12's); a configuration
+// any driver already ran in this process is returned, not run again.
 func (o Options) submit(cfg system.Config) *runner.Future {
-	return o.pool().SubmitContext(o.ctx(), cfg)
-}
-
-// submitShared is submit through the pool's memo cache, for runs that
-// more than one part of an invocation needs: the completed result is
-// kept, so a later identical submission reuses it instead of running
-// again.
-func (o Options) submitShared(cfg system.Config) *runner.Future {
 	return o.pool().SubmitCachedContext(o.ctx(), cfg)
 }
 
-// baselineFuture schedules (or retrieves the memoized) private-L2-TLB run
-// every speedup is measured against.
+// baselineFuture submits the private-L2-TLB run every speedup is
+// measured against.
 func (o Options) baselineFuture(spec workload.Spec, cores int, thp bool) *runner.Future {
-	return o.submitShared(o.baseConfig(system.Private, spec, cores, thp))
-}
-
-// probeCores is the core count of the report's NOCSTAR probes.
-func (o Options) probeCores() int { return o.coreCounts()[0] }
-
-// probeFuture schedules (or retrieves the memoized) NOCSTAR run with
-// 4 KB pages at the probe core count: the report's probe of spec, which
-// Fig. 12 also runs at the default core counts.
-func (o Options) probeFuture(spec workload.Spec) *runner.Future {
-	return o.submitShared(o.baseConfig(system.Nocstar, spec, o.probeCores(), false))
+	return o.submit(o.baseConfig(system.Private, spec, cores, thp))
 }
 
 // sortedKeys returns map keys in sorted order for deterministic output.

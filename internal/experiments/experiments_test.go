@@ -290,6 +290,34 @@ func TestFig14RunsEachConfigOnce(t *testing.T) {
 	}
 }
 
+// TestSharedConfigsRunOnce: figures that share configurations execute
+// each once per process. Fig. 5's runs are Fig. 15's NOCSTAR column, and
+// Fig. 14's 16-core runs and baselines are Fig. 13's. The seed is used by
+// no other test, so nothing is memoized beforehand.
+func TestSharedConfigsRunOnce(t *testing.T) {
+	o := Options{Instr: 5_000, Seed: 35, Workloads: []string{"canneal", "gups"}}
+	executed := func(fn func()) uint64 {
+		before := runner.Default().Progress().Submitted
+		fn()
+		return runner.Default().Progress().Submitted - before
+	}
+	// A baseline and 6 organizations per workload.
+	if n, want := executed(func() { Fig15(o) }), uint64(len(o.Workloads)*7); n != want {
+		t.Fatalf("Fig. 15 executed %d runs, want %d", n, want)
+	}
+	if n := executed(func() { Fig5(o) }); n != 0 {
+		t.Fatalf("after Fig. 15, Fig. 5 executed %d runs, want 0", n)
+	}
+	o.CoreCounts = []int{16}
+	// A baseline and 4 organizations per workload.
+	if n, want := executed(func() { Fig13(o) }), uint64(len(o.Workloads)*5); n != want {
+		t.Fatalf("Fig. 13 executed %d runs, want %d", n, want)
+	}
+	if n := executed(func() { Fig14(o) }); n != 0 {
+		t.Fatalf("after Fig. 13, Fig. 14 executed %d runs, want 0", n)
+	}
+}
+
 func TestFig15Decomposition(t *testing.T) {
 	r := Fig15(testOptions())
 	ns := r.Average("NOCSTAR")

@@ -50,12 +50,10 @@ func (g SpeedupGrid) Average(config string) float64 {
 	return stats.Mean64(vs)
 }
 
-// speedupGrid runs each (workload, config) pair against the memoized
-// private baseline; build sets up configs[i]. A NOCSTAR cell at the
-// report's probe core count with 4 KB pages is memoized too, for the
-// report to reuse. All runs are submitted to the pool up front and
-// joined in submission order, so the grid is identical to the serial
-// path at any parallelism.
+// speedupGrid runs each (workload, config) pair against the private
+// baseline; build sets up configs[i]. All runs are submitted to the pool
+// up front and joined in submission order, so the grid is identical to
+// the serial path at any parallelism.
 func speedupGrid(o Options, title string, cores int, thp bool,
 	configs []string, build func(i int, cfg *system.Config)) SpeedupGrid {
 	g := SpeedupGrid{
@@ -75,14 +73,7 @@ func speedupGrid(o Options, title string, cores int, thp bool,
 		for i, name := range configs {
 			cfg := o.baseConfig(system.Private, spec, cores, thp)
 			build(i, &cfg)
-			var run *runner.Future
-			if cfg.Org == system.Nocstar && !thp && cores == o.probeCores() {
-				// The report's probe of this workload runs it again.
-				run = o.submitShared(cfg)
-			} else {
-				run = o.submit(cfg)
-			}
-			cells = append(cells, cell{spec.Name, name, priv, run})
+			cells = append(cells, cell{spec.Name, name, priv, o.submit(cfg)})
 		}
 	}
 	for _, c := range cells {
@@ -146,8 +137,8 @@ type Fig14Result struct {
 }
 
 // Fig14 runs the sweep. Each (cores, org, workload) run is submitted
-// once, with its memoized private baseline, and yields both its speedup
-// and its translation energy saved.
+// once, with its private baseline, and yields both its speedup and its
+// translation energy saved.
 func Fig14(o Options) Fig14Result {
 	type cell struct {
 		baseline, run *runner.Future

@@ -7,6 +7,7 @@ import (
 	"nocstar/internal/metrics"
 	"nocstar/internal/ptw"
 	"nocstar/internal/runner"
+	"nocstar/internal/system"
 	"nocstar/internal/workload"
 )
 
@@ -105,11 +106,11 @@ type EnergyReport struct {
 }
 
 // BuildReport assembles the report for one invocation: the experiments
-// that ran, plus one NOCSTAR probe and its private baseline per selected
-// workload at the first configured core count. Both go through the
-// shared pool's memo, so they execute concurrently, and a probe or
-// baseline an experiment already ran (Fig. 12's NOCSTAR column is the
-// probe at the default core counts) is reused, not run again.
+// that ran, plus one NOCSTAR probe with 4 KB pages and its private
+// baseline per selected workload at the first configured core count.
+// They execute concurrently, and a probe or baseline an experiment
+// already ran (Fig. 12's NOCSTAR column is the probe at the default core
+// counts) is returned by the pool's memo, not run again.
 func BuildReport(o Options, ran []RanExperiment) *RunReport {
 	rep := &RunReport{
 		Schema: ReportSchemaVersion,
@@ -133,7 +134,7 @@ func BuildReport(o Options, ran []RanExperiment) *RunReport {
 		})
 	}
 
-	cores := o.probeCores()
+	cores := o.coreCounts()[0]
 	type probeRuns struct {
 		spec      workload.Spec
 		noc, base *runner.Future
@@ -142,7 +143,7 @@ func BuildReport(o Options, ran []RanExperiment) *RunReport {
 	for _, spec := range o.suite() {
 		probes = append(probes, probeRuns{
 			spec: spec,
-			noc:  o.probeFuture(spec),
+			noc:  o.submit(o.baseConfig(system.Nocstar, spec, cores, false)),
 			base: o.baselineFuture(spec, cores, false),
 		})
 	}

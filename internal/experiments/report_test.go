@@ -148,10 +148,19 @@ func TestReportSchema(t *testing.T) {
 }
 
 // TestReportDeterministicAcrossParallelism pins the report's byte-for-
-// byte determinism contract: -j must not leak into the document.
+// byte determinism contract: -j must not leak into the document. Each
+// side runs on its own fresh pool, so both execute Fig. 12's runs.
 func TestReportDeterministicAcrossParallelism(t *testing.T) {
-	a := buildReportJSON(t, 1)
-	b := buildReportJSON(t, 6)
+	build := func(j int) []byte {
+		var out []byte
+		p := onFreshPool(func() { out = buildReportJSON(t, j) })
+		// A baseline and 4 orgs; the probe and its baseline are memo hits.
+		if p.Submitted != 5 {
+			t.Fatalf("-j %d executed %d runs, want 5", j, p.Submitted)
+		}
+		return out
+	}
+	a, b := build(1), build(6)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("report differs between -j 1 and -j 6:\n--- j1 ---\n%s\n--- j6 ---\n%s", a, b)
 	}

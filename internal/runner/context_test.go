@@ -31,14 +31,14 @@ func smallCfg(seed int64) system.Config {
 }
 
 // TestSubmitContextCancel cancels an effectively endless run submitted
-// through the pool and checks the future resolves promptly with the
-// typed error.
+// through the pool's memo and checks the future resolves promptly with
+// the typed error and is not memoized.
 func TestSubmitContextCancel(t *testing.T) {
 	cfg := smallCfg(1)
 	cfg.InstrPerThread = 1 << 40
 	r := New(1)
 	ctx, cancel := context.WithCancel(context.Background())
-	fut := r.SubmitContext(ctx, cfg)
+	fut := r.SubmitCachedContext(ctx, cfg)
 	time.Sleep(50 * time.Millisecond)
 	cancel()
 
@@ -59,13 +59,16 @@ func TestSubmitContextCancel(t *testing.T) {
 		t.Fatal("canceled run did not resolve within 30s")
 	}
 
-	// A canceled run must not poison the singleflight map: resubmitting
-	// the same config (now uncanceled) must run for real.
+	// A canceled run must not poison the map of calls: resubmitting the
+	// same config must run for real, not return the memoized error.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	fut2 := r.SubmitContext(ctx2, cfg)
+	fut2 := r.SubmitCachedContext(ctx2, cfg)
 	cancel2()
 	if _, err := fut2.Result(); !errors.Is(err, system.ErrCanceled) {
 		t.Fatalf("resubmission after cancel: want ErrCanceled, got %v", err)
+	}
+	if p := r.Progress(); p.Submitted != 2 || p.Deduped != 0 {
+		t.Fatalf("resubmission joined the canceled run: %+v", p)
 	}
 }
 
@@ -80,7 +83,7 @@ func TestSubmitDeadOnArrival(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	fut := r.SubmitContext(dead, cfg)
+	fut := r.SubmitCachedContext(dead, cfg)
 	if _, err := fut.Result(); !errors.Is(err, system.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -90,7 +93,7 @@ func TestSubmitDeadOnArrival(t *testing.T) {
 
 	// An identical live submission starts fresh instead of joining the
 	// dead one.
-	res, err := r.SubmitContext(context.Background(), cfg).Result()
+	res, err := r.SubmitCachedContext(context.Background(), cfg).Result()
 	if err != nil {
 		t.Fatalf("live resubmission failed: %v", err)
 	}
@@ -104,7 +107,7 @@ func TestSubmitDeadOnArrival(t *testing.T) {
 	// A deadline that already passed maps to the deadline sentinel.
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := r.SubmitContext(expired, cfg).Result(); !errors.Is(err, system.ErrDeadlineExceeded) {
+	if _, err := r.SubmitCachedContext(expired, cfg).Result(); !errors.Is(err, system.ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
 	}
 }
@@ -130,7 +133,7 @@ func TestKeyCanonical(t *testing.T) {
 
 	r := New(2)
 	fa := r.Submit(minimal)
-	fb := r.SubmitCached(explicit)
+	fb := r.SubmitCachedContext(context.Background(), explicit)
 	ra := fa.Wait()
 	rb := fb.Wait()
 	if !reflect.DeepEqual(ra, rb) {

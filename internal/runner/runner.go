@@ -8,11 +8,14 @@
 // order. The rendered output is byte-identical to the serial path at any
 // parallelism.
 //
-// The runner also deduplicates work: identical configs submitted while a
-// run is in flight share one execution (singleflight), and configs
-// submitted through SubmitCached are memoized for the life of the runner
-// — the concurrency-safe replacement for the experiments package's old
-// unsynchronized baselineCache map.
+// A Runner keeps one map of calls keyed by the config's canonical
+// encoding. Submit shares a run with an identical one in flight or
+// memoized (singleflight) and drops it from the map when it completes, so
+// a later identical Submit executes again. SubmitCachedContext keeps a
+// successful run in the map for the life of the runner, so every later
+// identical submission returns it without executing. The experiment
+// drivers submit every run that way through Default, which therefore
+// holds every result it has produced for the life of the process.
 package runner
 
 import (
@@ -32,6 +35,7 @@ type call struct {
 	done chan struct{}
 	res  system.Result
 	err  error
+	keep bool // memoized: stays in the runner's map once it succeeds (guarded by Runner.mu)
 }
 
 // Future is a handle to an in-flight (or completed) simulation.
@@ -70,14 +74,13 @@ type Progress struct {
 }
 
 // Runner is a bounded worker pool with in-flight deduplication and an
-// opt-in memo cache. The zero value is not ready; call New.
+// opt-in memo. The zero value is not ready; call New.
 type Runner struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	active   int
-	limit    int
-	inflight map[string]*call // keyed in-flight runs (singleflight)
-	memo     map[string]*call // completed SubmitCached runs
+	mu     sync.Mutex
+	cond   *sync.Cond
+	active int
+	limit  int
+	calls  map[string]*call // keyed runs in flight, and memoized ones
 
 	submitted atomic.Uint64
 	completed atomic.Uint64
@@ -88,10 +91,7 @@ type Runner struct {
 // New returns a runner executing at most parallelism simulations at once.
 // parallelism <= 0 selects GOMAXPROCS.
 func New(parallelism int) *Runner {
-	r := &Runner{
-		inflight: map[string]*call{},
-		memo:     map[string]*call{},
-	}
+	r := &Runner{calls: map[string]*call{}}
 	r.cond = sync.NewCond(&r.mu)
 	r.limit = normalize(parallelism)
 	return r
@@ -109,9 +109,9 @@ var (
 	defaultRunner *Runner
 )
 
-// Default returns the process-wide shared runner. Sharing one runner
-// across experiment drivers lets memoized runs (notably the private
-// baselines every speedup divides by) execute once per process.
+// Default returns the process-wide shared runner. The experiment drivers
+// memoize every run on it, so each configuration executes once per
+// process, and it holds every result for the life of the process.
 func Default() *Runner {
 	defaultOnce.Do(func() { defaultRunner = New(0) })
 	return defaultRunner
@@ -144,78 +144,56 @@ func (r *Runner) Progress() Progress {
 }
 
 // Submit schedules cfg on the pool and returns a future for its result.
-// An identical config already in flight (or memoized by SubmitCached) is
-// shared rather than re-run.
+// An identical config already in flight or memoized is shared rather than
+// re-run. A run Submit starts is not memoized: an identical Submit after
+// it completes executes again.
 func (r *Runner) Submit(cfg system.Config) *Future {
 	return r.submit(context.Background(), cfg, false)
 }
 
-// SubmitContext is Submit with a context governing the execution: the
-// simulation runs through system.RunContext, so cancelling ctx (or its
-// deadline passing) stops the run promptly with a typed error. A
-// duplicate submission that joins an in-flight identical run shares that
-// run's context — the joiner's own ctx does not cancel work it merely
-// observes. Canceled runs complete with an error and are never memoized.
-func (r *Runner) SubmitContext(ctx context.Context, cfg system.Config) *Future {
-	return r.submit(ctx, cfg, false)
-}
-
-// SubmitCached is Submit with memoization: the completed result is kept
-// for the life of the runner, so identical future submissions — from any
-// goroutine or driver — return it without re-running. Use it for runs
-// shared across experiments, such as private baselines.
-func (r *Runner) SubmitCached(cfg system.Config) *Future {
-	return r.submit(context.Background(), cfg, true)
-}
-
-// SubmitCachedContext is SubmitCached with a context governing the
-// execution (and carrying the WithExperiment label, if any).
+// SubmitCachedContext is Submit with memoization and a context. A
+// successful result is kept for the life of the runner, so identical
+// later submissions — from any goroutine or driver — return it without
+// executing. The simulation runs through system.RunContext, so cancelling
+// ctx (or its deadline passing) stops the run promptly with a typed
+// error; a submission that joins an identical in-flight run shares that
+// run's context, and a failed or canceled run is never memoized. ctx also
+// carries the WithExperiment label, if any.
 func (r *Runner) SubmitCachedContext(ctx context.Context, cfg system.Config) *Future {
 	return r.submit(ctx, cfg, true)
 }
 
-// Run is Submit followed by Wait.
-func (r *Runner) Run(cfg system.Config) system.Result {
-	return r.Submit(cfg).Wait()
-}
-
-func (r *Runner) submit(ctx context.Context, cfg system.Config, cache bool) *Future {
-	if ctx != nil && ctx.Err() != nil {
+func (r *Runner) submit(ctx context.Context, cfg system.Config, keep bool) *Future {
+	if ctx.Err() != nil {
 		// Dead on arrival: complete immediately with the typed error
 		// instead of occupying a worker slot — and, crucially, without
-		// registering an in-flight call that a live identical submission
-		// could join and inherit the cancellation from.
+		// registering a call that a live identical submission could join
+		// and inherit the cancellation from.
 		c := &call{done: make(chan struct{}), err: ctxSentinel(ctx.Err())}
 		close(c.done)
 		return &Future{c: c}
 	}
+	c := &call{done: make(chan struct{}), keep: keep}
 	key, keyed := Key(cfg)
 	if keyed {
 		r.mu.Lock()
-		if c, ok := r.memo[key]; ok {
+		if prev, ok := r.calls[key]; ok {
+			// A memoizing submission that joins a plain in-flight run
+			// keeps its result too.
+			prev.keep = prev.keep || keep
 			r.mu.Unlock()
 			r.deduped.Add(1)
-			return &Future{c: c}
+			return &Future{c: prev}
 		}
-		if c, ok := r.inflight[key]; ok {
-			r.mu.Unlock()
-			r.deduped.Add(1)
-			return &Future{c: c}
-		}
-		c := &call{done: make(chan struct{})}
-		r.inflight[key] = c
+		r.calls[key] = c
 		r.mu.Unlock()
-		r.submitted.Add(1)
-		go r.execute(ctx, cfg, c, key, cache)
-		return &Future{c: c}
 	}
-	c := &call{done: make(chan struct{})}
 	r.submitted.Add(1)
-	go r.execute(ctx, cfg, c, "", cache)
+	go r.execute(ctx, cfg, c, key)
 	return &Future{c: c}
 }
 
-func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key string, cache bool) {
+func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key string) {
 	r.acquire()
 	c.res, c.err = Execute(ctx, cfg)
 	r.release()
@@ -224,9 +202,8 @@ func (r *Runner) execute(ctx context.Context, cfg system.Config, c *call, key st
 	}
 	if key != "" {
 		r.mu.Lock()
-		delete(r.inflight, key)
-		if cache && c.err == nil {
-			r.memo[key] = c
+		if !c.keep || c.err != nil {
+			delete(r.calls, key)
 		}
 		r.mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -86,14 +87,14 @@ func TestSingleflightDedup(t *testing.T) {
 func TestSubmitCachedMemoizes(t *testing.T) {
 	r := New(1)
 	cfg := testConfig(4_000)
-	a := r.SubmitCached(cfg).Wait()
+	a := r.SubmitCachedContext(context.Background(), cfg).Wait()
 	if got := r.Progress().Submitted; got != 1 {
 		t.Fatalf("submitted = %d, want 1", got)
 	}
 	// Second submission — sequential, so nothing is in flight — must be
 	// served from the memo without a new execution. Plain Submit shares
 	// the memoized result too.
-	b := r.SubmitCached(cfg).Wait()
+	b := r.SubmitCachedContext(context.Background(), cfg).Wait()
 	c := r.Submit(cfg).Wait()
 	if got := r.Progress().Submitted; got != 1 {
 		t.Fatalf("memoized config re-ran: submitted = %d", got)
@@ -108,6 +109,36 @@ func TestSubmitCachedMemoizes(t *testing.T) {
 	r.Submit(cfg2).Wait()
 	if got := r.Progress().Submitted; got != 3 {
 		t.Fatalf("plain Submit memoized: submitted = %d, want 3", got)
+	}
+}
+
+// TestCachedJoinKeepsPlainRun: a memoizing submission that joins an
+// identical plain run still queued keeps that run's result, so a later
+// identical Submit is served without executing.
+func TestCachedJoinKeepsPlainRun(t *testing.T) {
+	r := New(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	held := make(chan struct{})
+	go func() {
+		// Occupy the only worker slot so both submissions below queue.
+		Map(r, []int{0}, func(int) int { close(started); <-release; return 0 })
+		close(held)
+	}()
+	<-started
+	cfg := testConfig(2_000)
+	fa := r.Submit(cfg)
+	fb := r.SubmitCachedContext(context.Background(), cfg)
+	close(release)
+	<-held
+	a, b := fa.Wait(), fb.Wait()
+	c := r.Submit(cfg).Wait()
+	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
+		t.Fatal("shared results disagree")
+	}
+	// One Map item and one execution; the join and the last Submit are
+	// dedups.
+	if p := r.Progress(); p.Submitted != 2 || p.Deduped != 2 {
+		t.Fatalf("want 2 submitted and 2 deduped, got %+v", p)
 	}
 }
 

@@ -181,7 +181,9 @@ type Experiment = experiments.Entry
 func Experiments() []Experiment { return experiments.Registry() }
 
 // RunExperiment regenerates one table or figure and returns its rendered
-// rows.
+// rows. Every run is memoized for the life of the process, so a
+// configuration an earlier call already ran is not run again, and the
+// process holds every result it has produced.
 func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 	e, err := experiments.Lookup(id)
 	if err != nil {

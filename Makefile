@@ -16,7 +16,7 @@ help:
 	@echo "  check        invariant-checker gate: shadow-oracle runs + fuzz seed corpora"
 	@echo "  fuzz         open-ended randomized checking (grows fuzz corpora)"
 	@echo "  smoke        end-to-end smoke: nocstar-exp report read back with jq and its -trace checked, a config document and a trace replay through nocstar-sim"
-	@echo "  serve-smoke  the server's e2e tests: submit/poll/events/cache/sweep/restart/read endpoints, two replicas over one store, refused configs"
+	@echo "  serve-smoke  the server's e2e tests: submit/poll/events/cache/sweep/restart/read endpoints, stored run IDs after a restart, refused configs"
 	@echo "  shape        the paper's headline claims at reduced scale (NOCSTAR > distributed > private, ideal within 5%)"
 	@echo "  profile      CPU/heap profiles of the Table III sweep"
 	@echo "  ci           build fmt vet staticcheck race bench perfbench alloc check shape smoke serve-smoke"
@@ -143,15 +143,21 @@ smoke:
 # result is byte-identical to a direct in-process Run and a resubmission
 # is a cache hit; a run's event stream carries its status frames to a
 # terminal one; a sweep streams over SSE and replays from the store;
-# the persistent store survives a restart; the read endpoints answer;
-# a resubmission right after a cancel runs; two replicas over one store
-# run a config once, and killing the lease holder hands it to the other;
-# a canonical body served from the memory tier answers what the full
-# path answers, and spliced status bodies are the encoder's bytes; an
-# unbuildable config, or one naming a removed field, gets a 400.
-SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestEvents|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestReadEndpoints|TestResubmitAfterCancelRuns|TestTwoNodeProxy|TestKillOwnerMidSweep|TestLeaseTakeoverAfterCrash|TestCanonicalBodyFastPath|TestStatusBodiesMatchEncoder|TestSubmitRejectsUnbuildableConfig
+# the persistent store survives a restart, and a restarted server
+# answers its predecessor's run IDs from the store; the read endpoints
+# answer; a resubmission right after a cancel runs; a canonical body
+# served from the memory tier answers what the full path answers, and
+# spliced status bodies are the encoder's bytes; an unbuildable config,
+# or one naming a removed field, gets a 400. `-run` ignores a name that
+# matches nothing, so the target first fails if any listed test is
+# missing from the package.
+SERVE_SMOKE_TESTS = TestSubmitPollByteIdentical|TestEvents|TestSweepSSE|TestSweepServesFromStore|TestRestartSurvival|TestStoredIDsResolve|TestReadEndpoints|TestResubmitAfterCancelRuns|TestCanonicalBodyFastPath|TestStatusBodiesMatchEncoder|TestSubmitRejectsUnbuildableConfig
 
 serve-smoke:
+	@listed="$$($(GO) test -list . ./internal/server/)" || { echo "$$listed"; exit 1; }; \
+	missing=""; for name in $$(echo '$(SERVE_SMOKE_TESTS)' | tr '|' ' '); do \
+		echo "$$listed" | grep -qx "$$name" || missing="$$missing $$name"; done; \
+	if [ -n "$$missing" ]; then echo "serve-smoke: no such test in internal/server:$$missing"; exit 1; fi
 	$(GO) test -count 1 -run '^($(SERVE_SMOKE_TESTS))$$' ./internal/server/
 
 # The paper's headline shape as one gate: at 16, 32 and 64 cores with

@@ -14,10 +14,10 @@
 //	var res nocstar.Result
 //	_ = st.Decode(&res)
 //
-// Any replica sharing the result store answers for any run ID: a job ID
-// embeds its config's canonical hash, and a replica resolves an ID
-// minted elsewhere from the shared store and its leases, so the client
-// can point at a load balancer without sticky sessions.
+// A run ID outlives the server process that minted it: a job ID embeds
+// its config's canonical hash, and a server restarted over the same
+// store directory resolves an ID it has no record of from the store —
+// done if the result is stored, ErrNotFound otherwise.
 package client
 
 import (
@@ -87,7 +87,8 @@ const (
 // /v1/runs/{id}, each element of GET /v1/runs, and each "state" frame
 // of GET /v1/runs/{id}/events.
 type RunStatus struct {
-	// ID is the run ID, resolvable on any replica sharing the store.
+	// ID is the run ID, resolvable from the store by a later server
+	// over the same store directory once the run is done.
 	ID string `json:"id"`
 	// State is one of the State* constants.
 	State string `json:"state"`

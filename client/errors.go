@@ -31,7 +31,7 @@ var (
 	// ErrDraining: the node is shutting down.
 	ErrDraining = errors.New("nocstar: server draining")
 	// ErrNotFound: no such run — neither known to the server nor
-	// stored or leased in the store it shares.
+	// stored in its result store.
 	ErrNotFound = errors.New("nocstar: run not found")
 	// ErrOwnerUnreachable matches the retired "owner_unreachable" code,
 	// which servers sent while they proxied requests to one another. No

@@ -2,17 +2,16 @@
 // service: clients POST JSON configs to /v1/runs (or whole design-space
 // sweeps to /v1/sweeps), poll run status, stream progress and results
 // over SSE, and share a content-addressed result cache across requests
-// — and, with -store-dir, across restarts and replicas. Any number of
-// replicas pointed at one -store-dir on a shared volume run each config
-// once between them: a replica claims a cold config with a lease file
-// in the store before running it, and the others wait for its result,
-// taking the config over only if the lease is given up or goes stale.
+// — and, with -store-dir, across restarts. One server owns a
+// -store-dir: a restarted server over it serves every stored result and
+// resolves the run IDs of its predecessors. Two servers over one
+// directory still return correct results, but a config sent to both may
+// run once in each.
 //
 // Usage:
 //
 //	nocstar-serve -addr :8080 -workers 8 -store-max-entries 8192
-//	nocstar-serve -addr :8080 -store-dir /var/lib/nocstar/results
-//	nocstar-serve -addr :8081 -store-dir /mnt/shared/nocstar   # one of N replicas
+//	nocstar-serve -addr :8080 -store-dir /var/lib/nocstar/results   # survives restarts
 //
 // Endpoints:
 //
@@ -50,7 +49,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "bounded submission queue depth (full queue returns 429)")
-		storeDir     = flag.String("store-dir", "", "persistent content-addressed result store directory (survives restarts; replicas sharing it run each config once)")
+		storeDir     = flag.String("store-dir", "", "persistent content-addressed result store directory, owned by this server (survives restarts)")
 		storeEntries = flag.Int("store-max-entries", 0, "result entry bound of the memory tier and of the persistent store (0 = 4096)")
 		storeBytes   = flag.Int64("store-max-bytes", 0, "persistent store payload-byte bound (0 = unbounded)")
 		history      = flag.Int("job-history", 0, "terminal jobs retained in the run registry (0 = 512)")

@@ -211,7 +211,9 @@ func (h *Hierarchy) Stats() (accesses, memFills uint64) {
 
 // Pollute models foreign fills displacing resident lines in the two inner
 // levels, the effect the paper attributes to performing page walks at the
-// remote core ("it pollutes the local cache of the remote core").
+// remote core ("it pollutes the local cache of the remote core"). On a
+// walker view, whose levels are [8-set L2, shared LLC], the second of
+// them is the chip-wide LLC, so the eviction reaches it too.
 func (h *Hierarchy) Pollute(lines int) {
 	for i, c := range h.levels {
 		if i >= 2 {

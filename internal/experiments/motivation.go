@@ -81,7 +81,9 @@ type Fig5Result struct {
 	Fractions map[string][]float64
 }
 
-// Fig5 reproduces Fig. 5 on the distributed shared organization.
+// Fig5 reproduces Fig. 5's concurrency histogram on the NOCSTAR
+// organization (system.Nocstar) at 32 cores, so its runs are the same
+// configurations as Fig. 15's NOCSTAR column.
 func Fig5(o Options) Fig5Result {
 	res := Fig5Result{Fractions: map[string][]float64{}}
 	for _, b := range stats.ConcurrencyBuckets {

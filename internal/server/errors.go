@@ -33,7 +33,7 @@ const (
 	// codeDraining: the server is shutting down and refuses new work.
 	codeDraining = "draining"
 	// codeNotFound: no such run — not in this server's registry, and
-	// neither stored nor leased in the shared store.
+	// no result stored under the hash its ID embeds.
 	codeNotFound = "not_found"
 	// codeInternal: the server failed; the message says how.
 	codeInternal = "internal"

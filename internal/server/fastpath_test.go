@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"nocstar/client"
+	"nocstar/internal/store"
 	"nocstar/internal/system"
 )
 
@@ -250,11 +251,18 @@ func TestCanonicalBodyFastPath(t *testing.T) {
 // result is in no tier, so a second lookup would miss and queue a job
 // with no config to run.
 func sweepHeldAcrossEviction(t *testing.T) {
-	srv, c := newTestServer(t, Options{Workers: 1, StoreMaxEntries: 1, StoreDir: t.TempDir()})
+	dir := t.TempDir()
+	srv, c := newTestServer(t, Options{Workers: 1, StoreMaxEntries: 1, StoreDir: dir})
 	ctx := ctxT(t)
 	onDisk, inMemory := smallConfig(120), smallConfig(121)
 	blobDisk, blobMem := directBytes(t, onDisk), directBytes(t, inMemory)
-	if err := srv.dir.Put(hashOf(t, onDisk), blobDisk); err != nil {
+	// Written by another Dir over the same directory, so the server
+	// finds the blob on disk and adopts it.
+	other, err := store.OpenDir(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Put(hashOf(t, onDisk), blobDisk); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := system.UnmarshalConfig([]byte(inMemory))

@@ -10,19 +10,16 @@
 // survive restarts. Results served over HTTP are byte-identical to a
 // direct in-process system.Run of the same Config.
 //
-// Horizontal scale: any number of replicas share one store directory
-// (Options.StoreDir on a common volume) and never talk to each other.
-// A worker that dequeues a cold hash claims it with a lease file in the
-// store (see store.Dir.Claim), runs it, publishes the blob and drops
-// the lease; a replica that finds another's live lease follows it —
-// polling the store without holding a worker — and takes the hash over
-// only if the lease is given up or goes stale. So a config submitted to
-// several replicas runs once, a sweep sent to several replicas splits
-// its legs among them, and a replica's death loses nothing it had
-// published. Job IDs embed the canonical hash, so every /v1/runs/{id}
-// endpoint resolves an ID minted by any replica from the store and the
-// leases (see replica.go). A server without StoreDir shares nothing and
-// takes no leases.
+// One server per store directory: with Options.StoreDir, a restarted
+// server over the same directory serves every result its predecessors
+// stored. Job IDs embed the canonical hash, so every /v1/runs/{id}
+// endpoint resolves an ID this server has no record of — minted by an
+// earlier incarnation, or pruned from the job history — from the store
+// alone: a stored result answers as done, anything else as not found
+// (see results.go). Two processes over one directory need no
+// coordination to stay correct — blobs are content-addressed and
+// deterministic, and published by atomic rename — but a config sent to
+// both may run once in each.
 //
 // Production plumbing: per-request run deadlines (?timeout=30s),
 // backpressure (a bounded queue that rejects with 429 and Retry-After),
@@ -76,8 +73,7 @@ type Options struct {
 	QueueDepth int
 	// StoreDir, when non-empty, backs the in-memory cache with a
 	// persistent content-addressed store: one <hash>.json blob per
-	// result, written atomically. Results survive restarts, and
-	// replicas pointed at one directory share results and leases.
+	// result, written atomically. Results survive restarts.
 	StoreDir string
 	// StoreMaxEntries bounds both tiers of the result store: the
 	// in-memory tier, which also holds at most store.MemoryMaxBytes of
@@ -91,8 +87,8 @@ type Options struct {
 	StoreMaxBytes int64
 	// JobHistory bounds retained terminal jobs: once more than this
 	// many jobs have reached a terminal state, the oldest are evicted
-	// from the registry (their IDs then resolve from the store, like
-	// any other replica's). <= 0 selects 512.
+	// from the registry (their IDs then resolve from the store while it
+	// holds their results). <= 0 selects 512.
 	JobHistory int
 	// MaxRunDuration caps every run's wall-clock execution, counted
 	// from submission. 0 leaves runs uncapped; requests may always set
@@ -130,8 +126,6 @@ type serverMetrics struct {
 	canceledRun  *metrics.AtomicCounter
 	sweepConfigs *metrics.AtomicCounter
 	storeErrors  *metrics.AtomicCounter
-	leaseWaits   *metrics.AtomicCounter
-	takeovers    *metrics.AtomicCounter
 }
 
 // Server is the resident simulation service. Create with New, mount
@@ -160,11 +154,6 @@ type Server struct {
 	// mem is the memory tier of results, the only tier the
 	// canonical-body fast path reads (see heldResult).
 	mem *store.Memory
-	// dir is the shared directory tier, which also holds the leases;
-	// nil for a memory-only server.
-	dir *store.Dir
-	// renewed closes when the lease-renewal loop exits.
-	renewed chan struct{}
 
 	seq     atomic.Uint64
 	running atomic.Int64
@@ -173,9 +162,8 @@ type Server struct {
 	met serverMetrics
 }
 
-// New builds a server and starts its worker pool (and, with a store
-// directory, its lease renewal). It fails when the persistent store
-// directory cannot be opened.
+// New builds a server and starts its worker pool. It fails when the
+// persistent store directory cannot be opened.
 func New(opts Options) (*Server, error) {
 	opts = opts.normalized()
 	reg := metrics.NewRegistry()
@@ -185,7 +173,6 @@ func New(opts Options) (*Server, error) {
 		queue:      make(chan *job, opts.QueueDepth),
 		jobs:       map[string]*job{},
 		inflight:   map[string]*job{},
-		renewed:    make(chan struct{}),
 		reg:        reg,
 		met: serverMetrics{
 			requests:     reg.AtomicCounter("server.http.requests"),
@@ -200,22 +187,19 @@ func New(opts Options) (*Server, error) {
 			canceledRun:  reg.AtomicCounter("server.runs.canceled"),
 			sweepConfigs: reg.AtomicCounter("server.sweep.configs"),
 			storeErrors:  reg.AtomicCounter("server.store.errors"),
-			leaseWaits:   reg.AtomicCounter("server.lease.waits"),
-			takeovers:    reg.AtomicCounter("server.lease.takeovers"),
 		},
 	}
-	results, mem, dir, err := openResults(opts, s.met.storeErrors)
+	results, mem, err := openResults(opts, s.met.storeErrors)
 	if err != nil {
 		return nil, err
 	}
-	s.results, s.mem, s.dir = results, mem, dir
+	s.results, s.mem = results, mem
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.routes()
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go s.worker()
 	}
-	go s.renewLoop()
 	return s, nil
 }
 
@@ -242,12 +226,10 @@ func (s *Server) routes() {
 }
 
 // Shutdown gracefully stops the server: submissions are refused with
-// 503, and queued, running and following jobs drain to completion while
-// their leases stay renewed; then the worker pool exits. If ctx expires
-// first, every remaining run is canceled (they stop at the next
-// context-poll stride and release their leases, so a replica following
-// them takes them over) and Shutdown returns ctx's error once the pool
-// exits.
+// 503, and queued and running jobs drain to completion; then the worker
+// pool exits. If ctx expires first, every remaining run is canceled
+// (they stop at the next context-poll stride) and Shutdown returns
+// ctx's error once the pool exits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -269,7 +251,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.baseCancel()
 	<-drained
-	<-s.renewed
 	return err
 }
 
@@ -279,6 +260,20 @@ func (s *Server) worker() {
 	for j := range s.queue {
 		s.runJob(j)
 	}
+}
+
+// runJob handles one dequeued job. A job already terminal — canceled
+// while it waited in the queue — is only deregistered, never executed:
+// its context is dead and its canceled outcome already set, so there
+// is nothing to run and no outcome to count.
+func (s *Server) runJob(j *job) {
+	if j.terminal() {
+		s.unregisterInflight(j)
+		return
+	}
+	j.setState(client.StateRunning, nil, "")
+	state, res, msg := s.execute(j)
+	s.finish(j, state, res, msg)
 }
 
 // execute runs j's config on the calling worker, publishes a done
@@ -312,15 +307,9 @@ func (s *Server) execute(j *job) (string, json.RawMessage, string) {
 
 // finish moves j to a terminal state: j leaves the singleflight
 // registry, and the outcome counters advance. An executed result is
-// already in the store (execute). cached marks a result read from the
-// store rather than executed.
-func (s *Server) finish(j *job, state string, result json.RawMessage, msg string, cached bool) {
+// already in the store (execute).
+func (s *Server) finish(j *job, state string, result json.RawMessage, msg string) {
 	s.unregisterInflight(j)
-	if cached {
-		j.mu.Lock()
-		j.st.Cached = true
-		j.mu.Unlock()
-	}
 	if j.setState(state, result, msg) {
 		s.countTerminal()
 	}
@@ -357,7 +346,8 @@ func (s *Server) unregisterInflight(j *job) {
 //	<epoch36>-<seq>-<canonical hash>
 //
 // so the minting incarnation is visible and, because the full canonical
-// hash rides along, any replica sharing the store can resolve the ID.
+// hash rides along, a later incarnation over the same store can resolve
+// the ID.
 func (s *Server) newJob(hash string, cfg system.Config) *job {
 	return &job{
 		cfg:  cfg,
@@ -418,10 +408,9 @@ const (
 
 // acquire resolves a validated config to a job: a store hit is born
 // done, an identical live job is joined, and otherwise a fresh job
-// enters the bounded queue (whether it runs here or follows another
-// replica's run is decided when a worker dequeues it). held, when
-// non-nil, is the config's result already read by heldResult: the job
-// is born done with it, and cfg, then the zero Config, is never read.
+// enters the bounded queue. held, when non-nil, is the config's result
+// already read by heldResult: the job is born done with it, and cfg,
+// then the zero Config, is never read.
 // The returned errors are errDraining and errQueueFull.
 func (s *Server) acquire(cfg system.Config, hash string, held []byte, timeout time.Duration) (*job, acquisition, error) {
 	s.mu.Lock()
@@ -431,11 +420,11 @@ func (s *Server) acquire(cfg system.Config, hash string, held []byte, timeout ti
 	}
 	s.mu.Unlock()
 
-	// Result store: a config already simulated — by this process, a
-	// previous incarnation of it, or a replica sharing the store — is
-	// served as a job born in the done state. The store read happens
-	// outside s.mu (it may touch disk); a racing identical submission
-	// is resolved by the singleflight check below.
+	// Result store: a config already simulated — by this process or a
+	// previous incarnation of it — is served as a job born in the done
+	// state. The store read happens outside s.mu (it may touch disk); a
+	// racing identical submission is resolved by the singleflight check
+	// below.
 	cached, ok := held, held != nil
 	if !ok {
 		cached, ok = s.results.Get(hash)
@@ -459,8 +448,8 @@ func (s *Server) acquire(cfg system.Config, hash string, held []byte, timeout ti
 	if s.draining {
 		return nil, 0, errDraining
 	}
-	// Singleflight: an identical config already queued, running, or
-	// following is joined, not re-simulated.
+	// Singleflight: an identical config already queued or running is
+	// joined, not re-simulated.
 	if live, ok := s.inflight[hash]; ok {
 		s.met.deduped.Inc()
 		return live, acqJoined, nil
@@ -666,7 +655,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, j.status(true))
 		return
 	}
-	s.resolveRemoteGet(w, id)
+	s.storedGet(w, id)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -683,7 +672,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.lookup(id)
 	if !ok {
-		s.resolveRemoteCancel(w, id)
+		s.storedCancel(w, id)
 		return
 	}
 	s.cancelJob(j)
@@ -711,7 +700,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.lookup(id)
 	if !ok {
-		s.resolveRemoteEvents(w, r, id)
+		s.storedEvents(w, id)
 		return
 	}
 	flusher, ok := w.(http.Flusher)

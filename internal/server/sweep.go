@@ -19,10 +19,8 @@ import (
 // same acquire path as single submissions: store hits are served
 // instantly, duplicates singleflight, and the rest flow through the
 // bounded queue (a full queue backpressures the sweep instead of
-// rejecting it). The same sweep sent to several replicas sharing a
-// store splits between them: each leg runs on whichever replica claims
-// it first, and the others follow. Results stream back as SSE "result"
-// events in completion order, each embedding the raw marshaled Result —
+// rejecting it). Results stream back as SSE "result" events in
+// completion order, each embedding the raw marshaled Result —
 // byte-identical to a direct system.Run — and a terminal "summary"
 // event closes the stream. Its Unsubmitted count is the configs never
 // acquired: the server began draining, or the client went away,

@@ -13,9 +13,9 @@ import (
 )
 
 // Dir is a persistent content-addressed store: one "<hash>.json" blob
-// per result under a single directory. Writes go to a temp file in the
-// same directory and are renamed into place, so a reader — including a
-// different server replica sharing the directory over a common volume —
+// per result under a single directory, which one server owns. Writes
+// go to a temp file in the same directory and are renamed into place,
+// so a reader — another process over the same directory included —
 // either sees the whole blob or none of it, never a torn write. Blobs
 // are immutable, so there is no overwrite path to race on.
 //
@@ -23,7 +23,7 @@ import (
 // byte bounds; Opening a directory rebuilds the index from the blobs on
 // disk (ordered by modification time), which is how results survive
 // restarts. A Get for a hash absent from the index still probes the
-// disk, so blobs written by another replica are found and adopted.
+// disk, so a blob another process wrote is found and adopted.
 //
 // Blobs this process did not write are input from outside it. Get never
 // reads one larger than maxBlobBytes, and when a check is installed
@@ -39,9 +39,6 @@ type Dir struct {
 	order *list.List // front = most recently used
 	items map[string]*list.Element
 	bytes int64
-
-	leaseMu sync.Mutex
-	held    map[*Lease]struct{}
 }
 
 type dirEntry struct {
@@ -89,7 +86,6 @@ func OpenDir(dir string, maxEntries int, maxBytes int64) (*Dir, error) {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		items:      make(map[string]*list.Element),
-		held:       make(map[*Lease]struct{}),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -153,9 +149,9 @@ func validHash(h string) bool {
 func (d *Dir) SetCheck(check func(blob []byte) bool) { d.check = check }
 
 // Get returns the blob stored under hash. Index misses probe the disk
-// so blobs written by other replicas sharing the directory are adopted;
-// index hits whose file vanished (evicted by another replica), grew
-// past maxBlobBytes or failed the check are dropped and miss.
+// so blobs written by another process are adopted; index hits whose
+// file vanished (removed by another process), grew past maxBlobBytes
+// or failed the check are dropped and miss.
 func (d *Dir) Get(hash string) ([]byte, bool) {
 	if !validHash(hash) {
 		return nil, false

@@ -3,14 +3,12 @@
 // (system.Config.CanonicalHash). Because equal configs produce
 // bit-identical Results, a result is a pure function of its key — there
 // is no invalidation, only eviction — which makes the store safe to
-// share between server replicas and across restarts.
+// keep across restarts.
 //
 // Two implementations are provided: Memory, a bounded in-process LRU
 // (the original server cache), and Dir, a persistent directory of
-// <hash>.json blobs written atomically so replicas sharing a volume
-// never observe torn writes. Tiered composes them front-to-back. Dir
-// also holds the leases with which replicas sharing it run each hash
-// once (lease.go).
+// <hash>.json blobs written atomically, so no reader observes a torn
+// write. Tiered composes them front-to-back.
 package store
 
 // Store is a content-addressed result store. Get returns the stored

@@ -110,8 +110,8 @@ func TestDirByteEviction(t *testing.T) {
 	}
 }
 
-// TestDirCrossReplicaAdoption models two replicas sharing a volume: a
-// blob written by one store instance is found by another whose index
+// TestDirCrossReplicaAdoption models two processes over one directory:
+// a blob written by one store instance is found by another whose index
 // has never seen the hash.
 func TestDirCrossReplicaAdoption(t *testing.T) {
 	dir := t.TempDir()
@@ -123,12 +123,12 @@ func TestDirCrossReplicaAdoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := []byte(`{"from":"replica-b"}`)
+	blob := []byte(`{"from":"process-b"}`)
 	if err := b.Put(hashN(7), blob); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := a.Get(hashN(7)); !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("replica blob not adopted: %q %v", got, ok)
+		t.Fatalf("blob from another instance not adopted: %q %v", got, ok)
 	}
 	if a.Len() != 1 {
 		t.Fatalf("adopted blob not indexed: len %d", a.Len())

@@ -280,9 +280,11 @@ func (s *System) meshLatency(h int) int {
 const bankServiceCycles = 8
 
 // pollutionLines is how many resident lines a foreign page walk displaces
-// in the slice-owner's caches under the remote-walk policy ("it pollutes
-// the local cache of the remote core (degrading performance)" — a mild,
-// steady pressure, not a flush).
+// in each inner level of the slice-owner's walker view under the
+// remote-walk policy ("it pollutes the local cache of the remote core
+// (degrading performance)" — a mild, steady pressure, not a flush). The
+// view is [8-set L2, shared LLC], so a remote walk also evicts lines
+// from the chip-wide LLC, not only from the remote core's own cache.
 const pollutionLines = 2
 
 // sliceBegin / sliceEnd maintain the Fig. 6-right per-slice concurrency
